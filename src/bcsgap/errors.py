@@ -42,7 +42,7 @@ class NoBracket(BcsgapError):
 
 
 class BracketFailure(BcsgapError):
-    """The gap solver's bracket does not enclose a root."""
+    """The gap equation has no root in [0, y_max] at the requested temperature."""
 
 
 class NotSolved(BcsgapError):

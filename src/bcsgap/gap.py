@@ -2,9 +2,11 @@
 
 The curve f(t) = (gap at temperature t)^2 is the zero set of the residual
 from the kernels module.  Endpoints are exact: f(0) is the closed-form
-squared gap and f(t_c) = 0.  Interior points are bracketed on [0, y_max]
-(the residual is strictly decreasing in y), bisected to a sliver, then
-polished with Newton steps on the analytic y-derivative.
+squared gap and f(t_c) = 0.  Both unknowns, f(t) and t_c, are roots of
+functions that are strictly decreasing and convex in the variable solved
+for, so plain Newton iterations converge without a bracket: a step from
+the right of the root lands at or left of it, and from the left the
+iterates rise monotonically to it (Fourier's condition).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .kernels import (
     slope_kernel,
 )
 from .model import ModelParams
-from .quad import DEFAULT_SPEC, AdaptiveCache, QuadSpec, integrate
+from .quad import DEFAULT_SPEC, QuadSpec, integrate
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -46,7 +48,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10  # |residual| above this marks a gap point as unsolved
-_BISECT_WIDTH = 1e-14  # bisection handoff width relative to delta0^2
+_NEWTON_STEPS = 60  # cap on Newton steps in either root finder
 _TC_WINDOW = (1e-8, 1e8)  # transition-temperature bracket in hbar_omega_d / k_b units
 _TC_RESIDUAL = 1e-12  # absolute defect allowed in the transition-temperature condition
 
@@ -60,10 +62,11 @@ def solve_tc(
 ) -> float:
     """Temperature at which the pairing condition closes with zero gap.
 
-    Solves  integral of tanh(x)/x over [eps, hbar_omega_d / (2 k_b t)]
-    equal to 1/u0n0.  The left side is strictly decreasing in t, so the
-    root is unique; log-space bisection shrinks the window to ~2%, then
-    Newton steps (slope of the defect is -tanh(upper)/t) finish off.
+    Solves  integral of tanh(x)/x over [eps, U] equal to 1/u0n0, where
+    U = hbar_omega_d / (2 k_b t).  In s = ln t the defect d has slope
+    -tanh(U) and curvature U sech^2(U) > 0, so it is decreasing and convex:
+    Newton on s from the lower end of the search window rises monotonically
+    to the unique root.
     """
     for name, v in (("u0n0", u0n0), ("hbar_omega_d", hbar_omega_d), ("k_b", k_b)):
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
@@ -93,31 +96,16 @@ def solve_tc(
         return val - target
 
     lo, hi = _TC_WINDOW[0] * scale, _TC_WINDOW[1] * scale
-    if not (defect(lo) > 0.0 > defect(hi)):
+    t, d = lo, defect(lo)
+    if not (d > 0.0 > defect(hi)):
         raise NoBracket(
             f"no transition temperature in [{lo:.3e}, {hi:.3e}] for "
             f"u0n0 = {u0n0}, eps = {eps}"
         )
-    while hi / lo > 1.02:
-        mid = math.sqrt(lo * hi)
-        if defect(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-    t = math.sqrt(lo * hi)
-    d = defect(t)
-    for _ in range(30):
+    for _ in range(_NEWTON_STEPS):
         if abs(d) <= 0.25 * _TC_RESIDUAL:
             break
-        if d > 0.0:
-            lo = t
-        else:
-            hi = t
-        upper = hbar_omega_d / (2.0 * k_b * t)
-        t_next = t + d * t / math.tanh(upper)
-        if not lo < t_next < hi:
-            t_next = 0.5 * (lo + hi)
+        t_next = t * math.exp(d / math.tanh(hbar_omega_d / (2.0 * k_b * t)))
         if t_next == t:
             break
         t = t_next
@@ -173,11 +161,14 @@ def _opt(v: float | None) -> str:
 def solve_gap_at(t: float, params: ModelParams, hint: float | None = None) -> GapPoint:
     """Solve the gap equation for the squared gap at one temperature.
 
-    Endpoints short-circuit to exact values.  Interior temperatures verify
-    the bracket signs on [0, y_max], optionally clip the bracket around a
-    continuation hint, bisect to a width of 1e-14 * delta0^2, and finish
-    with at most five Newton steps on the analytic slope.  The residual of
-    the returned point is re-evaluated at the accepted root.
+    Endpoints short-circuit to exact values.  For 0 < t < t_c the residual
+    is strictly decreasing in y and convex (its second y-derivative is
+    -I_curv / (4 (2 k_b t)^5) > 0 because curvature_kernel < 0), so Newton
+    steps y <- max(0, y - F / F_y) converge without a bracket.  The seed is
+    the continuation hint when it lies in (0, y_max), else f(0), which lies
+    at or right of the root.  A step that reaches y = 0 with F(t, 0) <= 0
+    means no root exists.  The residual of the returned point is
+    re-evaluated at the accepted root.
     """
     if not math.isfinite(t):
         raise NonFiniteInput(f"temperature must be finite, got {t!r}")
@@ -189,52 +180,24 @@ def solve_gap_at(t: float, params: ModelParams, hint: float | None = None) -> Ga
     if t == params.t_c:
         return GapPoint(t=t, f=0.0, residual=abs(gap_residual(t, 0.0, params)))
 
-    cache = AdaptiveCache()
-    value = lambda y: gap_residual(t, y, params, cache=cache)
-    lo, hi = 0.0, params.y_max
-    if not (value(lo) > 0.0 > value(hi)):
-        raise BracketFailure(
-            f"residual does not change sign on [0, y_max] at t = {t!r}; "
-            "parameters are outside the solvable regime"
-        )
-    if hint is not None and 0.0 < hint < hi:
-        for probe in (0.97 * hint, 1.03 * hint):
-            if lo < probe < hi:
-                if value(probe) > 0.0:
-                    lo = probe
-                else:
-                    hi = probe
-
-    width = _BISECT_WIDTH * params.delta0**2
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # interval at float resolution
-        if value(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-    y = 0.5 * (lo + hi)
-    caches: dict = {"value": cache}
-    for _ in range(5):
+    caches: dict = {}
+    y = hint if hint is not None and 0.0 < hint < params.y_max else params.delta**2
+    for _ in range(_NEWTON_STEPS):
         val, d_y = residual_and_slope(t, y, params, caches=caches)
-        if val > 0.0:
-            lo = max(lo, y)
-        elif val < 0.0:
-            hi = min(hi, y)
-        if d_y == 0.0:
-            break
-        y_next = y - val / d_y
-        if not lo <= y_next <= hi:
-            y_next = 0.5 * (lo + hi)
-        if y_next == y:
-            break
+        if y == 0.0 and val <= 0.0:
+            raise BracketFailure(
+                f"residual has no root in [0, y_max] at t = {t!r}; "
+                "parameters are outside the solvable regime"
+            )
+        y_next = max(0.0, y - val / d_y)
+        converged = y_next == y or abs(val) <= 1e-13
         y = y_next
-        if abs(val) <= 1e-13:
-            break  # the step just applied polishes y below quadrature noise
+        if converged:
+            break
+    else:
+        raise ToleranceNotMet(f"gap solve at t = {t!r} did not converge")
 
-    return GapPoint(t=t, f=y, residual=abs(value(y)))
+    return GapPoint(t=t, f=y, residual=abs(gap_residual(t, y, params, cache=caches["value"])))
 
 
 def _tc_endpoint_derivatives(params: ModelParams) -> tuple[float, float]:

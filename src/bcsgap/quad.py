@@ -92,11 +92,8 @@ class AdaptiveCache:
 
 
 def _eval_batch(f, x):
-    """Evaluate f on a 1-D node array, tolerating scalar-only callables."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-    except (TypeError, ValueError):
-        y = np.fromiter((float(f(v)) for v in x), dtype=float, count=x.size)
+    """Evaluate a vectorized f on a 1-D node array."""
+    y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
         if y.ndim == 0:
             y = np.full(x.shape, float(y))

@@ -169,8 +169,11 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
     specific-heat discontinuity (cutoff-free mode only), the thermal kernel
     identities, mixed-partial symmetry, and residual-partial negativity on
     a grid.  Deterministic: rerunning with equal inputs yields an equal
-    report.
+    report.  grid_size must be at least 3, so that the derivative stencils
+    have an interior node.
     """
+    if not isinstance(grid_size, int) or grid_size < 3:
+        raise ValueError(f"grid_size must be an integer >= 3, got {grid_size!r}")
     if tolerances is None:
         tolerances = Tolerances()
     start = time.perf_counter()

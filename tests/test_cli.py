@@ -57,10 +57,16 @@ def test_gap_curve_json(capsys):
     assert payload["points"][0]["f"] > payload["points"][-1]["f"]
 
 
-def test_gap_curve_rejects_tiny_grid(capsys):
-    code, _, err = run(capsys, "gap-curve", "--points", "1")
+@pytest.mark.parametrize(
+    "command, points, bound",
+    [("gap-curve", "1", ">= 2"), ("verify", "2", ">= 3")],
+    ids=["gap-curve", "verify"],
+)
+def test_gap_curve_rejects_tiny_grid(capsys, command, points, bound):
+    code, _, err = run(capsys, command, "--points", points)
     assert code == 1
     assert err.startswith("error:")
+    assert bound in err
 
 
 def test_thermo_straddles_transition(capsys):

@@ -39,6 +39,8 @@ _FSECOND_TC = -15.475755612957753
         {"u0n0": 0.3, "hbar_omega_d": 1.0, "k_b": 1.0},
         {"u0n0": 0.5, "hbar_omega_d": 2.0, "k_b": 0.7, "eps": 0.1},
         {"u0n0": 0.2, "hbar_omega_d": 1.0, "k_b": 1.0, "eps": 0.4},
+        {"u0n0": 5.0, "hbar_omega_d": 1.0, "k_b": 1.0},
+        {"u0n0": 0.08, "hbar_omega_d": 1.0, "k_b": 1.0, "eps": 1e-3},
     ],
 )
 def test_solve_tc_matches_bisection_oracle(kwargs):
@@ -100,11 +102,13 @@ def test_unique_sign_change(default_params):
     assert np.sum(np.abs(np.diff(signs)) > 0) == 1
 
 
-def test_hint_does_not_change_the_answer(default_params):
+@pytest.mark.parametrize("hint_ratio", [1e-6, 0.5, 1.05, 1.9])
+def test_hint_does_not_change_the_answer(default_params, hint_ratio):
+    # Newton seeds on both sides of the root
     p = default_params
     t = 0.37 * p.t_c
     plain = solve_gap_at(t, p)
-    hinted = solve_gap_at(t, p, hint=plain.f * 1.05)
+    hinted = solve_gap_at(t, p, hint=plain.f * hint_ratio)
     assert abs(hinted.f - plain.f) <= 1e-13 * p.y_max
 
 

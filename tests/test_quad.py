@@ -53,11 +53,6 @@ def test_sqrt_weighted_exponential():
     assert val == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-10)
 
 
-def test_scalar_only_integrand_is_accepted():
-    val, _ = integrate(lambda x: math.exp(-x), 0.0, 1.0)
-    assert val == pytest.approx(1.0 - math.exp(-1.0), rel=1e-13)
-
-
 def test_error_estimate_is_honest_on_oscillatory_integrand():
     val, err = integrate(lambda x: np.cos(50.0 * x), 0.0, 1.0)
     exact = math.sin(50.0) / 50.0
