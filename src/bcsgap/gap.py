@@ -12,6 +12,8 @@ iterates rise monotonically to it (Fourier's condition).
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,15 +28,13 @@ from .errors import (
     ToleranceNotMet,
 )
 from .kernels import (
-    curvature_kernel,
     gap_residual,
     gap_residual_second_partials,
-    residual_and_slope,
-    sech2,
-    slope_kernel,
+    window_integrals,
+    window_pass,
 )
 from .model import ModelParams
-from .quad import DEFAULT_SPEC, QuadSpec, integrate
+from .quad import DEFAULT_SPEC, AdaptiveCache, QuadSpec, integrate
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -158,20 +158,54 @@ def _opt(v: float | None) -> str:
     return "" if v is None else f"{v:.17g}"
 
 
+def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> tuple[np.ndarray, AdaptiveCache]:
+    """Squared gap at each interior temperature in ts by batched Newton.
+
+    For 0 < t < t_c the residual is strictly decreasing in y and convex
+    (its second y-derivative is -I_curv / (4 (2 k_b t)^5) > 0 because
+    curvature_kernel < 0), so Newton steps y <- max(0, y - F / F_y)
+    converge without a bracket: from a seed right of the root the first
+    step lands at or left of it, and from there the iterates rise
+    monotonically.  A node stops when its step does not move y or its
+    residual is at most 1e-13; it then drops out of the batch.  An iterate
+    at y = 0 with F(t, 0) <= 0 means no root exists.  Returns the roots and
+    the panel layout of the last step, which each step hands to the next.
+    """
+    y = np.array(seeds, dtype=float)
+    active = np.arange(ts.size)
+    cache = AdaptiveCache()
+    for _ in range(_NEWTON_STEPS):
+        if active.size == 0:
+            break
+        t, y_now = ts[active], y[active]
+        p = window_pass(t, y_now, params, order=0, cache=cache)
+        stuck = (y_now == 0.0) & (p.value <= 0.0)
+        if stuck.any():
+            raise BracketFailure(
+                f"residual has no root in [0, y_max] at t = {float(t[stuck][0])!r}; "
+                "parameters are outside the solvable regime"
+            )
+        y_next = np.maximum(0.0, y_now - p.value / p.d_y)
+        done = (y_next == y_now) | (np.abs(p.value) <= 1e-13)
+        y[active] = y_next
+        active = active[~done]
+    if active.size:
+        raise ToleranceNotMet(f"gap solve at t = {float(ts[active[0]])!r} did not converge")
+    return y, cache
+
+
 def solve_gap_at(t: float, params: ModelParams, hint: float | None = None) -> GapPoint:
     """Solve the gap equation for the squared gap at one temperature.
 
-    Endpoints short-circuit to exact values.  For 0 < t < t_c the residual
-    is strictly decreasing in y and convex (its second y-derivative is
-    -I_curv / (4 (2 k_b t)^5) > 0 because curvature_kernel < 0), so Newton
-    steps y <- max(0, y - F / F_y) converge without a bracket.  The seed is
-    the continuation hint when it lies in (0, y_max), else f(0), which lies
-    at or right of the root.  A step that reaches y = 0 with F(t, 0) <= 0
-    means no root exists.  The residual of the returned point is
-    re-evaluated at the accepted root.
+    Endpoints short-circuit to exact values.  For 0 < t < t_c this is the
+    batched Newton iteration at a single node, seeded with the continuation
+    hint when it lies in (0, y_max), else with f(0), which lies at or right
+    of the root.  The residual of the returned point is re-evaluated at the
+    accepted root.
     """
-    if not math.isfinite(t):
+    if not (isinstance(t, numbers.Real) and math.isfinite(t)):
         raise NonFiniteInput(f"temperature must be finite, got {t!r}")
+    t = float(t)
     if t < 0.0 or t > params.t_c:
         raise OutsideDomain(f"temperature {t!r} outside [0, {params.t_c!r}]")
     if t == 0.0:
@@ -180,24 +214,10 @@ def solve_gap_at(t: float, params: ModelParams, hint: float | None = None) -> Ga
     if t == params.t_c:
         return GapPoint(t=t, f=0.0, residual=abs(gap_residual(t, 0.0, params)))
 
-    caches: dict = {}
-    y = hint if hint is not None and 0.0 < hint < params.y_max else params.delta**2
-    for _ in range(_NEWTON_STEPS):
-        val, d_y = residual_and_slope(t, y, params, caches=caches)
-        if y == 0.0 and val <= 0.0:
-            raise BracketFailure(
-                f"residual has no root in [0, y_max] at t = {t!r}; "
-                "parameters are outside the solvable regime"
-            )
-        y_next = max(0.0, y - val / d_y)
-        converged = y_next == y or abs(val) <= 1e-13
-        y = y_next
-        if converged:
-            break
-    else:
-        raise ToleranceNotMet(f"gap solve at t = {t!r} did not converge")
-
-    return GapPoint(t=t, f=y, residual=abs(gap_residual(t, y, params, cache=caches["value"])))
+    seed = hint if hint is not None and 0.0 < hint < params.y_max else params.delta**2
+    ys, cache = _newton(np.array([t]), np.array([seed]), params)
+    y = float(ys[0])
+    return GapPoint(t=t, f=y, residual=abs(gap_residual(t, y, params, cache=cache)))
 
 
 def _tc_endpoint_derivatives(params: ModelParams) -> tuple[float, float]:
@@ -208,18 +228,9 @@ def _tc_endpoint_derivatives(params: ModelParams) -> tuple[float, float]:
     implicit-function formulas as the gap closes.
     """
     kb, t_c = params.k_b, params.t_c
-    c = 2.0 * kb * t_c
-    a, b, spec = params.xi_min, params.hbar_omega_d, params.quad_spec
-
-    def over(f):
-        val, _ = integrate(lambda xi: f(xi / c), a, b, spec)
-        return val
-
-    i_sech = over(sech2)
-    i_slope = over(slope_kernel)
-    i_shift = over(lambda e: (e * np.tanh(e) - 1.0) * sech2(e))
-    i_mixed = over(lambda e: np.tanh(e) / e * sech2(e))
-    i_curv = over(curvature_kernel)
+    kinds = ("sech", "slope", "eta_tanh", "mixed", "curv")
+    i_sech, i_slope, i_eta_tanh, i_mixed, i_curv = window_integrals(t_c, 0.0, params, kinds)[:, 0].tolist()
+    i_shift = i_eta_tanh - i_sech
 
     f_prime = 8.0 * kb**2 * t_c * i_sech / i_slope
     f_second = (
@@ -228,6 +239,22 @@ def _tc_endpoint_derivatives(params: ModelParams) -> tuple[float, float]:
         + 8.0 * kb**2 * i_sech**2 * i_curv / i_slope**3
     )
     return f_prime, f_second
+
+
+def _implicit_derivatives(p):
+    """f' and f'' of the curve from the residual partials at solved points."""
+    f_prime = -p.d_t / p.d_y
+    f_second = (
+        -p.d_tt * p.d_y**2 + 2.0 * p.d_ty * p.d_t * p.d_y - p.d_yy * p.d_t**2
+    ) / p.d_y**3
+    return f_prime, f_second
+
+
+def _check_residual(residual) -> None:
+    if not residual <= RESIDUAL_TOL:
+        raise NotSolved(
+            f"gap_point residual {residual:.3e} above {RESIDUAL_TOL:g}"
+        )
 
 
 def gap_derivatives_at(t: float, params: ModelParams, gap_point: GapPoint) -> tuple[float, float]:
@@ -239,30 +266,27 @@ def gap_derivatives_at(t: float, params: ModelParams, gap_point: GapPoint) -> tu
     """
     if gap_point is None or gap_point.t != t:
         raise NotSolved(f"gap_point was solved at t = {getattr(gap_point, 't', None)!r}, not {t!r}")
-    if not gap_point.residual <= RESIDUAL_TOL:
-        raise NotSolved(
-            f"gap_point residual {gap_point.residual:.3e} above {RESIDUAL_TOL:g}"
-        )
+    _check_residual(gap_point.residual)
     if t == 0.0:
         return 0.0, 0.0
     if t == params.t_c:
         return _tc_endpoint_derivatives(params)
-    p = gap_residual_second_partials(t, gap_point.f, params)
-    f_prime = -p.d_t / p.d_y
-    f_second = (
-        -p.d_tt * p.d_y**2 + 2.0 * p.d_ty * p.d_t * p.d_y - p.d_yy * p.d_t**2
-    ) / p.d_y**3
-    return f_prime, f_second
+    return _implicit_derivatives(gap_residual_second_partials(t, gap_point.f, params))
 
 
 def sample_gap_curve(params: ModelParams, n_points: int, grid: str = "uniform") -> GapCurve:
     """Solve the squared-gap curve on [0, t_c] with derivatives at each node.
 
-    Nodes are swept upward in temperature, each solve seeded with the
-    previous solution as a continuation hint.  grid = "chebyshev" clusters
-    nodes at both endpoints, where the curve bends hardest.
+    All interior nodes are solved together by one batched Newton iteration
+    seeded with f(0); one second-order window pass at the roots then gives
+    every residual, f' and f''.  grid = "chebyshev" clusters nodes at both
+    endpoints, where the curve bends hardest.
     """
-    if not isinstance(n_points, int) or n_points < 2:
+    try:
+        n_points = operator.index(n_points)
+    except TypeError:
+        raise ValueError(f"n_points must be an integer >= 2, got {n_points!r}") from None
+    if n_points < 2:
         raise ValueError(f"n_points must be an integer >= 2, got {n_points!r}")
     if grid == "uniform":
         ts = np.linspace(0.0, params.t_c, n_points)
@@ -273,12 +297,19 @@ def sample_gap_curve(params: ModelParams, n_points: int, grid: str = "uniform") 
         raise ValueError(f"grid must be 'uniform' or 'chebyshev', got {grid!r}")
     ts[0], ts[-1] = 0.0, params.t_c
 
-    points: list[GapPoint] = []
-    hint: float | None = None
-    for t in ts:
-        point = solve_gap_at(float(t), params, hint=hint)
-        f_prime, f_second = gap_derivatives_at(float(t), params, point)
-        point = replace(point, f_prime=f_prime, f_second=f_second)
-        points.append(point)
-        hint = point.f if 0.0 < point.f < params.y_max else None
-    return GapCurve(points=tuple(points), params=params)
+    inner = ts[1:-1]
+    ys, cache = _newton(inner, np.full(inner.size, params.delta**2), params)
+    p = window_pass(inner, ys, params, order=2, cache=cache)
+    residuals = np.abs(p.value)
+    _check_residual(float(np.max(residuals, initial=0.0)))
+    columns = (inner, ys, residuals, *_implicit_derivatives(p))
+    middle = [
+        GapPoint(t=t, f=y, residual=r, f_prime=fp, f_second=fs)
+        for t, y, r, fp, fs in zip(*(c.tolist() for c in columns))
+    ]
+    ends = []
+    for t in (0.0, params.t_c):
+        point = solve_gap_at(t, params)
+        f_prime, f_second = gap_derivatives_at(t, params, point)
+        ends.append(replace(point, f_prime=f_prime, f_second=f_second))
+    return GapCurve(points=(ends[0], *middle, ends[1]), params=params)

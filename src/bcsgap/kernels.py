@@ -9,12 +9,17 @@ eta -> 0, so below _SERIES_CUT both are evaluated from fixed Taylor tables
 generated with exact rational arithmetic (scripts/kernel_series_tables.py
 regenerates them).  At the cut the branches agree to ~1e-16 relative, well
 inside the 1e-14 continuity budget.
+
+The residual and all its partials up to second order are pairing-window
+integrals of six kernels that share eta = sqrt(xi^2 + y) / (2 k_b t).
+window_pass evaluates the ones an order needs, at arrays of (t, y) pairs,
+as one stacked integrand; the scalar functions are thin callers of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +29,7 @@ from .quad import AdaptiveCache, integrate
 
 __all__ = [
     "ResidualPartials",
+    "WINDOW_KERNELS",
     "curvature_kernel",
     "fermi",
     "fermi_weight",
@@ -32,6 +38,8 @@ __all__ = [
     "gap_residual_second_partials",
     "sech2",
     "slope_kernel",
+    "window_integrals",
+    "window_pass",
 ]
 
 _SERIES_CUT = 0.5
@@ -120,6 +128,31 @@ def _validated_eta(eta):
     return x
 
 
+def _by_branch(x, coeffs, direct):
+    """Series below _SERIES_CUT, direct(mask) on the rest; x a float array."""
+    out = np.empty_like(x)
+    small = x < _SERIES_CUT
+    out[small] = _poly_even(x[small], coeffs)
+    big = ~small
+    out[big] = direct(big)
+    return out
+
+
+def _slope(x, th, s2):
+    return _by_branch(x, _SLOPE_SERIES, lambda m: (s2[m] - th[m] / x[m]) / (x[m] * x[m]))
+
+
+def _curvature(x, th, s2, g):
+    return _by_branch(
+        x, _CURV_SERIES, lambda m: (3.0 * g[m] + 2.0 * th[m] * s2[m] / x[m]) / (x[m] * x[m])
+    )
+
+
+def _kernel_arg(eta):
+    x = _validated_eta(eta)
+    return x.ndim == 0, np.atleast_1d(x).astype(float)
+
+
 def slope_kernel(eta):
     """Kernel weighting the first squared-gap derivative of the residual.
 
@@ -127,17 +160,8 @@ def slope_kernel(eta):
     at 0.  Strictly negative everywhere; decays like -tanh(eta)/eta^3, so
     it is still ~-8e-6 at eta = 50 (algebraic, not exponential, decay).
     """
-    x = _validated_eta(eta)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).astype(float)
-    out = np.empty_like(x)
-    small = x < _SERIES_CUT
-    if small.any():
-        out[small] = _poly_even(x[small], _SLOPE_SERIES)
-    if (~small).any():
-        xb = x[~small]
-        t = np.tanh(xb)
-        out[~small] = (sech2(xb) - t / xb) / (xb * xb)
+    scalar, x = _kernel_arg(eta)
+    out = _slope(x, np.tanh(x), sech2(x))
     return float(out[0]) if scalar else out
 
 
@@ -148,19 +172,9 @@ def curvature_kernel(eta):
     eta > 0, continued by -16/15 at 0.  Satisfies
     slope_kernel'(eta) = -eta * curvature_kernel(eta).
     """
-    x = _validated_eta(eta)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).astype(float)
-    out = np.empty_like(x)
-    small = x < _SERIES_CUT
-    if small.any():
-        out[small] = _poly_even(x[small], _CURV_SERIES)
-    if (~small).any():
-        xb = x[~small]
-        t = np.tanh(xb)
-        s2 = sech2(xb)
-        g = (s2 - t / xb) / (xb * xb)
-        out[~small] = (3.0 * g + 2.0 * t * s2 / xb) / (xb * xb)
+    scalar, x = _kernel_arg(eta)
+    th, s2 = np.tanh(x), sech2(x)
+    out = _curvature(x, th, s2, _slope(x, th, s2))
     return float(out[0]) if scalar else out
 
 
@@ -168,8 +182,9 @@ def curvature_kernel(eta):
 class ResidualPartials:
     """Residual value and partial derivatives at one (t, y) point.
 
-    d_t, d_y are with respect to temperature and squared gap; second-order
-    fields stay None unless the second-order evaluation populated them.
+    d_t, d_y are with respect to temperature and squared gap; fields beyond
+    the evaluated order stay None.  window_pass fills the evaluated fields
+    with arrays, one entry per (t, y) pair.
     """
 
     t: float
@@ -182,24 +197,39 @@ class ResidualPartials:
     d_yy: float | None = None
 
 
-def _gate_closure(t: float, y: float, params: ModelParams) -> None:
+def _pairs(ts, ys):
+    """(t, y) input as two equal-length flat float arrays."""
+    return np.broadcast_arrays(np.asarray(ts, dtype=float).ravel(), np.asarray(ys, dtype=float).ravel())
+
+
+def _gate_closure(ts, ys, params: ModelParams) -> None:
     """Admit the closed box [0, t_c] x [0, y_max], except the (0, 0) corner."""
-    if not (math.isfinite(t) and math.isfinite(y)):
-        raise NonFiniteInput(f"(t, y) must be finite, got ({t!r}, {y!r})")
-    if t == 0.0 and y == 0.0:
+    ts, ys = _pairs(ts, ys)
+    finite = np.isfinite(ts) & np.isfinite(ys)
+    if not finite.all():
+        i = int(np.argmax(~finite))
+        raise NonFiniteInput(f"(t, y) must be finite, got ({float(ts[i])!r}, {float(ys[i])!r})")
+    if ((ts == 0.0) & (ys == 0.0)).any():
         raise ZeroGapAtZeroT(
             "the residual has no zero-temperature value at zero squared gap"
         )
-    if t < 0.0 or t > params.t_c or y < 0.0 or y > params.y_max:
+    outside = (ts < 0.0) | (ts > params.t_c) | (ys < 0.0) | (ys > params.y_max)
+    if outside.any():
+        i = int(np.argmax(outside))
         raise OutsideDomain(
-            f"(t, y) = ({t!r}, {y!r}) outside [0, {params.t_c!r}] x [0, {params.y_max!r}]"
+            f"(t, y) = ({float(ts[i])!r}, {float(ys[i])!r}) outside "
+            f"[0, {params.t_c!r}] x [0, {params.y_max!r}]"
         )
 
 
-def _cache_for(caches, key: str) -> AdaptiveCache | None:
-    if caches is None:
-        return None
-    return caches.setdefault(key, AdaptiveCache())
+def _gate_interior(ts, ys, params: ModelParams) -> None:
+    domain = params.domain
+    for t, y in zip(ts.tolist(), ys.tolist()):
+        if domain.classify(t, y) is not Stratum.INTERIOR:
+            raise OutsideDomain(
+                "second partial derivatives exist on the open interior only, "
+                f"got (t, y) = ({t!r}, {y!r})"
+            )
 
 
 def _zero_t_value(y: float, params: ModelParams) -> float:
@@ -207,6 +237,109 @@ def _zero_t_value(y: float, params: ModelParams) -> float:
     upper = params.hbar_omega_d + math.hypot(params.hbar_omega_d, math.sqrt(y))
     lower = a + math.hypot(a, math.sqrt(y))
     return math.log(upper / lower) - 1.0 / params.u0n0
+
+
+# The pairing-window kernels, all functions of eta = sqrt(xi^2 + y) / (2 k_b t):
+# the residual integrand tanh(eta) / sqrt(xi^2 + y), sech^2(eta), the slope
+# kernel, eta tanh(eta) sech^2(eta), tanh(eta) sech^2(eta) / eta, and the
+# curvature kernel.
+WINDOW_KERNELS = ("value", "sech", "slope", "eta_tanh", "mixed", "curv")
+_ORDER_KERNELS = (("value", "slope"), ("value", "sech", "slope"), WINDOW_KERNELS)
+# Stacked integrand rows per quadrature call.  Each row holds one kernel at
+# one (t, y) pair on every node, so the cap keeps peak memory independent
+# of how many pairs a pass is given.
+_BLOCK_ROWS = 48
+
+
+def _kernel_rows(xi, beta, y, kinds):
+    """Stack of the named kernels, shape (len(kinds), len(beta), len(xi))."""
+    s = np.sqrt(xi * xi + y[:, None])
+    eta = beta[:, None] * s
+    th = np.tanh(eta)
+    s2 = sech2(eta)
+    g = _slope(eta, th, s2) if {"slope", "curv"} & set(kinds) else None
+    make = {
+        "value": lambda: th / s,
+        "sech": lambda: s2,
+        "slope": lambda: g,
+        "eta_tanh": lambda: eta * th * s2,
+        "mixed": lambda: th / eta * s2,
+        "curv": lambda: _curvature(eta, th, s2, g),
+    }
+    return np.stack([make[kind]() for kind in kinds])
+
+
+def window_integrals(ts, ys, params: ModelParams, kinds, cache: AdaptiveCache | None = None) -> np.ndarray:
+    """Pairing-window integrals of the named kernels at each (t, y) pair.
+
+    kinds is a subsequence of WINDOW_KERNELS; the result has shape
+    (len(kinds), number of pairs).  Every kernel at every pair is one row of
+    a stacked integrand, integrated on shared panels in blocks of at most
+    _BLOCK_ROWS rows, each row to its own tolerance.  One panel layout is
+    carried from block to block, and across calls through cache.  No domain
+    checks: t must be positive.
+    """
+    ts, ys = _pairs(ts, ys)
+    betas = 1.0 / (2.0 * params.k_b * ts)
+    cache = AdaptiveCache() if cache is None else cache
+    per = max(1, _BLOCK_ROWS // len(kinds))
+    out = np.empty((len(kinds), ts.size))
+    for lo in range(0, ts.size, per):
+        beta, y = betas[lo:lo + per], ys[lo:lo + per]
+
+        def integrand(xi, beta=beta, y=y):
+            return _kernel_rows(xi, beta, y, kinds).reshape(-1, xi.size)
+
+        vals, _ = integrate(integrand, params.xi_min, params.hbar_omega_d, params.quad_spec, cache=cache)
+        out[:, lo:lo + per] = vals.reshape(len(kinds), -1)
+    return out
+
+
+def window_pass(ts, ys, params: ModelParams, order: int, cache: AdaptiveCache | None = None) -> ResidualPartials:
+    """Residual and partial derivatives at arrays of (t, y) pairs, as arrays.
+
+    order 0 gives value and d_y (a Newton step), order 1 adds d_t, and
+    order 2 adds the second partials.  Orders 0 and 1 admit the closed box
+    without the zero-temperature edge, which the closed forms of
+    gap_residual_partials cover; order 2 admits the open interior only.
+    """
+    ts, ys = _pairs(ts, ys)
+    if order == 2:
+        _gate_interior(ts, ys, params)
+    else:
+        _gate_closure(ts, ys, params)
+        if (ts == 0.0).any():
+            raise OutsideDomain("the zero-temperature edge is handled by closed forms")
+    kinds = _ORDER_KERNELS[order]
+    i = dict(zip(kinds, window_integrals(ts, ys, params, kinds, cache)))
+    kb = params.k_b
+    two_kbt = 2.0 * kb * ts
+    d_t = d_tt = d_ty = d_yy = None
+    if order >= 1:
+        d_t = -i["sech"] / (2.0 * kb * ts * ts)
+    if order == 2:
+        d_tt = (i["sech"] - i["eta_tanh"]) / (kb * ts**3)
+        d_ty = i["mixed"] / (two_kbt**3 * ts)
+        d_yy = -i["curv"] / (4.0 * two_kbt**5)
+    return ResidualPartials(
+        t=ts,
+        y=ys,
+        value=i["value"] - 1.0 / params.u0n0,
+        d_t=d_t,
+        d_y=i["slope"] / (2.0 * two_kbt**3),
+        d_tt=d_tt,
+        d_ty=d_ty,
+        d_yy=d_yy,
+    )
+
+
+def _at(t, y, params: ModelParams, order: int, cache=None) -> ResidualPartials:
+    """window_pass at one pair, with plain float fields."""
+    batch = window_pass(t, y, params, order, cache)
+    return ResidualPartials(**{
+        f.name: None if getattr(batch, f.name) is None else float(getattr(batch, f.name)[0])
+        for f in fields(ResidualPartials)
+    })
 
 
 def gap_residual(t: float, y: float, params: ModelParams, cache: AdaptiveCache | None = None) -> float:
@@ -217,55 +350,24 @@ def gap_residual(t: float, y: float, params: ModelParams, cache: AdaptiveCache |
     antiderivative; t > 0 integrates over the pairing window.
     """
     _gate_closure(t, y, params)
+    t, y = float(t), float(y)
     if t == 0.0:
         return _zero_t_value(y, params)
-    beta = 1.0 / (2.0 * params.k_b * t)
-
-    def integrand(xi):
-        s = np.sqrt(xi * xi + y)
-        return np.tanh(beta * s) / s
-
-    val, _ = integrate(integrand, params.xi_min, params.hbar_omega_d, params.quad_spec, cache=cache)
-    return val - 1.0 / params.u0n0
+    val = window_integrals(t, y, params, ("value",), cache)[0, 0]
+    return float(val) - 1.0 / params.u0n0
 
 
-def _first_partials(t: float, y: float, params: ModelParams, caches) -> tuple[float, float]:
-    beta = 1.0 / (2.0 * params.k_b * t)
-    a, b, spec = params.xi_min, params.hbar_omega_d, params.quad_spec
-    i_sech, _ = integrate(
-        lambda xi: sech2(beta * np.sqrt(xi * xi + y)), a, b, spec, cache=_cache_for(caches, "sech")
-    )
-    i_slope, _ = integrate(
-        lambda xi: slope_kernel(beta * np.sqrt(xi * xi + y)), a, b, spec, cache=_cache_for(caches, "slope")
-    )
-    d_t = -i_sech / (2.0 * params.k_b * t * t)
-    d_y = i_slope / (2.0 * (2.0 * params.k_b * t) ** 3)
-    return d_t, d_y
-
-
-def residual_and_slope(t: float, y: float, params: ModelParams, caches=None) -> tuple[float, float]:
+def residual_and_slope(t: float, y: float, params: ModelParams, cache: AdaptiveCache | None = None) -> tuple[float, float]:
     """Residual value together with its y-derivative (one Newton step's worth).
 
-    Interior-solver workhorse; skips the temperature derivative that the
-    full first-order evaluation would also compute.
+    Skips the temperature derivative that the full first-order evaluation
+    would also compute; window_pass at order 0 does the same for arrays.
     """
-    _gate_closure(t, y, params)
-    if t == 0.0:
-        raise OutsideDomain("the zero-temperature edge is handled by closed forms")
-    value = gap_residual(t, y, params, cache=_cache_for(caches, "value"))
-    beta = 1.0 / (2.0 * params.k_b * t)
-    i_slope, _ = integrate(
-        lambda xi: slope_kernel(beta * np.sqrt(xi * xi + y)),
-        params.xi_min,
-        params.hbar_omega_d,
-        params.quad_spec,
-        cache=_cache_for(caches, "slope"),
-    )
-    d_y = i_slope / (2.0 * (2.0 * params.k_b * t) ** 3)
-    return value, d_y
+    p = _at(t, y, params, 0, cache)
+    return p.value, p.d_y
 
 
-def gap_residual_partials(t: float, y: float, params: ModelParams, caches=None) -> ResidualPartials:
+def gap_residual_partials(t: float, y: float, params: ModelParams, cache: AdaptiveCache | None = None) -> ResidualPartials:
     """Residual with first partial derivatives.
 
     On the zero-temperature edge d_t is exactly 0 and d_y comes from the
@@ -275,60 +377,24 @@ def gap_residual_partials(t: float, y: float, params: ModelParams, caches=None) 
     """
     _gate_closure(t, y, params)
     if t == 0.0:
+        y = float(y)
         a, b = params.xi_min, params.hbar_omega_d
         anti = lambda xi: xi / (y * math.hypot(xi, math.sqrt(y)))
         return ResidualPartials(
-            t=t,
+            t=0.0,
             y=y,
             value=_zero_t_value(y, params),
             d_t=0.0,
             d_y=-0.5 * (anti(b) - anti(a)),
         )
-    value = gap_residual(t, y, params, cache=_cache_for(caches, "value"))
-    d_t, d_y = _first_partials(t, y, params, caches)
-    return ResidualPartials(t=t, y=y, value=value, d_t=d_t, d_y=d_y)
+    return _at(t, y, params, 1, cache)
 
 
-def gap_residual_second_partials(t: float, y: float, params: ModelParams, caches=None) -> ResidualPartials:
+def gap_residual_second_partials(t: float, y: float, params: ModelParams, cache: AdaptiveCache | None = None) -> ResidualPartials:
     """Residual with first and second partial derivatives (interior only).
 
     The boundary strata are refused: the second-order formulas are
     established on the open interior, and the endpoint needs of the gap
     curve are met by dedicated closed forms in the gap module.
     """
-    if params.domain.classify(t, y) is not Stratum.INTERIOR:
-        raise OutsideDomain(
-            f"second partial derivatives exist on the open interior only, got (t, y) = ({t!r}, {y!r})"
-        )
-    kb = params.k_b
-    beta = 1.0 / (2.0 * kb * t)
-    a, b, spec = params.xi_min, params.hbar_omega_d, params.quad_spec
-
-    def over(tag, f):
-        val, _ = integrate(f, a, b, spec, cache=_cache_for(caches, tag))
-        return val
-
-    value = gap_residual(t, y, params, cache=_cache_for(caches, "value"))
-    i_sech = over("sech", lambda xi: sech2(beta * np.sqrt(xi * xi + y)))
-    i_slope = over("slope", lambda xi: slope_kernel(beta * np.sqrt(xi * xi + y)))
-
-    def eta_of(xi):
-        return beta * np.sqrt(xi * xi + y)
-
-    i_eta_tanh = over(
-        "eta_tanh", lambda xi: (lambda e: e * np.tanh(e) * sech2(e))(eta_of(xi))
-    )
-    i_mixed = over(
-        "mixed", lambda xi: (lambda e: np.tanh(e) / e * sech2(e))(eta_of(xi))
-    )
-    i_curv = over("curv", lambda xi: curvature_kernel(eta_of(xi)))
-
-    two_kbt = 2.0 * kb * t
-    d_t = -i_sech / (2.0 * kb * t * t)
-    d_y = i_slope / (2.0 * two_kbt**3)
-    d_tt = (i_sech - i_eta_tanh) / (kb * t**3)
-    d_ty = i_mixed / (two_kbt**3 * t)
-    d_yy = -i_curv / (4.0 * two_kbt**5)
-    return ResidualPartials(
-        t=t, y=y, value=value, d_t=d_t, d_y=d_y, d_tt=d_tt, d_ty=d_ty, d_yy=d_yy
-    )
+    return _at(t, y, params, 2, cache)

@@ -5,6 +5,11 @@ error estimate exceeds their share of the budget are bisected, and every
 new panel in a round is evaluated in one vectorized call, so integrands
 written with numpy stay fast.  The returned error estimate is the usual
 conservative Kronrod-minus-Gauss measure.
+
+An integrand may also return a stack of k integrands, shape (k, n) for n
+nodes.  They share one set of panels, each component must meet its own
+target, and a panel is split when any component still short of its target
+is over budget there.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +21,7 @@ from .errors import NonFiniteIntegrand, ToleranceNotMet
 __all__ = ["QuadSpec", "AdaptiveCache", "integrate", "integrate_semi_infinite"]
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 # 15-point Kronrod abscissae (positive half, descending) with the embedded
 # 7-point Gauss rule at the odd-indexed nodes.  Standard published values.
@@ -92,32 +98,38 @@ class AdaptiveCache:
 
 
 def _eval_batch(f, x):
-    """Evaluate a vectorized f on a 1-D node array."""
+    """Evaluate a vectorized f on a 1-D node array: shape (n,) or (k, n)."""
     y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
         if y.ndim == 0:
             y = np.full(x.shape, float(y))
-        else:
+        elif y.ndim != 2 or y.shape[1] != x.size:
             raise NonFiniteIntegrand(
-                f"integrand returned shape {y.shape} for input shape {x.shape}"
+                f"integrand returned shape {y.shape} for input shape {x.shape} "
+                f"(nodes from x = {x[0]!r})"
             )
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)]
+    finite = np.isfinite(y)
+    if not finite.all():
+        bad = x[~finite.all(axis=0)] if y.ndim == 2 else x[~finite]
         raise NonFiniteIntegrand(f"integrand is not finite near x = {bad[0]!r}")
     return y
 
 
 def _panels_eval(f, lo, hi):
-    """Kronrod value, error estimate, and |f| integral for each panel."""
+    """Kronrod value, error estimate, and |f| integral for each panel.
+
+    Each result has shape (P,) for a 1-D integrand and (k, P) for a stack.
+    """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = _eval_batch(f, x.ravel()).reshape(x.shape)
+    y = _eval_batch(f, x.ravel())
+    y = y.reshape(y.shape[:-1] + x.shape)
     k = half * (y @ _W15)
     g = half * (y @ _W7)
     resabs = half * (np.abs(y) @ _W15)
     mean = k / (2.0 * half)
-    resasc = half * (np.abs(y - mean[:, None]) @ _W15)
+    resasc = half * (np.abs(y - mean[..., None]) @ _W15)
     diff = np.abs(k - g)
     safe = np.where(resasc > 0.0, resasc, 1.0)
     err = np.where(
@@ -128,11 +140,22 @@ def _panels_eval(f, lo, hi):
     return k, err, resabs
 
 
+def _furthest(total_err, tol, unmet) -> int:
+    """Index of the component furthest above its target.
+
+    An unmet target is positive: a zero target means the integrand
+    vanished at every node, and then so does its error estimate.
+    """
+    return int(np.argmax(np.where(unmet, total_err / np.where(unmet, tol, 1.0), 0.0)))
+
+
 def integrate(f, a, b, spec: QuadSpec | None = None, cache: AdaptiveCache | None = None):
     """Integrate f over [a, b] to the accuracy demanded by spec.
 
-    Returns (value, err_est).  Raises NonFiniteIntegrand if f produces NaN or
-    infinity, and ToleranceNotMet if the panel limit is reached first.
+    Returns (value, err_est) as floats, or as arrays of shape (k,) when f
+    returns a (k, n) stack.  Raises NonFiniteIntegrand if f produces NaN or
+    infinity or a wrongly shaped result, and ToleranceNotMet if the panel
+    limit is reached first.
     """
     spec = spec or DEFAULT_SPEC
     a = float(a)
@@ -152,29 +175,37 @@ def integrate(f, a, b, spec: QuadSpec | None = None, cache: AdaptiveCache | None
     length = b - a
     while True:
         k, err, resabs = _panels_eval(f, lo, hi)
-        total = float(k.sum())
-        total_err = float(err.sum())
-        total_abs = float(resabs.sum())
-        tol = max(spec.rel_tol * abs(total), spec.abs_tol, 50.0 * _EPS * total_abs)
-        if total_err <= tol:
+        # one row per component: a 1-D integrand is a stack of one
+        total, total_err, total_abs = np.add.reduce((k, err, resabs), axis=-1).reshape(3, -1)
+        tol = np.maximum(spec.rel_tol * np.abs(total), 50.0 * _EPS * total_abs)
+        np.maximum(tol, spec.abs_tol, out=tol)
+        unmet = total_err > tol
+        n_unmet = np.count_nonzero(unmet)
+        if not n_unmet:
             break
+        err = err.reshape(total.size, -1)
         # Panels at floating-point width cannot be refined further.
         widths = hi - lo
-        splittable = widths > 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) + 2.0 * np.finfo(float).tiny
-        over_budget = err > tol * (widths / length)
+        splittable = widths > 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) + 2.0 * _TINY
+        # components that already meet their target set no budget
+        cap = tol if n_unmet == unmet.size else np.where(unmet, tol, np.inf)
+        over_budget = (err > cap[:, None] * (widths / length)).any(axis=0)
         to_split = over_budget & splittable
         if not to_split.any():
-            worst = int(np.argmax(np.where(splittable, err, -1.0)))
+            row = _furthest(total_err, tol, unmet)
+            worst = int(np.argmax(np.where(splittable, err[row], -1.0)))
             if not splittable[worst]:
                 raise ToleranceNotMet(
-                    f"roundoff-limited at error estimate {total_err:.3e} (target {tol:.3e})"
+                    f"roundoff-limited at error estimate {total_err[row]:.3e} "
+                    f"(target {tol[row]:.3e})"
                 )
             to_split = np.zeros_like(over_budget)
             to_split[worst] = True
         n_new = lo.size + int(to_split.sum())
         if n_new > spec.max_subdivisions:
+            row = _furthest(total_err, tol, unmet)
             raise ToleranceNotMet(
-                f"error estimate {total_err:.3e} exceeds target {tol:.3e} "
+                f"error estimate {total_err[row]:.3e} exceeds target {tol[row]:.3e} "
                 f"after {lo.size} panels (limit {spec.max_subdivisions})"
             )
         mids = 0.5 * (lo[to_split] + hi[to_split])
@@ -188,7 +219,9 @@ def integrate(f, a, b, spec: QuadSpec | None = None, cache: AdaptiveCache | None
         cache.a = a
         cache.b = b
         cache.edges = np.append(lo, b)
-    return total, total_err
+    if k.ndim == 2:
+        return total, total_err
+    return float(total[0]), float(total_err[0])
 
 
 def truncation_point(a, decay_scale, spec: QuadSpec | None = None):

@@ -12,6 +12,7 @@ the thermal decay scale.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +62,10 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be 0, 1, or 2, got {order!r}")
 
 
-def _check_temperature(t: float) -> None:
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
+def _check_temperature(t) -> float:
+    if not (isinstance(t, numbers.Real) and math.isfinite(t) and t > 0.0):
         raise OutsideDomain(f"temperature must be finite and > 0, got {t!r}")
+    return float(t)
 
 
 def tail_potential(t: float, params: ModelParams, order: int = 2) -> tuple:
@@ -74,7 +76,7 @@ def tail_potential(t: float, params: ModelParams, order: int = 2) -> tuple:
     thermal decay scale k_b * t.  Returns (value,), (value, d1), or
     (value, d1, d2) according to order.
     """
-    _check_temperature(t)
+    t = _check_temperature(t)
     _check_order(order)
     kb, kt = params.k_b, params.k_b * t
     dos, mu, L = params.dos, params.mu, params.hbar_omega_d
@@ -112,7 +114,7 @@ def normal_potential(t: float, params: ModelParams, order: int = 2) -> tuple:
     The window's zero-point piece -n0 * (hbar_omega_d^2 - xi_min^2) is a
     closed form; the thermal window piece and the tails are quadratures.
     """
-    _check_temperature(t)
+    t = _check_temperature(t)
     _check_order(order)
     n0, kb, kt = params.n0, params.k_b, params.k_b * t
     a, L, spec = params.xi_min, params.hbar_omega_d, params.quad_spec
@@ -151,7 +153,7 @@ def condensation_potential(t: float, params: ModelParams, gap, order: int = 2) -
     derivative's gap-equation bracket (slope of the gap times the residual)
     is dropped analytically; cancellation_residual reports its size.
     """
-    _check_temperature(t)
+    t = _check_temperature(t)
     _check_order(order)
     if t > params.t_c:
         raise OutsideDomain(
@@ -226,7 +228,7 @@ def thermodynamic_potential(t: float, params: ModelParams, order: int = 2) -> Th
     At or below the transition the condensation part is added to the normal
     branch (the gap is solved internally); above it the normal branch alone.
     """
-    _check_temperature(t)
+    t = _check_temperature(t)
     _check_order(order)
     if t > params.t_c:
         parts = normal_potential(t, params, order)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 
@@ -35,6 +36,7 @@ from .kernels import (
     gap_residual_partials,
     gap_residual_second_partials,
     slope_kernel,
+    window_pass,
 )
 from .model import ModelParams
 from .quad import integrate
@@ -172,7 +174,11 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
     report.  grid_size must be at least 3, so that the derivative stencils
     have an interior node.
     """
-    if not isinstance(grid_size, int) or grid_size < 3:
+    try:
+        grid_size = operator.index(grid_size)
+    except TypeError:
+        raise ValueError(f"grid_size must be an integer >= 3, got {grid_size!r}") from None
+    if grid_size < 3:
         raise ValueError(f"grid_size must be an integer >= 3, got {grid_size!r}")
     if tolerances is None:
         tolerances = Tolerances()
@@ -426,13 +432,13 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
     ))
 
     # -- residual partials strictly negative off the zero-temperature edge
-    violations = 0
-    for i in range(1, _PARTIALS_GRID + 1):
-        t = t_c * (i / _PARTIALS_GRID)
-        for j in range(_PARTIALS_GRID):
-            y = y_max * (j / _PARTIALS_GRID)
-            p = gap_residual_partials(t, y, params)
-            violations += int(not p.d_t < 0.0) + int(not p.d_y < 0.0)
+    grid_t, grid_y = np.meshgrid(
+        [t_c * (i / _PARTIALS_GRID) for i in range(1, _PARTIALS_GRID + 1)],
+        [y_max * (j / _PARTIALS_GRID) for j in range(_PARTIALS_GRID)],
+        indexing="ij",
+    )
+    p = window_pass(grid_t, grid_y, params, order=1)
+    violations = np.sum(~(p.d_t < 0.0)) + np.sum(~(p.d_y < 0.0))
     add(Check("partials_negative_grid", float(violations), 0.0, 0.0))
 
     # -- the analytically dropped slope term is machine-level -------------

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from bcsgap import kernels
 from bcsgap.errors import (
     BracketFailure,
     NonFiniteInput,
@@ -216,12 +218,54 @@ def test_chebyshev_grid(default_params):
 
 
 def test_curve_grid_validation(default_params):
-    with pytest.raises(ValueError):
-        sample_gap_curve(default_params, 1)
-    with pytest.raises(ValueError):
-        sample_gap_curve(default_params, 2.5)
+    for bad in (1, 2.5, np.float64(5.0), "5", None, np.int64(1)):
+        with pytest.raises(ValueError):
+            sample_gap_curve(default_params, bad)
     with pytest.raises(ValueError):
         sample_gap_curve(default_params, 11, grid="log")
+    # integral numpy counts are counts
+    assert len(sample_gap_curve(default_params, np.int64(5)).points) == 5
+
+
+@pytest.mark.parametrize("grid", ["uniform", "chebyshev"])
+@pytest.mark.parametrize("eps", [0.0, 1e-3], ids=["eps=0", "eps=1e-3"])
+def test_batched_curve_matches_scalar_path(grid, eps):
+    p = build_params(eps=eps)
+    curve = sample_gap_curve(p, 201, grid=grid)
+    f0 = curve.points[0].f
+    for pt in curve.points:
+        alone = solve_gap_at(pt.t, p)
+        f_prime, f_second = gap_derivatives_at(pt.t, p, alone)
+        assert abs(alone.f - pt.f) <= 1e-14 * f0, pt.t
+        # no absolute floor: f' is ~1e-150 at the coldest nodes
+        assert pt.f_prime == pytest.approx(f_prime, rel=1e-9, abs=0.0), pt.t
+        assert pt.f_second == pytest.approx(f_second, rel=1e-9, abs=0.0), pt.t
+
+
+def test_curve_is_solved_in_few_quadrature_calls(default_params, monkeypatch):
+    # one batched Newton and one second-order pass, not one solve per node
+    calls = []
+    real = kernels.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "integrate", counting)
+    sample_gap_curve(default_params, 201)
+    assert len(calls) <= 100
+
+
+def test_curve_memory_stays_flat(default_params):
+    # the window pass works in blocks of rows, so the 199 interior nodes
+    # never share one stacked integrand
+    tracemalloc.start()
+    try:
+        sample_gap_curve(default_params, 201)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_csv_round_trip(default_params):

@@ -86,6 +86,47 @@ def test_nonfinite_integrand_is_reported():
         integrate(lambda x: 1.0 / x, -1.0, 1.0)
 
 
+def _stack(*fs):
+    return lambda x: np.stack([f(x) for f in fs])
+
+
+def test_stacked_components_match_separate_calls():
+    fs = (
+        lambda x: np.tanh(x) / x,
+        lambda x: np.exp(-x) * np.cos(5.0 * x),
+        lambda x: 1.0 / np.sqrt(x * x + 1e-4),
+    )
+    vals, errs = integrate(_stack(*fs), 1e-300, 5.0)
+    assert vals.shape == errs.shape == (3,)
+    for f, val, err in zip(fs, vals, errs):
+        alone, _ = integrate(f, 1e-300, 5.0)
+        assert val == pytest.approx(alone, rel=1e-12)
+        assert err <= 1e-12 * abs(val)
+
+
+def test_stacked_small_component_meets_its_own_tolerance():
+    # next to an O(1) component that one panel integrates exactly, the
+    # 1e-12-sized oscillation must still be resolved to 1e-12 of itself
+    small = lambda x: 1e-12 * np.cos(40.0 * x)
+    vals, errs = integrate(_stack(np.ones_like, small), 0.0, 1.0)
+    exact = 1e-12 * math.sin(40.0) / 40.0
+    assert vals[0] == pytest.approx(1.0, rel=1e-15)
+    assert abs(vals[1] - exact) <= 1e-12 * abs(exact)
+    assert errs[1] <= 1e-12 * abs(vals[1])
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        pytest.param(lambda x: np.zeros((2, x.size + 1)), id="shape-k-by-n-plus-1"),
+        pytest.param(lambda x: np.stack([x, np.where(x > 0.5, np.nan, x)]), id="nan-in-one-row"),
+    ],
+)
+def test_stacked_bad_output_is_reported(f):
+    with pytest.raises(NonFiniteIntegrand, match=r"x = "):
+        integrate(f, 0.0, 1.0)
+
+
 def test_tolerance_not_met_when_budget_exhausted():
     spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-30, max_subdivisions=4)
     with pytest.raises(ToleranceNotMet):

@@ -179,10 +179,12 @@ def test_requested_order_limits_fields(default_params):
     assert first.omega_t is not None and first.omega_tt is None
     with pytest.raises(ValueError):
         thermodynamic_potential(0.8 * p.t_c, p, order=3)
-    with pytest.raises(OutsideDomain):
-        thermodynamic_potential(0.0, p)
-    with pytest.raises(OutsideDomain):
-        thermodynamic_potential(-1.0, p)
+    for bad in (0.0, -1.0, math.nan, math.inf, np.float32("nan"), "0.01", None):
+        with pytest.raises(OutsideDomain):
+            thermodynamic_potential(bad, p)
+    # real numpy temperatures are temperatures
+    point = thermodynamic_potential(np.float32(0.5 * p.t_c), p)
+    assert point.branch == "superconducting" and point.t == float(np.float32(0.5 * p.t_c))
 
 
 def test_point_invariants(default_params):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bcsgap.model import build_params
@@ -50,6 +51,18 @@ def test_zero_tolerances_fail_difference_checks(default_params):
     passed = {c.name for c in report.checks if c.passed}
     assert "kernel_negativity" in passed
     assert "partials_negative_grid" in passed
+
+
+@pytest.mark.parametrize("bad", [2, 2.5, np.float64(5.0), "5", np.int64(2)])
+def test_grid_size_validation(default_params, bad):
+    with pytest.raises(ValueError, match=">= 3"):
+        run_suite(default_params, grid_size=bad)
+
+
+def test_numpy_grid_size_is_accepted(default_params):
+    report = run_suite(default_params, grid_size=np.int64(5))
+    assert report.grid_size == 5
+    assert report.passed
 
 
 def test_check_semantics():
