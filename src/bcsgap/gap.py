@@ -33,7 +33,7 @@ from .kernels import (
     window_integrals,
     window_pass,
 )
-from .model import ModelParams
+from .model import ModelParams, _as_finite_float, _require_positive
 from .quad import DEFAULT_SPEC, AdaptiveCache, QuadSpec, integrate
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "GapPoint",
     "closed_form_gaps",
     "gap_derivatives_at",
+    "gap_point_at",
     "sample_gap_curve",
     "solve_gap_at",
     "solve_tc",
@@ -68,13 +69,14 @@ def solve_tc(
     Newton on s from the lower end of the search window rises monotonically
     to the unique root.
     """
-    for name, v in (("u0n0", u0n0), ("hbar_omega_d", hbar_omega_d), ("k_b", k_b)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise NonFiniteInput(f"{name} must be finite, got {v!r}")
-        if not v > 0.0:
-            raise NonPositiveParameter(f"{name} must be > 0, got {v}")
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps)):
-        raise NonFiniteInput(f"eps must be finite, got {eps!r}")
+    values = {"u0n0": u0n0, "hbar_omega_d": hbar_omega_d, "k_b": k_b, "eps": eps}
+    for name, v in values.items():
+        if not isinstance(v, numbers.Real):
+            raise NonFiniteInput(f"{name} must be a real number, got {v!r}")
+        values[name] = v = _as_finite_float(name, v)
+        if name != "eps":
+            _require_positive(name, v)
+    u0n0, hbar_omega_d, k_b, eps = values.values()
     if eps < 0.0:
         raise NonPositiveParameter(f"eps must be >= 0, got {eps}")
 
@@ -274,6 +276,36 @@ def gap_derivatives_at(t: float, params: ModelParams, gap_point: GapPoint) -> tu
     return _implicit_derivatives(gap_residual_second_partials(t, gap_point.f, params))
 
 
+def _interior_points(ts: np.ndarray, params: ModelParams) -> list[GapPoint]:
+    """Solved points with f' and f'' at interior temperatures 0 < t < t_c.
+
+    One batched Newton iteration seeded with f(0), then one second-order
+    window pass at the roots on the same panel layout for residuals, f', f''.
+    """
+    ys, cache = _newton(ts, np.full(ts.size, params.delta**2), params)
+    p = window_pass(ts, ys, params, order=2, cache=cache)
+    residuals = np.abs(p.value)
+    _check_residual(float(np.max(residuals, initial=0.0)))
+    columns = (ts, ys, residuals, *_implicit_derivatives(p))
+    return [
+        GapPoint(t=t, f=y, residual=r, f_prime=fp, f_second=fs)
+        for t, y, r, fp, fs in zip(*(c.tolist() for c in columns))
+    ]
+
+
+def gap_point_at(t: float, params: ModelParams) -> GapPoint:
+    """Solved point at one temperature in [0, t_c], with f' and f''.
+
+    One Newton solve and one second-order pass; t = 0 and t = t_c keep their
+    closed forms.
+    """
+    if isinstance(t, numbers.Real) and 0.0 < t < params.t_c:
+        return _interior_points(np.array([float(t)]), params)[0]
+    point = solve_gap_at(t, params)
+    f_prime, f_second = gap_derivatives_at(point.t, params, point)
+    return replace(point, f_prime=f_prime, f_second=f_second)
+
+
 def sample_gap_curve(params: ModelParams, n_points: int, grid: str = "uniform") -> GapCurve:
     """Solve the squared-gap curve on [0, t_c] with derivatives at each node.
 
@@ -297,19 +329,5 @@ def sample_gap_curve(params: ModelParams, n_points: int, grid: str = "uniform") 
         raise ValueError(f"grid must be 'uniform' or 'chebyshev', got {grid!r}")
     ts[0], ts[-1] = 0.0, params.t_c
 
-    inner = ts[1:-1]
-    ys, cache = _newton(inner, np.full(inner.size, params.delta**2), params)
-    p = window_pass(inner, ys, params, order=2, cache=cache)
-    residuals = np.abs(p.value)
-    _check_residual(float(np.max(residuals, initial=0.0)))
-    columns = (inner, ys, residuals, *_implicit_derivatives(p))
-    middle = [
-        GapPoint(t=t, f=y, residual=r, f_prime=fp, f_second=fs)
-        for t, y, r, fp, fs in zip(*(c.tolist() for c in columns))
-    ]
-    ends = []
-    for t in (0.0, params.t_c):
-        point = solve_gap_at(t, params)
-        f_prime, f_second = gap_derivatives_at(t, params, point)
-        ends.append(replace(point, f_prime=f_prime, f_second=f_second))
-    return GapCurve(points=(ends[0], *middle, ends[1]), params=params)
+    ends = [gap_point_at(t, params) for t in (0.0, params.t_c)]
+    return GapCurve(points=(ends[0], *_interior_points(ts[1:-1], params), ends[1]), params=params)

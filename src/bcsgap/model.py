@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -22,7 +23,7 @@ from .errors import (
     NonFiniteInput,
     NonPositiveParameter,
 )
-from .quad import DEFAULT_SPEC, QuadSpec
+from .quad import DEFAULT_SPEC, QuadSpec, integrate
 
 __all__ = [
     "DensityOfStates",
@@ -191,6 +192,13 @@ class ModelParams:
     def y_max(self) -> float:
         """Upper edge of the squared-gap search range, 2 * delta0**2."""
         return 2.0 * self.delta0**2
+
+    @cached_property
+    def band_constant(self) -> float:
+        """Temperature-independent integral of xi * dos(xi) over [-mu, -hbar_omega_d]."""
+        if self.mu <= self.hbar_omega_d:
+            return 0.0
+        return integrate(lambda xi: xi * self.dos(xi), -self.mu, -self.hbar_omega_d, self.quad_spec)[0]
 
     @property
     def domain(self) -> GapDomain:

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CutoffNotZero, NotSolved, OutsideDomain
-from .gap import RESIDUAL_TOL, GapPoint, gap_derivatives_at, solve_gap_at
+from .gap import RESIDUAL_TOL, GapPoint, gap_derivatives_at, gap_point_at
 from .kernels import fermi, fermi_weight, gap_residual
 from .model import ModelParams
-from .quad import integrate, integrate_semi_infinite
+from .quad import AdaptiveCache, integrate, integrate_semi_infinite, truncation_point
 
 __all__ = [
     "JumpMeasurement",
@@ -68,6 +68,91 @@ def _check_temperature(t) -> float:
     return float(t)
 
 
+def _thermal_rows(e, kt):
+    """Rows ln(1 + e^{-e/kt}), e fermi(e/kt), e^2 fermi_weight(e/kt) at energies e >= 0."""
+    return np.stack((np.log1p(np.exp(-e / kt)), e * fermi(e / kt), e * e * fermi_weight(e / kt)))
+
+
+def _condensation_rows(xi, kt, f):
+    """Condensation rows at squared gap f, with s = sqrt(xi^2 + f).
+
+    The log ratio, gap shift, occupation difference, and fermi_weight(s/kt)
+    times (xi^2 + f) and times 1, apart so f' multiplies outside the integral.
+    """
+    s = np.sqrt(xi * xi + f)
+    # sqrt(xi^2 + f) - xi without cancellation for xi >> sqrt(f)
+    shift = f / (s + xi)
+    # ln((1 + e^{-s/kt}) / (1 + e^{-xi/kt})) collapsed to a single log1p:
+    # the two logarithms agree to O(f), so subtracting them directly would
+    # leave only cancellation noise once the gap is small
+    ln_ratio = np.log1p(fermi(xi / kt) * np.expm1(-shift / kt))
+    # xi fermi(xi/kt) - s fermi(s/kt), with the occupation drop
+    # fermi(v) - fermi(u) = -fermi(v) expm1(v - u) / (1 + e^{-u}) kept in
+    # factored form for the same reason as ln_ratio
+    drop = -np.expm1(-shift / kt) / (1.0 + np.exp(-s / kt))
+    occ_diff = xi * fermi(xi / kt) * drop - shift * fermi(s / kt)
+    weight = fermi_weight(s / kt)
+    return np.stack((ln_ratio, shift, occ_diff, weight * (xi * xi + f), weight))
+
+
+def _quadratures(t: float, params: ModelParams, point: GapPoint | None = None):
+    """Every temperature-dependent integral of the potential at t, as lists.
+
+    Three stacked quadrature calls: the _thermal_rows times the density of
+    states on the lower band [-mu, -hbar_omega_d] (none when mu lies inside
+    the window) and on the upper tail, summed into band; and the pairing
+    window's _thermal_rows, then its _condensation_rows if point is given.
+    """
+    kt = params.k_b * t
+    dos, mu, L, spec = params.dos, params.mu, params.hbar_omega_d, params.quad_spec
+    band = integrate_semi_infinite(lambda xi: dos(xi) * _thermal_rows(xi, kt), L, kt, spec)[0]
+    if mu > L:
+        band = integrate(lambda xi: dos(xi) * _thermal_rows(-xi, kt), -mu, -L, spec)[0] + band
+
+    def window(xi):
+        rows = _thermal_rows(xi, kt)
+        return rows if point is None else np.concatenate((rows, _condensation_rows(xi, kt, point.f)))
+
+    # The thermal rows decay like e^{-(xi - a)/kt}; an edge where they become
+    # negligible keeps them from slipping between the first nodes when kt << L.
+    a, cut = params.xi_min, truncation_point(params.xi_min, kt, spec)
+    layout = AdaptiveCache(a, L, np.array([a, cut, L])) if cut < L else None
+    return band.tolist(), integrate(window, a, L, spec, cache=layout)[0].tolist()
+
+
+def _tail_parts(t: float, params: ModelParams, band) -> tuple:
+    kb, kt = params.k_b, params.k_b * t
+    ln, occ, w = band
+    return (
+        2.0 * params.band_constant - 2.0 * kt * ln,
+        -2.0 * kb * ln - (2.0 / t) * occ,
+        -2.0 / (kb * t**3) * w,
+    )
+
+
+def _normal_parts(t: float, params: ModelParams, band, window) -> tuple:
+    n0, kb, kt = params.n0, params.k_b, params.k_b * t
+    a, L = params.xi_min, params.hbar_omega_d
+    ln, occ, w = window[:3]
+    tails = _tail_parts(t, params, band)
+    return (
+        -n0 * (L * L - a * a) - 4.0 * n0 * kt * ln + tails[0],
+        -4.0 * n0 * kb * ln - (4.0 * n0 / t) * occ + tails[1],
+        -4.0 * n0 / (kb * t**3) * w + tails[2],
+    )
+
+
+def _condensation_parts(t: float, params: ModelParams, point: GapPoint, window) -> tuple:
+    n0, kb, kt = params.n0, params.k_b, params.k_b * t
+    _, _, w, ratio, shift, occ, w_shift, w_gap = window
+    f, f_prime = point.f, point.f_prime
+    return (
+        f * n0 / params.u0n0 - 2.0 * n0 * shift - 4.0 * n0 * kt * ratio,
+        -4.0 * n0 * kb * ratio + (4.0 * n0 / t) * occ,
+        4.0 * n0 / (kb * t**3) * (w - (w_shift - t * f_prime / 2.0 * w_gap)),
+    )
+
+
 def tail_potential(t: float, params: ModelParams, order: int = 2) -> tuple:
     """Band contributions from outside the pairing window, with derivatives.
 
@@ -78,34 +163,7 @@ def tail_potential(t: float, params: ModelParams, order: int = 2) -> tuple:
     """
     t = _check_temperature(t)
     _check_order(order)
-    kb, kt = params.k_b, params.k_b * t
-    dos, mu, L = params.dos, params.mu, params.hbar_omega_d
-    spec = params.quad_spec
-    has_lower = mu > L
-
-    def fin(f):
-        return integrate(f, -mu, -L, spec)[0] if has_lower else 0.0
-
-    def tail(f):
-        return integrate_semi_infinite(f, L, kt, spec)[0]
-
-    const = fin(lambda xi: xi * dos(xi))
-    ln_low = fin(lambda xi: dos(xi) * np.log1p(np.exp(xi / kt)))
-    ln_up = tail(lambda xi: dos(xi) * np.log1p(np.exp(-xi / kt)))
-    value = 2.0 * const - 2.0 * kt * (ln_low + ln_up)
-    if order == 0:
-        return (value,)
-
-    occ_low = fin(lambda xi: dos(xi) * (-xi) * fermi(-xi / kt))
-    occ_up = tail(lambda xi: dos(xi) * xi * fermi(xi / kt))
-    d1 = -2.0 * kb * (ln_low + ln_up) - (2.0 / t) * (occ_low + occ_up)
-    if order == 1:
-        return (value, d1)
-
-    w_low = fin(lambda xi: dos(xi) * xi * xi * fermi_weight(xi / kt))
-    w_up = tail(lambda xi: dos(xi) * xi * xi * fermi_weight(xi / kt))
-    d2 = -2.0 / (kb * t**3) * (w_low + w_up)
-    return (value, d1, d2)
+    return _tail_parts(t, params, _quadratures(t, params)[0])[: order + 1]
 
 
 def normal_potential(t: float, params: ModelParams, order: int = 2) -> tuple:
@@ -116,23 +174,7 @@ def normal_potential(t: float, params: ModelParams, order: int = 2) -> tuple:
     """
     t = _check_temperature(t)
     _check_order(order)
-    n0, kb, kt = params.n0, params.k_b, params.k_b * t
-    a, L, spec = params.xi_min, params.hbar_omega_d, params.quad_spec
-
-    tails = tail_potential(t, params, order)
-    ln_win = integrate(lambda xi: np.log1p(np.exp(-xi / kt)), a, L, spec)[0]
-    value = -n0 * (L * L - a * a) - 4.0 * n0 * kt * ln_win + tails[0]
-    if order == 0:
-        return (value,)
-
-    occ_win = integrate(lambda xi: xi * fermi(xi / kt), a, L, spec)[0]
-    d1 = -4.0 * n0 * kb * ln_win - (4.0 * n0 / t) * occ_win + tails[1]
-    if order == 1:
-        return (value, d1)
-
-    w_win = integrate(lambda xi: xi * xi * fermi_weight(xi / kt), a, L, spec)[0]
-    d2 = -4.0 * n0 / (kb * t**3) * w_win + tails[2]
-    return (value, d1, d2)
+    return _normal_parts(t, params, *_quadratures(t, params))[: order + 1]
 
 
 def _resolve_gap(t: float, params: ModelParams, gap) -> GapPoint:
@@ -147,67 +189,22 @@ def _resolve_gap(t: float, params: ModelParams, gap) -> GapPoint:
 def condensation_potential(t: float, params: ModelParams, gap, order: int = 2) -> tuple:
     """Superconducting-minus-normal potential difference, with derivatives.
 
-    gap is either a solved GapPoint at t or a callable t -> GapPoint.
-    Vanishes identically at t = t_c together with its first derivative; the
-    second derivative does not, which is the whole point.  The first
-    derivative's gap-equation bracket (slope of the gap times the residual)
-    is dropped analytically; cancellation_residual reports its size.
+    gap is either a solved GapPoint at t or a callable t -> GapPoint; f' is
+    taken from it, or computed when it carries none.  Vanishes identically
+    at t = t_c together with its first derivative; the second derivative
+    does not, which is the whole point.  The first derivative's gap-equation
+    bracket (slope of the gap times the residual) is dropped analytically;
+    cancellation_residual reports its size.
     """
     t = _check_temperature(t)
     _check_order(order)
     if t > params.t_c:
-        raise OutsideDomain(
-            f"condensation part exists for 0 < t <= t_c, got t = {t!r}"
-        )
+        raise OutsideDomain(f"condensation part exists for 0 < t <= t_c, got t = {t!r}")
     point = _resolve_gap(t, params, gap)
-    f = point.f
-    n0, kb, kt = params.n0, params.k_b, params.k_b * t
-    a, L, spec = params.xi_min, params.hbar_omega_d, params.quad_spec
-
-    def win(g):
-        return integrate(g, a, L, spec)[0]
-
-    def shifted(xi):
-        return np.sqrt(xi * xi + f)
-
-    # sqrt(xi^2 + f) - xi without cancellation for xi >> sqrt(f)
-    def gap_shift(xi):
-        return f / (shifted(xi) + xi)
-
-    # ln((1 + e^{-s/kt}) / (1 + e^{-xi/kt})) collapsed to a single log1p:
-    # the two logarithms agree to O(f), so subtracting them directly would
-    # leave only cancellation noise once the gap is small
-    def ln_ratio(xi):
-        return np.log1p(fermi(xi / kt) * np.expm1(-gap_shift(xi) / kt))
-
-    i_ratio = win(ln_ratio)
-    i_shift = win(gap_shift)
-    value = f * n0 / params.u0n0 - 2.0 * n0 * i_shift - 4.0 * n0 * kt * i_ratio
-    if order == 0:
-        return (value,)
-
-    # xi fermi(xi/kt) - s fermi(s/kt), with the occupation drop
-    # fermi(v) - fermi(u) = -fermi(v) expm1(v - u) / (1 + e^{-u}) kept in
-    # factored form for the same reason as ln_ratio
-    def occ_diff(xi):
-        s = shifted(xi)
-        drop = -np.expm1(-gap_shift(xi) / kt) / (1.0 + np.exp(-s / kt))
-        return xi * fermi(xi / kt) * drop - gap_shift(xi) * fermi(s / kt)
-
-    i_occ = win(occ_diff)
-    d1 = -4.0 * n0 * kb * i_ratio + (4.0 * n0 / t) * i_occ
-    if order == 1:
-        return (value, d1)
-
-    f_prime = point.f_prime
-    if f_prime is None:
-        f_prime, _ = gap_derivatives_at(t, params, point)
-    i_w_plain = win(lambda xi: xi * xi * fermi_weight(xi / kt))
-    i_w_shift = win(
-        lambda xi: fermi_weight(shifted(xi) / kt) * (xi * xi + f - t * f_prime / 2.0)
-    )
-    d2 = 4.0 * n0 / (kb * t**3) * (i_w_plain - i_w_shift)
-    return (value, d1, d2)
+    if point.f_prime is None:
+        point = replace(point, f_prime=gap_derivatives_at(t, params, point)[0])
+    _, window = _quadratures(t, params, point)
+    return _condensation_parts(t, params, point, window)[: order + 1]
 
 
 def cancellation_residual(t: float, params: ModelParams, gap_point: GapPoint) -> float:
@@ -227,31 +224,16 @@ def thermodynamic_potential(t: float, params: ModelParams, order: int = 2) -> Th
 
     At or below the transition the condensation part is added to the normal
     branch (the gap is solved internally); above it the normal branch alone.
+    Either way every integral comes from one _quadratures pass.
     """
     t = _check_temperature(t)
     _check_order(order)
-    if t > params.t_c:
-        parts = normal_potential(t, params, order)
-        branch = "normal"
-    else:
-        normal = normal_potential(t, params, order)
-        point = solve_gap_at(t, params)
-        if order == 2:
-            f_prime, f_second = gap_derivatives_at(t, params, point)
-            point = GapPoint(
-                t=point.t,
-                f=point.f,
-                residual=point.residual,
-                f_prime=f_prime,
-                f_second=f_second,
-            )
-        cond = condensation_potential(t, params, point, order)
-        parts = tuple(nv + cv for nv, cv in zip(normal, cond))
-        branch = "superconducting"
-
-    omega = parts[0]
-    omega_t = parts[1] if order >= 1 else None
-    omega_tt = parts[2] if order == 2 else None
+    point = gap_point_at(t, params) if t <= params.t_c else None
+    band, window = _quadratures(t, params, point)
+    parts = _normal_parts(t, params, band, window)
+    if point is not None:
+        parts = tuple(nv + cv for nv, cv in zip(parts, _condensation_parts(t, params, point, window)))
+    omega, omega_t, omega_tt = parts[: order + 1] + (None,) * (2 - order)
     return ThermoPoint(
         t=t,
         omega=omega,
@@ -259,7 +241,7 @@ def thermodynamic_potential(t: float, params: ModelParams, order: int = 2) -> Th
         omega_tt=omega_tt,
         entropy=None if omega_t is None else -omega_t,
         c_v=None if omega_tt is None else -t * omega_tt,
-        branch=branch,
+        branch="normal" if point is None else "superconducting",
     )
 
 
@@ -271,8 +253,7 @@ def second_derivative_jump(params: ModelParams) -> float:
     jump is strictly negative: the limit from below lies under the limit
     from above.
     """
-    point = solve_gap_at(params.t_c, params)
-    f_prime, _ = gap_derivatives_at(params.t_c, params, point)
+    f_prime = gap_point_at(params.t_c, params).f_prime
     bracket = float(fermi(2.0 * params.eps)) - float(
         fermi(params.hbar_omega_d / (params.k_b * params.t_c))
     )
@@ -332,8 +313,7 @@ def specific_heat_jump(params: ModelParams) -> float:
         raise CutoffNotZero(
             f"the specific-heat closed form needs eps = 0, got eps = {params.eps}"
         )
-    point = solve_gap_at(params.t_c, params)
-    f_prime, _ = gap_derivatives_at(params.t_c, params, point)
+    f_prime = gap_point_at(params.t_c, params).f_prime
     return -params.n0 * f_prime * math.tanh(
         params.hbar_omega_d / (2.0 * params.k_b * params.t_c)
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gap import GapPoint, gap_derivatives_at, sample_gap_curve, solve_gap_at
+from .gap import gap_derivatives_at, gap_point_at, sample_gap_curve, solve_gap_at
 from .kernels import (
     _CURV_SERIES,
     _SERIES_CUT,
@@ -288,8 +288,8 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
     ))
 
     # -- closed-form endpoint derivatives by interior extrapolation -------
-    tc_point = solve_gap_at(t_c, params)
-    fp_tc, fs_tc = gap_derivatives_at(t_c, params, tc_point)
+    tc_gap = gap_point_at(t_c, params)
+    fp_tc, fs_tc = tc_gap.f_prime, tc_gap.f_second
     hs = [t_c * 10.0 ** (-k) for k in _EXTRAP_KS]
     fp_in, fs_in = [], []
     for off in hs:
@@ -313,8 +313,6 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
     add(Check("fprime_tc_negative", max(0.0, fp_tc), 0.0, 0.0))
 
     # -- condensation part closes the potential smoothly ------------------
-    tc_gap = GapPoint(t=t_c, f=0.0, residual=tc_point.residual,
-                      f_prime=fp_tc, f_second=fs_tc)
     d0, d1, d2 = condensation_potential(t_c, params, tc_gap)
     point_tc = thermodynamic_potential(t_c, params)
     omega_scale = abs(point_tc.omega)

@@ -60,6 +60,17 @@ def test_solve_tc_validation():
         solve_tc(float("nan"), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("name", ["u0n0", "hbar_omega_d", "k_b", "eps"])
+def test_solve_tc_accepts_numpy_scalars(name):
+    # the same float conversion as build_params, so both find the same t_c
+    kwargs = {"u0n0": 0.3, "hbar_omega_d": 1.0, "k_b": 1.0, "eps": 1e-3}
+    kwargs[name] = np.float32(kwargs[name])
+    assert solve_tc(**kwargs) == build_params(**kwargs).t_c
+    for bad in (math.nan, math.inf, -math.inf, np.float32("nan"), "0.3", None):
+        with pytest.raises(NonFiniteInput):
+            solve_tc(**{**kwargs, name: bad})
+
+
 def test_closed_form_gaps(default_params):
     delta0, delta = closed_form_gaps(default_params)
     assert delta0 == default_params.delta0

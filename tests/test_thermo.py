@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from bcsgap import gap, kernels, model, quad, thermo
 from bcsgap.errors import CutoffNotZero, NotSolved, OutsideDomain
 from bcsgap.gap import GapPoint, gap_derivatives_at, solve_gap_at
+from bcsgap.kernels import fermi, fermi_weight
 from bcsgap.model import DensityOfStates, build_params
+from bcsgap.quad import integrate, integrate_semi_infinite
 from bcsgap.thermo import (
     JumpMeasurement,
     cancellation_residual,
@@ -207,6 +210,28 @@ def test_potential_and_entropy_continuous_at_transition(default_params):
     assert below.entropy == pytest.approx(above.entropy, rel=1e-6)
 
 
+def test_continuity_at_weak_coupling():
+    # k_b t_c ~ 5e-5 hbar_omega_d: the thermal window integrals on both sides
+    # must resolve the same k_b t scale, or the seam shows their difference
+    p = build_params(u0n0=0.1)
+    h = 1e-8 * p.t_c
+    below = thermodynamic_potential(p.t_c - h, p, order=1)
+    above = thermodynamic_potential(p.t_c + h, p, order=1)
+    assert abs(below.omega - above.omega) < 3.0 * h * abs(below.entropy)
+    assert below.entropy == pytest.approx(above.entropy, rel=1e-6)
+
+
+@pytest.mark.parametrize("u0n0", [0.3, 0.1, 0.06])
+def test_normal_specific_heat_is_sommerfeld(u0n0):
+    # above t_c, c_v = (2 pi^2 / 3) n0 k_b^2 t up to band-curvature terms of
+    # order (k_b t / mu)^2, however small k_b t is against hbar_omega_d
+    p = build_params(u0n0=u0n0)
+    for ratio in (1.1, 1.5):
+        t = ratio * p.t_c
+        sommerfeld = 2.0 * math.pi**2 / 3.0 * p.n0 * p.k_b**2 * t
+        assert thermodynamic_potential(t, p).c_v == pytest.approx(sommerfeld, rel=1e-4)
+
+
 def test_jump_measurement(default_params):
     p = default_params
     closed = second_derivative_jump(p)
@@ -249,3 +274,104 @@ def test_csv_serialization(default_params):
     bare = lines[2].split(",")
     assert bare[-1] == "normal"
     assert bare[2] == "" and bare[5] == ""  # fields beyond the order stay empty
+
+
+def test_point_is_integrated_in_few_quadrature_calls(monkeypatch):
+    # three stacked calls per point (lower band, upper tail, window), plus
+    # the gap's Newton steps and one second-order pass below t_c; the
+    # temperature-independent band constant is integrated once per params
+    calls = []
+    real = quad.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (quad, model, kernels, gap, thermo):
+        monkeypatch.setattr(module, "integrate", counting)
+    p = build_params()
+    counts = []
+    for ratio in (0.5, 0.5, 1.2):
+        calls.clear()
+        thermodynamic_potential(ratio * p.t_c, p)
+        counts.append(len(calls))
+    first, second, above = counts
+    assert second <= 12
+    assert first == second + 1  # the band constant, on first use only
+    assert above <= 3
+
+
+def _reference_point(t, p):
+    """Potential, slope and curvature with one lone integrate call per integrand."""
+    n0, kb, kt = p.n0, p.k_b, p.k_b * t
+    dos, mu, L, a, spec = p.dos, p.mu, p.hbar_omega_d, p.xi_min, p.quad_spec
+
+    def band(g):
+        return integrate(g, -mu, -L, spec)[0] if mu > L else 0.0
+
+    def tail(g):
+        return integrate_semi_infinite(g, L, kt, spec)[0]
+
+    def win(g):
+        return integrate(g, a, L, spec)[0]
+
+    const = band(lambda xi: xi * dos(xi))
+    ln = band(lambda xi: dos(xi) * np.log1p(np.exp(xi / kt))) + tail(
+        lambda xi: dos(xi) * np.log1p(np.exp(-xi / kt))
+    )
+    occ = band(lambda xi: dos(xi) * (-xi) * fermi(-xi / kt)) + tail(
+        lambda xi: dos(xi) * xi * fermi(xi / kt)
+    )
+    w = band(lambda xi: dos(xi) * xi * xi * fermi_weight(xi / kt)) + tail(
+        lambda xi: dos(xi) * xi * xi * fermi_weight(xi / kt)
+    )
+    ln_w = win(lambda xi: np.log1p(np.exp(-xi / kt)))
+    occ_w = win(lambda xi: xi * fermi(xi / kt))
+    w_w = win(lambda xi: xi * xi * fermi_weight(xi / kt))
+    omega = 2.0 * const - 2.0 * kt * ln - n0 * (L * L - a * a) - 4.0 * n0 * kt * ln_w
+    omega_t = -2.0 * kb * ln - (2.0 / t) * occ - 4.0 * n0 * kb * ln_w - (4.0 * n0 / t) * occ_w
+    omega_tt = -2.0 / (kb * t**3) * w - 4.0 * n0 / (kb * t**3) * w_w
+    if t > p.t_c:
+        return omega, omega_t, omega_tt
+
+    point = solve_gap_at(t, p)
+    f, (f_prime, _) = point.f, gap_derivatives_at(t, p, point)
+
+    def s(xi):
+        return np.sqrt(xi * xi + f)
+
+    def shift(xi):
+        return f / (s(xi) + xi)
+
+    i_ratio = win(lambda xi: np.log1p(fermi(xi / kt) * np.expm1(-shift(xi) / kt)))
+    i_shift = win(shift)
+    i_occ = win(
+        lambda xi: xi * fermi(xi / kt) * -np.expm1(-shift(xi) / kt) / (1.0 + np.exp(-s(xi) / kt))
+        - shift(xi) * fermi(s(xi) / kt)
+    )
+    i_w_shift = win(lambda xi: fermi_weight(s(xi) / kt) * (xi * xi + f - t * f_prime / 2.0))
+    return (
+        omega + f * n0 / p.u0n0 - 2.0 * n0 * i_shift - 4.0 * n0 * kt * i_ratio,
+        omega_t - 4.0 * n0 * kb * i_ratio + (4.0 * n0 / t) * i_occ,
+        omega_tt + 4.0 * n0 / (kb * t**3) * (w_w - i_w_shift),
+    )
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"u0n0": 0.3},
+        {"u0n0": 0.3, "eps": 1e-3},
+        {"u0n0": 0.15},
+        {"u0n0": 0.15, "eps": 1e-3},
+        {"u0n0": 0.3, "mu": 0.5},  # mu inside the window: no lower band
+    ],
+)
+def test_stacked_point_matches_lone_integrals(kwargs):
+    p = build_params(**kwargs)
+    for ratio in (0.5, 0.7, 0.95, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.2, 1.5):
+        t = ratio * p.t_c
+        point = thermodynamic_potential(t, p)
+        got = (point.omega, point.omega_t, point.omega_tt)
+        for g, r in zip(got, _reference_point(t, p)):
+            assert abs(g - r) <= 1e-13 * abs(r), (ratio, g, r)
