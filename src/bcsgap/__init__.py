@@ -50,7 +50,6 @@ from .model import (
 )
 from .quad import (
     DEFAULT_SPEC,
-    AdaptiveCache,
     QuadSpec,
     integrate,
     integrate_semi_infinite,
@@ -74,7 +73,6 @@ from .verify import Check, Tolerances, VerificationReport, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveCache",
     "BcsgapError",
     "BracketFailure",
     "Check",

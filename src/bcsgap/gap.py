@@ -34,7 +34,7 @@ from .kernels import (
     window_pass,
 )
 from .model import ModelParams, _as_finite_float, _require_positive
-from .quad import DEFAULT_SPEC, AdaptiveCache, QuadSpec, integrate
+from .quad import DEFAULT_SPEC, QuadSpec, integrate
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -51,7 +51,7 @@ __all__ = [
 RESIDUAL_TOL = 1e-10  # |residual| above this marks a gap point as unsolved
 _NEWTON_STEPS = 60  # cap on Newton steps in either root finder
 _TC_WINDOW = (1e-8, 1e8)  # transition-temperature bracket in hbar_omega_d / k_b units
-_TC_RESIDUAL = 1e-12  # absolute defect allowed in the transition-temperature condition
+_TC_RESIDUAL = 1e-12  # relative defect u0n0 * |d| allowed in the transition-temperature condition
 
 
 def solve_tc(
@@ -67,7 +67,8 @@ def solve_tc(
     U = hbar_omega_d / (2 k_b t).  In s = ln t the defect d has slope
     -tanh(U) and curvature U sech^2(U) > 0, so it is decreasing and convex:
     Newton on s from the lower end of the search window rises monotonically
-    to the unique root.
+    to the unique root.  It stops on the relative defect u0n0 * |d|, the
+    form in which the condition is stated.
     """
     values = {"u0n0": u0n0, "hbar_omega_d": hbar_omega_d, "k_b": k_b, "eps": eps}
     for name, v in values.items():
@@ -82,11 +83,7 @@ def solve_tc(
 
     base = quad_spec or DEFAULT_SPEC
     # The defect must resolve well below the 1e-12 residual contract.
-    spec = QuadSpec(
-        rel_tol=min(1e-14, base.rel_tol),
-        abs_tol=base.abs_tol,
-        max_subdivisions=base.max_subdivisions,
-    )
+    spec = replace(base, rel_tol=min(1e-14, base.rel_tol))
     target = 1.0 / u0n0
     scale = hbar_omega_d / k_b
 
@@ -94,7 +91,7 @@ def solve_tc(
         upper = hbar_omega_d / (2.0 * k_b * t)
         if upper <= eps:
             return -target
-        val, _ = integrate(lambda x: np.tanh(x) / x, eps, upper, spec)
+        val, _ = integrate(lambda x: np.tanh(x) / x, eps, upper, spec, scale=1.0)
         return val - target
 
     lo, hi = _TC_WINDOW[0] * scale, _TC_WINDOW[1] * scale
@@ -105,16 +102,16 @@ def solve_tc(
             f"u0n0 = {u0n0}, eps = {eps}"
         )
     for _ in range(_NEWTON_STEPS):
-        if abs(d) <= 0.25 * _TC_RESIDUAL:
+        if u0n0 * abs(d) <= 0.25 * _TC_RESIDUAL:
             break
         t_next = t * math.exp(d / math.tanh(hbar_omega_d / (2.0 * k_b * t)))
         if t_next == t:
             break
         t = t_next
         d = defect(t)
-    if abs(d) > _TC_RESIDUAL:
+    if u0n0 * abs(d) > _TC_RESIDUAL:
         raise ToleranceNotMet(
-            f"transition-temperature defect {d:.3e} above {_TC_RESIDUAL:g}"
+            f"relative transition-temperature defect {u0n0 * d:.3e} above {_TC_RESIDUAL:g}"
         )
     return t
 
@@ -160,7 +157,7 @@ def _opt(v: float | None) -> str:
     return "" if v is None else f"{v:.17g}"
 
 
-def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> tuple[np.ndarray, AdaptiveCache]:
+def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarray:
     """Squared gap at each interior temperature in ts by batched Newton.
 
     For 0 < t < t_c the residual is strictly decreasing in y and convex
@@ -170,17 +167,15 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> tuple[np.
     step lands at or left of it, and from there the iterates rise
     monotonically.  A node stops when its step does not move y or its
     residual is at most 1e-13; it then drops out of the batch.  An iterate
-    at y = 0 with F(t, 0) <= 0 means no root exists.  Returns the roots and
-    the panel layout of the last step, which each step hands to the next.
+    at y = 0 with F(t, 0) <= 0 means no root exists.  Returns the roots.
     """
     y = np.array(seeds, dtype=float)
     active = np.arange(ts.size)
-    cache = AdaptiveCache()
     for _ in range(_NEWTON_STEPS):
         if active.size == 0:
             break
         t, y_now = ts[active], y[active]
-        p = window_pass(t, y_now, params, order=0, cache=cache)
+        p = window_pass(t, y_now, params, order=0)
         stuck = (y_now == 0.0) & (p.value <= 0.0)
         if stuck.any():
             raise BracketFailure(
@@ -193,7 +188,7 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> tuple[np.
         active = active[~done]
     if active.size:
         raise ToleranceNotMet(f"gap solve at t = {float(ts[active[0]])!r} did not converge")
-    return y, cache
+    return y
 
 
 def solve_gap_at(t: float, params: ModelParams, hint: float | None = None) -> GapPoint:
@@ -217,9 +212,8 @@ def solve_gap_at(t: float, params: ModelParams, hint: float | None = None) -> Ga
         return GapPoint(t=t, f=0.0, residual=abs(gap_residual(t, 0.0, params)))
 
     seed = hint if hint is not None and 0.0 < hint < params.y_max else params.delta**2
-    ys, cache = _newton(np.array([t]), np.array([seed]), params)
-    y = float(ys[0])
-    return GapPoint(t=t, f=y, residual=abs(gap_residual(t, y, params, cache=cache)))
+    y = float(_newton(np.array([t]), np.array([seed]), params)[0])
+    return GapPoint(t=t, f=y, residual=abs(gap_residual(t, y, params)))
 
 
 def _tc_endpoint_derivatives(params: ModelParams) -> tuple[float, float]:
@@ -280,10 +274,10 @@ def _interior_points(ts: np.ndarray, params: ModelParams) -> list[GapPoint]:
     """Solved points with f' and f'' at interior temperatures 0 < t < t_c.
 
     One batched Newton iteration seeded with f(0), then one second-order
-    window pass at the roots on the same panel layout for residuals, f', f''.
+    window pass at the roots for residuals, f', f''.
     """
-    ys, cache = _newton(ts, np.full(ts.size, params.delta**2), params)
-    p = window_pass(ts, ys, params, order=2, cache=cache)
+    ys = _newton(ts, np.full(ts.size, params.delta**2), params)
+    p = window_pass(ts, ys, params, order=2)
     residuals = np.abs(p.value)
     _check_residual(float(np.max(residuals, initial=0.0)))
     columns = (ts, ys, residuals, *_implicit_derivatives(p))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NonFiniteInput, OutsideDomain, ZeroGapAtZeroT
 from .model import ModelParams, Stratum
-from .quad import AdaptiveCache, integrate
+from .quad import integrate
 
 __all__ = [
     "ResidualPartials",
@@ -269,19 +269,19 @@ def _kernel_rows(xi, beta, y, kinds):
     return np.stack([make[kind]() for kind in kinds])
 
 
-def window_integrals(ts, ys, params: ModelParams, kinds, cache: AdaptiveCache | None = None) -> np.ndarray:
+def window_integrals(ts, ys, params: ModelParams, kinds) -> np.ndarray:
     """Pairing-window integrals of the named kernels at each (t, y) pair.
 
     kinds is a subsequence of WINDOW_KERNELS; the result has shape
     (len(kinds), number of pairs).  Every kernel at every pair is one row of
     a stacked integrand, integrated on shared panels in blocks of at most
-    _BLOCK_ROWS rows, each row to its own tolerance.  One panel layout is
-    carried from block to block, and across calls through cache.  No domain
-    checks: t must be positive.
+    _BLOCK_ROWS rows, each row to its own tolerance.  Every block is mapped
+    on the zero-temperature gap params.delta, the scale of the kernels'
+    structure at every t in (0, t_c], so no row starts out unresolved.  No
+    domain checks: t must be positive.
     """
     ts, ys = _pairs(ts, ys)
     betas = 1.0 / (2.0 * params.k_b * ts)
-    cache = AdaptiveCache() if cache is None else cache
     per = max(1, _BLOCK_ROWS // len(kinds))
     out = np.empty((len(kinds), ts.size))
     for lo in range(0, ts.size, per):
@@ -290,12 +290,12 @@ def window_integrals(ts, ys, params: ModelParams, kinds, cache: AdaptiveCache | 
         def integrand(xi, beta=beta, y=y):
             return _kernel_rows(xi, beta, y, kinds).reshape(-1, xi.size)
 
-        vals, _ = integrate(integrand, params.xi_min, params.hbar_omega_d, params.quad_spec, cache=cache)
+        vals, _ = integrate(integrand, params.xi_min, params.hbar_omega_d, params.quad_spec, scale=params.delta)
         out[:, lo:lo + per] = vals.reshape(len(kinds), -1)
     return out
 
 
-def window_pass(ts, ys, params: ModelParams, order: int, cache: AdaptiveCache | None = None) -> ResidualPartials:
+def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
     """Residual and partial derivatives at arrays of (t, y) pairs, as arrays.
 
     order 0 gives value and d_y (a Newton step), order 1 adds d_t, and
@@ -311,7 +311,7 @@ def window_pass(ts, ys, params: ModelParams, order: int, cache: AdaptiveCache | 
         if (ts == 0.0).any():
             raise OutsideDomain("the zero-temperature edge is handled by closed forms")
     kinds = _ORDER_KERNELS[order]
-    i = dict(zip(kinds, window_integrals(ts, ys, params, kinds, cache)))
+    i = dict(zip(kinds, window_integrals(ts, ys, params, kinds)))
     kb = params.k_b
     two_kbt = 2.0 * kb * ts
     d_t = d_tt = d_ty = d_yy = None
@@ -333,16 +333,16 @@ def window_pass(ts, ys, params: ModelParams, order: int, cache: AdaptiveCache | 
     )
 
 
-def _at(t, y, params: ModelParams, order: int, cache=None) -> ResidualPartials:
+def _at(t, y, params: ModelParams, order: int) -> ResidualPartials:
     """window_pass at one pair, with plain float fields."""
-    batch = window_pass(t, y, params, order, cache)
+    batch = window_pass(t, y, params, order)
     return ResidualPartials(**{
         f.name: None if getattr(batch, f.name) is None else float(getattr(batch, f.name)[0])
         for f in fields(ResidualPartials)
     })
 
 
-def gap_residual(t: float, y: float, params: ModelParams, cache: AdaptiveCache | None = None) -> float:
+def gap_residual(t: float, y: float, params: ModelParams) -> float:
     """Gap-equation residual at temperature t and squared gap y.
 
     Positive above the gap curve's zero set in t (below it in y), negative
@@ -353,21 +353,21 @@ def gap_residual(t: float, y: float, params: ModelParams, cache: AdaptiveCache |
     t, y = float(t), float(y)
     if t == 0.0:
         return _zero_t_value(y, params)
-    val = window_integrals(t, y, params, ("value",), cache)[0, 0]
+    val = window_integrals(t, y, params, ("value",))[0, 0]
     return float(val) - 1.0 / params.u0n0
 
 
-def residual_and_slope(t: float, y: float, params: ModelParams, cache: AdaptiveCache | None = None) -> tuple[float, float]:
+def residual_and_slope(t: float, y: float, params: ModelParams) -> tuple[float, float]:
     """Residual value together with its y-derivative (one Newton step's worth).
 
     Skips the temperature derivative that the full first-order evaluation
     would also compute; window_pass at order 0 does the same for arrays.
     """
-    p = _at(t, y, params, 0, cache)
+    p = _at(t, y, params, 0)
     return p.value, p.d_y
 
 
-def gap_residual_partials(t: float, y: float, params: ModelParams, cache: AdaptiveCache | None = None) -> ResidualPartials:
+def gap_residual_partials(t: float, y: float, params: ModelParams) -> ResidualPartials:
     """Residual with first partial derivatives.
 
     On the zero-temperature edge d_t is exactly 0 and d_y comes from the
@@ -387,14 +387,14 @@ def gap_residual_partials(t: float, y: float, params: ModelParams, cache: Adapti
             d_t=0.0,
             d_y=-0.5 * (anti(b) - anti(a)),
         )
-    return _at(t, y, params, 1, cache)
+    return _at(t, y, params, 1)
 
 
-def gap_residual_second_partials(t: float, y: float, params: ModelParams, cache: AdaptiveCache | None = None) -> ResidualPartials:
+def gap_residual_second_partials(t: float, y: float, params: ModelParams) -> ResidualPartials:
     """Residual with first and second partial derivatives (interior only).
 
     The boundary strata are refused: the second-order formulas are
     established on the open interior, and the endpoint needs of the gap
     curve are met by dedicated closed forms in the gap module.
     """
-    return _at(t, y, params, 2, cache)
+    return _at(t, y, params, 2)

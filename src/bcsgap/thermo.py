@@ -21,7 +21,7 @@ from .errors import CutoffNotZero, NotSolved, OutsideDomain
 from .gap import RESIDUAL_TOL, GapPoint, gap_derivatives_at, gap_point_at
 from .kernels import fermi, fermi_weight, gap_residual
 from .model import ModelParams
-from .quad import AdaptiveCache, integrate, integrate_semi_infinite, truncation_point
+from .quad import integrate, integrate_semi_infinite, truncation_point
 
 __all__ = [
     "JumpMeasurement",
@@ -99,25 +99,28 @@ def _quadratures(t: float, params: ModelParams, point: GapPoint | None = None):
     """Every temperature-dependent integral of the potential at t, as lists.
 
     Three stacked quadrature calls: the _thermal_rows times the density of
-    states on the lower band [-mu, -hbar_omega_d] (none when mu lies inside
-    the window) and on the upper tail, summed into band; and the pairing
-    window's _thermal_rows, then its _condensation_rows if point is given.
+    states on the lower band (none when mu lies inside the window) and on
+    the upper tail, summed into band; and the pairing window's
+    _thermal_rows, then its _condensation_rows if point is given.  Both band
+    pieces stop where the thermal rows are negligible, so their decay over
+    k_b t is resolved however far mu or the tail reaches.  The window is
+    mapped on sqrt(f + (pi k_b t)^2), the distance from the real axis of its
+    integrands' nearest singularities.
     """
     kt = params.k_b * t
     dos, mu, L, spec = params.dos, params.mu, params.hbar_omega_d, params.quad_spec
     band = integrate_semi_infinite(lambda xi: dos(xi) * _thermal_rows(xi, kt), L, kt, spec)[0]
     if mu > L:
-        band = integrate(lambda xi: dos(xi) * _thermal_rows(-xi, kt), -mu, -L, spec)[0] + band
+        lower = min(mu, truncation_point(L, kt, spec))
+        band = integrate(lambda xi: dos(xi) * _thermal_rows(-xi, kt), -lower, -L, spec)[0] + band
+    f = 0.0 if point is None else point.f
 
     def window(xi):
         rows = _thermal_rows(xi, kt)
-        return rows if point is None else np.concatenate((rows, _condensation_rows(xi, kt, point.f)))
+        return rows if point is None else np.concatenate((rows, _condensation_rows(xi, kt, f)))
 
-    # The thermal rows decay like e^{-(xi - a)/kt}; an edge where they become
-    # negligible keeps them from slipping between the first nodes when kt << L.
-    a, cut = params.xi_min, truncation_point(params.xi_min, kt, spec)
-    layout = AdaptiveCache(a, L, np.array([a, cut, L])) if cut < L else None
-    return band.tolist(), integrate(window, a, L, spec, cache=layout)[0].tolist()
+    scale = math.sqrt(f + (math.pi * kt) ** 2)
+    return band.tolist(), integrate(window, params.xi_min, L, spec, scale=scale)[0].tolist()
 
 
 def _tail_parts(t: float, params: ModelParams, band) -> tuple:

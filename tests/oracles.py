@@ -186,3 +186,50 @@ def fermi(x):
     out[pos] = u[pos] / (1.0 + u[pos])
     out[~pos] = 1.0 / (1.0 + u[~pos])
     return out if out.ndim else float(out)
+
+
+def mp_normal_specific_heat(t, k_b, hbar_omega_d, n0, mu, xi_min=0.0, dps=30):
+    """Specific heat of the normal branch at temperature t (mpmath).
+
+    With w(xi) = xi^2 e^{xi/kt} / (1 + e^{xi/kt})^2 and the free-electron
+    density of states n0 sqrt((xi + mu) / mu), c_v = (4 n0 W + 2 B) / (k_b t^2),
+    where W integrates w over the pairing window [xi_min, L] and B integrates
+    w times the density of states over both band pieces outside it, the
+    upper tail [L, inf) and, when mu > L, the lower band [-mu, -L].
+    """
+    with mp.workdps(dps):
+        kt = mp.mpf(k_b) * mp.mpf(t)
+        big, mu, n0 = mp.mpf(hbar_omega_d), mp.mpf(mu), mp.mpf(n0)
+        w = lambda xi: xi * xi / (4 * mp.cosh(xi / (2 * kt)) ** 2)
+        dos = lambda xi: n0 * mp.sqrt(max(xi + mu, 0) / mu)
+        # the weight decays over kt; split where it does
+        steps = [big + kt * k for k in (2, 8, 32, 128, 512)]
+        window = mp.quad(w, [mp.mpf(xi_min), big])
+        band = mp.quad(lambda xi: dos(xi) * w(xi), [big, *steps, mp.inf])
+        if mu > big:
+            band += mp.quad(lambda xi: dos(-xi) * w(xi), [big, *(s for s in steps if s < mu), mu])
+        return float((4 * n0 * window + 2 * band) / (kt * mp.mpf(t)))
+
+
+def mp_window_integral(kind, t, y, k_b, xi_min, hbar_omega_d, dps=40):
+    """Pairing-window integral of sech^2(eta) or eta tanh(eta) sech^2(eta).
+
+    eta = sqrt(xi^2 + y) / (2 k_b t), integrated over [xi_min, hbar_omega_d]
+    (mpmath; kind is "sech" or "eta_tanh").  At a cold temperature the
+    integrand is a narrow peak of width about sqrt(2 k_b t sqrt(y)) at the
+    lower edge, where the interval is split.
+    """
+    with mp.workdps(dps):
+        two_kt, y = 2 * mp.mpf(k_b) * mp.mpf(t), mp.mpf(y)
+        a, big = mp.mpf(xi_min), mp.mpf(hbar_omega_d)
+
+        def integrand(xi):
+            eta = mp.sqrt(xi * xi + y) / two_kt
+            s2 = mp.sech(eta) ** 2
+            return s2 if kind == "sech" else eta * mp.tanh(eta) * s2
+
+        # mp.quad stops on an absolute error, so the peak is scaled to 1
+        peak = integrand(a)
+        width = mp.sqrt(two_kt * mp.sqrt(y)) if y > 0 else two_kt
+        cuts = [a + width * k for k in (1, 2, 4, 8, 16, 64, 256) if a + width * k < big]
+        return float(peak * mp.quad(lambda xi: integrand(xi) / peak, [a, *cuts, big]))

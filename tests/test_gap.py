@@ -71,6 +71,14 @@ def test_solve_tc_accepts_numpy_scalars(name):
             solve_tc(**{**kwargs, name: bad})
 
 
+@pytest.mark.parametrize("u0n0", [100.0, 1000.0])
+def test_solve_tc_meets_relative_defect_at_strong_coupling(u0n0):
+    # the defect is stated relative to 1/u0n0, so an absolute stop lets it
+    # grow with u0n0 (verify's tc_definition_residual read 1.03e-12 at 100)
+    p = build_params(u0n0=u0n0)
+    assert abs(oracles.tc_defect(p.u0n0, p.hbar_omega_d, p.k_b, p.eps, p.t_c)) <= 1e-12
+
+
 def test_closed_form_gaps(default_params):
     delta0, delta = closed_form_gaps(default_params)
     assert delta0 == default_params.delta0

@@ -20,7 +20,10 @@ from bcsgap.kernels import (
     gap_residual_second_partials,
     sech2,
     slope_kernel,
+    window_integrals,
 )
+from bcsgap.gap import solve_gap_at
+from bcsgap.model import build_params
 
 from . import oracles
 
@@ -199,3 +202,27 @@ def test_second_partials_rejected_on_boundaries(default_params):
     for t, y in [(0.0, 0.5 * p.y_max), (p.t_c, 0.5 * p.y_max), (0.5 * p.t_c, 0.0)]:
         with pytest.raises(OutsideDomain):
             gap_residual_second_partials(t, y, p)
+
+
+@pytest.mark.parametrize("u0n0", [0.3, 0.1, 0.06])
+def test_lone_sech_row_at_tc(u0n0):
+    # int_0^L sech^2(xi / (2 k_b t_c)) dxi = 2 k_b t_c tanh(L / (2 k_b t_c)); at
+    # weak coupling k_b t_c is 1e-4 to 1e-7 of L, and a row integrated on its
+    # own must still find that peak
+    p = build_params(u0n0=u0n0)
+    two_kt = 2.0 * p.k_b * p.t_c
+    (got,), = window_integrals(p.t_c, 0.0, p, ("sech",))
+    assert got == pytest.approx(two_kt * math.tanh(p.hbar_omega_d / two_kt), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("ratio", [0.005, 0.01, 0.02])
+def test_cold_thermal_rows_match_oracle(default_params, ratio):
+    # at the solved gap the sech^2 rows are ~1e-40 to 1e-153: tiny, but they
+    # set f' there and must keep their relative accuracy
+    p = default_params
+    t = ratio * p.t_c
+    y = solve_gap_at(t, p).f
+    got = window_integrals(t, y, p, ("sech", "eta_tanh"))[:, 0]
+    for kind, val in zip(("sech", "eta_tanh"), got):
+        ref = oracles.mp_window_integral(kind, t, y, p.k_b, p.xi_min, p.hbar_omega_d)
+        assert val == pytest.approx(ref, rel=1e-10, abs=0.0)

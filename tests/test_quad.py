@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bcsgap.errors import NonFiniteIntegrand, ToleranceNotMet
-from bcsgap.quad import AdaptiveCache, QuadSpec, integrate, integrate_semi_infinite
+from bcsgap.quad import QuadSpec, integrate, integrate_semi_infinite
 
 from . import oracles
 
@@ -67,18 +67,42 @@ def test_interval_doubling_is_additive():
     assert whole == pytest.approx(left + right, rel=1e-12, abs=1e-15)
 
 
-def test_cache_reuse_keeps_accuracy():
-    cache = AdaptiveCache()
-    f = lambda x: 1.0 / np.sqrt(x * x + 1e-4)
-    first, _ = integrate(f, 0.0, 1.0, cache=cache)
-    assert cache.edges is not None and cache.edges.size > 2
-    # Slightly different integrand, same interval: edges are reused as the
-    # starting partition but the tolerance check still runs.
-    g = lambda x: 1.0 / np.sqrt(x * x + 2e-4)
-    second, _ = integrate(g, 0.0, 1.0, cache=cache)
-    direct, _ = integrate(g, 0.0, 1.0)
-    assert second == pytest.approx(direct, rel=1e-12)
-    assert first != second
+@pytest.mark.parametrize("width", [1e-3, 1e-6, 1e-9])
+def test_scale_resolves_structure_near_zero(width):
+    # int_0^1 sech^2(x / w) dx = w tanh(1 / w): all of it within a few w of 0
+    f = lambda x: 4.0 * np.exp(-2.0 * x / width) / (1.0 + np.exp(-2.0 * x / width)) ** 2
+    val, err = integrate(f, 0.0, 1.0, scale=width)
+    assert val == pytest.approx(width * math.tanh(1.0 / width), rel=1e-13, abs=0.0)
+    assert err <= 1e-12 * val
+
+
+def test_scale_keeps_smooth_integrals():
+    # int_0^2 dx / sqrt(x^2 + 1) = asinh(2), mapped on a scale far off its own
+    for scale in (1e-8, 1.0, 1e8):
+        val, _ = integrate(lambda x: 1.0 / np.sqrt(x * x + 1.0), 0.0, 2.0, scale=scale)
+        assert val == pytest.approx(math.asinh(2.0), rel=1e-13)
+
+
+def test_scale_handles_stacks_and_negative_limits():
+    fs = (lambda x: np.exp(-x * x / 1e-4), lambda x: x * x)
+    vals, _ = integrate(_stack(*fs), -3.0, 1.0, scale=1e-2)
+    assert vals[0] == pytest.approx(math.sqrt(math.pi * 1e-4), rel=1e-13)
+    assert vals[1] == pytest.approx(28.0 / 3.0, rel=1e-13)
+
+
+def test_scale_reports_nonfinite_at_x():
+    # the node named in the message is in x, not in the mapped variable
+    with pytest.raises(NonFiniteIntegrand, match=r"near x = (np\.float64\()?0\.[5-9]"):
+        integrate(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0, scale=1e-3)
+
+
+@pytest.mark.parametrize("size", [1e-40, 1e-150, 1e-300])
+def test_tiny_integrals_keep_relative_accuracy(size):
+    # no absolute floor: a tiny integral is resolved to rel_tol of itself
+    val, err = integrate(lambda x: size * np.cos(40.0 * x), 0.0, 1.0)
+    exact = size * math.sin(40.0) / 40.0
+    assert abs(val - exact) <= 1e-12 * abs(exact)
+    assert err <= 1e-12 * abs(val)
 
 
 def test_nonfinite_integrand_is_reported():
@@ -128,7 +152,7 @@ def test_stacked_bad_output_is_reported(f):
 
 
 def test_tolerance_not_met_when_budget_exhausted():
-    spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-30, max_subdivisions=4)
+    spec = QuadSpec(rel_tol=1e-12, max_subdivisions=4)
     with pytest.raises(ToleranceNotMet):
         integrate(lambda x: np.abs(x - 1.0 / 3.0) ** 0.1, 0.0, 1.0, spec=spec)
 
@@ -138,13 +162,14 @@ def test_invalid_limits_rejected():
         integrate(lambda x: x, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate(lambda x: x, 0.0, math.inf)
+    for scale in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="scale"):
+            integrate(lambda x: x, 0.0, 1.0, scale=scale)
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadSpec(max_subdivisions=0)
 

@@ -232,6 +232,18 @@ def test_normal_specific_heat_is_sommerfeld(u0n0):
         assert thermodynamic_potential(t, p).c_v == pytest.approx(sommerfeld, rel=1e-4)
 
 
+@pytest.mark.parametrize("mu", [1e3, 1e4, 1e6])
+@pytest.mark.parametrize("u0n0", [0.3, 10.0])
+def test_normal_specific_heat_with_far_band_edge(u0n0, mu):
+    # the lower band reaches down to -mu, but its thermal weight lives
+    # within tens of k_b t of -hbar_omega_d; it must be found however far
+    # mu is (at mu = 1e6, u0n0 = 10 the whole-band integral read half)
+    p = build_params(u0n0=u0n0, mu=mu)
+    t = 3.0 * p.t_c
+    ref = oracles.mp_normal_specific_heat(t, p.k_b, p.hbar_omega_d, p.n0, p.mu, p.xi_min)
+    assert thermodynamic_potential(t, p).c_v == pytest.approx(ref, rel=1e-12)
+
+
 def test_jump_measurement(default_params):
     p = default_params
     closed = second_derivative_jump(p)
