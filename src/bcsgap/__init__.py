@@ -26,7 +26,6 @@ from .errors import (
 from .gap import (
     GapCurve,
     GapPoint,
-    closed_form_gaps,
     gap_derivatives_at,
     sample_gap_curve,
     solve_gap_at,
@@ -41,9 +40,7 @@ from .kernels import (
 )
 from .model import (
     DensityOfStates,
-    GapDomain,
     ModelParams,
-    Stratum,
     build_params,
     default_dos,
     load_config,
@@ -82,7 +79,6 @@ __all__ = [
     "DensityOfStates",
     "DosMismatch",
     "GapCurve",
-    "GapDomain",
     "GapPoint",
     "JumpMeasurement",
     "ModelParams",
@@ -93,7 +89,6 @@ __all__ = [
     "NotSolved",
     "OutsideDomain",
     "QuadSpec",
-    "Stratum",
     "ThermoPoint",
     "ToleranceNotMet",
     "Tolerances",
@@ -101,7 +96,6 @@ __all__ = [
     "ZeroGapAtZeroT",
     "build_params",
     "cancellation_residual",
-    "closed_form_gaps",
     "condensation_potential",
     "curvature_kernel",
     "default_dos",

@@ -40,7 +40,6 @@ __all__ = [
     "RESIDUAL_TOL",
     "GapCurve",
     "GapPoint",
-    "closed_form_gaps",
     "gap_derivatives_at",
     "gap_point_at",
     "sample_gap_curve",
@@ -116,16 +115,6 @@ def solve_tc(
     return t
 
 
-def closed_form_gaps(params: ModelParams) -> tuple[float, float]:
-    """Zero-temperature gap pair (full window, cutoff window).
-
-    The first entry ignores the cutoff; the second applies it and is the
-    actual f(0)**0.5.  They coincide exactly when eps = 0, and the cutoff
-    one is strictly smaller otherwise.
-    """
-    return params.delta0, params.delta
-
-
 @dataclass(frozen=True)
 class GapPoint:
     """One solved node of the squared-gap curve."""
@@ -191,14 +180,13 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarra
     return y
 
 
-def solve_gap_at(t: float, params: ModelParams, hint: float | None = None) -> GapPoint:
+def solve_gap_at(t: float, params: ModelParams) -> GapPoint:
     """Solve the gap equation for the squared gap at one temperature.
 
     Endpoints short-circuit to exact values.  For 0 < t < t_c this is the
-    batched Newton iteration at a single node, seeded with the continuation
-    hint when it lies in (0, y_max), else with f(0), which lies at or right
-    of the root.  The residual of the returned point is re-evaluated at the
-    accepted root.
+    batched Newton iteration at a single node, seeded with f(0), which lies
+    at or right of the root.  The residual of the returned point is
+    re-evaluated at the accepted root.
     """
     if not (isinstance(t, numbers.Real) and math.isfinite(t)):
         raise NonFiniteInput(f"temperature must be finite, got {t!r}")
@@ -211,8 +199,7 @@ def solve_gap_at(t: float, params: ModelParams, hint: float | None = None) -> Ga
     if t == params.t_c:
         return GapPoint(t=t, f=0.0, residual=abs(gap_residual(t, 0.0, params)))
 
-    seed = hint if hint is not None and 0.0 < hint < params.y_max else params.delta**2
-    y = float(_newton(np.array([t]), np.array([seed]), params)[0])
+    y = float(_newton(np.array([t]), np.array([params.delta**2]), params)[0])
     return GapPoint(t=t, f=y, residual=abs(gap_residual(t, y, params)))
 
 
@@ -238,11 +225,13 @@ def _tc_endpoint_derivatives(params: ModelParams) -> tuple[float, float]:
 
 
 def _implicit_derivatives(p):
-    """f' and f'' of the curve from the residual partials at solved points."""
+    """f' and f'' of the curve from the residual partials at solved points.
+
+    f'' is divided by d_y once, not by d_y**3, so no intermediate leaves the
+    range of the partials themselves at small energy scales.
+    """
     f_prime = -p.d_t / p.d_y
-    f_second = (
-        -p.d_tt * p.d_y**2 + 2.0 * p.d_ty * p.d_t * p.d_y - p.d_yy * p.d_t**2
-    ) / p.d_y**3
+    f_second = -(p.d_tt + (2.0 * p.d_ty + p.d_yy * f_prime) * f_prime) / p.d_y
     return f_prime, f_second
 
 

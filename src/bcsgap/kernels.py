@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NonFiniteInput, OutsideDomain, ZeroGapAtZeroT
-from .model import ModelParams, Stratum
+from .model import ModelParams
 from .quad import integrate
 
 __all__ = [
@@ -223,13 +223,14 @@ def _gate_closure(ts, ys, params: ModelParams) -> None:
 
 
 def _gate_interior(ts, ys, params: ModelParams) -> None:
-    domain = params.domain
-    for t, y in zip(ts.tolist(), ys.tolist()):
-        if domain.classify(t, y) is not Stratum.INTERIOR:
-            raise OutsideDomain(
-                "second partial derivatives exist on the open interior only, "
-                f"got (t, y) = ({t!r}, {y!r})"
-            )
+    """Admit the open box (0, t_c) x (0, y_max); NaN fails every comparison."""
+    inside = (0.0 < ts) & (ts < params.t_c) & (0.0 < ys) & (ys < params.y_max)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise OutsideDomain(
+            "second partial derivatives exist on the open interior only, "
+            f"got (t, y) = ({float(ts[i])!r}, {float(ys[i])!r})"
+        )
 
 
 def _zero_t_value(y: float, params: ModelParams) -> float:

@@ -1,4 +1,4 @@
-"""Physical parameters, density of states, and the admissible solution region.
+"""Physical parameters and the density of states.
 
 Everything downstream works with one frozen ModelParams value: the raw
 coupling/cutoff/energy-scale numbers plus the derived transition temperature.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -27,9 +26,7 @@ from .quad import DEFAULT_SPEC, QuadSpec, integrate
 
 __all__ = [
     "DensityOfStates",
-    "GapDomain",
     "ModelParams",
-    "Stratum",
     "build_params",
     "default_dos",
     "load_config",
@@ -89,45 +86,6 @@ def default_dos(n0: float, mu: float) -> DensityOfStates:
         return n0 * np.sqrt(band / mu)
 
     return DensityOfStates(evaluator=evaluator, growth_bound=n0 / math.sqrt(mu), name="default")
-
-
-class Stratum(Enum):
-    """Strata of the (temperature, squared-gap) region.
-
-    INTERIOR is the open box; the three edges carry their own labels because
-    the residual's derivative formulas change there (zero-temperature edge)
-    or second derivatives stop being available (all edges).  The top edge
-    y = y_max and the corner (0, 0) are not part of the region.
-    """
-
-    INTERIOR = "interior"
-    ZERO_T_EDGE = "zero_t_edge"
-    ZERO_GAP_EDGE = "zero_gap_edge"
-    TC_EDGE = "tc_edge"
-    OUTSIDE = "outside"
-
-
-@dataclass(frozen=True)
-class GapDomain:
-    """Classifier for the region [0, t_c] x [0, y_max) minus its corners."""
-
-    t_c: float
-    y_max: float
-
-    def classify(self, t: float, y: float) -> Stratum:
-        if not (math.isfinite(t) and math.isfinite(y)):
-            return Stratum.OUTSIDE
-        if 0.0 < t < self.t_c and 0.0 < y < self.y_max:
-            return Stratum.INTERIOR
-        if t == 0.0 and 0.0 < y < self.y_max:
-            return Stratum.ZERO_T_EDGE
-        # The zero-gap edge reaches the t = t_c corner; the edge below the
-        # transition owns that point.
-        if y == 0.0 and 0.0 < t <= self.t_c:
-            return Stratum.ZERO_GAP_EDGE
-        if t == self.t_c and 0.0 < y < self.y_max:
-            return Stratum.TC_EDGE
-        return Stratum.OUTSIDE
 
 
 def _gap_radical(u0n0: float, hbar_omega_d: float, xi_min: float) -> float:
@@ -199,10 +157,6 @@ class ModelParams:
         if self.mu <= self.hbar_omega_d:
             return 0.0
         return integrate(lambda xi: xi * self.dos(xi), -self.mu, -self.hbar_omega_d, self.quad_spec)[0]
-
-    @property
-    def domain(self) -> GapDomain:
-        return GapDomain(t_c=self.t_c, y_max=self.y_max)
 
     def as_dict(self) -> dict:
         """Snapshot for reports; key order is fixed for byte-stable output."""

@@ -278,10 +278,16 @@ def extrapolate_to_zero(hs, ys) -> float:
 
 @dataclass(frozen=True)
 class JumpMeasurement:
-    """One-sided second-derivative limits at t_c measured from samples."""
+    """One-sided limits at t_c measured from samples.
+
+    below and above are the limits of the second derivative; omega and
+    omega_t hold the (below, above) limits of the potential and its slope.
+    """
 
     below: float
     above: float
+    omega: tuple[float, float]
+    omega_t: tuple[float, float]
 
     @property
     def jump(self) -> float:
@@ -291,18 +297,20 @@ class JumpMeasurement:
 def measured_second_derivative_jump(params: ModelParams, ks=(3, 4, 5, 6)) -> JumpMeasurement:
     """Jump of the potential's second derivative measured from one-sided fits.
 
-    Protocol: evaluate the second derivative at t_c * (1 -+ 10^-k) for each
-    k, then extrapolate each side to t_c with a Neville tableau.  This is
-    the measurement the closed form is certified against.
+    Protocol: evaluate the potential at t_c * (1 -+ 10^-k) for each k, then
+    extrapolate each side to t_c with a Neville tableau.  This is the
+    measurement the closed form is certified against; the limits of omega
+    and omega_t from the same points certify continuity.
     """
     t_c = params.t_c
     hs = [t_c * 10.0 ** (-k) for k in ks]
-    below = [thermodynamic_potential(t_c - h, params).omega_tt for h in hs]
-    above = [thermodynamic_potential(t_c + h, params).omega_tt for h in hs]
-    return JumpMeasurement(
-        below=extrapolate_to_zero(hs, below),
-        above=extrapolate_to_zero(hs, above),
-    )
+    sides = [[thermodynamic_potential(t_c + s * h, params) for h in hs] for s in (-1.0, 1.0)]
+
+    def limits(field):
+        return tuple(extrapolate_to_zero(hs, [getattr(p, field) for p in side]) for side in sides)
+
+    below, above = limits("omega_tt")
+    return JumpMeasurement(below=below, above=above, omega=limits("omega"), omega_t=limits("omega_t"))
 
 
 def specific_heat_jump(params: ModelParams) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gap import gap_derivatives_at, gap_point_at, sample_gap_curve, solve_gap_at
+from .gap import _interior_points, gap_point_at, sample_gap_curve
 from .kernels import (
     _CURV_SERIES,
     _SERIES_CUT,
@@ -33,7 +33,6 @@ from .kernels import (
     _poly_even,
     curvature_kernel,
     gap_residual,
-    gap_residual_partials,
     gap_residual_second_partials,
     slope_kernel,
     window_pass,
@@ -59,6 +58,7 @@ _BRANCH_SEAM_TOL = 1e-14
 _TIE_FLOOR = 1e-10  # times f(0); allows unresolvable low-temperature ties
 _RESOLVABLE_FROM = 0.3  # fraction of t_c above which strict decrease is demanded
 _FD_STEP = 1e-5  # times t_c, five-point stencils on the gap curve
+_STENCIL = (-2.0, -1.0, 1.0, 2.0)  # five-point offsets, in steps, without the centre
 _ONESIDED_STEP = 1e-3  # times t_c, one-sided probes at t = 0
 _EXTRAP_KS = (2, 3, 4, 5)  # offsets t_c * 10^-k for endpoint extrapolation
 _PARTIALS_GRID = 50
@@ -154,11 +154,6 @@ def _five_point(values, h):
     return (vm2 - 8.0 * vm1 + 8.0 * vp1 - vp2) / (12.0 * h)
 
 
-def _first_derivative_at(t: float, y: float, params: ModelParams) -> float:
-    p = gap_residual_partials(t, y, params)
-    return -p.d_t / p.d_y
-
-
 def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances | None = None) -> VerificationReport:
     """Run every certification check and assemble the report.
 
@@ -240,40 +235,40 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
         0.0,
     ))
 
-    # -- analytic derivatives vs five-point stencils ----------------------
+    # -- every interior probe of the curve in one batched solve -----------
+    # stencil nodes and their offsets, the one-sided points at t = 0, and
+    # the extrapolation points below t_c, each with f, f' and f''
     stride = max(1, (grid_size - 1) // 16)
     node_idx = list(range(stride, grid_size - 1, stride))
+    nodes = ts[node_idx]
+    n = nodes.size
     h = _FD_STEP * t_c
-    rows = []
-    for i in node_idx:
-        t = float(ts[i])
-        node = solve_gap_at(t, sharp)
-        fp_a, fs_a = gap_derivatives_at(t, sharp, node)
-        f_off, fp_off = [], []
-        for o in (-2, -1, 1, 2):
-            pt = solve_gap_at(t + o * h, sharp, hint=node.f)
-            f_off.append(pt.f)
-            fp_off.append(_first_derivative_at(t + o * h, pt.f, sharp))
-        rows.append((fp_a, _five_point(f_off, h), fs_a, _five_point(fp_off, h)))
-    fp_floor = 0.01 * max(abs(r[0]) for r in rows)
-    fs_floor = 0.01 * max(abs(r[2]) for r in rows)
+    h0 = _ONESIDED_STEP * t_c
+    hs = [t_c * 10.0 ** (-k) for k in _EXTRAP_KS]
+    probes = np.concatenate([nodes, *(nodes + o * h for o in _STENCIL), [h0, 2.0 * h0], t_c - np.array(hs)])
+    f, fp, fs = np.array([(q.f, q.f_prime, q.f_second) for q in _interior_points(probes, sharp)]).T
+
+    # -- analytic derivatives vs five-point stencils ----------------------
+    fp_a, fs_a = fp[:n], fs[:n]
+    fd1 = _five_point(f[n:5 * n].reshape(4, n), h)
+    fd2 = _five_point(fp[n:5 * n].reshape(4, n), h)
+    fp_floor = 0.01 * np.max(np.abs(fp_a))
+    fs_floor = 0.01 * np.max(np.abs(fs_a))
     add(Check(
         "fprime_fd_max_rel",
-        max(abs(fp - fd) / max(abs(fp), fp_floor) for fp, fd, _, _ in rows),
+        np.max(np.abs(fp_a - fd1) / np.maximum(np.abs(fp_a), fp_floor)),
         0.0,
         tol.first_derivative,
     ))
     add(Check(
         "fsecond_fd_max_rel",
-        max(abs(fs_ - fd) / max(abs(fs_), fs_floor) for _, _, fs_, fd in rows),
+        np.max(np.abs(fs_a - fd2) / np.maximum(np.abs(fs_a), fs_floor)),
         0.0,
         0.01 * tol.second_derivative,
     ))
 
     # -- flat start: both derivatives vanish at t = 0 ---------------------
-    h0 = _ONESIDED_STEP * t_c
-    f_h0 = solve_gap_at(h0, sharp).f
-    f_2h0 = solve_gap_at(2.0 * h0, sharp).f
+    f_h0, f_2h0 = f[5 * n:5 * n + 2]
     add(Check(
         "fprime_t0_onesided",
         abs((f_h0 - delta_sq) / h0),
@@ -290,23 +285,15 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
     # -- closed-form endpoint derivatives by interior extrapolation -------
     tc_gap = gap_point_at(t_c, params)
     fp_tc, fs_tc = tc_gap.f_prime, tc_gap.f_second
-    hs = [t_c * 10.0 ** (-k) for k in _EXTRAP_KS]
-    fp_in, fs_in = [], []
-    for off in hs:
-        t = t_c - off
-        pt = solve_gap_at(t, sharp)
-        fp_i, fs_i = gap_derivatives_at(t, sharp, pt)
-        fp_in.append(fp_i)
-        fs_in.append(fs_i)
     add(Check(
         "fprime_tc_extrapolated",
-        abs(extrapolate_to_zero(hs, fp_in) - fp_tc) / abs(fp_tc),
+        abs(extrapolate_to_zero(hs, fp[5 * n + 2:]) - fp_tc) / abs(fp_tc),
         0.0,
         0.1 * tol.jump,
     ))
     add(Check(
         "fsecond_tc_extrapolated",
-        abs(extrapolate_to_zero(hs, fs_in) - fs_tc) / abs(fs_tc),
+        abs(extrapolate_to_zero(hs, fs[5 * n + 2:]) - fs_tc) / abs(fs_tc),
         0.0,
         0.1 * tol.jump,
     ))
@@ -331,25 +318,20 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
         tol.closed_form,
     ))
 
-    # -- continuity across the transition --------------------------------
-    h_c = 1e-8 * t_c
-    below = thermodynamic_potential(t_c - h_c, params, order=1)
-    above = thermodynamic_potential(t_c + h_c, params, order=1)
+    # -- continuity and the jump, from the one-sided limits at t_c --------
+    measured = measured_second_derivative_jump(params)
     add(Check(
         "omega_continuity_tc",
-        abs(below.omega - above.omega),
+        abs(measured.omega[0] - measured.omega[1]),
         0.0,
         tol.closed_form * omega_scale,
     ))
     add(Check(
         "entropy_continuity_tc",
-        abs(below.entropy - above.entropy),
+        abs(measured.omega_t[0] - measured.omega_t[1]),
         0.0,
         tol.first_derivative * max(1.0, abs(point_tc.entropy)),
     ))
-
-    # -- the jump itself ---------------------------------------------------
-    measured = measured_second_derivative_jump(params)
     add(Check(
         "jump_measured_vs_closed",
         abs(measured.jump - jump_closed) / abs(jump_closed),
@@ -390,7 +372,7 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
     ))
     h_eta = np.minimum(1e-3 * np.maximum(1.0, eta), 0.25 * eta)
     fd_slope = _five_point(
-        [slope_kernel(eta + o * h_eta) for o in (-2, -1, 1, 2)], h_eta
+        [slope_kernel(eta + o * h_eta) for o in _STENCIL], h_eta
     )
     identity = -eta * big_g_vals
     add(Check(
@@ -413,14 +395,15 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
     second = gap_residual_second_partials(t_m, y_m, params)
     h_y = 1e-5 * y_max
     h_t = 1e-5 * t_c
-    dty_from_y = _five_point(
-        [gap_residual_partials(t_m, y_m + o * h_y, params).d_t for o in (-2, -1, 1, 2)],
-        h_y,
+    steps = np.array(_STENCIL)
+    p = window_pass(
+        np.concatenate([np.full(4, t_m), t_m + steps * h_t]),
+        np.concatenate([y_m + steps * h_y, np.full(4, y_m)]),
+        params,
+        order=1,
     )
-    dty_from_t = _five_point(
-        [gap_residual_partials(t_m + o * h_t, y_m, params).d_y for o in (-2, -1, 1, 2)],
-        h_t,
-    )
+    dty_from_y = _five_point(p.d_t[:4], h_y)
+    dty_from_t = _five_point(p.d_y[4:], h_t)
     add(Check(
         "mixed_partial_symmetry",
         max(abs(dty_from_y - second.d_ty), abs(dty_from_t - second.d_ty))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from bcsgap import kernels
+from bcsgap import gap, kernels
 from bcsgap.errors import (
     BracketFailure,
     NonFiniteInput,
@@ -18,7 +18,6 @@ from bcsgap.errors import (
 )
 from bcsgap.gap import (
     GapPoint,
-    closed_form_gaps,
     gap_derivatives_at,
     sample_gap_curve,
     solve_gap_at,
@@ -79,10 +78,14 @@ def test_solve_tc_meets_relative_defect_at_strong_coupling(u0n0):
     assert abs(oracles.tc_defect(p.u0n0, p.hbar_omega_d, p.k_b, p.eps, p.t_c)) <= 1e-12
 
 
-def test_closed_form_gaps(default_params):
-    delta0, delta = closed_form_gaps(default_params)
-    assert delta0 == default_params.delta0
-    assert delta == default_params.delta
+def test_closed_form_gaps(default_params, eps_params):
+    # the uncut and the cutoff zero-temperature gaps coincide exactly at
+    # eps = 0, and the cutoff one is strictly smaller otherwise
+    p = default_params
+    assert p.delta0 == p.hbar_omega_d / math.sinh(1.0 / p.u0n0)
+    assert p.delta == p.delta0
+    assert solve_gap_at(0.0, p).f == p.delta**2
+    assert 0.0 < eps_params.delta < eps_params.delta0
 
 
 def test_endpoints_are_exact(default_params):
@@ -129,8 +132,8 @@ def test_hint_does_not_change_the_answer(default_params, hint_ratio):
     p = default_params
     t = 0.37 * p.t_c
     plain = solve_gap_at(t, p)
-    hinted = solve_gap_at(t, p, hint=plain.f * hint_ratio)
-    assert abs(hinted.f - plain.f) <= 1e-13 * p.y_max
+    (seeded,) = gap._newton(np.array([t]), np.array([plain.f * hint_ratio]), p)
+    assert abs(seeded - plain.f) <= 1e-13 * p.y_max
 
 
 def test_solve_gap_gates(default_params):
@@ -259,6 +262,17 @@ def test_batched_curve_matches_scalar_path(grid, eps):
         # no absolute floor: f' is ~1e-150 at the coldest nodes
         assert pt.f_prime == pytest.approx(f_prime, rel=1e-9, abs=0.0), pt.t
         assert pt.f_second == pytest.approx(f_second, rel=1e-9, abs=0.0), pt.t
+
+
+def test_curve_is_covariant_at_small_energy_scales(default_params):
+    # scaling hbar_omega_d and mu by 2^-200 scales t by 2^-200, f by 2^-400
+    # and f' by 2^-200, and leaves f'' and the residual unchanged; d_y**3
+    # would overflow here, so f'' divides by d_y once
+    s = 2.0**-200
+    p = build_params(hbar_omega_d=s, mu=10.0 * s)
+    for ref, pt in zip(sample_gap_curve(default_params, 5).points, sample_gap_curve(p, 5).points):
+        assert (pt.t, pt.f, pt.f_prime) == (ref.t * s, ref.f * s * s, ref.f_prime * s)
+        assert (pt.f_second, pt.residual) == (ref.f_second, ref.residual)
 
 
 def test_curve_is_solved_in_few_quadrature_calls(default_params, monkeypatch):

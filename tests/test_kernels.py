@@ -21,6 +21,7 @@ from bcsgap.kernels import (
     sech2,
     slope_kernel,
     window_integrals,
+    window_pass,
 )
 from bcsgap.gap import solve_gap_at
 from bcsgap.model import build_params
@@ -198,10 +199,24 @@ def test_second_partials_near_transition_corner(default_params):
 
 
 def test_second_partials_rejected_on_boundaries(default_params):
+    # the open box (0, t_c) x (0, y_max) only: every edge, the corners and
+    # everything outside or non-finite is refused
     p = default_params
-    for t, y in [(0.0, 0.5 * p.y_max), (p.t_c, 0.5 * p.y_max), (0.5 * p.t_c, 0.0)]:
+    t_c, y_max = p.t_c, p.y_max
+    mid_t, mid_y = 0.5 * t_c, 0.5 * y_max
+    edges = [(0.0, mid_y), (t_c, mid_y), (mid_t, 0.0), (t_c, 0.0), (mid_t, y_max)]
+    corners = [(0.0, 0.0), (0.0, y_max), (t_c, y_max)]
+    outside = [
+        (-t_c, mid_y), (2.0 * t_c, mid_y), (mid_t, -1.0),
+        (math.nan, mid_y), (mid_t, math.nan), (math.inf, mid_y), (-math.inf, mid_y),
+        (mid_t, math.inf), (mid_t, -math.inf),
+    ]
+    for t, y in edges + corners + outside:
         with pytest.raises(OutsideDomain):
             gap_residual_second_partials(t, y, p)
+        with pytest.raises(OutsideDomain):
+            window_pass([mid_t, t], [mid_y, y], p, order=2)
+    assert gap_residual_second_partials(mid_t, mid_y, p).d_yy > 0.0
 
 
 @pytest.mark.parametrize("u0n0", [0.3, 0.1, 0.06])

@@ -1,4 +1,4 @@
-"""Parameter validation, closed-form gap values, domain strata, config files."""
+"""Parameter validation, closed-form gap values, config files."""
 
 import math
 
@@ -15,7 +15,6 @@ from bcsgap.errors import (
 from bcsgap.gap import solve_tc
 from bcsgap.model import (
     DensityOfStates,
-    Stratum,
     build_params,
     default_dos,
     load_config,
@@ -114,29 +113,6 @@ def test_default_dos_examples():
     assert dos.name == "default"
 
 
-def test_domain_classification_totality(default_params):
-    dom = default_params.domain
-    t_c, y_max = dom.t_c, dom.y_max
-    expected = {
-        (0.5 * t_c, 0.5 * y_max): Stratum.INTERIOR,
-        (0.0, 0.5 * y_max): Stratum.ZERO_T_EDGE,
-        (0.5 * t_c, 0.0): Stratum.ZERO_GAP_EDGE,
-        (t_c, 0.0): Stratum.ZERO_GAP_EDGE,  # the corner belongs to the zero-gap edge
-        (t_c, 0.5 * y_max): Stratum.TC_EDGE,
-        (0.0, 0.0): Stratum.OUTSIDE,
-        (0.0, y_max): Stratum.OUTSIDE,
-        (t_c, y_max): Stratum.OUTSIDE,
-        (0.5 * t_c, y_max): Stratum.OUTSIDE,  # top edge excluded
-        (-t_c, 0.5 * y_max): Stratum.OUTSIDE,
-        (2.0 * t_c, 0.5 * y_max): Stratum.OUTSIDE,
-        (0.5 * t_c, -1.0): Stratum.OUTSIDE,
-        (float("nan"), 0.5 * y_max): Stratum.OUTSIDE,
-        (0.5 * t_c, float("inf")): Stratum.OUTSIDE,
-    }
-    for (t, y), stratum in expected.items():
-        assert dom.classify(t, y) is stratum, (t, y)
-
-
 def test_as_dict_snapshot(default_params):
     snap = default_params.as_dict()
     assert list(snap)[:6] == ["u0n0", "hbar_omega_d", "k_b", "eps", "n0", "mu"]
@@ -191,4 +167,4 @@ def test_built_params_invariants(u0n0, hbar_omega_d, k_b, eps):
     assert 0.0 <= params.xi_min < params.hbar_omega_d
     assert 0.0 < params.delta <= params.delta0
     assert params.y_max == 2.0 * params.delta0**2
-    assert params.domain.classify(0.5 * params.t_c, 0.5 * params.y_max) is Stratum.INTERIOR
+    assert 0.0 < params.y_max < math.inf

@@ -253,6 +253,12 @@ def test_jump_measurement(default_params):
     assert measured.jump == measured.below - measured.above
     assert measured.below < measured.above  # curvature drops on the cold side
     assert measured.jump == pytest.approx(closed, rel=1e-6)
+    # the potential and its slope are continuous: both one-sided limits
+    # reach the value at t_c
+    at_tc = thermodynamic_potential(p.t_c, p)
+    for omega, omega_t in zip(measured.omega, measured.omega_t):
+        assert omega == pytest.approx(at_tc.omega, rel=1e-12)
+        assert omega_t == pytest.approx(at_tc.omega_t, rel=1e-12)
 
 
 def test_jump_with_cutoff(eps_params):

@@ -98,3 +98,44 @@ def test_suite_on_alternate_coupling():
     report = run_suite(params, grid_size=51)
     failed = [c.name for c in report.checks if not c.passed]
     assert failed == []
+
+
+_SCALE = 2.0**10
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        *({"u0n0": u} for u in (0.06, 0.1, 0.3, 1.0, 10.0, 100.0)),
+        *({"eps": e} for e in (1e-2, 0.3, 2.0)),
+        *({"mu": m} for m in (1e-3, 0.5, 1e6)),
+        *({"hbar_omega_d": s, "mu": 10.0 * s} for s in (_SCALE, 1.0 / _SCALE)),
+        *({"k_b": s} for s in (_SCALE, 1.0 / _SCALE)),
+    ],
+    ids=lambda kw: ",".join(f"{k}={v:g}" for k, v in kw.items()),
+)
+def test_suite_passes_across_the_accepted_domain(kwargs):
+    # the continuity checks compare one-sided limits at t_c, so the slope of
+    # the potential is not charged to its continuity at any coupling or scale
+    report = run_suite(build_params(**kwargs), grid_size=51)
+    assert [c.name for c in report.checks if not c.passed] == []
+
+
+def test_suite_work_count(monkeypatch):
+    # every gap-curve probe of the suite is solved in one batch, not one
+    # Newton solve per stencil point
+    from bcsgap import gap, kernels, model, quad, thermo, verify
+
+    calls = []
+    real = quad.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (quad, model, kernels, gap, thermo, verify):
+        monkeypatch.setattr(module, "integrate", counting)
+    p = build_params()
+    calls.clear()
+    assert run_suite(p).passed
+    assert len(calls) <= 340
