@@ -12,7 +12,6 @@ iterates rise monotonically to it (Fourier's condition).
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, replace
 
@@ -21,18 +20,12 @@ import numpy as np
 from .errors import (
     BracketFailure,
     NoBracket,
-    NonFiniteInput,
     NonPositiveParameter,
     NotSolved,
     OutsideDomain,
     ToleranceNotMet,
 )
-from .kernels import (
-    gap_residual,
-    gap_residual_second_partials,
-    window_integrals,
-    window_pass,
-)
+from .kernels import gap_residual, gap_residual_second_partials, window_pass
 from .model import ModelParams, _as_finite_float, _require_positive
 from .quad import DEFAULT_SPEC, QuadSpec, integrate
 
@@ -70,13 +63,9 @@ def solve_tc(
     form in which the condition is stated.
     """
     values = {"u0n0": u0n0, "hbar_omega_d": hbar_omega_d, "k_b": k_b, "eps": eps}
-    for name, v in values.items():
-        if not isinstance(v, numbers.Real):
-            raise NonFiniteInput(f"{name} must be a real number, got {v!r}")
-        values[name] = v = _as_finite_float(name, v)
-        if name != "eps":
-            _require_positive(name, v)
-    u0n0, hbar_omega_d, k_b, eps = values.values()
+    u0n0, hbar_omega_d, k_b, eps = (_as_finite_float(name, v) for name, v in values.items())
+    for name, v in (("u0n0", u0n0), ("hbar_omega_d", hbar_omega_d), ("k_b", k_b)):
+        _require_positive(name, v)
     if eps < 0.0:
         raise NonPositiveParameter(f"eps must be >= 0, got {eps}")
 
@@ -180,48 +169,25 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarra
     return y
 
 
+def _checked_temperature(t, params: ModelParams) -> float:
+    t = _as_finite_float("temperature", t)
+    if t < 0.0 or t > params.t_c:
+        raise OutsideDomain(f"temperature {t!r} outside [0, {params.t_c!r}]")
+    return t
+
+
 def solve_gap_at(t: float, params: ModelParams) -> GapPoint:
     """Solve the gap equation for the squared gap at one temperature.
 
-    Endpoints short-circuit to exact values.  For 0 < t < t_c this is the
-    batched Newton iteration at a single node, seeded with f(0), which lies
-    at or right of the root.  The residual of the returned point is
-    re-evaluated at the accepted root.
+    t = 0 short-circuits to the closed-form gap; every other temperature is
+    one row of the solved-point path, whose residual is re-evaluated at the
+    accepted root.
     """
-    if not (isinstance(t, numbers.Real) and math.isfinite(t)):
-        raise NonFiniteInput(f"temperature must be finite, got {t!r}")
-    t = float(t)
-    if t < 0.0 or t > params.t_c:
-        raise OutsideDomain(f"temperature {t!r} outside [0, {params.t_c!r}]")
+    t = _checked_temperature(t, params)
     if t == 0.0:
         y = params.delta**2
         return GapPoint(t=0.0, f=y, residual=abs(gap_residual(0.0, y, params)))
-    if t == params.t_c:
-        return GapPoint(t=t, f=0.0, residual=abs(gap_residual(t, 0.0, params)))
-
-    y = float(_newton(np.array([t]), np.array([params.delta**2]), params)[0])
-    return GapPoint(t=t, f=y, residual=abs(gap_residual(t, y, params)))
-
-
-def _tc_endpoint_derivatives(params: ModelParams) -> tuple[float, float]:
-    """Closed-form slope and curvature of the squared-gap curve at t_c.
-
-    Quotients of pairing-window integrals of the thermal kernels evaluated
-    at eta = xi / (2 k_b t_c); these are the limits of the interior
-    implicit-function formulas as the gap closes.
-    """
-    kb, t_c = params.k_b, params.t_c
-    kinds = ("sech", "slope", "eta_tanh", "mixed", "curv")
-    i_sech, i_slope, i_eta_tanh, i_mixed, i_curv = window_integrals(t_c, 0.0, params, kinds)[:, 0].tolist()
-    i_shift = i_eta_tanh - i_sech
-
-    f_prime = 8.0 * kb**2 * t_c * i_sech / i_slope
-    f_second = (
-        16.0 * kb**2 * i_shift / i_slope
-        - 32.0 * kb**2 * i_sech * i_mixed / i_slope**2
-        + 8.0 * kb**2 * i_sech**2 * i_curv / i_slope**3
-    )
-    return f_prime, f_second
+    return _solved_points(np.array([t]), params, order=0)[0]
 
 
 def _implicit_derivatives(p):
@@ -245,57 +211,54 @@ def _check_residual(residual) -> None:
 def gap_derivatives_at(t: float, params: ModelParams, gap_point: GapPoint) -> tuple[float, float]:
     """First and second temperature derivatives of the squared-gap curve.
 
-    Interior temperatures use the implicit-function quotients of the
-    residual partials at the solved point; t = 0 returns exact zeros and
-    t = t_c the closed-form integral quotients.
+    Every temperature in (0, t_c] uses the implicit-function quotients of
+    the residual partials at the solved point; t = 0 returns exact zeros.
     """
     if gap_point is None or gap_point.t != t:
         raise NotSolved(f"gap_point was solved at t = {getattr(gap_point, 't', None)!r}, not {t!r}")
     _check_residual(gap_point.residual)
     if t == 0.0:
         return 0.0, 0.0
-    if t == params.t_c:
-        return _tc_endpoint_derivatives(params)
     return _implicit_derivatives(gap_residual_second_partials(t, gap_point.f, params))
 
 
-def _interior_points(ts: np.ndarray, params: ModelParams) -> list[GapPoint]:
-    """Solved points with f' and f'' at interior temperatures 0 < t < t_c.
+def _solved_points(ts: np.ndarray, params: ModelParams, order: int) -> list[GapPoint]:
+    """Solved points at temperatures 0 < t <= t_c, with f' and f'' at order 2.
 
-    One batched Newton iteration seeded with f(0), then one second-order
-    window pass at the roots for residuals, f', f''.
+    f(t_c) = 0 and the colder roots come from one batched Newton iteration
+    seeded with f(0); one window pass of the given order at the roots then
+    gives every residual and, at order 2, f' and f'' by the implicit-function
+    quotients, t_c included.
     """
-    ys = _newton(ts, np.full(ts.size, params.delta**2), params)
-    p = window_pass(ts, ys, params, order=2)
+    ys = np.zeros(ts.size)
+    cold = ts < params.t_c
+    ys[cold] = _newton(ts[cold], np.full(np.count_nonzero(cold), params.delta**2), params)
+    p = window_pass(ts, ys, params, order)
     residuals = np.abs(p.value)
     _check_residual(float(np.max(residuals, initial=0.0)))
-    columns = (ts, ys, residuals, *_implicit_derivatives(p))
-    return [
-        GapPoint(t=t, f=y, residual=r, f_prime=fp, f_second=fs)
-        for t, y, r, fp, fs in zip(*(c.tolist() for c in columns))
-    ]
+    columns = (ts, ys, residuals, *(_implicit_derivatives(p) if order == 2 else ()))
+    return [GapPoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def gap_point_at(t: float, params: ModelParams) -> GapPoint:
     """Solved point at one temperature in [0, t_c], with f' and f''.
 
-    One Newton solve and one second-order pass; t = 0 and t = t_c keep their
-    closed forms.
+    One row of the solved-point path; t = 0 keeps its closed forms.
     """
-    if isinstance(t, numbers.Real) and 0.0 < t < params.t_c:
-        return _interior_points(np.array([float(t)]), params)[0]
-    point = solve_gap_at(t, params)
-    f_prime, f_second = gap_derivatives_at(point.t, params, point)
-    return replace(point, f_prime=f_prime, f_second=f_second)
+    t = _checked_temperature(t, params)
+    if t == 0.0:
+        return replace(solve_gap_at(0.0, params), f_prime=0.0, f_second=0.0)
+    return _solved_points(np.array([t]), params, order=2)[0]
 
 
 def sample_gap_curve(params: ModelParams, n_points: int, grid: str = "uniform") -> GapCurve:
     """Solve the squared-gap curve on [0, t_c] with derivatives at each node.
 
-    All interior nodes are solved together by one batched Newton iteration
-    seeded with f(0); one second-order window pass at the roots then gives
-    every residual, f' and f''.  grid = "chebyshev" clusters nodes at both
-    endpoints, where the curve bends hardest.
+    Every node above t = 0 is a row of one solved-point batch: one batched
+    Newton iteration seeded with f(0) for the nodes below t_c, then one
+    second-order window pass, t_c included, for every residual, f' and f''.
+    grid = "chebyshev" clusters nodes at both endpoints, where the curve
+    bends hardest.
     """
     try:
         n_points = operator.index(n_points)
@@ -311,6 +274,5 @@ def sample_gap_curve(params: ModelParams, n_points: int, grid: str = "uniform") 
     else:
         raise ValueError(f"grid must be 'uniform' or 'chebyshev', got {grid!r}")
     ts[0], ts[-1] = 0.0, params.t_c
-
-    ends = [gap_point_at(t, params) for t in (0.0, params.t_c)]
-    return GapCurve(points=(ends[0], *_interior_points(ts[1:-1], params), ends[1]), params=params)
+    points = (gap_point_at(0.0, params), *_solved_points(ts[1:], params, order=2))
+    return GapCurve(points=points, params=params)

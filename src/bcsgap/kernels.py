@@ -115,7 +115,8 @@ def _poly_even(x, coeffs):
     z = x * x
     acc = np.full_like(x, coeffs[-1])
     for c in coeffs[-2::-1]:
-        acc = acc * z + c
+        acc *= z
+        acc += c
     return acc
 
 
@@ -222,17 +223,6 @@ def _gate_closure(ts, ys, params: ModelParams) -> None:
         )
 
 
-def _gate_interior(ts, ys, params: ModelParams) -> None:
-    """Admit the open box (0, t_c) x (0, y_max); NaN fails every comparison."""
-    inside = (0.0 < ts) & (ts < params.t_c) & (0.0 < ys) & (ys < params.y_max)
-    if not inside.all():
-        i = int(np.argmin(inside))
-        raise OutsideDomain(
-            "second partial derivatives exist on the open interior only, "
-            f"got (t, y) = ({float(ts[i])!r}, {float(ys[i])!r})"
-        )
-
-
 def _zero_t_value(y: float, params: ModelParams) -> float:
     a = params.xi_min
     upper = params.hbar_omega_d + math.hypot(params.hbar_omega_d, math.sqrt(y))
@@ -300,17 +290,15 @@ def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
     """Residual and partial derivatives at arrays of (t, y) pairs, as arrays.
 
     order 0 gives value and d_y (a Newton step), order 1 adds d_t, and
-    order 2 adds the second partials.  Orders 0 and 1 admit the closed box
+    order 2 adds the second partials.  Every order admits the closed box
     without the zero-temperature edge, which the closed forms of
-    gap_residual_partials cover; order 2 admits the open interior only.
+    gap_residual_partials cover: F is analytic in y for every t > 0, so
+    the partials exist on the t_c, y = 0 and y = y_max edges too.
     """
     ts, ys = _pairs(ts, ys)
-    if order == 2:
-        _gate_interior(ts, ys, params)
-    else:
-        _gate_closure(ts, ys, params)
-        if (ts == 0.0).any():
-            raise OutsideDomain("the zero-temperature edge is handled by closed forms")
+    _gate_closure(ts, ys, params)
+    if (ts == 0.0).any():
+        raise OutsideDomain("the zero-temperature edge is handled by closed forms")
     kinds = _ORDER_KERNELS[order]
     i = dict(zip(kinds, window_integrals(ts, ys, params, kinds)))
     kb = params.k_b
@@ -392,10 +380,9 @@ def gap_residual_partials(t: float, y: float, params: ModelParams) -> ResidualPa
 
 
 def gap_residual_second_partials(t: float, y: float, params: ModelParams) -> ResidualPartials:
-    """Residual with first and second partial derivatives (interior only).
+    """Residual with first and second partial derivatives.
 
-    The boundary strata are refused: the second-order formulas are
-    established on the open interior, and the endpoint needs of the gap
-    curve are met by dedicated closed forms in the gap module.
+    Defined where window_pass is: the closed box without the
+    zero-temperature edge, so also at the gap curve's endpoint (t_c, 0).
     """
     return _at(t, y, params, 2)

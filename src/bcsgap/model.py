@@ -9,6 +9,7 @@ transition temperature, and checks the derived admissibility inequalities.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -43,10 +44,12 @@ _DOS_TOL = 1e-12  # |N(0) - n0| tolerance, relative to n0
 
 
 def _as_finite_float(name: str, value) -> float:
+    if not isinstance(value, numbers.Real):
+        raise NonFiniteInput(f"{name} must be a real number, got {value!r}")
     try:
         v = float(value)
-    except (TypeError, ValueError):
-        raise NonFiniteInput(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:
+        raise NonFiniteInput(f"{name} must be finite, got a value beyond float range") from None
     if not math.isfinite(v):
         raise NonFiniteInput(f"{name} must be finite, got {v}")
     return v

@@ -21,7 +21,7 @@ from .errors import CutoffNotZero, NotSolved, OutsideDomain
 from .gap import RESIDUAL_TOL, GapPoint, gap_derivatives_at, gap_point_at
 from .kernels import fermi, fermi_weight, gap_residual
 from .model import ModelParams
-from .quad import integrate, integrate_semi_infinite, truncation_point
+from .quad import integrate, truncation_point
 
 __all__ = [
     "JumpMeasurement",
@@ -102,17 +102,21 @@ def _quadratures(t: float, params: ModelParams, point: GapPoint | None = None):
     states on the lower band (none when mu lies inside the window) and on
     the upper tail, summed into band; and the pairing window's
     _thermal_rows, then its _condensation_rows if point is given.  Both band
-    pieces stop where the thermal rows are negligible, so their decay over
-    k_b t is resolved however far mu or the tail reaches.  The window is
+    pieces stop at one edge where the thermal rows are negligible, so their
+    decay over k_b t is resolved however far mu or the tail reaches; when
+    k_b t is below the rounding of hbar_omega_d the edge is hbar_omega_d
+    itself and both pieces are skipped.  The window is
     mapped on sqrt(f + (pi k_b t)^2), the distance from the real axis of its
     integrands' nearest singularities.
     """
     kt = params.k_b * t
     dos, mu, L, spec = params.dos, params.mu, params.hbar_omega_d, params.quad_spec
-    band = integrate_semi_infinite(lambda xi: dos(xi) * _thermal_rows(xi, kt), L, kt, spec)[0]
-    if mu > L:
-        lower = min(mu, truncation_point(L, kt, spec))
-        band = integrate(lambda xi: dos(xi) * _thermal_rows(-xi, kt), -lower, -L, spec)[0] + band
+    edge = truncation_point(L, kt, spec)
+    band = np.zeros(3)
+    if edge > L:  # else the rows carry e^{-L/kt}, exactly 0 in float64
+        band = integrate(lambda xi: dos(xi) * _thermal_rows(xi, kt), L, edge, spec)[0]
+        if mu > L:
+            band = integrate(lambda xi: dos(xi) * _thermal_rows(-xi, kt), -min(mu, edge), -L, spec)[0] + band
     f = 0.0 if point is None else point.f
 
     def window(xi):

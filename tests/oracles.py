@@ -34,6 +34,16 @@ def d2_central(f, x, h):
     ) / (12.0 * h * h)
 
 
+def d1_onesided(f, x, h):
+    """Five-point one-sided first derivative from x, x + h, ..., x + 4h, O(h^4).
+
+    h may be negative, for a stencil that reaches back from x.
+    """
+    return (
+        -25.0 * f(x) + 48.0 * f(x + h) - 36.0 * f(x + 2 * h) + 16.0 * f(x + 3 * h) - 3.0 * f(x + 4 * h)
+    ) / (12.0 * h)
+
+
 def richardson(stencil, f, x, h):
     """One Richardson level on an O(h^4) stencil: error drops to O(h^6)."""
     return (16.0 * stencil(f, x, h / 2.0) - stencil(f, x, h)) / 15.0
@@ -211,25 +221,50 @@ def mp_normal_specific_heat(t, k_b, hbar_omega_d, n0, mu, xi_min=0.0, dps=30):
         return float((4 * n0 * window + 2 * band) / (kt * mp.mpf(t)))
 
 
-def mp_window_integral(kind, t, y, k_b, xi_min, hbar_omega_d, dps=40):
-    """Pairing-window integral of sech^2(eta) or eta tanh(eta) sech^2(eta).
+def _mp_kernel(kind, eta):
+    """One pairing-window kernel at eta >= 0 (call inside mp.workdps).
 
-    eta = sqrt(xi^2 + y) / (2 k_b t), integrated over [xi_min, hbar_omega_d]
-    (mpmath; kind is "sech" or "eta_tanh").  At a cold temperature the
-    integrand is a narrow peak of width about sqrt(2 k_b t sqrt(y)) at the
-    lower edge, where the interval is split.
+    slope and curv cancel about 2 and 4 times log10(1/eta) digits near 0,
+    so they are evaluated with that many extra digits.
+    """
+    if eta == 0:
+        return {"sech": 1, "eta_tanh": 0, "slope": mp.mpf(-2) / 3, "mixed": 1, "curv": mp.mpf(-16) / 15}[kind]
+    extra = 10 + 4 * max(0, int(-mp.log10(eta)))
+    with mp.extradps(extra):
+        s2, th = mp.sech(eta) ** 2, mp.tanh(eta)
+        slope = (s2 - th / eta) / eta**2
+        return +{
+            "sech": s2,
+            "eta_tanh": eta * th * s2,
+            "slope": slope,
+            "mixed": th * s2 / eta,
+            "curv": (3 * slope + 2 * th * s2 / eta) / eta**2,
+        }[kind]
+
+
+def mp_window_integral(kind, t, y, k_b, xi_min, hbar_omega_d, dps=40):
+    """Pairing-window integral of one kernel of eta = sqrt(xi^2 + y) / (2 k_b t).
+
+    kind is "sech" (sech^2 eta), "eta_tanh" (eta tanh eta sech^2 eta),
+    "slope" ((sech^2 eta - tanh(eta) / eta) / eta^2), "mixed"
+    (tanh(eta) sech^2(eta) / eta) or "curv" ((3 slope + 2 tanh(eta)
+    sech^2(eta) / eta) / eta^2), integrated over [xi_min, hbar_omega_d]
+    (mpmath).  At a cold temperature the integrand is a narrow peak of width
+    about sqrt(2 k_b t sqrt(y)) at the lower edge, and at y = 0 of width
+    2 k_b t; the interval is split there and then geometrically, so the
+    algebraic tails of slope (~eta^-3) and curv (~eta^-5) are resolved too.
     """
     with mp.workdps(dps):
         two_kt, y = 2 * mp.mpf(k_b) * mp.mpf(t), mp.mpf(y)
         a, big = mp.mpf(xi_min), mp.mpf(hbar_omega_d)
 
         def integrand(xi):
-            eta = mp.sqrt(xi * xi + y) / two_kt
-            s2 = mp.sech(eta) ** 2
-            return s2 if kind == "sech" else eta * mp.tanh(eta) * s2
+            return _mp_kernel(kind, mp.sqrt(xi * xi + y) / two_kt)
 
-        # mp.quad stops on an absolute error, so the peak is scaled to 1
-        peak = integrand(a)
+        # mp.quad stops on an absolute error, so the integrand one width
+        # above the edge, nonzero for every kind, is scaled to 1
         width = mp.sqrt(two_kt * mp.sqrt(y)) if y > 0 else two_kt
-        cuts = [a + width * k for k in (1, 2, 4, 8, 16, 64, 256) if a + width * k < big]
+        peak = integrand(a + width)
+        steps = (1, 2, 4, 8, 16, 64, 256, *(4**k for k in range(5, 40)))
+        cuts = [a + width * k for k in steps if a + width * k < big]
         return float(peak * mp.quad(lambda xi: integrand(xi) / peak, [a, *cuts, big]))

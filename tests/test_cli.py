@@ -89,6 +89,12 @@ def test_thermo_explicit_window(capsys):
     assert all(r[-1] == "superconducting" for r in rows)
 
 
+def test_thermo_window_from_below_band_rounding(capsys):
+    code, out, err = run(capsys, "thermo", "--points", "2", "--tmin", "1e-20", "--tmax", "0.02")
+    assert code == 0, err
+    assert float(out.strip().split("\n")[1].split(",")[5]) == 0.0  # c_v at 1e-20
+
+
 def test_jump_text_output(capsys):
     code, out, _ = run(capsys, "jump")
     assert code == 0

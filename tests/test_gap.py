@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from bcsgap import gap, kernels
+from bcsgap import gap, kernels, model, quad, thermo
 from bcsgap.errors import (
     BracketFailure,
     NonFiniteInput,
@@ -19,6 +19,7 @@ from bcsgap.errors import (
 from bcsgap.gap import (
     GapPoint,
     gap_derivatives_at,
+    gap_point_at,
     sample_gap_curve,
     solve_gap_at,
     solve_tc,
@@ -177,6 +178,50 @@ def test_endpoint_derivatives_match_frozen_closed_forms(default_params):
     assert f_prime == pytest.approx(_FPRIME_TC, rel=1e-12)
     assert f_second == pytest.approx(_FSECOND_TC, rel=1e-12)
     assert f_prime < 0.0
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+@pytest.mark.parametrize("u0n0", [0.3, 0.1, 0.06])
+def test_endpoint_derivatives_match_mpmath_quotients(u0n0, eps):
+    # at (t_c, 0) the implicit-function quotients -d_t / d_y and
+    # -(d_tt + (2 d_ty + d_yy f') f') / d_y expand, with s = 2 k_b t_c and
+    # d_t = -I_sech / (2 k_b t_c^2), d_y = I_slope / (2 s^3),
+    # d_tt = (I_sech - I_eta_tanh) / (k_b t_c^3), d_ty = I_mixed / (s^3 t_c),
+    # d_yy = -I_curv / (4 s^5), into these quotients of window integrals,
+    # here taken from mpmath
+    p = build_params(u0n0=u0n0, eps=eps)
+    kb2, t_c = p.k_b**2, p.t_c
+    kinds = ("sech", "slope", "eta_tanh", "mixed", "curv")
+    i_sech, i_slope, i_eta_tanh, i_mixed, i_curv = (
+        oracles.mp_window_integral(kind, t_c, 0.0, p.k_b, p.xi_min, p.hbar_omega_d, dps=30)
+        for kind in kinds
+    )
+    f_prime = 8.0 * kb2 * t_c * i_sech / i_slope
+    f_second = (
+        16.0 * kb2 * (i_eta_tanh - i_sech) / i_slope
+        - 32.0 * kb2 * i_sech * i_mixed / i_slope**2
+        + 8.0 * kb2 * i_sech**2 * i_curv / i_slope**3
+    )
+    point = gap_point_at(t_c, p)
+    assert point.f == 0.0
+    assert point.f_prime == pytest.approx(f_prime, rel=1e-10, abs=0.0)
+    assert point.f_second == pytest.approx(f_second, rel=1e-10, abs=0.0)
+
+
+def test_endpoint_point_is_one_quadrature_call(default_params, monkeypatch):
+    # f(t_c) = 0 needs no Newton step: one second-order window pass gives
+    # the residual, f' and f''
+    calls = []
+    real = quad.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (quad, model, kernels, gap, thermo):
+        monkeypatch.setattr(module, "integrate", counting)
+    gap_point_at(default_params.t_c, default_params)
+    assert len(calls) == 1
 
 
 def test_interior_first_derivative_matches_solver_differences(default_params):

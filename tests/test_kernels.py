@@ -199,24 +199,53 @@ def test_second_partials_near_transition_corner(default_params):
 
 
 def test_second_partials_rejected_on_boundaries(default_params):
-    # the open box (0, t_c) x (0, y_max) only: every edge, the corners and
-    # everything outside or non-finite is refused
+    # one gate at every order: the closed box without the zero-temperature
+    # edge; that edge, the (0, 0) corner and everything outside or
+    # non-finite is refused as at orders 0 and 1
     p = default_params
     t_c, y_max = p.t_c, p.y_max
     mid_t, mid_y = 0.5 * t_c, 0.5 * y_max
-    edges = [(0.0, mid_y), (t_c, mid_y), (mid_t, 0.0), (t_c, 0.0), (mid_t, y_max)]
-    corners = [(0.0, 0.0), (0.0, y_max), (t_c, y_max)]
-    outside = [
-        (-t_c, mid_y), (2.0 * t_c, mid_y), (mid_t, -1.0),
-        (math.nan, mid_y), (mid_t, math.nan), (math.inf, mid_y), (-math.inf, mid_y),
-        (mid_t, math.inf), (mid_t, -math.inf),
+    refused = [
+        *(((0.0, y), OutsideDomain) for y in (mid_y, y_max)),
+        ((0.0, 0.0), ZeroGapAtZeroT),
+        *(((t, y), OutsideDomain) for t, y in [(-t_c, mid_y), (2.0 * t_c, mid_y), (mid_t, -1.0)]),
+        *(((t, y), NonFiniteInput) for t, y in [
+            (math.nan, mid_y), (mid_t, math.nan), (math.inf, mid_y), (-math.inf, mid_y),
+            (mid_t, math.inf), (mid_t, -math.inf),
+        ]),
     ]
-    for t, y in edges + corners + outside:
-        with pytest.raises(OutsideDomain):
+    for (t, y), error in refused:
+        with pytest.raises(error):
             gap_residual_second_partials(t, y, p)
-        with pytest.raises(OutsideDomain):
-            window_pass([mid_t, t], [mid_y, y], p, order=2)
+        for order in (0, 1, 2):
+            with pytest.raises(error):
+                window_pass([mid_t, t], [mid_y, y], p, order=order)
     assert gap_residual_second_partials(mid_t, mid_y, p).d_yy > 0.0
+
+
+@pytest.mark.parametrize("where", ["t_c", "y=0", "y_max", "t_c,y=0", "t_c,y_max"])
+def test_second_partials_on_edges_match_finite_differences(default_params, where):
+    # the t_c, y = 0 and y = y_max edges: one-sided differences of the first
+    # partials, into the box, wherever a central stencil would leave it
+    p = default_params
+    t = p.t_c if "t_c" in where else 0.5 * p.t_c
+    y = 0.0 if "y=0" in where else p.y_max if "y_max" in where else 0.5 * p.y_max
+    side_t = -1.0 if "t_c" in where else 0.0
+    side_y = 1.0 if "y=0" in where else -1.0 if "y_max" in where else 0.0
+
+    def d1(f, x, h, side):
+        return oracles.d1_onesided(f, x, side * h) if side else oracles.d1_central(f, x, h)
+
+    second = gap_residual_second_partials(t, y, p)
+    h_t, h_y = 1e-4 * p.t_c, 1e-4 * p.y_max
+    fd_tt = d1(lambda s: gap_residual_partials(s, y, p).d_t, t, h_t, side_t)
+    fd_ty = d1(lambda v: gap_residual_partials(t, v, p).d_t, y, h_y, side_y)
+    fd_yt = d1(lambda s: gap_residual_partials(s, y, p).d_y, t, h_t, side_t)
+    fd_yy = d1(lambda v: gap_residual_partials(t, v, p).d_y, y, h_y, side_y)
+    assert second.d_tt == pytest.approx(fd_tt, rel=1e-5)
+    assert second.d_ty == pytest.approx(fd_ty, rel=1e-5)
+    assert second.d_ty == pytest.approx(fd_yt, rel=1e-5)
+    assert second.d_yy == pytest.approx(fd_yy, rel=1e-5)
 
 
 @pytest.mark.parametrize("u0n0", [0.3, 0.1, 0.06])

@@ -79,7 +79,7 @@ def test_negative_cutoff_rejected():
         build_params(eps=-0.1)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "three"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "three", "0.3", pytest.param(10**400, id="10**400")])
 def test_nonfinite_parameters_rejected(bad):
     with pytest.raises(NonFiniteInput):
         build_params(u0n0=bad)

@@ -163,6 +163,14 @@ def test_cancellation_residual_is_machine_level(default_params):
     assert cancellation_residual(t, p, solve_gap_at(t, p)) < 1e-12
 
 
+def test_cold_point_below_band_rounding(default_params):
+    # k_b t far below the rounding of hbar_omega_d puts the band edge on
+    # hbar_omega_d itself; both band pieces are then exactly 0, not an error
+    cold = thermodynamic_potential(1e-20, default_params)
+    assert cold.omega == thermodynamic_potential(1e-12, default_params).omega
+    assert cold.c_v == 0.0
+
+
 def test_branch_dispatch(default_params):
     p = default_params
     above = thermodynamic_potential(1.2 * p.t_c, p)

@@ -138,4 +138,4 @@ def test_suite_work_count(monkeypatch):
     p = build_params()
     calls.clear()
     assert run_suite(p).passed
-    assert len(calls) <= 340
+    assert len(calls) <= 315
