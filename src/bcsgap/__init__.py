@@ -13,7 +13,6 @@ from .errors import (
     BracketFailure,
     CutoffNotZero,
     CutoffTooLarge,
-    DosMismatch,
     NoBracket,
     NonFiniteInput,
     NonFiniteIntegrand,
@@ -39,23 +38,19 @@ from .kernels import (
     slope_kernel,
 )
 from .model import (
-    DensityOfStates,
     ModelParams,
     build_params,
-    default_dos,
     load_config,
 )
 from .quad import (
     DEFAULT_SPEC,
     QuadSpec,
     integrate,
-    integrate_semi_infinite,
     truncation_point,
 )
 from .thermo import (
     JumpMeasurement,
     ThermoPoint,
-    cancellation_residual,
     condensation_potential,
     measured_second_derivative_jump,
     normal_potential,
@@ -65,7 +60,7 @@ from .thermo import (
     thermo_to_csv,
     thermodynamic_potential,
 )
-from .verify import Check, Tolerances, VerificationReport, run_suite
+from .verify import Check, VerificationReport, run_suite
 
 __version__ = "0.1.0"
 
@@ -76,8 +71,6 @@ __all__ = [
     "CutoffNotZero",
     "CutoffTooLarge",
     "DEFAULT_SPEC",
-    "DensityOfStates",
-    "DosMismatch",
     "GapCurve",
     "GapPoint",
     "JumpMeasurement",
@@ -91,20 +84,16 @@ __all__ = [
     "QuadSpec",
     "ThermoPoint",
     "ToleranceNotMet",
-    "Tolerances",
     "VerificationReport",
     "ZeroGapAtZeroT",
     "build_params",
-    "cancellation_residual",
     "condensation_potential",
     "curvature_kernel",
-    "default_dos",
     "gap_derivatives_at",
     "gap_residual",
     "gap_residual_partials",
     "gap_residual_second_partials",
     "integrate",
-    "integrate_semi_infinite",
     "load_config",
     "measured_second_derivative_jump",
     "normal_potential",

@@ -36,7 +36,7 @@ from .thermo import (
     thermo_to_csv,
     thermodynamic_potential,
 )
-from .verify import Tolerances, run_suite
+from .verify import run_suite
 
 __all__ = ["main"]
 
@@ -90,9 +90,7 @@ def _params_from(args):
     """Defaults, then config file, then explicit flags; env tolerance last."""
     merged: dict = {}
     if args.config is not None:
-        cfg = load_config(args.config)
-        cfg.pop("dos", None)  # only the default shape is accepted
-        merged.update(cfg)
+        merged.update(load_config(args.config))
     for flag in _PARAM_FLAGS:
         value = getattr(args, flag)
         if value is not None:
@@ -213,7 +211,7 @@ def _run_jump(args) -> int:
 
 def _run_verify(args) -> int:
     params = _params_from(args)
-    report = run_suite(params, grid_size=args.points, tolerances=Tolerances())
+    report = run_suite(params, grid_size=args.points)
     if args.format == "json":
         text = report.to_json() + "\n"
     else:

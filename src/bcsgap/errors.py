@@ -13,10 +13,6 @@ class CutoffTooLarge(BcsgapError):
     """The pairing-window cutoff leaves no room for a positive gap."""
 
 
-class DosMismatch(BcsgapError):
-    """The density of states does not reproduce its stated Fermi-level value."""
-
-
 class NonFiniteInput(BcsgapError):
     """An argument is NaN or infinite."""
 

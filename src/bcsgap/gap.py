@@ -208,15 +208,20 @@ def _check_residual(residual) -> None:
         )
 
 
+def _require_solved(t: float, gap_point: GapPoint) -> None:
+    """Raise NotSolved unless gap_point was solved at t to RESIDUAL_TOL."""
+    if gap_point is None or gap_point.t != t:
+        raise NotSolved(f"gap_point was solved at t = {getattr(gap_point, 't', None)!r}, not {t!r}")
+    _check_residual(gap_point.residual)
+
+
 def gap_derivatives_at(t: float, params: ModelParams, gap_point: GapPoint) -> tuple[float, float]:
     """First and second temperature derivatives of the squared-gap curve.
 
     Every temperature in (0, t_c] uses the implicit-function quotients of
     the residual partials at the solved point; t = 0 returns exact zeros.
     """
-    if gap_point is None or gap_point.t != t:
-        raise NotSolved(f"gap_point was solved at t = {getattr(gap_point, 't', None)!r}, not {t!r}")
-    _check_residual(gap_point.residual)
+    _require_solved(t, gap_point)
     if t == 0.0:
         return 0.0, 0.0
     return _implicit_derivatives(gap_residual_second_partials(t, gap_point.f, params))

@@ -1,9 +1,11 @@
-"""Physical parameters and the density of states.
+"""Physical parameters and the free-electron density of states.
 
 Everything downstream works with one frozen ModelParams value: the raw
 coupling/cutoff/energy-scale numbers plus the derived transition temperature.
 build_params is the only sanctioned constructor; it validates, solves for the
 transition temperature, and checks the derived admissibility inequalities.
+The density of states is fixed, n0 * sqrt(max(xi + mu, 0) / mu) at energy xi
+from the Fermi level, so its band constant is a closed form.
 """
 
 from __future__ import annotations
@@ -11,27 +13,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CutoffTooLarge,
-    DosMismatch,
-    NonFiniteInput,
-    NonPositiveParameter,
-)
-from .quad import DEFAULT_SPEC, QuadSpec, integrate
+from .errors import CutoffTooLarge, NonFiniteInput, NonPositiveParameter
+from .quad import DEFAULT_SPEC, QuadSpec
 
-__all__ = [
-    "DensityOfStates",
-    "ModelParams",
-    "build_params",
-    "default_dos",
-    "load_config",
-]
+__all__ = ["ModelParams", "build_params", "load_config"]
 
 # Headroom demanded of the radicand factor hbar_omega_d - xi_min * e^{1/u0n0}.
 # In exact arithmetic the factor is always positive once the transition
@@ -39,8 +28,6 @@ __all__ = [
 # within float rounding of zero; requiring a relative margin turns that
 # degeneracy into a deterministic CutoffTooLarge.
 _CUTOFF_MARGIN = 1e-12
-
-_DOS_TOL = 1e-12  # |N(0) - n0| tolerance, relative to n0
 
 
 def _as_finite_float(name: str, value) -> float:
@@ -60,35 +47,10 @@ def _require_positive(name: str, value: float) -> None:
         raise NonPositiveParameter(f"{name} must be > 0, got {value}")
 
 
-@dataclass(frozen=True)
-class DensityOfStates:
-    """Single-particle density of states over energy from the Fermi level.
-
-    evaluator must be pure and vectorized, nonnegative on [-mu, inf), and
-    eventually bounded by growth_bound * sqrt(xi + mu); the truncation rule
-    for the semi-infinite tail integrals leans on that bound.
-    """
-
-    evaluator: Callable
-    growth_bound: float
-    name: str = "custom"
-
-    def __call__(self, xi):
-        return self.evaluator(xi)
-
-
-def default_dos(n0: float, mu: float) -> DensityOfStates:
-    """Free-electron-like density of states n0 * sqrt((xi + mu) / mu)."""
-    n0 = _as_finite_float("n0", n0)
-    mu = _as_finite_float("mu", mu)
-    _require_positive("n0", n0)
-    _require_positive("mu", mu)
-
-    def evaluator(xi):
-        band = np.maximum(np.asarray(xi, dtype=float) + mu, 0.0)
-        return n0 * np.sqrt(band / mu)
-
-    return DensityOfStates(evaluator=evaluator, growth_bound=n0 / math.sqrt(mu), name="default")
+def _dos(xi, n0: float, mu: float):
+    """Free-electron density of states n0 * sqrt((xi + mu) / mu), 0 below the band."""
+    band = np.maximum(np.asarray(xi, dtype=float) + mu, 0.0)
+    return n0 * np.sqrt(band / mu)
 
 
 def _gap_radical(u0n0: float, hbar_omega_d: float, xi_min: float) -> float:
@@ -131,7 +93,6 @@ class ModelParams:
     n0: float
     mu: float
     t_c: float
-    dos: DensityOfStates
     quad_spec: QuadSpec = DEFAULT_SPEC
 
     @property
@@ -154,12 +115,20 @@ class ModelParams:
         """Upper edge of the squared-gap search range, 2 * delta0**2."""
         return 2.0 * self.delta0**2
 
-    @cached_property
+    @property
     def band_constant(self) -> float:
-        """Temperature-independent integral of xi * dos(xi) over [-mu, -hbar_omega_d]."""
-        if self.mu <= self.hbar_omega_d:
+        """Temperature-independent integral of xi * dos(xi) over [-mu, -hbar_omega_d].
+
+        In closed form n0 / sqrt(mu) * w^{3/2} * (2w/5 - 2mu/3) with
+        w = mu - hbar_omega_d, the band depth below the window; 0 when mu
+        lies inside the window.  The bracket is below -4mu/15, so nothing
+        cancels, and w / mu is formed first so that the value scales exactly
+        with the energy unit.
+        """
+        w = self.mu - self.hbar_omega_d
+        if w <= 0.0:
             return 0.0
-        return integrate(lambda xi: xi * self.dos(xi), -self.mu, -self.hbar_omega_d, self.quad_spec)[0]
+        return self.n0 * w * math.sqrt(w / self.mu) * (2.0 * w / 5.0 - 2.0 * self.mu / 3.0)
 
     def as_dict(self) -> dict:
         """Snapshot for reports; key order is fixed for byte-stable output."""
@@ -171,7 +140,7 @@ class ModelParams:
             "n0": self.n0,
             "mu": self.mu,
             "t_c": self.t_c,
-            "dos": self.dos.name,
+            "dos": "default",
             "quad_rel_tol": self.quad_spec.rel_tol,
         }
 
@@ -183,16 +152,14 @@ def build_params(
     eps: float = 0.0,
     n0: float = 1.0,
     mu: float = 10.0,
-    dos: DensityOfStates | None = None,
     quad_spec: QuadSpec | None = None,
 ) -> ModelParams:
     """Validate raw parameters, derive the transition temperature, and freeze.
 
     Raises NonFiniteInput / NonPositiveParameter on malformed raw values,
-    DosMismatch when the supplied density of states disagrees with n0 at the
-    Fermi level, NoBracket when no transition temperature exists in the
-    search window, and CutoffTooLarge when the cutoff leaves no room for a
-    positive zero-temperature gap.
+    NoBracket when no transition temperature exists in the search window,
+    and CutoffTooLarge when the cutoff leaves no room for a positive
+    zero-temperature gap.
     """
     u0n0 = _as_finite_float("u0n0", u0n0)
     hbar_omega_d = _as_finite_float("hbar_omega_d", hbar_omega_d)
@@ -212,13 +179,6 @@ def build_params(
         raise NonPositiveParameter(f"eps must be >= 0, got {eps}")
 
     quad_spec = quad_spec or DEFAULT_SPEC
-    if dos is None:
-        dos = default_dos(n0, mu)
-    n_fermi = float(dos(0.0))
-    if not math.isfinite(n_fermi) or abs(n_fermi - n0) > _DOS_TOL * n0:
-        raise DosMismatch(
-            f"density of states gives N(0) = {n_fermi!r}, expected n0 = {n0!r}"
-        )
 
     from .gap import solve_tc  # deferred: gap imports this module's types
 
@@ -231,7 +191,6 @@ def build_params(
         n0=n0,
         mu=mu,
         t_c=t_c,
-        dos=dos,
         quad_spec=quad_spec,
     )
     if eps > 0.0:
@@ -251,9 +210,9 @@ def load_config(path) -> dict:
     """Parse a flat `key = value` parameter file.
 
     Recognized keys: u0n0, hbar_omega_d, k_b, eps, n0, mu (floats) and
-    dos = default.  '#' starts a comment; blank lines are ignored; a
-    repeated key keeps its last value.  Returns a plain dict suitable for
-    build_params(**cfg) after replacing dos = "default" with None.
+    dos = default, the only density of states, which is checked and then
+    left out.  '#' starts a comment; blank lines are ignored; a repeated key
+    keeps its last value.  Returns a plain dict for build_params(**cfg).
     """
     out: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -272,7 +231,6 @@ def load_config(path) -> dict:
                 raise ValueError(
                     f"{path}:{lineno}: only 'default' is accepted for dos, got {value!r}"
                 )
-            out[key] = value
         else:
             try:
                 out[key] = float(value)

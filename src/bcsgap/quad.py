@@ -1,4 +1,4 @@
-"""Adaptive quadrature on finite and semi-infinite intervals.
+"""Adaptive quadrature on finite intervals.
 
 The engine is a globally adaptive Gauss-Kronrod 7/15 rule.  Panels whose
 error estimate exceeds their share of the budget are bisected, and every
@@ -16,6 +16,9 @@ length of the interval, is integrated in v = asinh(x / s) (the sinh map of
 Takahasi and Mori, Publ. RIMS 9 (1974) 721): equal starting panels in v
 are narrow where x is below s and widen geometrically above it, so that
 structure is resolved from the first round.
+
+An integrand that decays exponentially on [a, infinity) is integrated up to
+truncation_point(a, decay_scale), beyond which its tail is negligible.
 """
 
 import math
@@ -25,10 +28,12 @@ import numpy as np
 
 from .errors import NonFiniteIntegrand, ToleranceNotMet
 
-__all__ = ["QuadSpec", "integrate", "integrate_semi_infinite"]
+__all__ = ["QuadSpec", "integrate", "truncation_point"]
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# Cap on the total number of panels before ToleranceNotMet is raised.
+_MAX_PANELS = 2 ** 15
 # Widest starting panel in the mapped variable v = asinh(x / scale).
 _MAPPED_WIDTH = 0.5
 
@@ -75,18 +80,14 @@ class QuadSpec:
     The target is rel_tol * |integral|, or 50 machine epsilons times the
     integral of |f| where roundoff keeps it from meeting that; there is no
     absolute floor, so an integral keeps its relative accuracy at any
-    magnitude.  max_subdivisions caps the total number of panels before
-    ToleranceNotMet is raised.
+    magnitude.
     """
 
     rel_tol: float = 1e-12
-    max_subdivisions: int = 2 ** 15
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and np.isfinite(self.rel_tol)):
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
 
 
 DEFAULT_SPEC = QuadSpec()
@@ -207,11 +208,11 @@ def integrate(f, a, b, spec: QuadSpec | None = None, scale: float | None = None)
             to_split = np.zeros_like(over_budget)
             to_split[worst] = True
         n_new = lo.size + int(to_split.sum())
-        if n_new > spec.max_subdivisions:
+        if n_new > _MAX_PANELS:
             row = _furthest(total_err, tol, unmet)
             raise ToleranceNotMet(
                 f"error estimate {total_err[row]:.3e} exceeds target {tol[row]:.3e} "
-                f"after {lo.size} panels (limit {spec.max_subdivisions})"
+                f"after {lo.size} panels (limit {_MAX_PANELS})"
             )
         mids = 0.5 * (lo[to_split] + hi[to_split])
         lo = np.concatenate((lo[~to_split], lo[to_split], mids))
@@ -242,16 +243,3 @@ def truncation_point(a, decay_scale, spec: QuadSpec | None = None):
         x = a + s * (base + 10.0 * np.log(max(2.0 + x / s, 2.0)))
     return x
 
-
-def integrate_semi_infinite(f, a, decay_scale, spec: QuadSpec | None = None):
-    """Integrate f over [a, infinity) for integrands with exponential decay.
-
-    decay_scale is the e-folding length of the decay; the improper integral
-    is truncated where the tail is below tolerance and then delegated to
-    integrate().  Returns (value, err_est).
-    """
-    spec = spec or DEFAULT_SPEC
-    a = float(a)
-    if not np.isfinite(a):
-        raise ValueError(f"lower limit must be finite, got {a}")
-    return integrate(f, a, truncation_point(a, decay_scale, spec), spec)

@@ -12,21 +12,19 @@ the thermal decay scale.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CutoffNotZero, NotSolved, OutsideDomain
-from .gap import RESIDUAL_TOL, GapPoint, gap_derivatives_at, gap_point_at
-from .kernels import fermi, fermi_weight, gap_residual
-from .model import ModelParams
+from .errors import CutoffNotZero, NonFiniteInput, OutsideDomain
+from .gap import GapPoint, _require_solved, gap_derivatives_at, gap_point_at
+from .kernels import fermi, fermi_weight
+from .model import ModelParams, _as_finite_float, _dos
 from .quad import integrate, truncation_point
 
 __all__ = [
     "JumpMeasurement",
     "ThermoPoint",
-    "cancellation_residual",
     "extrapolate_to_zero",
     "condensation_potential",
     "measured_second_derivative_jump",
@@ -38,34 +36,35 @@ __all__ = [
     "thermodynamic_potential",
 ]
 
+# Offsets t_c * 10^-k of the one-sided samples the measured jump extrapolates from.
+_JUMP_KS = (3, 4, 5, 6)
+
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """Potential and temperature derivatives at one temperature.
+    """Potential and its first two temperature derivatives at one temperature.
 
-    entropy = -omega_t and c_v = -t * omega_tt by definition; fields beyond
-    the requested derivative order stay None.  branch is "superconducting"
-    for t <= t_c and "normal" above.
+    entropy = -omega_t and c_v = -t * omega_tt by definition.  branch is
+    "superconducting" for t <= t_c and "normal" above.
     """
 
     t: float
     omega: float
-    omega_t: float | None = None
-    omega_tt: float | None = None
-    entropy: float | None = None
-    c_v: float | None = None
-    branch: str = "normal"
-
-
-def _check_order(order: int) -> None:
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1, or 2, got {order!r}")
+    omega_t: float
+    omega_tt: float
+    entropy: float
+    c_v: float
+    branch: str
 
 
 def _check_temperature(t) -> float:
-    if not (isinstance(t, numbers.Real) and math.isfinite(t) and t > 0.0):
-        raise OutsideDomain(f"temperature must be finite and > 0, got {t!r}")
-    return float(t)
+    try:
+        t = _as_finite_float("temperature", t)
+    except NonFiniteInput as exc:
+        raise OutsideDomain(str(exc)) from None
+    if not t > 0.0:
+        raise OutsideDomain(f"temperature must be > 0, got {t!r}")
+    return t
 
 
 def _thermal_rows(e, kt):
@@ -110,13 +109,13 @@ def _quadratures(t: float, params: ModelParams, point: GapPoint | None = None):
     integrands' nearest singularities.
     """
     kt = params.k_b * t
-    dos, mu, L, spec = params.dos, params.mu, params.hbar_omega_d, params.quad_spec
+    n0, mu, L, spec = params.n0, params.mu, params.hbar_omega_d, params.quad_spec
     edge = truncation_point(L, kt, spec)
     band = np.zeros(3)
     if edge > L:  # else the rows carry e^{-L/kt}, exactly 0 in float64
-        band = integrate(lambda xi: dos(xi) * _thermal_rows(xi, kt), L, edge, spec)[0]
+        band = integrate(lambda xi: _dos(xi, n0, mu) * _thermal_rows(xi, kt), L, edge, spec)[0]
         if mu > L:
-            band = integrate(lambda xi: dos(xi) * _thermal_rows(-xi, kt), -min(mu, edge), -L, spec)[0] + band
+            band = integrate(lambda xi: _dos(xi, n0, mu) * _thermal_rows(-xi, kt), -min(mu, edge), -L, spec)[0] + band
     f = 0.0 if point is None else point.f
 
     def window(xi):
@@ -160,73 +159,48 @@ def _condensation_parts(t: float, params: ModelParams, point: GapPoint, window) 
     )
 
 
-def tail_potential(t: float, params: ModelParams, order: int = 2) -> tuple:
+def tail_potential(t: float, params: ModelParams) -> tuple:
     """Band contributions from outside the pairing window, with derivatives.
 
     Covers energies in [-mu, -hbar_omega_d] (empty when mu is inside the
     window) and [hbar_omega_d, inf); the improper tail truncates on the
-    thermal decay scale k_b * t.  Returns (value,), (value, d1), or
-    (value, d1, d2) according to order.
+    thermal decay scale k_b * t.  Returns (value, d1, d2).
     """
     t = _check_temperature(t)
-    _check_order(order)
-    return _tail_parts(t, params, _quadratures(t, params)[0])[: order + 1]
+    return _tail_parts(t, params, _quadratures(t, params)[0])
 
 
-def normal_potential(t: float, params: ModelParams, order: int = 2) -> tuple:
+def normal_potential(t: float, params: ModelParams) -> tuple:
     """Normal-branch potential with derivatives: pairing window plus tails.
 
     The window's zero-point piece -n0 * (hbar_omega_d^2 - xi_min^2) is a
     closed form; the thermal window piece and the tails are quadratures.
     """
     t = _check_temperature(t)
-    _check_order(order)
-    return _normal_parts(t, params, *_quadratures(t, params))[: order + 1]
+    return _normal_parts(t, params, *_quadratures(t, params))
 
 
-def _resolve_gap(t: float, params: ModelParams, gap) -> GapPoint:
-    point = gap(t) if callable(gap) else gap
-    if point is None or point.t != t:
-        raise NotSolved(f"no gap solution supplied at t = {t!r}")
-    if not point.residual <= RESIDUAL_TOL:
-        raise NotSolved(f"gap residual {point.residual:.3e} above {RESIDUAL_TOL:g}")
-    return point
-
-
-def condensation_potential(t: float, params: ModelParams, gap, order: int = 2) -> tuple:
+def condensation_potential(t: float, params: ModelParams, gap: GapPoint) -> tuple:
     """Superconducting-minus-normal potential difference, with derivatives.
 
-    gap is either a solved GapPoint at t or a callable t -> GapPoint; f' is
-    taken from it, or computed when it carries none.  Vanishes identically
-    at t = t_c together with its first derivative; the second derivative
-    does not, which is the whole point.  The first derivative's gap-equation
-    bracket (slope of the gap times the residual) is dropped analytically;
-    cancellation_residual reports its size.
+    gap is the solved GapPoint at t; f' is taken from it, or computed when
+    it carries none.  Vanishes identically at t = t_c together with its
+    first derivative; the second derivative does not, which is the whole
+    point.  The first derivative's gap-equation bracket (slope of the gap
+    times the residual) is dropped analytically; the verify suite reports
+    its size.
     """
     t = _check_temperature(t)
-    _check_order(order)
     if t > params.t_c:
         raise OutsideDomain(f"condensation part exists for 0 < t <= t_c, got t = {t!r}")
-    point = _resolve_gap(t, params, gap)
-    if point.f_prime is None:
-        point = replace(point, f_prime=gap_derivatives_at(t, params, point)[0])
-    _, window = _quadratures(t, params, point)
-    return _condensation_parts(t, params, point, window)[: order + 1]
+    _require_solved(t, gap)
+    if gap.f_prime is None:
+        gap = replace(gap, f_prime=gap_derivatives_at(t, params, gap)[0])
+    _, window = _quadratures(t, params, gap)
+    return _condensation_parts(t, params, gap, window)
 
 
-def cancellation_residual(t: float, params: ModelParams, gap_point: GapPoint) -> float:
-    """Size of the gap-equation bracket dropped from the condensation slope.
-
-    The slope formula multiplies the gap curve's derivative by
-    n0 * (residual at the solved point), which is zero in exact arithmetic;
-    this returns that bracket's magnitude so the suite can confirm the
-    dropped term was genuinely negligible.
-    """
-    point = _resolve_gap(t, params, gap_point)
-    return params.n0 * abs(gap_residual(t, point.f, params))
-
-
-def thermodynamic_potential(t: float, params: ModelParams, order: int = 2) -> ThermoPoint:
+def thermodynamic_potential(t: float, params: ModelParams) -> ThermoPoint:
     """Piecewise potential at one temperature, with entropy and specific heat.
 
     At or below the transition the condensation part is added to the normal
@@ -234,20 +208,19 @@ def thermodynamic_potential(t: float, params: ModelParams, order: int = 2) -> Th
     Either way every integral comes from one _quadratures pass.
     """
     t = _check_temperature(t)
-    _check_order(order)
     point = gap_point_at(t, params) if t <= params.t_c else None
     band, window = _quadratures(t, params, point)
     parts = _normal_parts(t, params, band, window)
     if point is not None:
         parts = tuple(nv + cv for nv, cv in zip(parts, _condensation_parts(t, params, point, window)))
-    omega, omega_t, omega_tt = parts[: order + 1] + (None,) * (2 - order)
+    omega, omega_t, omega_tt = parts
     return ThermoPoint(
         t=t,
         omega=omega,
         omega_t=omega_t,
         omega_tt=omega_tt,
-        entropy=None if omega_t is None else -omega_t,
-        c_v=None if omega_tt is None else -t * omega_tt,
+        entropy=-omega_t,
+        c_v=-t * omega_tt,
         branch="normal" if point is None else "superconducting",
     )
 
@@ -298,16 +271,16 @@ class JumpMeasurement:
         return self.below - self.above
 
 
-def measured_second_derivative_jump(params: ModelParams, ks=(3, 4, 5, 6)) -> JumpMeasurement:
+def measured_second_derivative_jump(params: ModelParams) -> JumpMeasurement:
     """Jump of the potential's second derivative measured from one-sided fits.
 
-    Protocol: evaluate the potential at t_c * (1 -+ 10^-k) for each k, then
-    extrapolate each side to t_c with a Neville tableau.  This is the
-    measurement the closed form is certified against; the limits of omega
-    and omega_t from the same points certify continuity.
+    Protocol: evaluate the potential at t_c * (1 -+ 10^-k) for each k in
+    _JUMP_KS, then extrapolate each side to t_c with a Neville tableau.
+    This is the measurement the closed form is certified against; the
+    limits of omega and omega_t from the same points certify continuity.
     """
     t_c = params.t_c
-    hs = [t_c * 10.0 ** (-k) for k in ks]
+    hs = [t_c * 10.0 ** (-k) for k in _JUMP_KS]
     sides = [[thermodynamic_potential(t_c + s * h, params) for h in hs] for s in (-1.0, 1.0)]
 
     def limits(field):
@@ -338,9 +311,6 @@ def thermo_to_csv(points) -> str:
     """Serialize ThermoPoints with the fixed column order."""
     lines = ["T,omega,omega_t,omega_tt,entropy,c_v,branch"]
     for p in points:
-        cells = [f"{p.t:.17g}", f"{p.omega:.17g}"]
-        for v in (p.omega_t, p.omega_tt, p.entropy, p.c_v):
-            cells.append("" if v is None else f"{v:.17g}")
-        cells.append(p.branch)
-        lines.append(",".join(cells))
+        cells = (p.t, p.omega, p.omega_t, p.omega_tt, p.entropy, p.c_v)
+        lines.append(",".join(f"{v:.17g}" for v in cells) + f",{p.branch}")
     return "\n".join(lines) + "\n"

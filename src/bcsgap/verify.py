@@ -6,13 +6,12 @@ suite draws no random numbers: sampling grids are fixed, finite-difference
 steps are fixed fractions of the model scales, and repeated runs with the
 same inputs serialize to identical bytes.
 
-Tolerance conventions: checks named *_rel report a relative deviation and
-are compared against the matching knob in Tolerances; counting checks
-(monotonicity violations, sign violations) report a count against zero with
-zero tolerance; a few protocol constants (transition-point defect, dropped
-cancellation term, series/direct branch seam) have fixed tolerances noted
-in their check docstrings below, since they certify implementation
-invariants rather than finite-difference accuracy.
+Tolerance conventions: comparison checks are held to one of four fixed
+tolerances, grouped by derivative order below, or to a fixed multiple of
+one; counting checks (monotonicity violations, sign violations) report a count
+against zero with zero tolerance; a few protocol constants (transition-point
+defect, dropped cancellation term, series/direct branch seam) certify
+implementation invariants rather than finite-difference accuracy.
 """
 
 from __future__ import annotations
@@ -49,9 +48,22 @@ from .thermo import (
     thermodynamic_potential,
 )
 
-__all__ = ["Check", "Tolerances", "VerificationReport", "run_suite"]
+__all__ = ["Check", "VerificationReport", "run_suite"]
 
-# protocol constants (not tunable through Tolerances; see module docstring)
+# Comparison tolerances, grouped by derivative order.  _CLOSED_FORM_TOL
+# bounds relative deviations between two independent exact expressions;
+# _FIRST_DERIVATIVE_TOL and _SECOND_DERIVATIVE_TOL bound analytic vs
+# finite-difference deviations of the respective order; _JUMP_TOL bounds the
+# extrapolated discontinuity measurements.  Derived scales: endpoint
+# extrapolations use 0.1 * _JUMP_TOL, the second-derivative FD sweep and the
+# mixed-partial symmetry check use 0.01 * _SECOND_DERIVATIVE_TOL, and the
+# kernel derivative identity uses 0.1 * _FIRST_DERIVATIVE_TOL.
+_CLOSED_FORM_TOL = 1e-10
+_FIRST_DERIVATIVE_TOL = 1e-6
+_SECOND_DERIVATIVE_TOL = 1e-3
+_JUMP_TOL = 1e-3
+
+# protocol constants (see module docstring)
 _TC_DEFECT_TOL = 1e-12
 _CANCELLATION_TOL = 1e-8
 _BRANCH_SEAM_TOL = 1e-14
@@ -62,25 +74,6 @@ _STENCIL = (-2.0, -1.0, 1.0, 2.0)  # five-point offsets, in steps, without the c
 _ONESIDED_STEP = 1e-3  # times t_c, one-sided probes at t = 0
 _EXTRAP_KS = (2, 3, 4, 5)  # offsets t_c * 10^-k for endpoint extrapolation
 _PARTIALS_GRID = 50
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Knobs for the comparison checks, grouped by derivative order.
-
-    closed_form bounds relative deviations between two independent exact
-    expressions; first_derivative and second_derivative bound analytic vs
-    finite-difference deviations of the respective order; jump bounds the
-    extrapolated discontinuity measurements.  Derived scales: endpoint
-    extrapolations use 0.1 * jump, the second-derivative FD sweep and the
-    mixed-partial symmetry check use 0.01 * second_derivative, and the
-    kernel derivative identity uses 0.1 * first_derivative.
-    """
-
-    closed_form: float = 1e-10
-    first_derivative: float = 1e-6
-    second_derivative: float = 1e-3
-    jump: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -108,7 +101,6 @@ class VerificationReport:
 
     params: ModelParams
     grid_size: int
-    tolerances: Tolerances
     checks: tuple
     wall_time: float
 
@@ -154,7 +146,7 @@ def _five_point(values, h):
     return (vm2 - 8.0 * vm1 + 8.0 * vp1 - vp2) / (12.0 * h)
 
 
-def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances | None = None) -> VerificationReport:
+def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
     """Run every certification check and assemble the report.
 
     The checks cover: the transition-point defect, the two closing anchors
@@ -175,10 +167,7 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
         raise ValueError(f"grid_size must be an integer >= 3, got {grid_size!r}") from None
     if grid_size < 3:
         raise ValueError(f"grid_size must be an integer >= 3, got {grid_size!r}")
-    if tolerances is None:
-        tolerances = Tolerances()
     start = time.perf_counter()
-    tol = tolerances
     checks = []
     add = checks.append
 
@@ -203,20 +192,20 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
         0.0,
         _TC_DEFECT_TOL,
     ))
-    add(Check("anchor_residual_t0", abs(gap_residual(0.0, delta_sq, params)), 0.0, tol.closed_form))
-    add(Check("anchor_residual_tc", abs(gap_residual(t_c, 0.0, params)), 0.0, tol.closed_form))
+    add(Check("anchor_residual_t0", abs(gap_residual(0.0, delta_sq, params)), 0.0, _CLOSED_FORM_TOL))
+    add(Check("anchor_residual_tc", abs(gap_residual(t_c, 0.0, params)), 0.0, _CLOSED_FORM_TOL))
 
     # -- sampled gap curve ------------------------------------------------
     curve = sample_gap_curve(params, grid_size)
     ts = np.array([p.t for p in curve.points])
     fs = np.array([p.f for p in curve.points])
-    add(Check("gap_endpoint_t0", abs(fs[0] - delta_sq) / delta_sq, 0.0, tol.closed_form))
-    add(Check("gap_endpoint_tc", abs(fs[-1]) / delta_sq, 0.0, tol.closed_form))
+    add(Check("gap_endpoint_t0", abs(fs[0] - delta_sq) / delta_sq, 0.0, _CLOSED_FORM_TOL))
+    add(Check("gap_endpoint_tc", abs(fs[-1]) / delta_sq, 0.0, _CLOSED_FORM_TOL))
     add(Check(
         "gap_max_residual",
         max(p.residual for p in curve.points),
         0.0,
-        tol.closed_form,
+        _CLOSED_FORM_TOL,
     ))
     diffs = np.diff(fs)
     # below the resolvable region the true decrease per step is sub-ulp, so
@@ -258,13 +247,13 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
         "fprime_fd_max_rel",
         np.max(np.abs(fp_a - fd1) / np.maximum(np.abs(fp_a), fp_floor)),
         0.0,
-        tol.first_derivative,
+        _FIRST_DERIVATIVE_TOL,
     ))
     add(Check(
         "fsecond_fd_max_rel",
         np.max(np.abs(fs_a - fd2) / np.maximum(np.abs(fs_a), fs_floor)),
         0.0,
-        0.01 * tol.second_derivative,
+        0.01 * _SECOND_DERIVATIVE_TOL,
     ))
 
     # -- flat start: both derivatives vanish at t = 0 ---------------------
@@ -273,13 +262,13 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
         "fprime_t0_onesided",
         abs((f_h0 - delta_sq) / h0),
         0.0,
-        tol.first_derivative,
+        _FIRST_DERIVATIVE_TOL,
     ))
     add(Check(
         "fsecond_t0_onesided",
         abs((f_2h0 - 2.0 * f_h0 + delta_sq) / h0**2),
         0.0,
-        0.01 * tol.second_derivative,
+        0.01 * _SECOND_DERIVATIVE_TOL,
     ))
 
     # -- closed-form endpoint derivatives by interior extrapolation -------
@@ -289,13 +278,13 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
         "fprime_tc_extrapolated",
         abs(extrapolate_to_zero(hs, fp[5 * n + 2:]) - fp_tc) / abs(fp_tc),
         0.0,
-        0.1 * tol.jump,
+        0.1 * _JUMP_TOL,
     ))
     add(Check(
         "fsecond_tc_extrapolated",
         abs(extrapolate_to_zero(hs, fs[5 * n + 2:]) - fs_tc) / abs(fs_tc),
         0.0,
-        0.1 * tol.jump,
+        0.1 * _JUMP_TOL,
     ))
     add(Check("fprime_tc_negative", max(0.0, fp_tc), 0.0, 0.0))
 
@@ -303,19 +292,19 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
     d0, d1, d2 = condensation_potential(t_c, params, tc_gap)
     point_tc = thermodynamic_potential(t_c, params)
     omega_scale = abs(point_tc.omega)
-    add(Check("delta_tc_zero", abs(d0), 0.0, tol.closed_form * omega_scale))
+    add(Check("delta_tc_zero", abs(d0), 0.0, _CLOSED_FORM_TOL * omega_scale))
     add(Check(
         "delta_slope_tc_zero",
         abs(d1),
         0.0,
-        tol.closed_form * max(1.0, abs(point_tc.omega_t)),
+        _CLOSED_FORM_TOL * max(1.0, abs(point_tc.omega_t)),
     ))
     jump_closed = second_derivative_jump(params)
     add(Check(
         "jump_equals_delta_curvature",
         abs(d2 - jump_closed) / abs(jump_closed),
         0.0,
-        tol.closed_form,
+        _CLOSED_FORM_TOL,
     ))
 
     # -- continuity and the jump, from the one-sided limits at t_c --------
@@ -324,19 +313,19 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
         "omega_continuity_tc",
         abs(measured.omega[0] - measured.omega[1]),
         0.0,
-        tol.closed_form * omega_scale,
+        _CLOSED_FORM_TOL * omega_scale,
     ))
     add(Check(
         "entropy_continuity_tc",
         abs(measured.omega_t[0] - measured.omega_t[1]),
         0.0,
-        tol.first_derivative * max(1.0, abs(point_tc.entropy)),
+        _FIRST_DERIVATIVE_TOL * max(1.0, abs(point_tc.entropy)),
     ))
     add(Check(
         "jump_measured_vs_closed",
         abs(measured.jump - jump_closed) / abs(jump_closed),
         0.0,
-        tol.jump,
+        _JUMP_TOL,
     ))
     if params.eps == 0.0:
         dcv = specific_heat_jump(params)
@@ -345,13 +334,13 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
             "cv_jump_identity",
             abs(dcv + t_c * jump_closed) / dcv,
             0.0,
-            tol.closed_form,
+            _CLOSED_FORM_TOL,
         ))
         add(Check(
             "cv_jump_fd",
             abs(dcv + t_c * measured.jump) / dcv,
             0.0,
-            tol.jump,
+            _JUMP_TOL,
         ))
 
     # -- thermal kernels ---------------------------------------------------
@@ -379,7 +368,7 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
         "kernel_identity_fd",
         float(np.max(np.abs(fd_slope - identity) / np.abs(identity))),
         0.0,
-        0.1 * tol.first_derivative,
+        0.1 * _FIRST_DERIVATIVE_TOL,
     ))
     cut = np.asarray(_SERIES_CUT, dtype=float)
     seam = max(
@@ -409,7 +398,7 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
         max(abs(dty_from_y - second.d_ty), abs(dty_from_t - second.d_ty))
         / abs(second.d_ty),
         0.0,
-        0.01 * tol.second_derivative,
+        0.01 * _SECOND_DERIVATIVE_TOL,
     ))
 
     # -- residual partials strictly negative off the zero-temperature edge
@@ -442,7 +431,6 @@ def run_suite(params: ModelParams, grid_size: int = 201, tolerances: Tolerances 
     return VerificationReport(
         params=params,
         grid_size=grid_size,
-        tolerances=tolerances,
         checks=tuple(checks),
         wall_time=time.perf_counter() - start,
     )

@@ -221,6 +221,19 @@ def mp_normal_specific_heat(t, k_b, hbar_omega_d, n0, mu, xi_min=0.0, dps=30):
         return float((4 * n0 * window + 2 * band) / (kt * mp.mpf(t)))
 
 
+def mp_band_constant(n0, mu, hbar_omega_d, dps=40):
+    """Integral of xi n0 sqrt((xi + mu) / mu) over [-mu, -hbar_omega_d] (mpmath).
+
+    0 when mu <= hbar_omega_d, where the lower band is empty.  The
+    square-root endpoint at -mu is handled by mpmath's tanh-sinh rule.
+    """
+    if mu <= hbar_omega_d:
+        return 0.0
+    with mp.workdps(dps):
+        n0, mu, big = mp.mpf(n0), mp.mpf(mu), mp.mpf(hbar_omega_d)
+        return float(mp.quad(lambda xi: xi * n0 * mp.sqrt((xi + mu) / mu), [-mu, -big]))
+
+
 def _mp_kernel(kind, eta):
     """One pairing-window kernel at eta >= 0 (call inside mp.workdps).
 

@@ -219,19 +219,19 @@ def test_criterion_05_endpoint_closed_forms(accept_params):
 def test_criterion_06_transition_is_second_order(accept_params):
     p = accept_params
     t_c = p.t_c
-    solver = lambda t: solve_gap_at(t, p)  # noqa: E731
-    omega_tc = normal_potential(t_c, p, order=0)[0]
-    seam = abs(condensation_potential(t_c, p, solver, order=0)[0])
+    point = solve_gap_at(t_c, p)
+    omega_tc = normal_potential(t_c, p)[0]
+    seam = abs(condensation_potential(t_c, p, point)[0])
     c_value = seam <= 1e-10 * abs(omega_tc)
-    below = thermodynamic_potential(t_c * (1.0 - 1e-8), p, order=1).omega_t
-    above = thermodynamic_potential(t_c * (1.0 + 1e-8), p, order=1).omega_t
+    below = thermodynamic_potential(t_c * (1.0 - 1e-8), p).omega_t
+    above = thermodynamic_potential(t_c * (1.0 + 1e-8), p).omega_t
     slope_gap = abs(below - above) / max(abs(below), abs(above))
     c_slope = slope_gap <= 1e-6
     closed = second_derivative_jump(p)
     measured = measured_second_derivative_jump(p)
     jump_err = abs(measured.jump - closed) / abs(closed)
     c_jump = jump_err <= 1e-3
-    curv = condensation_potential(t_c, p, solver, order=2)[2]
+    curv = condensation_potential(t_c, p, point)[2]
     ident_err = abs(closed - curv) / abs(closed)
     c_ident = ident_err <= 1e-10
     ok = c_value and c_slope and c_jump and c_ident

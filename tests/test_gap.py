@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from bcsgap import gap, kernels, model, quad, thermo
+from bcsgap import gap, kernels, quad, thermo
 from bcsgap.errors import (
     BracketFailure,
     NonFiniteInput,
@@ -218,7 +218,7 @@ def test_endpoint_point_is_one_quadrature_call(default_params, monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    for module in (quad, model, kernels, gap, thermo):
+    for module in (quad, kernels, gap, thermo):
         monkeypatch.setattr(module, "integrate", counting)
     gap_point_at(default_params.t_c, default_params)
     assert len(calls) == 1

@@ -7,18 +7,12 @@ from hypothesis import given, strategies as st
 
 from bcsgap.errors import (
     CutoffTooLarge,
-    DosMismatch,
     NoBracket,
     NonFiniteInput,
     NonPositiveParameter,
 )
 from bcsgap.gap import solve_tc
-from bcsgap.model import (
-    DensityOfStates,
-    build_params,
-    default_dos,
-    load_config,
-)
+from bcsgap.model import build_params, load_config
 
 from . import oracles
 
@@ -91,12 +85,6 @@ def test_oversized_cutoff_rejected():
         build_params(eps=20.0)
 
 
-def test_mismatched_dos_rejected():
-    flat = DensityOfStates(evaluator=lambda xi: 2.0 + 0.0 * xi, growth_bound=0.0)
-    with pytest.raises(DosMismatch):
-        build_params(n0=1.0, dos=flat)
-
-
 def test_no_bracket_for_extreme_couplings():
     with pytest.raises(NoBracket):
         solve_tc(1e9, 1.0, 1.0)  # transition above the search window
@@ -104,13 +92,14 @@ def test_no_bracket_for_extreme_couplings():
         solve_tc(1e-3, 1.0, 1.0)  # transition far below it
 
 
-def test_default_dos_examples():
-    dos = default_dos(1.0, 10.0)
-    assert dos(0.0) == pytest.approx(1.0)
-    assert dos(30.0) == pytest.approx(2.0)  # sqrt((3 mu + mu)/mu) = 2
-    assert dos(-10.0) == 0.0
-    assert dos(-25.0) == 0.0  # clipped below the band bottom
-    assert dos.name == "default"
+@pytest.mark.parametrize("mu", [0.5, 1.0 + 1e-9, 1.5, 10.0, 1e3, 1e6])
+def test_band_constant_matches_mpmath_integral(mu):
+    # the closed form against a direct integral of xi * dos(xi) over the
+    # lower band; at mu = 1 + 1e-9 the band is 1e-9 deep, below what an
+    # adaptive float64 quadrature of its square-root bottom can resolve
+    p = build_params(mu=mu)
+    ref = oracles.mp_band_constant(p.n0, p.mu, p.hbar_omega_d)
+    assert p.band_constant == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_as_dict_snapshot(default_params):
@@ -132,8 +121,8 @@ def test_config_roundtrip(tmp_path):
         "u0n0 = 0.28\n"  # last value wins
     )
     parsed = load_config(cfg)
-    assert parsed == {"u0n0": 0.28, "eps": 0.001, "mu": 12.0, "dos": "default"}
-    parsed.pop("dos")
+    # dos = default is checked and left out: it is the only density of states
+    assert parsed == {"u0n0": 0.28, "eps": 0.001, "mu": 12.0}
     params = build_params(**parsed)
     assert params.u0n0 == 0.28
     assert params.mu == 12.0

@@ -1,20 +1,18 @@
 """Potential pieces, condensation part, continuity, and the jump at t_c."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bcsgap import gap, kernels, model, quad, thermo
+from bcsgap import gap, kernels, quad, thermo
 from bcsgap.errors import CutoffNotZero, NotSolved, OutsideDomain
 from bcsgap.gap import GapPoint, gap_derivatives_at, solve_gap_at
 from bcsgap.kernels import fermi, fermi_weight
-from bcsgap.model import DensityOfStates, build_params
-from bcsgap.quad import integrate, integrate_semi_infinite
+from bcsgap.model import _dos, build_params
+from bcsgap.quad import integrate, truncation_point
 from bcsgap.thermo import (
     JumpMeasurement,
-    cancellation_residual,
     condensation_potential,
     measured_second_derivative_jump,
     normal_potential,
@@ -28,28 +26,15 @@ from bcsgap.thermo import (
 from . import oracles
 
 
-def _zero_dos_params(params):
-    # build_params rejects a DOS that contradicts n0 at the Fermi surface,
-    # so the test double is spliced in after construction
-    zero = DensityOfStates(evaluator=lambda xi: 0.0 * xi, growth_bound=0.0, name="zero")
-    return dataclasses.replace(params, dos=zero)
-
-
-def test_zero_dos_tails_vanish(default_params):
-    p = _zero_dos_params(default_params)
-    assert tail_potential(0.7 * p.t_c, p) == (0.0, 0.0, 0.0)
-    assert tail_potential(1.3 * p.t_c, p, order=1) == (0.0, 0.0)
-
-
 def test_tail_potential_derivatives_match_differences(default_params):
     # probed at several t_c so the smearing terms rise above the huge
     # t-independent filled-sea constant; near t_c they are ~1e-12 of it and
-    # finite differences of the order-0 values bottom out in quadrature noise
+    # finite differences of the values bottom out in quadrature noise
     p = default_params
     t = 5.0 * p.t_c
     v0, v1, v2 = tail_potential(t, p)
-    fd1 = oracles.d1_central(lambda s: tail_potential(s, p, order=0)[0], t, 1e-3 * t)
-    fd2 = oracles.d1_central(lambda s: tail_potential(s, p, order=1)[1], t, 1e-3 * t)
+    fd1 = oracles.d1_central(lambda s: tail_potential(s, p)[0], t, 1e-3 * t)
+    fd2 = oracles.d1_central(lambda s: tail_potential(s, p)[1], t, 1e-3 * t)
     assert v1 == pytest.approx(fd1, rel=1e-5)
     assert v2 == pytest.approx(fd2, rel=1e-5)
     assert v2 < 0.0  # thermal smearing always lowers curvature
@@ -60,7 +45,7 @@ def test_window_part_matches_simpson(default_params):
     p = default_params
     t = 1.5 * p.t_c
     kt = p.k_b * t
-    window = normal_potential(t, p, order=0)[0] - tail_potential(t, p, order=0)[0]
+    window = normal_potential(t, p)[0] - tail_potential(t, p)[0]
     ln_term = oracles.simpson(
         lambda xi: np.log1p(np.exp(-xi / kt)), 0.0, 1.0, n=50_000
     )
@@ -70,10 +55,8 @@ def test_window_part_matches_simpson(default_params):
 def test_window_part_independent_of_band_shape(default_params):
     t = 1.2 * default_params.t_c
     wider = build_params(mu=20.0)
-    a = normal_potential(t, default_params, order=0)[0] - tail_potential(
-        t, default_params, order=0
-    )[0]
-    b = normal_potential(t, wider, order=0)[0] - tail_potential(t, wider, order=0)[0]
+    a = normal_potential(t, default_params)[0] - tail_potential(t, default_params)[0]
+    b = normal_potential(t, wider)[0] - tail_potential(t, wider)[0]
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -81,8 +64,8 @@ def test_normal_potential_derivatives_match_differences(default_params):
     p = default_params
     t = 1.5 * p.t_c
     v0, v1, v2 = normal_potential(t, p)
-    fd1 = oracles.d1_central(lambda s: normal_potential(s, p, order=0)[0], t, 1e-4 * t)
-    fd2 = oracles.d1_central(lambda s: normal_potential(s, p, order=1)[1], t, 1e-4 * t)
+    fd1 = oracles.d1_central(lambda s: normal_potential(s, p)[0], t, 1e-4 * t)
+    fd2 = oracles.d1_central(lambda s: normal_potential(s, p)[1], t, 1e-4 * t)
     assert v1 == pytest.approx(fd1, rel=1e-7)
     assert v2 == pytest.approx(fd2, rel=1e-7)
 
@@ -117,7 +100,7 @@ def test_condensation_vanishes_at_transition(default_params):
 def test_condensation_lowers_the_potential(default_params):
     p = default_params
     t = 0.5 * p.t_c
-    value = condensation_potential(t, p, lambda s: solve_gap_at(s, p), order=0)[0]
+    value = condensation_potential(t, p, solve_gap_at(t, p))[0]
     assert value < 0.0
 
 
@@ -141,7 +124,7 @@ def test_condensation_matches_simpson(default_params):
         - 2.0 * oracles.simpson(shift, 0.0, 1.0, n=50_000)
         - 4.0 * kt * oracles.simpson(ln_ratio, 0.0, 1.0, n=50_000)
     )
-    value = condensation_potential(t, p, lambda s: solve_gap_at(s, p), order=0)[0]
+    value = condensation_potential(t, p, solve_gap_at(t, p))[0]
     assert value == pytest.approx(expected, rel=1e-8)
 
 
@@ -155,12 +138,6 @@ def test_condensation_gates(default_params):
     fat = GapPoint(t=0.5 * p.t_c, f=point.f, residual=1.0)
     with pytest.raises(NotSolved):
         condensation_potential(0.5 * p.t_c, p, fat)
-
-
-def test_cancellation_residual_is_machine_level(default_params):
-    p = default_params
-    t = 0.5 * p.t_c
-    assert cancellation_residual(t, p, solve_gap_at(t, p)) < 1e-12
 
 
 def test_cold_point_below_band_rounding(default_params):
@@ -182,17 +159,16 @@ def test_branch_dispatch(default_params):
     assert at_tc.branch == "superconducting"
 
 
-def test_requested_order_limits_fields(default_params):
+def test_temperature_validation(default_params):
     p = default_params
-    bare = thermodynamic_potential(0.8 * p.t_c, p, order=0)
-    assert bare.omega_t is None and bare.entropy is None
-    first = thermodynamic_potential(0.8 * p.t_c, p, order=1)
-    assert first.omega_t is not None and first.omega_tt is None
-    with pytest.raises(ValueError):
-        thermodynamic_potential(0.8 * p.t_c, p, order=3)
-    for bad in (0.0, -1.0, math.nan, math.inf, np.float32("nan"), "0.01", None):
+    for bad in (0.0, -1.0, math.nan, math.inf, np.float32("nan"), "0.01", None, 10**400):
         with pytest.raises(OutsideDomain):
             thermodynamic_potential(bad, p)
+    for fn in (normal_potential, tail_potential):
+        with pytest.raises(OutsideDomain):
+            fn(10**400, p)
+    with pytest.raises(OutsideDomain):
+        condensation_potential(10**400, p, solve_gap_at(0.5 * p.t_c, p))
     # real numpy temperatures are temperatures
     point = thermodynamic_potential(np.float32(0.5 * p.t_c), p)
     assert point.branch == "superconducting" and point.t == float(np.float32(0.5 * p.t_c))
@@ -210,8 +186,8 @@ def test_point_invariants(default_params):
 def test_potential_and_entropy_continuous_at_transition(default_params):
     p = default_params
     h = 1e-7 * p.t_c
-    below = thermodynamic_potential(p.t_c - h, p, order=1)
-    above = thermodynamic_potential(p.t_c + h, p, order=1)
+    below = thermodynamic_potential(p.t_c - h, p)
+    above = thermodynamic_potential(p.t_c + h, p)
     # the values sit 2h apart on a curve with slope -entropy, so the gap
     # between them is ~2h*|S| ~ 2e-9; anything beyond that is a seam defect
     assert abs(below.omega - above.omega) < 3.0 * h * abs(below.entropy)
@@ -223,8 +199,8 @@ def test_continuity_at_weak_coupling():
     # must resolve the same k_b t scale, or the seam shows their difference
     p = build_params(u0n0=0.1)
     h = 1e-8 * p.t_c
-    below = thermodynamic_potential(p.t_c - h, p, order=1)
-    above = thermodynamic_potential(p.t_c + h, p, order=1)
+    below = thermodynamic_potential(p.t_c - h, p)
+    above = thermodynamic_potential(p.t_c + h, p)
     assert abs(below.omega - above.omega) < 3.0 * h * abs(below.entropy)
     assert below.entropy == pytest.approx(above.entropy, rel=1e-6)
 
@@ -289,7 +265,7 @@ def test_csv_serialization(default_params):
     p = default_params
     points = [
         thermodynamic_potential(0.9 * p.t_c, p),
-        thermodynamic_potential(1.1 * p.t_c, p, order=0),
+        thermodynamic_potential(1.1 * p.t_c, p),
     ]
     text = thermo_to_csv(points)
     lines = text.strip().split("\n")
@@ -297,15 +273,15 @@ def test_csv_serialization(default_params):
     full = lines[1].split(",")
     assert full[-1] == "superconducting"
     assert float(full[1]) == points[0].omega
-    bare = lines[2].split(",")
-    assert bare[-1] == "normal"
-    assert bare[2] == "" and bare[5] == ""  # fields beyond the order stay empty
+    above = lines[2].split(",")
+    assert above[-1] == "normal"
+    assert float(above[5]) == points[1].c_v
 
 
 def test_point_is_integrated_in_few_quadrature_calls(monkeypatch):
     # three stacked calls per point (lower band, upper tail, window), plus
     # the gap's Newton steps and one second-order pass below t_c; the
-    # temperature-independent band constant is integrated once per params
+    # temperature-independent band constant is a closed form
     calls = []
     real = quad.integrate
 
@@ -313,7 +289,7 @@ def test_point_is_integrated_in_few_quadrature_calls(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    for module in (quad, model, kernels, gap, thermo):
+    for module in (quad, kernels, gap, thermo):
         monkeypatch.setattr(module, "integrate", counting)
     p = build_params()
     counts = []
@@ -323,20 +299,23 @@ def test_point_is_integrated_in_few_quadrature_calls(monkeypatch):
         counts.append(len(calls))
     first, second, above = counts
     assert second <= 12
-    assert first == second + 1  # the band constant, on first use only
+    assert first == second  # nothing is integrated once per params
     assert above <= 3
 
 
 def _reference_point(t, p):
     """Potential, slope and curvature with one lone integrate call per integrand."""
     n0, kb, kt = p.n0, p.k_b, p.k_b * t
-    dos, mu, L, a, spec = p.dos, p.mu, p.hbar_omega_d, p.xi_min, p.quad_spec
+    mu, L, a, spec = p.mu, p.hbar_omega_d, p.xi_min, p.quad_spec
+
+    def dos(xi):
+        return _dos(xi, n0, mu)
 
     def band(g):
         return integrate(g, -mu, -L, spec)[0] if mu > L else 0.0
 
     def tail(g):
-        return integrate_semi_infinite(g, L, kt, spec)[0]
+        return integrate(g, L, truncation_point(L, kt, spec), spec)[0]
 
     def win(g):
         return integrate(g, a, L, spec)[0]

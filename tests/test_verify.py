@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from bcsgap import verify
 from bcsgap.model import build_params
-from bcsgap.verify import Check, Tolerances, VerificationReport, run_suite
+from bcsgap.verify import Check, VerificationReport, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +38,10 @@ def test_cutoff_drops_specific_heat_checks(eps_params):
     assert report.passed
 
 
-def test_zero_tolerances_fail_difference_checks(default_params):
-    report = run_suite(
-        default_params, grid_size=51, tolerances=Tolerances(0.0, 0.0, 0.0, 0.0)
-    )
+def test_zero_tolerances_fail_difference_checks(default_params, monkeypatch):
+    for name in ("_CLOSED_FORM_TOL", "_FIRST_DERIVATIVE_TOL", "_SECOND_DERIVATIVE_TOL", "_JUMP_TOL"):
+        monkeypatch.setattr(verify, name, 0.0)
+    report = run_suite(default_params, grid_size=51)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     # anything measured against a differenced or extrapolated reference
@@ -90,7 +91,6 @@ def test_report_fields(default_report, default_params):
     assert isinstance(default_report, VerificationReport)
     assert default_report.params is default_params
     assert default_report.grid_size == 51
-    assert default_report.tolerances == Tolerances()
 
 
 def test_suite_on_alternate_coupling():
@@ -124,7 +124,7 @@ def test_suite_passes_across_the_accepted_domain(kwargs):
 def test_suite_work_count(monkeypatch):
     # every gap-curve probe of the suite is solved in one batch, not one
     # Newton solve per stencil point
-    from bcsgap import gap, kernels, model, quad, thermo, verify
+    from bcsgap import gap, kernels, quad, thermo
 
     calls = []
     real = quad.integrate
@@ -133,7 +133,7 @@ def test_suite_work_count(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    for module in (quad, model, kernels, gap, thermo, verify):
+    for module in (quad, kernels, gap, thermo, verify):
         monkeypatch.setattr(module, "integrate", counting)
     p = build_params()
     calls.clear()
