@@ -10,7 +10,6 @@ form that reproduces the specific-heat discontinuity.
 
 from .errors import (
     BcsgapError,
-    BracketFailure,
     CutoffNotZero,
     CutoffTooLarge,
     NoBracket,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BcsgapError",
-    "BracketFailure",
     "Check",
     "CutoffNotZero",
     "CutoffTooLarge",

@@ -26,7 +26,7 @@ import sys
 from dataclasses import replace
 
 from .errors import BcsgapError
-from .gap import gap_point_at, sample_gap_curve
+from .gap import sample_gap_curve, solve_gap_at
 from .model import build_params, load_config
 from .quad import DEFAULT_SPEC
 from .thermo import (
@@ -117,7 +117,7 @@ def _emit(text: str, out_path) -> None:
 
 def _run_tc(args) -> int:
     params = _params_from(args)
-    f_prime = gap_point_at(params.t_c, params).f_prime
+    f_prime = solve_gap_at(params.t_c, params).f_prime
     values = {
         "T_c": params.t_c,
         "Delta0": params.delta0,

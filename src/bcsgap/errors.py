@@ -37,12 +37,8 @@ class NoBracket(BcsgapError):
     """No sign change for the transition temperature inside the search window."""
 
 
-class BracketFailure(BcsgapError):
-    """The gap equation has no root in [0, y_max] at the requested temperature."""
-
-
 class NotSolved(BcsgapError):
-    """Derivatives were requested at a point whose gap residual is too large."""
+    """No gap point solved to the residual tolerance at the requested temperature."""
 
 
 class CutoffNotZero(BcsgapError):

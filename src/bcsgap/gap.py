@@ -18,14 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    BracketFailure,
     NoBracket,
     NonPositiveParameter,
     NotSolved,
     OutsideDomain,
     ToleranceNotMet,
 )
-from .kernels import gap_residual, gap_residual_second_partials, window_pass
+from .kernels import gap_residual, window_pass
 from .model import ModelParams, _as_finite_float, _require_positive
 from .quad import DEFAULT_SPEC, QuadSpec, integrate
 
@@ -34,7 +33,6 @@ __all__ = [
     "GapCurve",
     "GapPoint",
     "gap_derivatives_at",
-    "gap_point_at",
     "sample_gap_curve",
     "solve_gap_at",
     "solve_tc",
@@ -106,13 +104,13 @@ def solve_tc(
 
 @dataclass(frozen=True)
 class GapPoint:
-    """One solved node of the squared-gap curve."""
+    """One solved node of the squared-gap curve, with f' and f''."""
 
     t: float
     f: float
     residual: float
-    f_prime: float | None = None
-    f_second: float | None = None
+    f_prime: float
+    f_second: float
 
 
 @dataclass(frozen=True)
@@ -125,14 +123,9 @@ class GapCurve:
     def to_csv(self) -> str:
         lines = ["T,f,f_prime,f_second,residual"]
         for p in self.points:
-            lines.append(
-                f"{p.t:.17g},{p.f:.17g},{_opt(p.f_prime)},{_opt(p.f_second)},{p.residual:.17g}"
-            )
+            cells = (p.t, p.f, p.f_prime, p.f_second, p.residual)
+            lines.append(",".join(f"{v:.17g}" for v in cells))
         return "\n".join(lines) + "\n"
-
-
-def _opt(v: float | None) -> str:
-    return "" if v is None else f"{v:.17g}"
 
 
 def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -145,7 +138,10 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarra
     step lands at or left of it, and from there the iterates rise
     monotonically.  A node stops when its step does not move y or its
     residual is at most 1e-13; it then drops out of the batch.  An iterate
-    at y = 0 with F(t, 0) <= 0 means no root exists.  Returns the roots.
+    at y = 0 with F(t, 0) <= 0 stops there, as the clamped step does not
+    move it; the residual gate of _solved_points decides whether that is a
+    root (F(t, 0) within rounding of 0, as one ulp below t_c) or no root
+    exists.  Returns the iterates.
     """
     y = np.array(seeds, dtype=float)
     active = np.arange(ts.size)
@@ -154,12 +150,6 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarra
             break
         t, y_now = ts[active], y[active]
         p = window_pass(t, y_now, params, order=0)
-        stuck = (y_now == 0.0) & (p.value <= 0.0)
-        if stuck.any():
-            raise BracketFailure(
-                f"residual has no root in [0, y_max] at t = {float(t[stuck][0])!r}; "
-                "parameters are outside the solvable regime"
-            )
         y_next = np.maximum(0.0, y_now - p.value / p.d_y)
         done = (y_next == y_now) | (np.abs(p.value) <= 1e-13)
         y[active] = y_next
@@ -176,20 +166,6 @@ def _checked_temperature(t, params: ModelParams) -> float:
     return t
 
 
-def solve_gap_at(t: float, params: ModelParams) -> GapPoint:
-    """Solve the gap equation for the squared gap at one temperature.
-
-    t = 0 short-circuits to the closed-form gap; every other temperature is
-    one row of the solved-point path, whose residual is re-evaluated at the
-    accepted root.
-    """
-    t = _checked_temperature(t, params)
-    if t == 0.0:
-        y = params.delta**2
-        return GapPoint(t=0.0, f=y, residual=abs(gap_residual(0.0, y, params)))
-    return _solved_points(np.array([t]), params, order=0)[0]
-
-
 def _implicit_derivatives(p):
     """f' and f'' of the curve from the residual partials at solved points.
 
@@ -201,10 +177,10 @@ def _implicit_derivatives(p):
     return f_prime, f_second
 
 
-def _check_residual(residual) -> None:
+def _check_residual(t: float, residual: float) -> None:
     if not residual <= RESIDUAL_TOL:
         raise NotSolved(
-            f"gap_point residual {residual:.3e} above {RESIDUAL_TOL:g}"
+            f"gap residual {residual:.3e} at t = {t!r} above {RESIDUAL_TOL:g}"
         )
 
 
@@ -212,48 +188,51 @@ def _require_solved(t: float, gap_point: GapPoint) -> None:
     """Raise NotSolved unless gap_point was solved at t to RESIDUAL_TOL."""
     if gap_point is None or gap_point.t != t:
         raise NotSolved(f"gap_point was solved at t = {getattr(gap_point, 't', None)!r}, not {t!r}")
-    _check_residual(gap_point.residual)
+    _check_residual(t, gap_point.residual)
 
 
 def gap_derivatives_at(t: float, params: ModelParams, gap_point: GapPoint) -> tuple[float, float]:
     """First and second temperature derivatives of the squared-gap curve.
 
-    Every temperature in (0, t_c] uses the implicit-function quotients of
-    the residual partials at the solved point; t = 0 returns exact zeros.
+    Returns the f' and f'' that gap_point carries, once it is checked to be
+    solved at t; params is not read.
     """
     _require_solved(t, gap_point)
-    if t == 0.0:
-        return 0.0, 0.0
-    return _implicit_derivatives(gap_residual_second_partials(t, gap_point.f, params))
+    return gap_point.f_prime, gap_point.f_second
 
 
-def _solved_points(ts: np.ndarray, params: ModelParams, order: int) -> list[GapPoint]:
-    """Solved points at temperatures 0 < t <= t_c, with f' and f'' at order 2.
+def _solved_points(ts: np.ndarray, params: ModelParams) -> list[GapPoint]:
+    """Solved points at temperatures 0 < t <= t_c, with f' and f''.
 
     f(t_c) = 0 and the colder roots come from one batched Newton iteration
-    seeded with f(0); one window pass of the given order at the roots then
-    gives every residual and, at order 2, f' and f'' by the implicit-function
-    quotients, t_c included.
+    seeded with f(0); one second-order window pass at the roots then gives
+    every residual, and f' and f'' by the implicit-function quotients, t_c
+    included.  Raises NotSolved, naming the worst row, if any residual is
+    above RESIDUAL_TOL.
     """
     ys = np.zeros(ts.size)
     cold = ts < params.t_c
     ys[cold] = _newton(ts[cold], np.full(np.count_nonzero(cold), params.delta**2), params)
-    p = window_pass(ts, ys, params, order)
+    p = window_pass(ts, ys, params, order=2)
     residuals = np.abs(p.value)
-    _check_residual(float(np.max(residuals, initial=0.0)))
-    columns = (ts, ys, residuals, *(_implicit_derivatives(p) if order == 2 else ()))
+    worst = int(np.argmax(residuals))  # the first NaN, if any
+    _check_residual(float(ts[worst]), float(residuals[worst]))
+    columns = (ts, ys, residuals, *_implicit_derivatives(p))
     return [GapPoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
-def gap_point_at(t: float, params: ModelParams) -> GapPoint:
+def solve_gap_at(t: float, params: ModelParams) -> GapPoint:
     """Solved point at one temperature in [0, t_c], with f' and f''.
 
-    One row of the solved-point path; t = 0 keeps its closed forms.
+    t = 0 short-circuits to the closed forms: f is the zero-temperature
+    squared gap and both derivatives vanish.  Every other temperature is one
+    row of the solved-point path.
     """
     t = _checked_temperature(t, params)
     if t == 0.0:
-        return replace(solve_gap_at(0.0, params), f_prime=0.0, f_second=0.0)
-    return _solved_points(np.array([t]), params, order=2)[0]
+        y = params.delta**2
+        return GapPoint(0.0, y, abs(gap_residual(0.0, y, params)), f_prime=0.0, f_second=0.0)
+    return _solved_points(np.array([t]), params)[0]
 
 
 def sample_gap_curve(params: ModelParams, n_points: int, grid: str = "uniform") -> GapCurve:
@@ -279,5 +258,5 @@ def sample_gap_curve(params: ModelParams, n_points: int, grid: str = "uniform") 
     else:
         raise ValueError(f"grid must be 'uniform' or 'chebyshev', got {grid!r}")
     ts[0], ts[-1] = 0.0, params.t_c
-    points = (gap_point_at(0.0, params), *_solved_points(ts[1:], params, order=2))
+    points = (solve_gap_at(0.0, params), *_solved_points(ts[1:], params))
     return GapCurve(points=points, params=params)

@@ -12,12 +12,12 @@ the thermal decay scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CutoffNotZero, NonFiniteInput, OutsideDomain
-from .gap import GapPoint, _require_solved, gap_derivatives_at, gap_point_at
+from .gap import GapPoint, _require_solved, solve_gap_at
 from .kernels import fermi, fermi_weight
 from .model import ModelParams, _as_finite_float, _dos
 from .quad import integrate, truncation_point
@@ -183,10 +183,9 @@ def normal_potential(t: float, params: ModelParams) -> tuple:
 def condensation_potential(t: float, params: ModelParams, gap: GapPoint) -> tuple:
     """Superconducting-minus-normal potential difference, with derivatives.
 
-    gap is the solved GapPoint at t; f' is taken from it, or computed when
-    it carries none.  Vanishes identically at t = t_c together with its
-    first derivative; the second derivative does not, which is the whole
-    point.  The first derivative's gap-equation bracket (slope of the gap
+    gap is the solved GapPoint at t, and f' is taken from it.  Vanishes
+    identically at t = t_c together with its first derivative; the second
+    derivative does not, which is the whole point.  The first derivative's gap-equation bracket (slope of the gap
     times the residual) is dropped analytically; the verify suite reports
     its size.
     """
@@ -194,8 +193,6 @@ def condensation_potential(t: float, params: ModelParams, gap: GapPoint) -> tupl
     if t > params.t_c:
         raise OutsideDomain(f"condensation part exists for 0 < t <= t_c, got t = {t!r}")
     _require_solved(t, gap)
-    if gap.f_prime is None:
-        gap = replace(gap, f_prime=gap_derivatives_at(t, params, gap)[0])
     _, window = _quadratures(t, params, gap)
     return _condensation_parts(t, params, gap, window)
 
@@ -208,7 +205,7 @@ def thermodynamic_potential(t: float, params: ModelParams) -> ThermoPoint:
     Either way every integral comes from one _quadratures pass.
     """
     t = _check_temperature(t)
-    point = gap_point_at(t, params) if t <= params.t_c else None
+    point = solve_gap_at(t, params) if t <= params.t_c else None
     band, window = _quadratures(t, params, point)
     parts = _normal_parts(t, params, band, window)
     if point is not None:
@@ -233,7 +230,7 @@ def second_derivative_jump(params: ModelParams) -> float:
     jump is strictly negative: the limit from below lies under the limit
     from above.
     """
-    f_prime = gap_point_at(params.t_c, params).f_prime
+    f_prime = solve_gap_at(params.t_c, params).f_prime
     bracket = float(fermi(2.0 * params.eps)) - float(
         fermi(params.hbar_omega_d / (params.k_b * params.t_c))
     )
@@ -301,7 +298,7 @@ def specific_heat_jump(params: ModelParams) -> float:
         raise CutoffNotZero(
             f"the specific-heat closed form needs eps = 0, got eps = {params.eps}"
         )
-    f_prime = gap_point_at(params.t_c, params).f_prime
+    f_prime = solve_gap_at(params.t_c, params).f_prime
     return -params.n0 * f_prime * math.tanh(
         params.hbar_omega_d / (2.0 * params.k_b * params.t_c)
     )

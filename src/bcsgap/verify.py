@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gap import _solved_points, gap_point_at, sample_gap_curve
+from .gap import _solved_points, sample_gap_curve, solve_gap_at
 from .kernels import (
     _CURV_SERIES,
     _SERIES_CUT,
@@ -235,7 +235,7 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
     h0 = _ONESIDED_STEP * t_c
     hs = [t_c * 10.0 ** (-k) for k in _EXTRAP_KS]
     probes = np.concatenate([nodes, *(nodes + o * h for o in _STENCIL), [h0, 2.0 * h0], t_c - np.array(hs)])
-    f, fp, fs = np.array([(q.f, q.f_prime, q.f_second) for q in _solved_points(probes, sharp, order=2)]).T
+    f, fp, fs = np.array([(q.f, q.f_prime, q.f_second) for q in _solved_points(probes, sharp)]).T
 
     # -- analytic derivatives vs five-point stencils ----------------------
     fp_a, fs_a = fp[:n], fs[:n]
@@ -272,7 +272,7 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
     ))
 
     # -- closed-form endpoint derivatives by interior extrapolation -------
-    tc_gap = gap_point_at(t_c, params)
+    tc_gap = solve_gap_at(t_c, params)
     fp_tc, fs_tc = tc_gap.f_prime, tc_gap.f_second
     add(Check(
         "fprime_tc_extrapolated",

@@ -79,6 +79,19 @@ def test_thermo_straddles_transition(capsys):
     assert branches == sorted(branches, reverse=True)  # cold side first
 
 
+def test_thermo_weak_coupling_row_one_ulp_below_tc(capsys):
+    # the default grid's sixth row lands one ulp below t_c at u0n0 = 0.1;
+    # it is on the superconducting branch, and its c_v over the normal c_v
+    # at the same temperature is the BCS ratio 1 + 12 / (7 zeta(3))
+    code, out, err = run(capsys, "thermo", "--u0n0", "0.1")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert rows[5][-1] == "superconducting" and rows[6][-1] == "normal"
+    t, c_v = float(rows[5][0]), float(rows[5][5])
+    c_n = -t * float(rows[6][3])  # the normal omega_tt is constant in t here
+    assert c_v / c_n == pytest.approx(1.0 + 12.0 / (7.0 * 1.2020569031595942), rel=1e-6)
+
+
 def test_thermo_explicit_window(capsys):
     code, out, _ = run(
         capsys, "thermo", "--points", "3", "--tmin", "0.02", "--tmax", "0.03"

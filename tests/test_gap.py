@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,16 +11,13 @@ from scipy.optimize import brentq
 
 from bcsgap import gap, kernels, quad, thermo
 from bcsgap.errors import (
-    BracketFailure,
     NonFiniteInput,
     NonPositiveParameter,
     NotSolved,
     OutsideDomain,
 )
 from bcsgap.gap import (
-    GapPoint,
     gap_derivatives_at,
-    gap_point_at,
     sample_gap_curve,
     solve_gap_at,
     solve_tc,
@@ -147,12 +145,24 @@ def test_solve_gap_gates(default_params):
         solve_gap_at(float("nan"), p)
 
 
-def test_bracket_failure_on_inconsistent_params(default_params):
+def test_no_root_on_inconsistent_params_names_the_temperature(default_params):
     # doctored transition temperature: above the true one the residual at
-    # y = 0 is already negative, so no sign change exists to bracket
+    # y = 0 is already negative, so Newton stops at y = 0 and the residual
+    # gate rejects the point, naming where
     doctored = dataclasses.replace(default_params, t_c=1.5 * default_params.t_c)
-    with pytest.raises(BracketFailure):
-        solve_gap_at(1.2 * default_params.t_c, doctored)
+    t = 1.2 * default_params.t_c
+    with pytest.raises(NotSolved, match=re.escape(f"at t = {t!r} ")):
+        solve_gap_at(t, doctored)
+
+
+@pytest.mark.parametrize("u0n0", [0.3, 0.1])
+def test_one_ulp_below_tc_is_the_closed_gap(u0n0):
+    # F(t, 0) rounds to <= 0 within an ulp of t_c; the clamped Newton step
+    # stops at y = 0, which is the root to within rounding
+    p = build_params(u0n0=u0n0)
+    point = solve_gap_at(np.nextafter(p.t_c, 0.0), p)
+    assert point.f == 0.0
+    assert point.residual <= gap.RESIDUAL_TOL
 
 
 def test_derivatives_require_a_solved_point(default_params):
@@ -160,7 +170,7 @@ def test_derivatives_require_a_solved_point(default_params):
     point = solve_gap_at(0.4 * p.t_c, p)
     with pytest.raises(NotSolved):
         gap_derivatives_at(0.5 * p.t_c, p, point)  # wrong temperature
-    fat = GapPoint(t=point.t, f=point.f, residual=1.0)
+    fat = dataclasses.replace(point, residual=1.0)
     with pytest.raises(NotSolved):
         gap_derivatives_at(point.t, p, fat)  # residual too large
 
@@ -202,7 +212,7 @@ def test_endpoint_derivatives_match_mpmath_quotients(u0n0, eps):
         - 32.0 * kb2 * i_sech * i_mixed / i_slope**2
         + 8.0 * kb2 * i_sech**2 * i_curv / i_slope**3
     )
-    point = gap_point_at(t_c, p)
+    point = solve_gap_at(t_c, p)
     assert point.f == 0.0
     assert point.f_prime == pytest.approx(f_prime, rel=1e-10, abs=0.0)
     assert point.f_second == pytest.approx(f_second, rel=1e-10, abs=0.0)
@@ -210,7 +220,8 @@ def test_endpoint_derivatives_match_mpmath_quotients(u0n0, eps):
 
 def test_endpoint_point_is_one_quadrature_call(default_params, monkeypatch):
     # f(t_c) = 0 needs no Newton step: one second-order window pass gives
-    # the residual, f' and f''
+    # the residual, f' and f'', and gap_derivatives_at reads them off the
+    # point
     calls = []
     real = quad.integrate
 
@@ -220,7 +231,8 @@ def test_endpoint_point_is_one_quadrature_call(default_params, monkeypatch):
 
     for module in (quad, kernels, gap, thermo):
         monkeypatch.setattr(module, "integrate", counting)
-    gap_point_at(default_params.t_c, default_params)
+    p = default_params
+    gap_derivatives_at(p.t_c, p, solve_gap_at(p.t_c, p))
     assert len(calls) == 1
 
 

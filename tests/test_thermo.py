@@ -1,5 +1,6 @@
 """Potential pieces, condensation part, continuity, and the jump at t_c."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from bcsgap import gap, kernels, quad, thermo
 from bcsgap.errors import CutoffNotZero, NotSolved, OutsideDomain
-from bcsgap.gap import GapPoint, gap_derivatives_at, solve_gap_at
+from bcsgap.gap import gap_derivatives_at, solve_gap_at
 from bcsgap.kernels import fermi, fermi_weight
 from bcsgap.model import _dos, build_params
 from bcsgap.quad import integrate, truncation_point
@@ -79,18 +80,9 @@ def test_normal_branch_smooth_across_transition(default_params):
     assert below == pytest.approx(above, rel=1e-4)
 
 
-def _solved_point_with_derivatives(t, params):
-    point = solve_gap_at(t, params)
-    f_prime, f_second = gap_derivatives_at(t, params, point)
-    return GapPoint(
-        t=point.t, f=point.f, residual=point.residual,
-        f_prime=f_prime, f_second=f_second,
-    )
-
-
 def test_condensation_vanishes_at_transition(default_params):
     p = default_params
-    point = _solved_point_with_derivatives(p.t_c, p)
+    point = solve_gap_at(p.t_c, p)
     d0, d1, d2 = condensation_potential(p.t_c, p, point)
     assert d0 == 0.0  # integrands are identically zero once the gap closes
     assert d1 == 0.0
@@ -135,7 +127,7 @@ def test_condensation_gates(default_params):
         condensation_potential(1.1 * p.t_c, p, point)
     with pytest.raises(NotSolved):
         condensation_potential(0.6 * p.t_c, p, point)  # stale temperature
-    fat = GapPoint(t=0.5 * p.t_c, f=point.f, residual=1.0)
+    fat = dataclasses.replace(point, residual=1.0)
     with pytest.raises(NotSolved):
         condensation_potential(0.5 * p.t_c, p, fat)
 
