@@ -12,7 +12,6 @@ from .errors import (
     BcsgapError,
     CutoffNotZero,
     CutoffTooLarge,
-    NoBracket,
     NonFiniteInput,
     NonFiniteIntegrand,
     NonPositiveParameter,
@@ -29,33 +28,17 @@ from .gap import (
     solve_gap_at,
     solve_tc,
 )
-from .kernels import (
-    curvature_kernel,
-    gap_residual,
-    gap_residual_partials,
-    gap_residual_second_partials,
-    slope_kernel,
-)
 from .model import (
     ModelParams,
     build_params,
     load_config,
 )
-from .quad import (
-    DEFAULT_SPEC,
-    QuadSpec,
-    integrate,
-    truncation_point,
-)
 from .thermo import (
     JumpMeasurement,
     ThermoPoint,
-    condensation_potential,
     measured_second_derivative_jump,
-    normal_potential,
     second_derivative_jump,
     specific_heat_jump,
-    tail_potential,
     thermo_to_csv,
     thermodynamic_potential,
 )
@@ -68,43 +51,30 @@ __all__ = [
     "Check",
     "CutoffNotZero",
     "CutoffTooLarge",
-    "DEFAULT_SPEC",
     "GapCurve",
     "GapPoint",
     "JumpMeasurement",
     "ModelParams",
-    "NoBracket",
     "NonFiniteInput",
     "NonFiniteIntegrand",
     "NonPositiveParameter",
     "NotSolved",
     "OutsideDomain",
-    "QuadSpec",
     "ThermoPoint",
     "ToleranceNotMet",
     "VerificationReport",
     "ZeroGapAtZeroT",
     "build_params",
-    "condensation_potential",
-    "curvature_kernel",
     "gap_derivatives_at",
-    "gap_residual",
-    "gap_residual_partials",
-    "gap_residual_second_partials",
-    "integrate",
     "load_config",
     "measured_second_derivative_jump",
-    "normal_potential",
     "run_suite",
     "sample_gap_curve",
     "second_derivative_jump",
-    "slope_kernel",
     "solve_gap_at",
     "solve_tc",
     "specific_heat_jump",
-    "tail_potential",
     "thermo_to_csv",
     "thermodynamic_potential",
-    "truncation_point",
     "__version__",
 ]

@@ -33,10 +33,6 @@ class ZeroGapAtZeroT(BcsgapError):
     """The point T = 0, Y = 0 is excluded from every evaluation domain."""
 
 
-class NoBracket(BcsgapError):
-    """No sign change for the transition temperature inside the search window."""
-
-
 class NotSolved(BcsgapError):
     """No gap point solved to the residual tolerance at the requested temperature."""
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
-    NoBracket,
     NonPositiveParameter,
     NotSolved,
     OutsideDomain,
@@ -40,7 +40,8 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10  # |residual| above this marks a gap point as unsolved
 _NEWTON_STEPS = 60  # cap on Newton steps in either root finder
-_TC_WINDOW = (1e-8, 1e8)  # transition-temperature bracket in hbar_omega_d / k_b units
+# ln(4 e^gamma / pi): the integral of tanh(x)/x over [0, U] is ln U plus this as U -> infinity
+_LOG_BCS_CONSTANT = math.log(4.0 / math.pi) + 0.57721566490153286061
 _TC_RESIDUAL = 1e-12  # relative defect u0n0 * |d| allowed in the transition-temperature condition
 
 
@@ -53,12 +54,14 @@ def solve_tc(
 ) -> float:
     """Temperature at which the pairing condition closes with zero gap.
 
-    Solves  integral of tanh(x)/x over [eps, U] equal to 1/u0n0, where
-    U = hbar_omega_d / (2 k_b t).  In s = ln t the defect d has slope
-    -tanh(U) and curvature U sech^2(U) > 0, so it is decreasing and convex:
-    Newton on s from the lower end of the search window rises monotonically
-    to the unique root.  It stops on the relative defect u0n0 * |d|, the
-    form in which the condition is stated.
+    Solves for the scale-free U = hbar_omega_d / (2 k_b t_c), the integral
+    of tanh(x)/x over [eps, U] equal to 1/u0n0, and returns
+    hbar_omega_d / (2 k_b U).  In s = ln U the defect d is increasing and
+    convex (slope tanh(U), curvature U sech^2(U)).  The seed puts the
+    integral over [0, U] at its large-U limit ln U + ln(4 e^gamma / pi), a
+    lower bound, so it lies at or right of the root, and Newton on s falls
+    monotonically to it, stopping on the relative defect u0n0 * |d|.
+    Raises OutsideDomain when 2U is not a float (u0n0 below about 1/709).
     """
     values = {"u0n0": u0n0, "hbar_omega_d": hbar_omega_d, "k_b": k_b, "eps": eps}
     u0n0, hbar_omega_d, k_b, eps = (_as_finite_float(name, v) for name, v in values.items())
@@ -71,35 +74,26 @@ def solve_tc(
     # The defect must resolve well below the 1e-12 residual contract.
     spec = replace(base, rel_tol=min(1e-14, base.rel_tol))
     target = 1.0 / u0n0
-    scale = hbar_omega_d / k_b
 
-    def defect(t: float) -> float:
-        upper = hbar_omega_d / (2.0 * k_b * t)
-        if upper <= eps:
-            return -target
-        val, _ = integrate(lambda x: np.tanh(x) / x, eps, upper, spec, scale=1.0)
-        return val - target
+    def tanh_integral(lo: float, hi: float) -> float:
+        return integrate(lambda x: np.tanh(x) / x, lo, hi, spec, scale=1.0)[0]
 
-    lo, hi = _TC_WINDOW[0] * scale, _TC_WINDOW[1] * scale
-    t, d = lo, defect(lo)
-    if not (d > 0.0 > defect(hi)):
-        raise NoBracket(
-            f"no transition temperature in [{lo:.3e}, {hi:.3e}] for "
-            f"u0n0 = {u0n0}, eps = {eps}"
-        )
+    s = target - _LOG_BCS_CONSTANT + (tanh_integral(0.0, eps) if eps > 0.0 else 0.0)
+    if s > math.log(sys.float_info.max / 2.0):
+        raise OutsideDomain(f"U = hbar_omega_d / (2 k_b t_c) = e^{s:.6g} at u0n0 = {u0n0}: 2U is not a float")
     for _ in range(_NEWTON_STEPS):
+        d = tanh_integral(eps, math.exp(s)) - target
         if u0n0 * abs(d) <= 0.25 * _TC_RESIDUAL:
             break
-        t_next = t * math.exp(d / math.tanh(hbar_omega_d / (2.0 * k_b * t)))
-        if t_next == t:
+        s_next = s - d / math.tanh(math.exp(s))
+        if s_next == s:
             break
-        t = t_next
-        d = defect(t)
+        s = s_next
     if u0n0 * abs(d) > _TC_RESIDUAL:
         raise ToleranceNotMet(
             f"relative transition-temperature defect {u0n0 * d:.3e} above {_TC_RESIDUAL:g}"
         )
-    return t
+    return hbar_omega_d / (2.0 * k_b) / math.exp(s)
 
 
 @dataclass(frozen=True)
@@ -131,17 +125,17 @@ class GapCurve:
 def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarray:
     """Squared gap at each interior temperature in ts by batched Newton.
 
-    For 0 < t < t_c the residual is strictly decreasing in y and convex
-    (its second y-derivative is -I_curv / (4 (2 k_b t)^5) > 0 because
-    curvature_kernel < 0), so Newton steps y <- max(0, y - F / F_y)
-    converge without a bracket: from a seed right of the root the first
-    step lands at or left of it, and from there the iterates rise
-    monotonically.  A node stops when its step does not move y or its
-    residual is at most 1e-13; it then drops out of the batch.  An iterate
-    at y = 0 with F(t, 0) <= 0 stops there, as the clamped step does not
-    move it; the residual gate of _solved_points decides whether that is a
-    root (F(t, 0) within rounding of 0, as one ulp below t_c) or no root
-    exists.  Returns the iterates.
+    Callers pass the core view, so 0 < t < t_c = 1.  There the residual is
+    strictly decreasing in y and convex (its second y-derivative is
+    -I_curv / (4 (2 k_b t)^5) > 0 because curvature_kernel < 0), so Newton
+    steps y <- max(0, y - F / F_y) converge without a bracket: from a seed
+    right of the root the first step lands at or left of it, and from there
+    the iterates rise monotonically.  A node stops when its step does not
+    move y or its residual is at most 1e-13; it then drops out of the
+    batch.  An iterate at y = 0 with F(t, 0) <= 0 stops there, as the
+    clamped step does not move it; the residual gate of _solved_points
+    decides whether that is a root (F(t, 0) within rounding of 0, as one ulp
+    below t_c) or no root exists.  Returns the iterates.
     """
     y = np.array(seeds, dtype=float)
     active = np.arange(ts.size)
@@ -204,20 +198,27 @@ def gap_derivatives_at(t: float, params: ModelParams, gap_point: GapPoint) -> tu
 def _solved_points(ts: np.ndarray, params: ModelParams) -> list[GapPoint]:
     """Solved points at temperatures 0 < t <= t_c, with f' and f''.
 
-    f(t_c) = 0 and the colder roots come from one batched Newton iteration
-    seeded with f(0); one second-order window pass at the roots then gives
-    every residual, and f' and f'' by the implicit-function quotients, t_c
-    included.  Raises NotSolved, naming the worst row, if any residual is
-    above RESIDUAL_TOL.
+    Runs in core units: f(t_c) = 0 and the colder roots come from one
+    batched Newton iteration seeded with f(0); one second-order window pass
+    at the roots then gives every residual, and f' and f'' by the
+    implicit-function quotients, t_c included.  They become physical here,
+    times params.scales, with f held at or below f(0) = delta**2, which the
+    rounded product could pass.  Raises NotSolved, naming the worst row, if
+    any residual is above RESIDUAL_TOL.
     """
+    core = params.core
+    taus = ts / params.t_c
     ys = np.zeros(ts.size)
-    cold = ts < params.t_c
-    ys[cold] = _newton(ts[cold], np.full(np.count_nonzero(cold), params.delta**2), params)
-    p = window_pass(ts, ys, params, order=2)
+    cold = taus < 1.0
+    ys[cold] = _newton(taus[cold], np.full(np.count_nonzero(cold), core.delta**2), core)
+    p = window_pass(taus, ys, core, order=2)
     residuals = np.abs(p.value)
     worst = int(np.argmax(residuals))  # the first NaN, if any
     _check_residual(float(ts[worst]), float(residuals[worst]))
-    columns = (ts, ys, residuals, *_implicit_derivatives(p))
+    f_prime, f_second = _implicit_derivatives(p)
+    f_unit, f_prime_unit, f_second_unit = params.scales
+    f = np.minimum(ys * f_unit, params.delta**2)
+    columns = (ts, f, residuals, f_prime * f_prime_unit, f_second * f_second_unit)
     return [GapPoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 

@@ -13,13 +13,14 @@ inside the 1e-14 continuity budget.
 The residual and all its partials up to second order are pairing-window
 integrals of six kernels that share eta = sqrt(xi^2 + y) / (2 k_b t).
 window_pass evaluates the ones an order needs, at arrays of (t, y) pairs,
-as one stacked integrand; the scalar functions are thin callers of it.
+as one stacked integrand, on the core view of the parameters when the
+library calls it; the scalar functions gate and return physical values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -323,11 +324,28 @@ def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
 
 
 def _at(t, y, params: ModelParams, order: int) -> ResidualPartials:
-    """window_pass at one pair, with plain float fields."""
-    batch = window_pass(t, y, params, order)
-    return ResidualPartials(**{
-        f.name: None if getattr(batch, f.name) is None else float(getattr(batch, f.name)[0])
-        for f in fields(ResidualPartials)
+    """Partials up to order at one public (t, y), as physical floats.
+
+    (t, y) is gated as given, then evaluated in core units, with y held to
+    the core y_max, which rounding can put below the converted edge; each
+    t- and y-derivative is then divided by t_c and (k_b t_c)^2.  t = 0
+    below order 2 takes the closed forms of gap_residual_partials.
+    """
+    _gate_closure(t, y, params)
+    core = params.core
+    t_unit, y_unit = params.t_c, params.scales[0]
+    tau, y_core = float(t) / t_unit, min(float(y) / y_unit, core.y_max)
+    if tau == 0.0 and order < 2:
+        a, b = core.xi_min, core.hbar_omega_d
+        anti = lambda xi: xi / (y_core * math.hypot(xi, math.sqrt(y_core)))
+        c = ResidualPartials(tau, y_core, _zero_t_value(y_core, core), d_t=0.0, d_y=-0.5 * (anti(b) - anti(a)))
+    else:
+        c = window_pass(tau, y_core, core, order)
+    units = {"value": 1.0, "d_t": t_unit, "d_y": y_unit, "d_tt": t_unit * t_unit,
+             "d_ty": t_unit * y_unit, "d_yy": y_unit * y_unit}
+    return ResidualPartials(float(t), float(y), **{
+        name: None if getattr(c, name) is None else float(np.ravel(getattr(c, name))[0]) / unit
+        for name, unit in units.items()
     })
 
 
@@ -338,12 +356,7 @@ def gap_residual(t: float, y: float, params: ModelParams) -> float:
     on the other side, zero on the curve.  t = 0 uses the exact logarithmic
     antiderivative; t > 0 integrates over the pairing window.
     """
-    _gate_closure(t, y, params)
-    t, y = float(t), float(y)
-    if t == 0.0:
-        return _zero_t_value(y, params)
-    val = window_integrals(t, y, params, ("value",))[0, 0]
-    return float(val) - 1.0 / params.u0n0
+    return _at(t, y, params, 0).value
 
 
 def residual_and_slope(t: float, y: float, params: ModelParams) -> tuple[float, float]:
@@ -364,18 +377,6 @@ def gap_residual_partials(t: float, y: float, params: ModelParams) -> ResidualPa
     pairing-window integrals (d_t of the thermal sech^2 weight, d_y of the
     slope kernel).  Both are strictly negative off the zero-temperature edge.
     """
-    _gate_closure(t, y, params)
-    if t == 0.0:
-        y = float(y)
-        a, b = params.xi_min, params.hbar_omega_d
-        anti = lambda xi: xi / (y * math.hypot(xi, math.sqrt(y)))
-        return ResidualPartials(
-            t=0.0,
-            y=y,
-            value=_zero_t_value(y, params),
-            d_t=0.0,
-            d_y=-0.5 * (anti(b) - anti(a)),
-        )
     return _at(t, y, params, 1)
 
 

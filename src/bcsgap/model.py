@@ -1,4 +1,4 @@
-"""Physical parameters and the free-electron density of states.
+"""Physical parameters, their core units, and the free-electron density of states.
 
 Everything downstream works with one frozen ModelParams value: the raw
 coupling/cutoff/energy-scale numbers plus the derived transition temperature.
@@ -6,18 +6,25 @@ build_params is the only sanctioned constructor; it validates, solves for the
 transition temperature, and checks the derived admissibility inequalities.
 The density of states is fixed, n0 * sqrt(max(xi + mu, 0) / mu) at energy xi
 from the Fermi level, so its band constant is a closed form.
+
+This is the one module that decides units.  ModelParams.core is the same
+model with temperatures in t_c, energies in k_b t_c and densities in n0;
+every solver and quadrature runs on it, so no intermediate depends on the
+physical scales, and values become physical once, times ModelParams.scales.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CutoffTooLarge, NonFiniteInput, NonPositiveParameter
+from .errors import CutoffTooLarge, NonFiniteInput, NonPositiveParameter, OutsideDomain
 from .quad import DEFAULT_SPEC, QuadSpec
 
 __all__ = ["ModelParams", "build_params", "load_config"]
@@ -28,6 +35,7 @@ __all__ = ["ModelParams", "build_params", "load_config"]
 # within float rounding of zero; requiring a relative margin turns that
 # degeneracy into a deterministic CutoffTooLarge.
 _CUTOFF_MARGIN = 1e-12
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 def _as_finite_float(name: str, value) -> float:
@@ -115,6 +123,18 @@ class ModelParams:
         """Upper edge of the squared-gap search range, 2 * delta0**2."""
         return 2.0 * self.delta0**2
 
+    @cached_property
+    def core(self) -> ModelParams:
+        """The same model with t_c = k_b = n0 = 1; its window edge is 2U, U = hbar_omega_d / (2 k_b t_c)."""
+        kt = self.k_b * self.t_c
+        return replace(self, hbar_omega_d=self.hbar_omega_d / kt, k_b=1.0, n0=1.0, mu=self.mu / kt, t_c=1.0)
+
+    @property
+    def scales(self) -> tuple[float, float, float]:
+        """(k_b t_c)^2, k_b * k_b t_c and k_b^2: the units of f, f' and f'', and over n0 of the potential's."""
+        kt = self.k_b * self.t_c
+        return kt * kt, self.k_b * kt, self.k_b * self.k_b
+
     @property
     def band_constant(self) -> float:
         """Temperature-independent integral of xi * dos(xi) over [-mu, -hbar_omega_d].
@@ -140,7 +160,6 @@ class ModelParams:
             "n0": self.n0,
             "mu": self.mu,
             "t_c": self.t_c,
-            "dos": "default",
             "quad_rel_tol": self.quad_spec.rel_tol,
         }
 
@@ -157,9 +176,11 @@ def build_params(
     """Validate raw parameters, derive the transition temperature, and freeze.
 
     Raises NonFiniteInput / NonPositiveParameter on malformed raw values,
-    NoBracket when no transition temperature exists in the search window,
-    and CutoffTooLarge when the cutoff leaves no room for a positive
-    zero-temperature gap.
+    CutoffTooLarge when the cutoff leaves no room for a positive
+    zero-temperature gap, and OutsideDomain when a unit leaves float64: the
+    square of the core window edge 2U = hbar_omega_d / (k_b t_c) (u0n0
+    below about 1/355), mu / (k_b t_c), or t_c or one of params.scales,
+    alone or times n0, is not a normal float.
     """
     u0n0 = _as_finite_float("u0n0", u0n0)
     hbar_omega_d = _as_finite_float("hbar_omega_d", hbar_omega_d)
@@ -193,26 +214,33 @@ def build_params(
         t_c=t_c,
         quad_spec=quad_spec,
     )
+    units = (t_c, *params.scales, *(n0 * unit for unit in params.scales))
+    if not all(_TINY <= unit <= _HUGE for unit in units):
+        names = "t_c, (k_b t_c)^2, k_b * k_b t_c, k_b^2 and the last three times n0"
+        raise OutsideDomain(f"{names} must be normal floats, got {units}")
+    core = params.core  # the core kernels square window energies up to 2U
+    if not max(core.hbar_omega_d * core.hbar_omega_d, core.mu) <= _HUGE:
+        raise OutsideDomain(
+            f"(2U)^2 or mu / (k_b t_c) overflows: 2U = {core.hbar_omega_d!r}, mu / (k_b t_c) = {core.mu!r}"
+        )
     if eps > 0.0:
-        if eps >= hbar_omega_d / (2.0 * k_b * t_c):
+        if eps >= core.hbar_omega_d / 2.0:
             raise CutoffTooLarge(
-                f"cutoff eps = {eps} reaches the upper window edge "
-                f"{hbar_omega_d / (2.0 * k_b * t_c):.6g}"
+                f"cutoff eps = {eps} reaches the upper window edge {core.hbar_omega_d / 2.0:.6g}"
             )
-        params.delta  # noqa: B018 - raises CutoffTooLarge if the radicand has no margin
+        params.delta, core.delta  # noqa: B018 - raise CutoffTooLarge if a radicand has no margin
     return params
 
 
-_CONFIG_KEYS = ("u0n0", "hbar_omega_d", "k_b", "eps", "n0", "mu", "dos")
+_CONFIG_KEYS = ("u0n0", "hbar_omega_d", "k_b", "eps", "n0", "mu")
 
 
 def load_config(path) -> dict:
     """Parse a flat `key = value` parameter file.
 
-    Recognized keys: u0n0, hbar_omega_d, k_b, eps, n0, mu (floats) and
-    dos = default, the only density of states, which is checked and then
-    left out.  '#' starts a comment; blank lines are ignored; a repeated key
-    keeps its last value.  Returns a plain dict for build_params(**cfg).
+    Recognized keys: u0n0, hbar_omega_d, k_b, eps, n0, mu (floats).  '#'
+    starts a comment; blank lines are ignored; a repeated key keeps its last
+    value.  Returns a plain dict for build_params(**cfg).
     """
     out: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -226,14 +254,8 @@ def load_config(path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "dos":
-            if value != "default":
-                raise ValueError(
-                    f"{path}:{lineno}: only 'default' is accepted for dos, got {value!r}"
-                )
-        else:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: {value!r} is not a number") from None
+        try:
+            out[key] = float(value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {value!r} is not a number") from None
     return out

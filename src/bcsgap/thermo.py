@@ -12,6 +12,7 @@ the thermal decay scale.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,69 +95,76 @@ def _condensation_rows(xi, kt, f):
     return np.stack((ln_ratio, shift, occ_diff, weight * (xi * xi + f), weight))
 
 
-def _quadratures(t: float, params: ModelParams, point: GapPoint | None = None):
+def _quadratures(t: float, params: ModelParams, f: float | None = None):
     """Every temperature-dependent integral of the potential at t, as lists.
 
-    Three stacked quadrature calls: the _thermal_rows times the density of
-    states on the lower band (none when mu lies inside the window) and on
-    the upper tail, summed into band; and the pairing window's
-    _thermal_rows, then its _condensation_rows if point is given.  Both band
+    Runs on the core view, where k_b = n0 = 1.  Three stacked quadrature
+    calls: the _thermal_rows times the density of states on the lower band
+    (none when mu lies inside the window) and on the upper tail, summed into
+    band; and the pairing window's _thermal_rows, then its
+    _condensation_rows at the squared gap f if one is given.  Both band
     pieces stop at one edge where the thermal rows are negligible, so their
-    decay over k_b t is resolved however far mu or the tail reaches; when
-    k_b t is below the rounding of hbar_omega_d the edge is hbar_omega_d
-    itself and both pieces are skipped.  The window is
-    mapped on sqrt(f + (pi k_b t)^2), the distance from the real axis of its
-    integrands' nearest singularities.
+    decay over t is resolved however far mu or the tail reaches; when the
+    rows at the window edge, about e^{-hbar_omega_d / t}, are below the
+    smallest normal float, both pieces are skipped, as a relative target on
+    them would underflow.  The window is mapped on sqrt(f + (pi t)^2), the
+    distance from the real axis of its integrands' nearest singularities.
     """
-    kt = params.k_b * t
-    n0, mu, L, spec = params.n0, params.mu, params.hbar_omega_d, params.quad_spec
-    edge = truncation_point(L, kt, spec)
+    mu, L, spec = params.mu, params.hbar_omega_d, params.quad_spec
     band = np.zeros(3)
-    if edge > L:  # else the rows carry e^{-L/kt}, exactly 0 in float64
-        band = integrate(lambda xi: _dos(xi, n0, mu) * _thermal_rows(xi, kt), L, edge, spec)[0]
+    if L / t < -math.log(sys.float_info.min):
+        edge = truncation_point(L, t, spec)
+        band = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(xi, t), L, edge, spec)[0]
         if mu > L:
-            band = integrate(lambda xi: _dos(xi, n0, mu) * _thermal_rows(-xi, kt), -min(mu, edge), -L, spec)[0] + band
-    f = 0.0 if point is None else point.f
+            band = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(-xi, t), -min(mu, edge), -L, spec)[0] + band
 
     def window(xi):
-        rows = _thermal_rows(xi, kt)
-        return rows if point is None else np.concatenate((rows, _condensation_rows(xi, kt, f)))
+        rows = _thermal_rows(xi, t)
+        return rows if f is None else np.concatenate((rows, _condensation_rows(xi, t, f)))
 
-    scale = math.sqrt(f + (math.pi * kt) ** 2)
+    scale = math.sqrt((f or 0.0) + (math.pi * t) ** 2)
     return band.tolist(), integrate(window, params.xi_min, L, spec, scale=scale)[0].tolist()
 
 
-def _tail_parts(t: float, params: ModelParams, band) -> tuple:
-    kb, kt = params.k_b, params.k_b * t
+def _tail_parts(t: float, band) -> tuple:
     ln, occ, w = band
-    return (
-        2.0 * params.band_constant - 2.0 * kt * ln,
-        -2.0 * kb * ln - (2.0 / t) * occ,
-        -2.0 / (kb * t**3) * w,
-    )
+    return -2.0 * t * ln, -2.0 * ln - (2.0 / t) * occ, -2.0 / t**3 * w
 
 
-def _normal_parts(t: float, params: ModelParams, band, window) -> tuple:
-    n0, kb, kt = params.n0, params.k_b, params.k_b * t
-    a, L = params.xi_min, params.hbar_omega_d
+def _normal_parts(t: float, band, window) -> tuple:
     ln, occ, w = window[:3]
-    tails = _tail_parts(t, params, band)
+    tails = _tail_parts(t, band)
     return (
-        -n0 * (L * L - a * a) - 4.0 * n0 * kt * ln + tails[0],
-        -4.0 * n0 * kb * ln - (4.0 * n0 / t) * occ + tails[1],
-        -4.0 * n0 / (kb * t**3) * w + tails[2],
+        -4.0 * t * ln + tails[0],
+        -4.0 * ln - (4.0 / t) * occ + tails[1],
+        -4.0 / t**3 * w + tails[2],
     )
 
 
-def _condensation_parts(t: float, params: ModelParams, point: GapPoint, window) -> tuple:
-    n0, kb, kt = params.n0, params.k_b, params.k_b * t
+def _condensation_parts(t: float, params: ModelParams, f: float, f_prime: float, window) -> tuple:
     _, _, w, ratio, shift, occ, w_shift, w_gap = window
-    f, f_prime = point.f, point.f_prime
     return (
-        f * n0 / params.u0n0 - 2.0 * n0 * shift - 4.0 * n0 * kt * ratio,
-        -4.0 * n0 * kb * ratio + (4.0 * n0 / t) * occ,
-        4.0 * n0 / (kb * t**3) * (w - (w_shift - t * f_prime / 2.0 * w_gap)),
+        f / params.u0n0 - 2.0 * shift - 4.0 * t * ratio,
+        -4.0 * ratio + (4.0 / t) * occ,
+        4.0 / t**3 * (w - (w_shift - t * f_prime / 2.0 * w_gap)),
     )
+
+
+def _physical(params: ModelParams, parts, constant: float = 0.0) -> tuple:
+    """Core (value, d1, d2) of a potential times n0 and params.scales, plus a constant.
+
+    The temperature-independent constant is physical: in core units it is
+    of order (mu / (k_b t_c))^2, which overflows where its physical value
+    is far inside float64.
+    """
+    value, d1, d2 = (params.n0 * unit * part for unit, part in zip(params.scales, parts))
+    return constant + value, d1, d2
+
+
+def _normal_constant(params: ModelParams) -> float:
+    """Twice the band constant plus the window's zero-point piece -n0 (hbar_omega_d^2 - xi_min^2)."""
+    a, L = params.xi_min, params.hbar_omega_d
+    return 2.0 * params.band_constant - params.n0 * (L * L - a * a)
 
 
 def tail_potential(t: float, params: ModelParams) -> tuple:
@@ -167,7 +175,8 @@ def tail_potential(t: float, params: ModelParams) -> tuple:
     thermal decay scale k_b * t.  Returns (value, d1, d2).
     """
     t = _check_temperature(t)
-    return _tail_parts(t, params, _quadratures(t, params)[0])
+    tau = t / params.t_c
+    return _physical(params, _tail_parts(tau, _quadratures(tau, params.core)[0]), 2.0 * params.band_constant)
 
 
 def normal_potential(t: float, params: ModelParams) -> tuple:
@@ -177,7 +186,8 @@ def normal_potential(t: float, params: ModelParams) -> tuple:
     closed form; the thermal window piece and the tails are quadratures.
     """
     t = _check_temperature(t)
-    return _normal_parts(t, params, *_quadratures(t, params))
+    tau = t / params.t_c
+    return _physical(params, _normal_parts(tau, *_quadratures(tau, params.core)), _normal_constant(params))
 
 
 def condensation_potential(t: float, params: ModelParams, gap: GapPoint) -> tuple:
@@ -193,8 +203,9 @@ def condensation_potential(t: float, params: ModelParams, gap: GapPoint) -> tupl
     if t > params.t_c:
         raise OutsideDomain(f"condensation part exists for 0 < t <= t_c, got t = {t!r}")
     _require_solved(t, gap)
-    _, window = _quadratures(t, params, gap)
-    return _condensation_parts(t, params, gap, window)
+    tau, f = t / params.t_c, gap.f / params.scales[0]
+    _, window = _quadratures(tau, params.core, f)
+    return _physical(params, _condensation_parts(tau, params, f, gap.f_prime / params.scales[1], window))
 
 
 def thermodynamic_potential(t: float, params: ModelParams) -> ThermoPoint:
@@ -202,15 +213,19 @@ def thermodynamic_potential(t: float, params: ModelParams) -> ThermoPoint:
 
     At or below the transition the condensation part is added to the normal
     branch (the gap is solved internally); above it the normal branch alone.
-    Either way every integral comes from one _quadratures pass.
+    Either way every integral comes from one _quadratures pass on the core
+    view, and the sum becomes physical once.
     """
     t = _check_temperature(t)
-    point = solve_gap_at(t, params) if t <= params.t_c else None
-    band, window = _quadratures(t, params, point)
-    parts = _normal_parts(t, params, band, window)
-    if point is not None:
-        parts = tuple(nv + cv for nv, cv in zip(parts, _condensation_parts(t, params, point, window)))
-    omega, omega_t, omega_tt = parts
+    tau = t / params.t_c
+    gap = solve_gap_at(t, params) if t <= params.t_c else None
+    f = None if gap is None else gap.f / params.scales[0]
+    band, window = _quadratures(tau, params.core, f)
+    parts = _normal_parts(tau, band, window)
+    if gap is not None:
+        cond = _condensation_parts(tau, params, f, gap.f_prime / params.scales[1], window)
+        parts = tuple(nv + cv for nv, cv in zip(parts, cond))
+    omega, omega_t, omega_tt = _physical(params, parts, _normal_constant(params))
     return ThermoPoint(
         t=t,
         omega=omega,
@@ -218,7 +233,7 @@ def thermodynamic_potential(t: float, params: ModelParams) -> ThermoPoint:
         omega_tt=omega_tt,
         entropy=-omega_t,
         c_v=-t * omega_tt,
-        branch="normal" if point is None else "superconducting",
+        branch="normal" if gap is None else "superconducting",
     )
 
 
@@ -231,9 +246,7 @@ def second_derivative_jump(params: ModelParams) -> float:
     from above.
     """
     f_prime = solve_gap_at(params.t_c, params).f_prime
-    bracket = float(fermi(2.0 * params.eps)) - float(
-        fermi(params.hbar_omega_d / (params.k_b * params.t_c))
-    )
+    bracket = float(fermi(2.0 * params.eps)) - float(fermi(params.core.hbar_omega_d))
     return 2.0 * params.n0 * f_prime / params.t_c * bracket
 
 
@@ -299,9 +312,7 @@ def specific_heat_jump(params: ModelParams) -> float:
             f"the specific-heat closed form needs eps = 0, got eps = {params.eps}"
         )
     f_prime = solve_gap_at(params.t_c, params).f_prime
-    return -params.n0 * f_prime * math.tanh(
-        params.hbar_omega_d / (2.0 * params.k_b * params.t_c)
-    )
+    return -params.n0 * f_prime * math.tanh(params.core.hbar_omega_d / 2.0)
 
 
 def thermo_to_csv(points) -> str:

@@ -173,19 +173,14 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
 
     t_c = params.t_c
     delta_sq = params.delta**2
-    y_max = params.y_max
     sharp = _sharpened(params)
+    # the probe grids run on the core view: temperatures in t_c, energies in k_b t_c
+    core = params.core
 
     # -- transition point and residual anchors ---------------------------
-    def tanh_over(eta):
-        eta = np.asarray(eta, dtype=float)
-        out = np.ones_like(eta)
-        nz = eta != 0.0
-        out[nz] = np.tanh(eta[nz]) / eta[nz]
-        return out
-
-    upper = params.hbar_omega_d / (2.0 * params.k_b * t_c)
-    defect = integrate(tanh_over, params.eps, upper, sharp.quad_spec)[0]
+    # the rule's nodes are interior to [eps, U], so x = 0 is never sampled
+    upper = core.hbar_omega_d / 2.0
+    defect = integrate(lambda x: np.tanh(x) / x, params.eps, upper, sharp.quad_spec, scale=1.0)[0]
     add(Check(
         "tc_definition_residual",
         abs(defect - 1.0 / params.u0n0) * params.u0n0,
@@ -229,13 +224,13 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
     # the extrapolation points below t_c, each with f, f' and f''
     stride = max(1, (grid_size - 1) // 16)
     node_idx = list(range(stride, grid_size - 1, stride))
-    nodes = ts[node_idx]
+    nodes = ts[node_idx] / t_c
     n = nodes.size
-    h = _FD_STEP * t_c
-    h0 = _ONESIDED_STEP * t_c
-    hs = [t_c * 10.0 ** (-k) for k in _EXTRAP_KS]
-    probes = np.concatenate([nodes, *(nodes + o * h for o in _STENCIL), [h0, 2.0 * h0], t_c - np.array(hs)])
-    f, fp, fs = np.array([(q.f, q.f_prime, q.f_second) for q in _solved_points(probes, sharp)]).T
+    h = _FD_STEP
+    h0 = _ONESIDED_STEP
+    hs = [10.0 ** (-k) for k in _EXTRAP_KS]
+    probes = np.concatenate([nodes, *(nodes + o * h for o in _STENCIL), [h0, 2.0 * h0], 1.0 - np.array(hs)])
+    f, fp, fs = np.array([(q.f, q.f_prime, q.f_second) for q in _solved_points(probes, sharp.core)]).T
 
     # -- analytic derivatives vs five-point stencils ----------------------
     fp_a, fs_a = fp[:n], fs[:n]
@@ -260,20 +255,20 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
     f_h0, f_2h0 = f[5 * n:5 * n + 2]
     add(Check(
         "fprime_t0_onesided",
-        abs((f_h0 - delta_sq) / h0),
+        abs((f_h0 - core.delta**2) / h0),
         0.0,
         _FIRST_DERIVATIVE_TOL,
     ))
     add(Check(
         "fsecond_t0_onesided",
-        abs((f_2h0 - 2.0 * f_h0 + delta_sq) / h0**2),
+        abs((f_2h0 - 2.0 * f_h0 + core.delta**2) / h0**2),
         0.0,
         0.01 * _SECOND_DERIVATIVE_TOL,
     ))
 
     # -- closed-form endpoint derivatives by interior extrapolation -------
     tc_gap = solve_gap_at(t_c, params)
-    fp_tc, fs_tc = tc_gap.f_prime, tc_gap.f_second
+    fp_tc, fs_tc = tc_gap.f_prime / params.scales[1], tc_gap.f_second / params.scales[2]
     add(Check(
         "fprime_tc_extrapolated",
         abs(extrapolate_to_zero(hs, fp[5 * n + 2:]) - fp_tc) / abs(fp_tc),
@@ -380,15 +375,15 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
     add(Check("branch_agreement_at_cut", seam, 0.0, _BRANCH_SEAM_TOL))
 
     # -- mixed second partial from both finite-difference directions ------
-    t_m, y_m = 0.7 * t_c, 0.3 * y_max
-    second = gap_residual_second_partials(t_m, y_m, params)
-    h_y = 1e-5 * y_max
-    h_t = 1e-5 * t_c
+    t_m, y_m = 0.7, 0.3 * core.y_max
+    second = gap_residual_second_partials(t_m, y_m, core)
+    h_y = 1e-5 * core.y_max
+    h_t = 1e-5
     steps = np.array(_STENCIL)
     p = window_pass(
         np.concatenate([np.full(4, t_m), t_m + steps * h_t]),
         np.concatenate([y_m + steps * h_y, np.full(4, y_m)]),
-        params,
+        core,
         order=1,
     )
     dty_from_y = _five_point(p.d_t[:4], h_y)
@@ -403,18 +398,19 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
 
     # -- residual partials strictly negative off the zero-temperature edge
     grid_t, grid_y = np.meshgrid(
-        [t_c * (i / _PARTIALS_GRID) for i in range(1, _PARTIALS_GRID + 1)],
-        [y_max * (j / _PARTIALS_GRID) for j in range(_PARTIALS_GRID)],
+        [i / _PARTIALS_GRID for i in range(1, _PARTIALS_GRID + 1)],
+        [core.y_max * (j / _PARTIALS_GRID) for j in range(_PARTIALS_GRID)],
         indexing="ij",
     )
-    p = window_pass(grid_t, grid_y, params, order=1)
+    p = window_pass(grid_t, grid_y, core, order=1)
     violations = np.sum(~(p.d_t < 0.0)) + np.sum(~(p.d_y < 0.0))
     add(Check("partials_negative_grid", float(violations), 0.0, 0.0))
 
     # -- the analytically dropped slope term is machine-level -------------
     # re-integrated at the warm nodes in one call, not read off the curve
     warm = [*node_idx, grid_size - 1]
-    values = window_integrals(ts[warm], [curve.points[i].f for i in warm], params, ("value",))[0]
+    ys = [curve.points[i].f / params.scales[0] for i in warm]
+    values = window_integrals(ts[warm] / t_c, ys, core, ("value",))[0]
     residuals = [gap_residual(0.0, curve.points[0].f, params), *(values - 1.0 / params.u0n0)]
     cancel = params.n0 * max(abs(r) for r in residuals)
     add(Check(

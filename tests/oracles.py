@@ -281,3 +281,27 @@ def mp_window_integral(kind, t, y, k_b, xi_min, hbar_omega_d, dps=40):
         steps = (1, 2, 4, 8, 16, 64, 256, *(4**k for k in range(5, 40)))
         cuts = [a + width * k for k in steps if a + width * k < big]
         return float(peak * mp.quad(lambda xi: integrand(xi) / peak, [a, *cuts, big]))
+
+
+def mp_log_u(u0n0, dps=30):
+    """ln U, U = hbar_omega_d / (2 k_b t_c), solving the t_c condition in ln U (mpmath).
+
+    The condition is that tanh(x)/x integrates to 1/u0n0 over [0, U], with
+    no unit in it.  Above a = 40 the integral is the one over [0, a] plus
+    ln(U / a) minus the integral of (1 - tanh x)/x over [a, U], so the
+    weak-coupling roots, with U up to e^200, take no quadrature over a huge
+    interval.
+    """
+    with mp.workdps(dps):
+        a, target = mp.mpf(40), 1 / mp.mpf(u0n0)
+        tanh_over = lambda x: mp.tanh(x) / x if x != 0 else mp.mpf(1)
+        rest = lambda x: (1 - mp.tanh(x)) / x
+        head = mp.quad(tanh_over, [0, a])
+
+        def defect(s):
+            u = mp.exp(s)
+            if u <= a:
+                return mp.quad(tanh_over, [0, u]) - target
+            return head + s - mp.log(a) - (mp.quad(rest, [a, mp.inf]) - mp.quad(rest, [u, mp.inf])) - target
+
+        return float(mp.findroot(defect, target - mp.log(4 / mp.pi) - mp.euler))

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from bcsgap.cli import main
+from bcsgap.model import build_params
 
 
 def run(capsys, *argv):
@@ -80,15 +82,19 @@ def test_thermo_straddles_transition(capsys):
 
 
 def test_thermo_weak_coupling_row_one_ulp_below_tc(capsys):
-    # the default grid's sixth row lands one ulp below t_c at u0n0 = 0.1;
-    # it is on the superconducting branch, and its c_v over the normal c_v
-    # at the same temperature is the BCS ratio 1 + 12 / (7 zeta(3))
-    code, out, err = run(capsys, "thermo", "--u0n0", "0.1")
+    # a two-row window from one ulp below t_c to one ulp above it at
+    # u0n0 = 0.1: the first row is on the superconducting branch, and its
+    # c_v over the normal c_v at the same temperature is the BCS ratio
+    # 1 + 12 / (7 zeta(3))
+    t_c = build_params(u0n0=0.1).t_c
+    below, above = (float(np.nextafter(t_c, side)) for side in (0.0, 1.0))
+    code, out, err = run(capsys, "thermo", "--u0n0", "0.1", "--points", "2", "--tmin", repr(below), "--tmax", repr(above))
     assert code == 0, err
     rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-    assert rows[5][-1] == "superconducting" and rows[6][-1] == "normal"
-    t, c_v = float(rows[5][0]), float(rows[5][5])
-    c_n = -t * float(rows[6][3])  # the normal omega_tt is constant in t here
+    assert [float(r[0]) for r in rows] == [below, above]
+    assert rows[0][-1] == "superconducting" and rows[1][-1] == "normal"
+    t, c_v = float(rows[0][0]), float(rows[0][5])
+    c_n = -t * float(rows[1][3])  # the normal omega_tt is constant in t here
     assert c_v / c_n == pytest.approx(1.0 + 12.0 / (7.0 * 1.2020569031595942), rel=1e-6)
 
 

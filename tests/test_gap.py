@@ -22,7 +22,7 @@ from bcsgap.gap import (
     solve_gap_at,
     solve_tc,
 )
-from bcsgap.kernels import gap_residual
+from bcsgap.kernels import gap_residual, gap_residual_partials
 from bcsgap.model import build_params
 
 from . import oracles
@@ -157,11 +157,17 @@ def test_no_root_on_inconsistent_params_names_the_temperature(default_params):
 
 @pytest.mark.parametrize("u0n0", [0.3, 0.1])
 def test_one_ulp_below_tc_is_the_closed_gap(u0n0):
-    # F(t, 0) rounds to <= 0 within an ulp of t_c; the clamped Newton step
-    # stops at y = 0, which is the root to within rounding
+    # one ulp below t_c the gap has nearly closed: f = -f'(t_c) * ulp(t_c)
+    # to first order.  A residual-based solve resolves f only to one
+    # rounding step of the residual, ulp(1/u0n0), over |dF/dy|; F(t, 0) may
+    # round to <= 0 there, and the clamped Newton step then stops at y = 0
     p = build_params(u0n0=u0n0)
-    point = solve_gap_at(np.nextafter(p.t_c, 0.0), p)
-    assert point.f == 0.0
+    t = np.nextafter(p.t_c, 0.0)
+    point = solve_gap_at(t, p)
+    expected = -solve_gap_at(p.t_c, p).f_prime * (p.t_c - t)
+    resolution = np.spacing(1.0 / u0n0) / abs(gap_residual_partials(p.t_c, 0.0, p).d_y)
+    assert point.f >= 0.0
+    assert abs(point.f - expected) <= resolution
     assert point.residual <= gap.RESIDUAL_TOL
 
 

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bcsgap.errors import (
+    BcsgapError,
     CutoffTooLarge,
-    NoBracket,
     NonFiniteInput,
     NonPositiveParameter,
+    OutsideDomain,
 )
-from bcsgap.gap import solve_tc
+from bcsgap.gap import sample_gap_curve, solve_tc
 from bcsgap.model import build_params, load_config
+from bcsgap.thermo import thermodynamic_potential
+from bcsgap.verify import run_suite
 
 from . import oracles
 
@@ -85,11 +88,13 @@ def test_oversized_cutoff_rejected():
         build_params(eps=20.0)
 
 
-def test_no_bracket_for_extreme_couplings():
-    with pytest.raises(NoBracket):
-        solve_tc(1e9, 1.0, 1.0)  # transition above the search window
-    with pytest.raises(NoBracket):
-        solve_tc(1e-3, 1.0, 1.0)  # transition far below it
+def test_extreme_couplings():
+    # at u0n0 = 1e9 the root is U = hbar_omega_d / (2 k_b t_c) ~ 1e-9, where
+    # the integral of tanh(x)/x over [0, U] is U - U^3 / 9 + ...; at 1e-3 it
+    # is U ~ e^1000, which no float holds
+    assert solve_tc(1e9, 1.0, 1.0) == pytest.approx(0.5e9, rel=1e-12)
+    with pytest.raises(OutsideDomain):
+        solve_tc(1e-3, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.0 + 1e-9, 1.5, 10.0, 1e3, 1e6])
@@ -107,7 +112,7 @@ def test_as_dict_snapshot(default_params):
     assert list(snap)[:6] == ["u0n0", "hbar_omega_d", "k_b", "eps", "n0", "mu"]
     assert snap["u0n0"] == 0.3
     assert snap["t_c"] == default_params.t_c
-    assert snap["dos"] == "default"
+    assert list(snap)[6:] == ["t_c", "quad_rel_tol"]
 
 
 def test_config_roundtrip(tmp_path):
@@ -117,11 +122,9 @@ def test_config_roundtrip(tmp_path):
         "u0n0 = 0.25\n"
         "eps = 0.001   # cutoff\n"
         "mu = 12\n"
-        "dos = default\n"
         "u0n0 = 0.28\n"  # last value wins
     )
     parsed = load_config(cfg)
-    # dos = default is checked and left out: it is the only density of states
     assert parsed == {"u0n0": 0.28, "eps": 0.001, "mu": 12.0}
     params = build_params(**parsed)
     assert params.u0n0 == 0.28
@@ -133,7 +136,8 @@ def test_config_roundtrip(tmp_path):
     [
         "coupling = 0.3",  # unknown key
         "u0n0 = strong",  # not a number
-        "dos = lorentzian",  # only the default shape is supported
+        "dos = lorentzian",  # the density of states is fixed: no key selects it
+        "dos = default",
         "u0n0 0.3",  # missing separator
     ],
 )
@@ -157,3 +161,46 @@ def test_built_params_invariants(u0n0, hbar_omega_d, k_b, eps):
     assert 0.0 < params.delta <= params.delta0
     assert params.y_max == 2.0 * params.delta0**2
     assert 0.0 < params.y_max < math.inf
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        pytest.param({"u0n0": 1e-3}, id="U"),
+        pytest.param({"u0n0": 1.5e-3, "hbar_omega_d": 1e150, "mu": 1e151}, id="U^2"),
+        *(pytest.param({"hbar_omega_d": 2.0**k, "mu": 10.0 * 2.0**k}, id=f"energies*2^{k}") for k in (600, -600)),
+        *(pytest.param({"k_b": 2.0**k}, id=f"k_b*2^{k}") for k in (600, -600)),
+    ],
+)
+def test_units_outside_float64_are_refused(kwargs):
+    # U = e^~1000, the squared core window edge (2U)^2 = e^~1330, or an
+    # output scale such as (k_b t_c)^2 or k_b^2 beyond float64: a typed error, never an OverflowError, a ZeroDivisionError or
+    # a model whose outputs would be inf, NaN or flushed to 0
+    with pytest.raises(BcsgapError):
+        build_params(**kwargs)
+
+
+def _scaled_outputs(p):
+    """A 9-node curve and thermo at 0.5 and 1.5 t_c, each value over its unit."""
+    kt = p.k_b * p.t_c
+    f_units = (p.t_c, kt * kt, kt * kt / p.t_c, p.k_b**2)
+    curve = [
+        tuple(v / unit for v, unit in zip((q.t, q.f, q.f_prime, q.f_second), f_units))
+        for q in sample_gap_curve(p, 9).points
+    ]
+    thermo_units = (p.t_c, p.n0 * kt * kt, p.n0 * kt * kt / p.t_c, p.n0 * p.k_b**2, p.n0 * p.k_b**2 * p.t_c)
+    thermo = [
+        tuple(v / unit for v, unit in zip((q.t, q.omega, q.omega_t, q.omega_tt, q.c_v), thermo_units))
+        for q in (thermodynamic_potential(r * p.t_c, p) for r in (0.5, 1.5))
+    ]
+    return curve, thermo
+
+
+@pytest.mark.parametrize("k", [0, 100, -100, 200, -200, 300, -300])
+def test_outputs_scale_exactly_with_the_units(k):
+    # the core runs in units of t_c and k_b t_c, so scaling the energies by
+    # 2^k, or k_b by 2^-k, scales every output by its unit to the last bit
+    reference = _scaled_outputs(build_params())
+    for p in (build_params(hbar_omega_d=2.0**k, mu=10.0 * 2.0**k), build_params(k_b=2.0**-k)):
+        assert _scaled_outputs(p) == reference
+        assert run_suite(p, 51).passed

@@ -372,3 +372,41 @@ def test_stacked_point_matches_lone_integrals(kwargs):
         got = (point.omega, point.omega_t, point.omega_tt)
         for g, r in zip(got, _reference_point(t, p)):
             assert abs(g - r) <= 1e-13 * abs(r), (ratio, g, r)
+
+
+@pytest.mark.parametrize("u0n0", [0.3, 0.1, 0.03, 0.01, 0.005])
+def test_bcs_weak_coupling_limits(u0n0):
+    # the textbook weak-coupling limits at eps = 0, each with its leading
+    # window correction in U = hbar_omega_d / (2 k_b t_c) written out; what
+    # the corrections leave is O(e^{-2U}), bounded in each tolerance next to
+    # the solver's contracts: a 1e-12 relative defect in the t_c condition
+    # (1e-12 / u0n0 in ln U) and quadratures to 1e-12, of which f' and c_v
+    # are quotients and sums (1e-10 allowed)
+    zeta3, euler = 1.2020569031595942854, 0.57721566490153286061
+    slope_integral = 7.0 * zeta3 / math.pi**2
+    p = build_params(u0n0=u0n0)
+    ln_u = oracles.mp_log_u(u0n0)
+    u = math.exp(ln_u)
+    tc_tol = 1e-12 / u0n0
+    assert p.t_c == pytest.approx(p.hbar_omega_d / (2.0 * p.k_b) / u, rel=tc_tol, abs=0.0)
+
+    # Delta0 / (k_b t_c) -> pi / e^gamma: 2U / sinh(1/u0n0), with
+    # ln U = 1/u0n0 - ln(4 e^gamma / pi) - r and 0 <= r <= e^{-2U} / U
+    ratio = p.delta0 / (p.k_b * p.t_c)
+    expected = math.pi / math.exp(euler) / -math.expm1(-2.0 / u0n0)
+    assert ratio == pytest.approx(expected, rel=tc_tol + math.exp(-2.0 * u) / u + 1e-15, abs=0.0)
+
+    # f'(t_c) -> -8 pi^2 k_b^2 t_c / (7 zeta(3)): the sech^2 integral over
+    # the window is tanh U, and the slope-kernel integral misses 1/(2 U^2)
+    # at the top, up to 3 e^{-2U} / U^2
+    f_prime = solve_gap_at(p.t_c, p).f_prime
+    expected = -8.0 * p.k_b**2 * p.t_c * math.tanh(u) / (slope_integral - 0.5 / u**2)
+    assert f_prime == pytest.approx(expected, rel=1e-10 + 4.0 * math.exp(-2.0 * u) / u**2, abs=0.0)
+
+    # Delta C / C_n -> 12 / (7 zeta(3)), with Delta C = -n0 f'(t_c) tanh U
+    # and C_n the Sommerfeld value, which the window edge z = 2U and the
+    # band outside it move by at most 2 z^2 e^{-z}
+    jump_ratio = specific_heat_jump(p) / (-p.t_c * normal_potential(p.t_c, p)[2])
+    expected = 12.0 / (7.0 * zeta3) * math.tanh(u) ** 2 / (1.0 - 0.5 / (slope_integral * u**2))
+    z = 2.0 * u
+    assert jump_ratio == pytest.approx(expected, rel=1e-10 + 2.0 * z * z * math.exp(-z), abs=0.0)
