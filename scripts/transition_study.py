@@ -20,8 +20,8 @@ from bcsgap import (
     second_derivative_jump,
     specific_heat_jump,
     thermo_to_csv,
-    thermodynamic_potential,
 )
+from bcsgap.thermo import _points
 
 
 def parse_args() -> argparse.Namespace:
@@ -62,10 +62,8 @@ def main() -> int:
     # grid straddling the transition so the specific-heat step is visible
     lo, hi = 0.25 * params.t_c, 1.5 * params.t_c
     n = args.thermo_points
-    points = [
-        thermodynamic_potential(lo + (hi - lo) * i / (n - 1), params)
-        for i in range(n)
-    ]
+    # the whole grid is one batch: one gap solve and one quadrature pass per branch
+    points = _points([lo + (hi - lo) * i / (n - 1) for i in range(n)], params)
     (args.out_dir / "thermo.csv").write_text(thermo_to_csv(points))
     cold = max(p.c_v for p in points if p.branch == "superconducting")
     warm = min(p.c_v for p in points if p.branch == "normal")

@@ -30,11 +30,11 @@ from .gap import sample_gap_curve, solve_gap_at
 from .model import build_params, load_config
 from .quad import DEFAULT_SPEC
 from .thermo import (
+    _points,
     measured_second_derivative_jump,
     second_derivative_jump,
     specific_heat_jump,
     thermo_to_csv,
-    thermodynamic_potential,
 )
 from .verify import run_suite
 
@@ -167,7 +167,7 @@ def _run_thermo(args) -> int:
     if not 0.0 < tmin < tmax:
         raise ValueError(f"need 0 < tmin < tmax, got tmin={tmin!r} tmax={tmax!r}")
     ts = [tmin + (tmax - tmin) * i / (n - 1) for i in range(n)]
-    points = [thermodynamic_potential(t, params) for t in ts]
+    points = _points(ts, params)
     if args.format == "json":
         payload = {
             "params": params.as_dict(),

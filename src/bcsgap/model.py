@@ -164,6 +164,16 @@ class ModelParams:
         }
 
 
+def _normal_constant(params: ModelParams) -> float:
+    """Twice the band constant plus the window's zero-point piece -n0 (hbar_omega_d^2 - xi_min^2).
+
+    The temperature-independent part of the normal potential, in physical
+    units; build_params refuses a model where it is not finite.
+    """
+    a, L = params.xi_min, params.hbar_omega_d
+    return 2.0 * params.band_constant - params.n0 * (L * L - a * a)
+
+
 def build_params(
     u0n0: float = 0.3,
     hbar_omega_d: float = 1.0,
@@ -180,7 +190,9 @@ def build_params(
     zero-temperature gap, and OutsideDomain when a unit leaves float64: the
     square of the core window edge 2U = hbar_omega_d / (k_b t_c) (u0n0
     below about 1/355), mu / (k_b t_c), or t_c or one of params.scales,
-    alone or times n0, is not a normal float.
+    alone or times n0, is not a normal float, or the normal constant
+    2 band_constant - n0 (hbar_omega_d^2 - xi_min^2), of order mu^2, is not
+    finite (mu above about 1e154 in energy units).
     """
     u0n0 = _as_finite_float("u0n0", u0n0)
     hbar_omega_d = _as_finite_float("hbar_omega_d", hbar_omega_d)
@@ -218,6 +230,11 @@ def build_params(
     if not all(_TINY <= unit <= _HUGE for unit in units):
         names = "t_c, (k_b t_c)^2, k_b * k_b t_c, k_b^2 and the last three times n0"
         raise OutsideDomain(f"{names} must be normal floats, got {units}")
+    constant = _normal_constant(params)
+    if not math.isfinite(constant):
+        raise OutsideDomain(
+            f"the normal constant 2 band_constant - n0 (hbar_omega_d^2 - xi_min^2) must be finite, got {constant!r}"
+        )
     core = params.core  # the core kernels square window energies up to 2U
     if not max(core.hbar_omega_d * core.hbar_omega_d, core.mu) <= _HUGE:
         raise OutsideDomain(

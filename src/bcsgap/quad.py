@@ -1,9 +1,10 @@
 """Adaptive quadrature on finite intervals.
 
 The engine is a globally adaptive Gauss-Kronrod 7/15 rule.  Panels whose
-error estimate exceeds their share of the budget are bisected, and every
-new panel in a round is evaluated in one vectorized call, so integrands
-written with numpy stay fast.  The returned error estimate is the usual
+error estimate exceeds their share of the budget are bisected, and each
+round evaluates every panel, kept and new alike, in one vectorized call,
+so integrands written with numpy stay fast; a kept panel's values are
+recomputed, not stored.  The returned error estimate is the usual
 conservative Kronrod-minus-Gauss measure.
 
 An integrand may also return a stack of k integrands, shape (k, n) for n

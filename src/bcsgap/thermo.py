@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffNotZero, NonFiniteInput, OutsideDomain
-from .gap import GapPoint, _require_solved, solve_gap_at
+from .gap import GapPoint, _require_solved, _solved_points, solve_gap_at
 from .kernels import fermi, fermi_weight
-from .model import ModelParams, _as_finite_float, _dos
+from .model import ModelParams, _as_finite_float, _dos, _normal_constant
 from .quad import integrate, truncation_point
 
 __all__ = [
@@ -39,6 +39,10 @@ __all__ = [
 
 # Offsets t_c * 10^-k of the one-sided samples the measured jump extrapolates from.
 _JUMP_KS = (3, 4, 5, 6)
+# Temperatures per stacked pass of _points.  Every temperature adds up to
+# eight rows on every node, so the cap keeps peak memory independent of how
+# many temperatures a batch is given.
+_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,12 @@ def _check_temperature(t) -> float:
 
 
 def _thermal_rows(e, kt):
-    """Rows ln(1 + e^{-e/kt}), e fermi(e/kt), e^2 fermi_weight(e/kt) at energies e >= 0."""
-    return np.stack((np.log1p(np.exp(-e / kt)), e * fermi(e / kt), e * e * fermi_weight(e / kt)))
+    """Rows ln(1 + e^{-e/kt}), e fermi(e/kt), e^2 fermi_weight(e/kt) at energies e >= 0.
+
+    kt is a float, or a column of n temperatures, which gives each row n
+    rows in turn.
+    """
+    return np.vstack((np.log1p(np.exp(-e / kt)), e * fermi(e / kt), e * e * fermi_weight(e / kt)))
 
 
 def _condensation_rows(xi, kt, f):
@@ -92,38 +100,56 @@ def _condensation_rows(xi, kt, f):
     drop = -np.expm1(-shift / kt) / (1.0 + np.exp(-s / kt))
     occ_diff = xi * fermi(xi / kt) * drop - shift * fermi(s / kt)
     weight = fermi_weight(s / kt)
-    return np.stack((ln_ratio, shift, occ_diff, weight * (xi * xi + f), weight))
+    return np.vstack((ln_ratio, shift, occ_diff, weight * (xi * xi + f), weight))
 
 
-def _quadratures(t: float, params: ModelParams, f: float | None = None):
-    """Every temperature-dependent integral of the potential at t, as lists.
+def _column(values: list):
+    """Floats as a column against a row of nodes; a lone float stays a float, as numpy broadcasts it faster."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
 
-    Runs on the core view, where k_b = n0 = 1.  Three stacked quadrature
-    calls: the _thermal_rows times the density of states on the lower band
-    (none when mu lies inside the window) and on the upper tail, summed into
-    band; and the pairing window's _thermal_rows, then its
-    _condensation_rows at the squared gap f if one is given.  Both band
-    pieces stop at one edge where the thermal rows are negligible, so their
-    decay over t is resolved however far mu or the tail reaches; when the
-    rows at the window edge, about e^{-hbar_omega_d / t}, are below the
-    smallest normal float, both pieces are skipped, as a relative target on
-    them would underflow.  The window is mapped on sqrt(f + (pi t)^2), the
-    distance from the real axis of its integrands' nearest singularities.
+
+def _quadratures(ts: list, params: ModelParams, fs: list | None = None):
+    """Every temperature-dependent integral of the potential at core temperatures ts.
+
+    Runs on the core view, where k_b = n0 = 1, and stacks the rows of every
+    temperature on shared nodes, in three quadrature calls: the
+    _thermal_rows times the density of states on the lower band (none when
+    mu lies inside the window) and on the upper tail, summed into band; and
+    the pairing window's _thermal_rows, then its _condensation_rows at the
+    squared gaps fs if they are given, one per temperature.  Both band
+    pieces stop at one edge where the thermal rows of the warmest
+    temperature are negligible, so their decay is resolved however far mu
+    or the tail reaches; a temperature whose rows at the window edge, about
+    e^{-hbar_omega_d / t}, are below the smallest normal float gets no band
+    rows, as a relative target on them would underflow.  The window is
+    mapped on the smallest sqrt(f + (pi t)^2), the distance from the real
+    axis of its integrands' nearest singularities.  Returns (band, window),
+    each a list with one list of integrals per temperature.
     """
     mu, L, spec = params.mu, params.hbar_omega_d, params.quad_spec
-    band = np.zeros(3)
-    if L / t < -math.log(sys.float_info.min):
-        edge = truncation_point(L, t, spec)
-        band = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(xi, t), L, edge, spec)[0]
+    band = [[0.0] * 3 for _ in ts]
+    hot = [i for i, t in enumerate(ts) if L / t < -math.log(sys.float_info.min)]
+    if hot:
+        kt = _column([ts[i] for i in hot])
+        edge = truncation_point(L, max(ts[i] for i in hot), spec)
+
+        values = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(xi, kt), L, edge, spec)[0]
         if mu > L:
-            band = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(-xi, t), -min(mu, edge), -L, spec)[0] + band
+            lower = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(-xi, kt), -min(mu, edge), -L, spec)[0]
+            values = lower + values
+        for i, row in zip(hot, values.reshape(3, -1).T.tolist()):
+            band[i] = row
+
+    kt = _column(ts)
+    f = None if fs is None else _column(fs)
 
     def window(xi):
-        rows = _thermal_rows(xi, t)
-        return rows if f is None else np.concatenate((rows, _condensation_rows(xi, t, f)))
+        rows = _thermal_rows(xi, kt)
+        return rows if f is None else np.concatenate((rows, _condensation_rows(xi, kt, f)))
 
-    scale = math.sqrt((f or 0.0) + (math.pi * t) ** 2)
-    return band.tolist(), integrate(window, params.xi_min, L, spec, scale=scale)[0].tolist()
+    scale = min(math.sqrt(fi + (math.pi * t) ** 2) for t, fi in zip(ts, fs or [0.0] * len(ts)))
+    values = integrate(window, params.xi_min, L, spec, scale=scale)[0].reshape(-1, len(ts))
+    return band, values.T.tolist()
 
 
 def _tail_parts(t: float, band) -> tuple:
@@ -131,9 +157,8 @@ def _tail_parts(t: float, band) -> tuple:
     return -2.0 * t * ln, -2.0 * ln - (2.0 / t) * occ, -2.0 / t**3 * w
 
 
-def _normal_parts(t: float, band, window) -> tuple:
+def _normal_parts(t: float, tails, window) -> tuple:
     ln, occ, w = window[:3]
-    tails = _tail_parts(t, band)
     return (
         -4.0 * t * ln + tails[0],
         -4.0 * ln - (4.0 / t) * occ + tails[1],
@@ -161,10 +186,69 @@ def _physical(params: ModelParams, parts, constant: float = 0.0) -> tuple:
     return constant + value, d1, d2
 
 
-def _normal_constant(params: ModelParams) -> float:
-    """Twice the band constant plus the window's zero-point piece -n0 (hbar_omega_d^2 - xi_min^2)."""
-    a, L = params.xi_min, params.hbar_omega_d
-    return 2.0 * params.band_constant - params.n0 * (L * L - a * a)
+def _branch(ts, params: ModelParams, gaps=None) -> list[tuple]:
+    """Core (tail, normal, condensation) parts at checked temperatures ts of one branch.
+
+    One _quadratures call for the whole list.  gaps, the solved GapPoints
+    at ts, add the condensation rows to the window; without them the
+    condensation part is None.
+    """
+    f_unit, f_prime_unit, _ = params.scales
+    taus = [t / params.t_c for t in ts]
+    fs = None if gaps is None else [g.f / f_unit for g in gaps]
+    bands, windows = _quadratures(taus, params.core, fs)
+    parts = []
+    for i, (tau, band, window) in enumerate(zip(taus, bands, windows)):
+        tails = _tail_parts(tau, band)
+        cond = None if gaps is None else _condensation_parts(tau, params, fs[i], gaps[i].f_prime / f_prime_unit, window)
+        parts.append((tails, _normal_parts(tau, tails, window), cond))
+    return parts
+
+
+def _thermo_point(t: float, params: ModelParams, parts) -> ThermoPoint:
+    """The ThermoPoint at t from its _branch parts: normal plus condensation, made physical once."""
+    _, normal, cond = parts
+    if cond is not None:
+        normal = tuple(nv + cv for nv, cv in zip(normal, cond))
+    omega, omega_t, omega_tt = _physical(params, normal, _normal_constant(params))
+    return ThermoPoint(
+        t=t,
+        omega=omega,
+        omega_t=omega_t,
+        omega_tt=omega_tt,
+        entropy=-omega_t,
+        c_v=-t * omega_tt,
+        branch="normal" if cond is None else "superconducting",
+    )
+
+
+def _superconducting_point(t: float, params: ModelParams, gap: GapPoint) -> tuple:
+    """The ThermoPoint at a checked t <= t_c and its condensation_potential, from one window pass at gap."""
+    parts = _branch([t], params, [gap])[0]
+    return _thermo_point(t, params, parts), _physical(params, parts[2])
+
+
+def _points(ts, params: ModelParams) -> list[ThermoPoint]:
+    """Piecewise potential at a batch of temperatures, in their order.
+
+    Per _BATCH temperatures, one _solved_points call for those at or below
+    t_c and one _branch call, so one _quadratures call, per branch: the
+    superconducting rows carry the condensation part at their solved gaps.
+    A batch of one is thermodynamic_potential.
+    """
+    ts = [_check_temperature(t) for t in ts]
+    points = [None] * len(ts)
+    for lo in range(0, len(ts), _BATCH):
+        chunk = range(lo, min(lo + _BATCH, len(ts)))
+        cold = [i for i in chunk if ts[i] <= params.t_c]
+        warm = [i for i in chunk if ts[i] > params.t_c]
+        for branch in (cold, warm):
+            if branch:
+                branch_ts = [ts[i] for i in branch]
+                gaps = _solved_points(np.array(branch_ts), params) if branch is cold else None
+                for i, parts in zip(branch, _branch(branch_ts, params, gaps)):
+                    points[i] = _thermo_point(ts[i], params, parts)
+    return points
 
 
 def tail_potential(t: float, params: ModelParams) -> tuple:
@@ -174,9 +258,8 @@ def tail_potential(t: float, params: ModelParams) -> tuple:
     window) and [hbar_omega_d, inf); the improper tail truncates on the
     thermal decay scale k_b * t.  Returns (value, d1, d2).
     """
-    t = _check_temperature(t)
-    tau = t / params.t_c
-    return _physical(params, _tail_parts(tau, _quadratures(tau, params.core)[0]), 2.0 * params.band_constant)
+    tails, _, _ = _branch([_check_temperature(t)], params)[0]
+    return _physical(params, tails, 2.0 * params.band_constant)
 
 
 def normal_potential(t: float, params: ModelParams) -> tuple:
@@ -185,9 +268,8 @@ def normal_potential(t: float, params: ModelParams) -> tuple:
     The window's zero-point piece -n0 * (hbar_omega_d^2 - xi_min^2) is a
     closed form; the thermal window piece and the tails are quadratures.
     """
-    t = _check_temperature(t)
-    tau = t / params.t_c
-    return _physical(params, _normal_parts(tau, *_quadratures(tau, params.core)), _normal_constant(params))
+    _, normal, _ = _branch([_check_temperature(t)], params)[0]
+    return _physical(params, normal, _normal_constant(params))
 
 
 def condensation_potential(t: float, params: ModelParams, gap: GapPoint) -> tuple:
@@ -203,9 +285,7 @@ def condensation_potential(t: float, params: ModelParams, gap: GapPoint) -> tupl
     if t > params.t_c:
         raise OutsideDomain(f"condensation part exists for 0 < t <= t_c, got t = {t!r}")
     _require_solved(t, gap)
-    tau, f = t / params.t_c, gap.f / params.scales[0]
-    _, window = _quadratures(tau, params.core, f)
-    return _physical(params, _condensation_parts(tau, params, f, gap.f_prime / params.scales[1], window))
+    return _superconducting_point(t, params, gap)[1]
 
 
 def thermodynamic_potential(t: float, params: ModelParams) -> ThermoPoint:
@@ -214,27 +294,10 @@ def thermodynamic_potential(t: float, params: ModelParams) -> ThermoPoint:
     At or below the transition the condensation part is added to the normal
     branch (the gap is solved internally); above it the normal branch alone.
     Either way every integral comes from one _quadratures pass on the core
-    view, and the sum becomes physical once.
+    view, and the sum becomes physical once.  It is _points at one
+    temperature.
     """
-    t = _check_temperature(t)
-    tau = t / params.t_c
-    gap = solve_gap_at(t, params) if t <= params.t_c else None
-    f = None if gap is None else gap.f / params.scales[0]
-    band, window = _quadratures(tau, params.core, f)
-    parts = _normal_parts(tau, band, window)
-    if gap is not None:
-        cond = _condensation_parts(tau, params, f, gap.f_prime / params.scales[1], window)
-        parts = tuple(nv + cv for nv, cv in zip(parts, cond))
-    omega, omega_t, omega_tt = _physical(params, parts, _normal_constant(params))
-    return ThermoPoint(
-        t=t,
-        omega=omega,
-        omega_t=omega_t,
-        omega_tt=omega_tt,
-        entropy=-omega_t,
-        c_v=-t * omega_tt,
-        branch="normal" if gap is None else "superconducting",
-    )
+    return _points([t], params)[0]
 
 
 def second_derivative_jump(params: ModelParams) -> float:
@@ -245,7 +308,11 @@ def second_derivative_jump(params: ModelParams) -> float:
     jump is strictly negative: the limit from below lies under the limit
     from above.
     """
-    f_prime = solve_gap_at(params.t_c, params).f_prime
+    return _curvature_jump(params, solve_gap_at(params.t_c, params).f_prime)
+
+
+def _curvature_jump(params: ModelParams, f_prime: float) -> float:
+    """second_derivative_jump from the physical f'(t_c)."""
     bracket = float(fermi(2.0 * params.eps)) - float(fermi(params.core.hbar_omega_d))
     return 2.0 * params.n0 * f_prime / params.t_c * bracket
 
@@ -288,10 +355,12 @@ def measured_second_derivative_jump(params: ModelParams) -> JumpMeasurement:
     _JUMP_KS, then extrapolate each side to t_c with a Neville tableau.
     This is the measurement the closed form is certified against; the
     limits of omega and omega_t from the same points certify continuity.
+    The eight points are one _points batch.
     """
     t_c = params.t_c
     hs = [t_c * 10.0 ** (-k) for k in _JUMP_KS]
-    sides = [[thermodynamic_potential(t_c + s * h, params) for h in hs] for s in (-1.0, 1.0)]
+    points = _points([t_c + s * h for s in (-1.0, 1.0) for h in hs], params)
+    sides = [points[:len(hs)], points[len(hs):]]
 
     def limits(field):
         return tuple(extrapolate_to_zero(hs, [getattr(p, field) for p in side]) for side in sides)
@@ -311,7 +380,11 @@ def specific_heat_jump(params: ModelParams) -> float:
         raise CutoffNotZero(
             f"the specific-heat closed form needs eps = 0, got eps = {params.eps}"
         )
-    f_prime = solve_gap_at(params.t_c, params).f_prime
+    return _cv_jump(params, solve_gap_at(params.t_c, params).f_prime)
+
+
+def _cv_jump(params: ModelParams, f_prime: float) -> float:
+    """specific_heat_jump from the physical f'(t_c), for eps = 0."""
     return -params.n0 * f_prime * math.tanh(params.core.hbar_omega_d / 2.0)
 
 

@@ -40,12 +40,11 @@ from .kernels import (
 from .model import ModelParams
 from .quad import integrate
 from .thermo import (
-    condensation_potential,
+    _curvature_jump,
+    _cv_jump,
+    _superconducting_point,
     extrapolate_to_zero,
     measured_second_derivative_jump,
-    second_derivative_jump,
-    specific_heat_jump,
-    thermodynamic_potential,
 )
 
 __all__ = ["Check", "VerificationReport", "run_suite"]
@@ -284,8 +283,7 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
     add(Check("fprime_tc_negative", max(0.0, fp_tc), 0.0, 0.0))
 
     # -- condensation part closes the potential smoothly ------------------
-    d0, d1, d2 = condensation_potential(t_c, params, tc_gap)
-    point_tc = thermodynamic_potential(t_c, params)
+    point_tc, (d0, d1, d2) = _superconducting_point(t_c, params, tc_gap)
     omega_scale = abs(point_tc.omega)
     add(Check("delta_tc_zero", abs(d0), 0.0, _CLOSED_FORM_TOL * omega_scale))
     add(Check(
@@ -294,7 +292,7 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
         0.0,
         _CLOSED_FORM_TOL * max(1.0, abs(point_tc.omega_t)),
     ))
-    jump_closed = second_derivative_jump(params)
+    jump_closed = _curvature_jump(params, tc_gap.f_prime)
     add(Check(
         "jump_equals_delta_curvature",
         abs(d2 - jump_closed) / abs(jump_closed),
@@ -323,7 +321,7 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
         _JUMP_TOL,
     ))
     if params.eps == 0.0:
-        dcv = specific_heat_jump(params)
+        dcv = _cv_jump(params, tc_gap.f_prime)
         add(Check("cv_jump_positive", max(0.0, -dcv), 0.0, 0.0))
         add(Check(
             "cv_jump_identity",
@@ -402,8 +400,12 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
         [core.y_max * (j / _PARTIALS_GRID) for j in range(_PARTIALS_GRID)],
         indexing="ij",
     )
-    p = window_pass(grid_t, grid_y, core, order=1)
-    violations = np.sum(~(p.d_t < 0.0)) + np.sum(~(p.d_y < 0.0))
+    # only the two kernels the signs come from, d_t and d_y formed as in window_pass
+    sech, slope = window_integrals(grid_t, grid_y, core, ("sech", "slope"))
+    grid_t = grid_t.ravel()
+    d_t = -sech / (2.0 * grid_t * grid_t)
+    d_y = slope / (2.0 * (2.0 * grid_t) ** 3)
+    violations = np.sum(~(d_t < 0.0)) + np.sum(~(d_y < 0.0))
     add(Check("partials_negative_grid", float(violations), 0.0, 0.0))
 
     # -- the analytically dropped slope term is machine-level -------------

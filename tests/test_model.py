@@ -107,6 +107,17 @@ def test_band_constant_matches_mpmath_integral(mu):
     assert p.band_constant == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
+def test_band_constant_overflow_is_refused():
+    # the normal constant 2 band_constant - n0 (hbar_omega_d^2 - xi_min^2)
+    # is of order mu^2: at mu = 1e200 it leaves float64, and the potential
+    # would read -inf with no error
+    with pytest.raises(OutsideDomain, match="normal constant"):
+        build_params(mu=1e200)
+    p = build_params(mu=1e150)
+    for ratio in (0.5, 1.5):
+        assert math.isfinite(thermodynamic_potential(ratio * p.t_c, p).omega)
+
+
 def test_as_dict_snapshot(default_params):
     snap = default_params.as_dict()
     assert list(snap)[:6] == ["u0n0", "hbar_omega_d", "k_b", "eps", "n0", "mu"]

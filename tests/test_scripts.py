@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bcsgap.thermo import thermo_to_csv, thermodynamic_potential
+from bcsgap.thermo import _points, thermo_to_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,10 +36,10 @@ def test_transition_study_writes_its_artifacts(tmp_path, default_params):
     assert run.returncode == 0, run.stderr
     for name in ("gap_curve.csv", "thermo.csv", "jump.json"):
         assert (out / name).is_file()
-    # the script's grid straddling the transition, solved in process
+    # the script's grid straddling the transition, solved in process as one batch
     p = default_params
     lo, hi = 0.25 * p.t_c, 1.5 * p.t_c
-    points = [thermodynamic_potential(lo + (hi - lo) * i / 6, p) for i in range(7)]
+    points = _points([lo + (hi - lo) * i / 6 for i in range(7)], p)
     assert (out / "thermo.csv").read_bytes() == thermo_to_csv(points).encode()
 
 

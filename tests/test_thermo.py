@@ -270,10 +270,7 @@ def test_csv_serialization(default_params):
     assert float(above[5]) == points[1].c_v
 
 
-def test_point_is_integrated_in_few_quadrature_calls(monkeypatch):
-    # three stacked calls per point (lower band, upper tail, window), plus
-    # the gap's Newton steps and one second-order pass below t_c; the
-    # temperature-independent band constant is a closed form
+def _counting_integrate(monkeypatch):
     calls = []
     real = quad.integrate
 
@@ -283,7 +280,15 @@ def test_point_is_integrated_in_few_quadrature_calls(monkeypatch):
 
     for module in (quad, kernels, gap, thermo):
         monkeypatch.setattr(module, "integrate", counting)
+    return calls
+
+
+def test_point_is_integrated_in_few_quadrature_calls(monkeypatch):
+    # three stacked calls per point (lower band, upper tail, window), plus
+    # the gap's Newton steps and one second-order pass below t_c; the
+    # temperature-independent band constant is a closed form
     p = build_params()
+    calls = _counting_integrate(monkeypatch)
     counts = []
     for ratio in (0.5, 0.5, 1.2):
         calls.clear()
@@ -293,6 +298,60 @@ def test_point_is_integrated_in_few_quadrature_calls(monkeypatch):
     assert second <= 12
     assert first == second  # nothing is integrated once per params
     assert above <= 3
+
+
+def test_batches_are_integrated_in_few_quadrature_calls(monkeypatch):
+    # a batch takes one Newton iteration and one second-order pass for its
+    # cold temperatures and three stacked calls per branch, however many
+    # temperatures it holds
+    p = build_params()
+    calls = _counting_integrate(monkeypatch)
+    measured_second_derivative_jump(p)
+    assert len(calls) <= 12
+    calls.clear()
+    thermo._points([p.t_c * (0.5 + i / 40) for i in range(41)], p)
+    assert len(calls) <= 20
+
+
+def _assert_batch_matches_points(ts, p):
+    batch = thermo._points(ts, p)
+    assert [q.t for q in batch] == [float(t) for t in ts]
+    for q in batch:
+        lone = thermodynamic_potential(q.t, p)
+        assert q.branch == lone.branch
+        for field in ("omega", "omega_t", "omega_tt", "entropy", "c_v"):
+            g, r = getattr(q, field), getattr(lone, field)
+            assert abs(g - r) <= 1e-13 * abs(r), (q.t, field, g, r)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_batch_matches_one_temperature_points(eps):
+    # 41 temperatures stacked on shared nodes, against one call each
+    p = build_params(eps=eps)
+    _assert_batch_matches_points([p.t_c * (0.5 + i / 40) for i in range(41)], p)
+
+
+def test_batch_matches_one_temperature_points_at_the_edges(default_params):
+    # the CLI window from below the band rounding, where the cold point has
+    # no band rows, and one ulp either side of t_c, at two couplings
+    _assert_batch_matches_points([1e-20, 0.02], default_params)
+    for p in (default_params, build_params(u0n0=0.1)):
+        _assert_batch_matches_points([float(np.nextafter(p.t_c, side)) for side in (0.0, 1.0)], p)
+
+
+def test_long_unordered_batch_matches_one_temperature_points(default_params):
+    # more temperatures than one stacked pass takes, both branches
+    # interleaved and one repeated: each result lands at its own index
+    p = default_params
+    ratios = [0.4 + 1.2 * ((7 * i) % 70) / 69 for i in range(70)] + [0.9]
+    _assert_batch_matches_points([r * p.t_c for r in ratios], p)
+
+
+def test_one_temperature_is_a_batch_of_one(default_params):
+    p = default_params
+    for ratio in (0.3, 0.9, 1.0, 1.2):
+        t = ratio * p.t_c
+        assert thermodynamic_potential(t, p) == thermo._points([t], p)[0]
 
 
 def _reference_point(t, p):
