@@ -9,10 +9,11 @@ jump       report the closed-form and measured second-derivative jump
 verify     run the certification suite; exit 0 iff everything passes
 
 Parameters come from built-in defaults, overlaid by an optional
-`key = value` config file (--config), overlaid by explicit flags.  The
-environment variable BCSGAP_QUAD_RELTOL overrides the quadrature relative
-tolerance.  All numeric output uses 17 significant digits so 64-bit floats
-round-trip losslessly; outputs for identical inputs are byte-stable.
+`key = value` config file (--config), overlaid by explicit flags; nothing
+is read from the environment.  tc and jump print named values, gap-curve
+and thermo a table, each shape through one writer.  All numeric output
+round-trips 64-bit floats losslessly; outputs for identical inputs are
+byte-stable.
 
 Exit codes: 0 success, 1 validation or usage error, 2 verification failure.
 """
@@ -21,20 +22,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import replace
 
 from .errors import BcsgapError
-from .gap import sample_gap_curve, solve_gap_at
+from .gap import _CURVE_COLUMNS, _csv, _rows, sample_gap_curve, solve_gap_at
 from .model import build_params, load_config
-from .quad import DEFAULT_SPEC
 from .thermo import (
+    _THERMO_COLUMNS,
     _points,
     measured_second_derivative_jump,
     second_derivative_jump,
     specific_heat_jump,
-    thermo_to_csv,
 )
 from .verify import run_suite
 
@@ -87,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from(args):
-    """Defaults, then config file, then explicit flags; env tolerance last."""
+    """Defaults, then config file, then explicit flags."""
     merged: dict = {}
     if args.config is not None:
         merged.update(load_config(args.config))
@@ -95,16 +93,7 @@ def _params_from(args):
         value = getattr(args, flag)
         if value is not None:
             merged[flag] = value
-
-    spec = DEFAULT_SPEC
-    env = os.environ.get("BCSGAP_QUAD_RELTOL")
-    if env is not None:
-        try:
-            rel_tol = float(env)
-        except ValueError:
-            raise ValueError(f"BCSGAP_QUAD_RELTOL={env!r} is not a number") from None
-        spec = replace(spec, rel_tol=rel_tol)
-    return build_params(quad_spec=spec, **merged)
+    return build_params(**merged)
 
 
 def _emit(text: str, out_path) -> None:
@@ -115,45 +104,41 @@ def _emit(text: str, out_path) -> None:
             handle.write(text)
 
 
-def _run_tc(args) -> int:
-    params = _params_from(args)
-    f_prime = solve_gap_at(params.t_c, params).f_prime
-    values = {
-        "T_c": params.t_c,
-        "Delta0": params.delta0,
-        "Delta": params.delta,
-        "f_prime_at_T_c": f_prime,
-    }
+def _write_values(args, values: dict) -> int:
+    """Named values as one JSON object or as `key = value` lines."""
     if args.format == "json":
-        text = json.dumps({k: v for k, v in values.items()}, indent=2) + "\n"
+        text = json.dumps(values, indent=2) + "\n"
     else:
         text = "".join(f"{k} = {_fmt(v)}\n" for k, v in values.items())
     _emit(text, args.out)
     return 0
 
 
+def _write_table(args, params, items, columns: dict) -> int:
+    """A table as CSV, or as JSON with the parameters and one object per row."""
+    if args.format == "json":
+        text = json.dumps({"params": params.as_dict(), "points": _rows(items, columns)}, indent=2) + "\n"
+    else:
+        text = _csv(items, columns)
+    _emit(text, args.out)
+    return 0
+
+
+def _run_tc(args) -> int:
+    params = _params_from(args)
+    f_prime = solve_gap_at(params.t_c, params).f_prime
+    return _write_values(args, {
+        "T_c": params.t_c,
+        "Delta0": params.delta0,
+        "Delta": params.delta,
+        "f_prime_at_T_c": f_prime,
+    })
+
+
 def _run_gap_curve(args) -> int:
     params = _params_from(args)
     curve = sample_gap_curve(params, args.points, grid=args.grid)
-    if args.format == "json":
-        payload = {
-            "params": params.as_dict(),
-            "points": [
-                {
-                    "T": p.t,
-                    "f": p.f,
-                    "f_prime": p.f_prime,
-                    "f_second": p.f_second,
-                    "residual": p.residual,
-                }
-                for p in curve.points
-            ],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = curve.to_csv()
-    _emit(text, args.out)
-    return 0
+    return _write_table(args, params, curve.points, _CURVE_COLUMNS)
 
 
 def _run_thermo(args) -> int:
@@ -167,28 +152,7 @@ def _run_thermo(args) -> int:
     if not 0.0 < tmin < tmax:
         raise ValueError(f"need 0 < tmin < tmax, got tmin={tmin!r} tmax={tmax!r}")
     ts = [tmin + (tmax - tmin) * i / (n - 1) for i in range(n)]
-    points = _points(ts, params)
-    if args.format == "json":
-        payload = {
-            "params": params.as_dict(),
-            "points": [
-                {
-                    "T": p.t,
-                    "omega": p.omega,
-                    "omega_t": p.omega_t,
-                    "omega_tt": p.omega_tt,
-                    "entropy": p.entropy,
-                    "c_v": p.c_v,
-                    "branch": p.branch,
-                }
-                for p in points
-            ],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = thermo_to_csv(points)
-    _emit(text, args.out)
-    return 0
+    return _write_table(args, params, _points(ts, params), _THERMO_COLUMNS)
 
 
 def _run_jump(args) -> int:
@@ -201,12 +165,7 @@ def _run_jump(args) -> int:
     }
     if params.eps == 0.0:
         values["specific_heat_jump"] = specific_heat_jump(params)
-    if args.format == "json":
-        text = json.dumps(values, indent=2) + "\n"
-    else:
-        text = "".join(f"{k} = {_fmt(v)}\n" for k, v in values.items())
-    _emit(text, args.out)
-    return 0
+    return _write_values(args, values)
 
 
 def _run_verify(args) -> int:

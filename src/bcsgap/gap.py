@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .kernels import gap_residual, window_pass
 from .model import ModelParams, _as_finite_float, _require_positive
-from .quad import DEFAULT_SPEC, QuadSpec, integrate
+from .quad import integrate
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -43,6 +43,8 @@ _NEWTON_STEPS = 60  # cap on Newton steps in either root finder
 # ln(4 e^gamma / pi): the integral of tanh(x)/x over [0, U] is ln U plus this as U -> infinity
 _LOG_BCS_CONSTANT = math.log(4.0 / math.pi) + 0.57721566490153286061
 _TC_RESIDUAL = 1e-12  # relative defect u0n0 * |d| allowed in the transition-temperature condition
+# Columns of a gap-curve table, each with the GapPoint field it holds.
+_CURVE_COLUMNS = {"T": "t", "f": "f", "f_prime": "f_prime", "f_second": "f_second", "residual": "residual"}
 
 
 def solve_tc(
@@ -50,7 +52,6 @@ def solve_tc(
     hbar_omega_d: float,
     k_b: float,
     eps: float = 0.0,
-    quad_spec: QuadSpec | None = None,
 ) -> float:
     """Temperature at which the pairing condition closes with zero gap.
 
@@ -70,13 +71,10 @@ def solve_tc(
     if eps < 0.0:
         raise NonPositiveParameter(f"eps must be >= 0, got {eps}")
 
-    base = quad_spec or DEFAULT_SPEC
-    # The defect must resolve well below the 1e-12 residual contract.
-    spec = replace(base, rel_tol=min(1e-14, base.rel_tol))
     target = 1.0 / u0n0
 
     def tanh_integral(lo: float, hi: float) -> float:
-        return integrate(lambda x: np.tanh(x) / x, lo, hi, spec, scale=1.0)[0]
+        return integrate(lambda x: np.tanh(x) / x, lo, hi, scale=1.0)[0]
 
     s = target - _LOG_BCS_CONSTANT + (tanh_integral(0.0, eps) if eps > 0.0 else 0.0)
     if s > math.log(sys.float_info.max / 2.0):
@@ -115,11 +113,20 @@ class GapCurve:
     params: ModelParams
 
     def to_csv(self) -> str:
-        lines = ["T,f,f_prime,f_second,residual"]
-        for p in self.points:
-            cells = (p.t, p.f, p.f_prime, p.f_second, p.residual)
-            lines.append(",".join(f"{v:.17g}" for v in cells))
-        return "\n".join(lines) + "\n"
+        return _csv(self.points, _CURVE_COLUMNS)
+
+
+def _rows(items, columns: dict) -> list[dict]:
+    """Table rows: each item's fields in column order, keyed by column name."""
+    return [{name: getattr(item, field) for name, field in columns.items()} for item in items]
+
+
+def _csv(items, columns: dict) -> str:
+    """A table as CSV: the column names, then each row's floats to 17 significant digits and strings as they are."""
+    lines = [",".join(columns)]
+    for row in _rows(items, columns):
+        lines.append(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row.values()))
+    return "\n".join(lines) + "\n"
 
 
 def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarray:

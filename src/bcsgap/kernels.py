@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteInput, OutsideDomain, ZeroGapAtZeroT
-from .model import ModelParams
+from .model import _TINY, ModelParams
 from .quad import integrate
 
 __all__ = [
@@ -237,6 +237,11 @@ def _zero_t_value(y: float, params: ModelParams) -> float:
 # curvature kernel.
 WINDOW_KERNELS = ("value", "sech", "slope", "eta_tanh", "mixed", "curv")
 _ORDER_KERNELS = (("value", "slope"), ("value", "sech", "slope"), WINDOW_KERNELS)
+# Coldest temperature, in units of t_c, that window_pass evaluates: there
+# (2t)^5, the highest power of t it divides by, is still a normal float, and
+# every thermal factor e^{-Delta/t} has long underflowed, so the model is at
+# zero temperature.  A colder t is evaluated here.
+_COLDEST = _TINY ** 0.2
 # Stacked integrand rows per quadrature call.  Each row holds one kernel at
 # one (t, y) pair on every node, so the cap keeps peak memory independent
 # of how many pairs a pass is given.
@@ -282,7 +287,7 @@ def window_integrals(ts, ys, params: ModelParams, kinds) -> np.ndarray:
         def integrand(xi, beta=beta, y=y):
             return _kernel_rows(xi, beta, y, kinds).reshape(-1, xi.size)
 
-        vals, _ = integrate(integrand, params.xi_min, params.hbar_omega_d, params.quad_spec, scale=params.delta)
+        vals, _ = integrate(integrand, params.xi_min, params.hbar_omega_d, scale=params.delta)
         out[:, lo:lo + per] = vals.reshape(len(kinds), -1)
     return out
 
@@ -294,12 +299,14 @@ def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
     order 2 adds the second partials.  Every order admits the closed box
     without the zero-temperature edge, which the closed forms of
     gap_residual_partials cover: F is analytic in y for every t > 0, so
-    the partials exist on the t_c, y = 0 and y = y_max edges too.
+    the partials exist on the t_c, y = 0 and y = y_max edges too.  A t
+    below _COLDEST t_c is evaluated at _COLDEST t_c.
     """
-    ts, ys = _pairs(ts, ys)
-    _gate_closure(ts, ys, params)
-    if (ts == 0.0).any():
+    given, ys = _pairs(ts, ys)
+    _gate_closure(given, ys, params)
+    if (given == 0.0).any():
         raise OutsideDomain("the zero-temperature edge is handled by closed forms")
+    ts = np.maximum(given, _COLDEST * params.t_c)
     kinds = _ORDER_KERNELS[order]
     i = dict(zip(kinds, window_integrals(ts, ys, params, kinds)))
     kb = params.k_b
@@ -312,7 +319,7 @@ def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
         d_ty = i["mixed"] / (two_kbt**3 * ts)
         d_yy = -i["curv"] / (4.0 * two_kbt**5)
     return ResidualPartials(
-        t=ts,
+        t=given,
         y=ys,
         value=i["value"] - 1.0 / params.u0n0,
         d_t=d_t,

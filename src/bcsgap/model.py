@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CutoffTooLarge, NonFiniteInput, NonPositiveParameter, OutsideDomain
-from .quad import DEFAULT_SPEC, QuadSpec
+from .quad import REL_TOL
 
 __all__ = ["ModelParams", "build_params", "load_config"]
 
@@ -101,7 +101,6 @@ class ModelParams:
     n0: float
     mu: float
     t_c: float
-    quad_spec: QuadSpec = DEFAULT_SPEC
 
     @property
     def xi_min(self) -> float:
@@ -160,7 +159,7 @@ class ModelParams:
             "n0": self.n0,
             "mu": self.mu,
             "t_c": self.t_c,
-            "quad_rel_tol": self.quad_spec.rel_tol,
+            "quad_rel_tol": REL_TOL,
         }
 
 
@@ -181,7 +180,6 @@ def build_params(
     eps: float = 0.0,
     n0: float = 1.0,
     mu: float = 10.0,
-    quad_spec: QuadSpec | None = None,
 ) -> ModelParams:
     """Validate raw parameters, derive the transition temperature, and freeze.
 
@@ -211,11 +209,9 @@ def build_params(
     if eps < 0.0:
         raise NonPositiveParameter(f"eps must be >= 0, got {eps}")
 
-    quad_spec = quad_spec or DEFAULT_SPEC
-
     from .gap import solve_tc  # deferred: gap imports this module's types
 
-    t_c = solve_tc(u0n0, hbar_omega_d, k_b, eps, quad_spec=quad_spec)
+    t_c = solve_tc(u0n0, hbar_omega_d, k_b, eps)
     params = ModelParams(
         u0n0=u0n0,
         hbar_omega_d=hbar_omega_d,
@@ -224,7 +220,6 @@ def build_params(
         n0=n0,
         mu=mu,
         t_c=t_c,
-        quad_spec=quad_spec,
     )
     units = (t_c, *params.scales, *(n0 * unit for unit in params.scales))
     if not all(_TINY <= unit <= _HUGE for unit in units):

@@ -20,17 +20,22 @@ structure is resolved from the first round.
 
 An integrand that decays exponentially on [a, infinity) is integrated up to
 truncation_point(a, decay_scale), beyond which its tail is negligible.
+
+Every call has one accuracy target: REL_TOL times |integral|, or 50
+machine epsilons times the integral of |f| where roundoff keeps it from
+meeting that.  There is no absolute floor, so an integral keeps its
+relative accuracy at any magnitude.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteIntegrand, ToleranceNotMet
 
-__all__ = ["QuadSpec", "integrate", "truncation_point"]
+__all__ = ["REL_TOL", "integrate", "truncation_point"]
 
+REL_TOL = 1e-12
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 # Cap on the total number of panels before ToleranceNotMet is raised.
@@ -72,26 +77,6 @@ _NODES = np.concatenate((-_XK[:-1], _XK[::-1]))
 _W15 = np.concatenate((_WK[:-1], _WK[::-1]))
 _W7 = np.zeros(15)
 _W7[[1, 3, 5, 7, 9, 11, 13]] = np.concatenate((_WG[:-1], _WG[::-1]))
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Accuracy contract for one integration call.
-
-    The target is rel_tol * |integral|, or 50 machine epsilons times the
-    integral of |f| where roundoff keeps it from meeting that; there is no
-    absolute floor, so an integral keeps its relative accuracy at any
-    magnitude.
-    """
-
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and np.isfinite(self.rel_tol)):
-            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-
-
-DEFAULT_SPEC = QuadSpec()
 
 
 def _eval_batch(f, x):
@@ -151,8 +136,8 @@ def _furthest(total_err, tol, unmet) -> int:
     return int(np.argmax(np.where(unmet, total_err / np.where(unmet, tol, 1.0), 0.0)))
 
 
-def integrate(f, a, b, spec: QuadSpec | None = None, scale: float | None = None):
-    """Integrate f over [a, b] to the accuracy demanded by spec.
+def integrate(f, a, b, scale: float | None = None):
+    """Integrate f over [a, b] to the module's accuracy target.
 
     With scale given, the rule runs in v = asinh(x / scale) from equal
     panels no wider than _MAPPED_WIDTH; without it, from the one panel
@@ -161,7 +146,6 @@ def integrate(f, a, b, spec: QuadSpec | None = None, scale: float | None = None)
     NaN or infinity or a wrongly shaped result, and ToleranceNotMet if the
     panel limit is reached first.
     """
-    spec = spec or DEFAULT_SPEC
     a = float(a)
     b = float(b)
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -185,7 +169,7 @@ def integrate(f, a, b, spec: QuadSpec | None = None, scale: float | None = None)
         k, err, resabs = _panels_eval(f, lo, hi, scale)
         # one row per component: a 1-D integrand is a stack of one
         total, total_err, total_abs = np.add.reduce((k, err, resabs), axis=-1).reshape(3, -1)
-        tol = np.maximum(spec.rel_tol * np.abs(total), 50.0 * _EPS * total_abs)
+        tol = np.maximum(REL_TOL * np.abs(total), 50.0 * _EPS * total_abs)
         unmet = total_err > tol
         n_unmet = np.count_nonzero(unmet)
         if not n_unmet:
@@ -227,18 +211,17 @@ def integrate(f, a, b, spec: QuadSpec | None = None, scale: float | None = None)
     return float(total[0]), float(total_err[0])
 
 
-def truncation_point(a, decay_scale, spec: QuadSpec | None = None):
-    """Upper limit that makes the dropped tail negligible at spec.rel_tol.
+def truncation_point(a, decay_scale):
+    """Upper limit that makes the dropped tail negligible at REL_TOL.
 
     Assumes the integrand is bounded by a slowly varying factor times
     exp(-(x - a)/decay_scale).  The margin term grows with the distance
     already covered, which keeps polynomially growing prefactors safe.
     """
-    spec = spec or DEFAULT_SPEC
     s = float(decay_scale)
     if not (s > 0.0 and np.isfinite(s)):
         raise ValueError(f"decay_scale must be positive and finite, got {decay_scale}")
-    base = np.log(1.0 / spec.rel_tol)
+    base = np.log(1.0 / REL_TOL)
     x = a + s * base
     for _ in range(8):
         x = a + s * (base + 10.0 * np.log(max(2.0 + x / s, 2.0)))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffNotZero, NonFiniteInput, OutsideDomain
-from .gap import GapPoint, _require_solved, _solved_points, solve_gap_at
-from .kernels import fermi, fermi_weight
+from .gap import GapPoint, _csv, _require_solved, _solved_points, solve_gap_at
+from .kernels import _COLDEST, fermi, fermi_weight
 from .model import ModelParams, _as_finite_float, _dos, _normal_constant
 from .quad import integrate, truncation_point
 
@@ -43,6 +43,10 @@ _JUMP_KS = (3, 4, 5, 6)
 # eight rows on every node, so the cap keeps peak memory independent of how
 # many temperatures a batch is given.
 _BATCH = 64
+# Hottest temperature, in units of t_c, that thermo evaluates: the parts divide by its cube.
+_HOTTEST = sys.float_info.max ** (1.0 / 3.0)
+# Columns of a thermo table, each with the ThermoPoint field it holds.
+_THERMO_COLUMNS = {"T": "t", **{field: field for field in ("omega", "omega_t", "omega_tt", "entropy", "c_v", "branch")}}
 
 
 @dataclass(frozen=True)
@@ -126,17 +130,18 @@ def _quadratures(ts: list, params: ModelParams, fs: list | None = None):
     axis of its integrands' nearest singularities.  Returns (band, window),
     each a list with one list of integrals per temperature.
     """
-    mu, L, spec = params.mu, params.hbar_omega_d, params.quad_spec
+    mu, L = params.mu, params.hbar_omega_d
     band = [[0.0] * 3 for _ in ts]
     hot = [i for i, t in enumerate(ts) if L / t < -math.log(sys.float_info.min)]
     if hot:
         kt = _column([ts[i] for i in hot])
-        edge = truncation_point(L, max(ts[i] for i in hot), spec)
-
-        values = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(xi, kt), L, edge, spec)[0]
-        if mu > L:
-            lower = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(-xi, kt), -min(mu, edge), -L, spec)[0]
-            values = lower + values
+        edge = truncation_point(L, max(ts[i] for i in hot))
+        # at temperatures far above t_c these integrals, of order t^3.5, overflow; _physical refuses them
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(xi, kt), L, edge)[0]
+            if mu > L:
+                lower = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(-xi, kt), -min(mu, edge), -L)[0]
+                values = lower + values
         for i, row in zip(hot, values.reshape(3, -1).T.tolist()):
             band[i] = row
 
@@ -148,7 +153,7 @@ def _quadratures(ts: list, params: ModelParams, fs: list | None = None):
         return rows if f is None else np.concatenate((rows, _condensation_rows(xi, kt, f)))
 
     scale = min(math.sqrt(fi + (math.pi * t) ** 2) for t, fi in zip(ts, fs or [0.0] * len(ts)))
-    values = integrate(window, params.xi_min, L, spec, scale=scale)[0].reshape(-1, len(ts))
+    values = integrate(window, params.xi_min, L, scale=scale)[0].reshape(-1, len(ts))
     return band, values.T.tolist()
 
 
@@ -175,15 +180,23 @@ def _condensation_parts(t: float, params: ModelParams, f: float, f_prime: float,
     )
 
 
-def _physical(params: ModelParams, parts, constant: float = 0.0) -> tuple:
-    """Core (value, d1, d2) of a potential times n0 and params.scales, plus a constant.
+def _physical(t: float, params: ModelParams, parts, constant: float = 0.0) -> tuple:
+    """Core (value, d1, d2) of a potential at t times n0 and params.scales, plus a constant.
 
     The temperature-independent constant is physical: in core units it is
     of order (mu / (k_b t_c))^2, which overflows where its physical value
-    is far inside float64.
+    is far inside float64.  Raises OutsideDomain, naming t, unless all three
+    are finite.
     """
     value, d1, d2 = (params.n0 * unit * part for unit, part in zip(params.scales, parts))
-    return constant + value, d1, d2
+    return _finite(t, constant + value, d1, d2)
+
+
+def _finite(t: float, *values: float) -> tuple:
+    """values, once each is checked finite; OutsideDomain naming t if one is not."""
+    if not all(map(math.isfinite, values)):
+        raise OutsideDomain(f"the potential or a temperature derivative at t = {t!r} is not a finite float: {values}")
+    return values
 
 
 def _branch(ts, params: ModelParams, gaps=None) -> list[tuple]:
@@ -191,10 +204,14 @@ def _branch(ts, params: ModelParams, gaps=None) -> list[tuple]:
 
     One _quadratures call for the whole list.  gaps, the solved GapPoints
     at ts, add the condensation rows to the window; without them the
-    condensation part is None.
+    condensation part is None.  A temperature below _COLDEST t_c is
+    evaluated there, as window_pass does; one above _HOTTEST t_c is refused.
     """
     f_unit, f_prime_unit, _ = params.scales
-    taus = [t / params.t_c for t in ts]
+    taus = [max(t / params.t_c, _COLDEST) for t in ts]
+    for t, tau in zip(ts, taus):
+        if not tau <= _HOTTEST:
+            raise OutsideDomain(f"temperature {t!r} is above {_HOTTEST:.6g} t_c, whose cube overflows")
     fs = None if gaps is None else [g.f / f_unit for g in gaps]
     bands, windows = _quadratures(taus, params.core, fs)
     parts = []
@@ -210,14 +227,15 @@ def _thermo_point(t: float, params: ModelParams, parts) -> ThermoPoint:
     _, normal, cond = parts
     if cond is not None:
         normal = tuple(nv + cv for nv, cv in zip(normal, cond))
-    omega, omega_t, omega_tt = _physical(params, normal, _normal_constant(params))
+    omega, omega_t, omega_tt = _physical(t, params, normal, _normal_constant(params))
+    (c_v,) = _finite(t, -t * omega_tt)
     return ThermoPoint(
         t=t,
         omega=omega,
         omega_t=omega_t,
         omega_tt=omega_tt,
         entropy=-omega_t,
-        c_v=-t * omega_tt,
+        c_v=c_v,
         branch="normal" if cond is None else "superconducting",
     )
 
@@ -225,7 +243,7 @@ def _thermo_point(t: float, params: ModelParams, parts) -> ThermoPoint:
 def _superconducting_point(t: float, params: ModelParams, gap: GapPoint) -> tuple:
     """The ThermoPoint at a checked t <= t_c and its condensation_potential, from one window pass at gap."""
     parts = _branch([t], params, [gap])[0]
-    return _thermo_point(t, params, parts), _physical(params, parts[2])
+    return _thermo_point(t, params, parts), _physical(t, params, parts[2])
 
 
 def _points(ts, params: ModelParams) -> list[ThermoPoint]:
@@ -259,7 +277,7 @@ def tail_potential(t: float, params: ModelParams) -> tuple:
     thermal decay scale k_b * t.  Returns (value, d1, d2).
     """
     tails, _, _ = _branch([_check_temperature(t)], params)[0]
-    return _physical(params, tails, 2.0 * params.band_constant)
+    return _physical(t, params, tails, 2.0 * params.band_constant)
 
 
 def normal_potential(t: float, params: ModelParams) -> tuple:
@@ -269,7 +287,7 @@ def normal_potential(t: float, params: ModelParams) -> tuple:
     closed form; the thermal window piece and the tails are quadratures.
     """
     _, normal, _ = _branch([_check_temperature(t)], params)[0]
-    return _physical(params, normal, _normal_constant(params))
+    return _physical(t, params, normal, _normal_constant(params))
 
 
 def condensation_potential(t: float, params: ModelParams, gap: GapPoint) -> tuple:
@@ -390,8 +408,4 @@ def _cv_jump(params: ModelParams, f_prime: float) -> float:
 
 def thermo_to_csv(points) -> str:
     """Serialize ThermoPoints with the fixed column order."""
-    lines = ["T,omega,omega_t,omega_tt,entropy,c_v,branch"]
-    for p in points:
-        cells = (p.t, p.omega, p.omega_t, p.omega_tt, p.entropy, p.c_v)
-        lines.append(",".join(f"{v:.17g}" for v in cells) + f",{p.branch}")
-    return "\n".join(lines) + "\n"
+    return _csv(points, _THERMO_COLUMNS)

@@ -20,7 +20,7 @@ import json
 import math
 import operator
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,20 +126,6 @@ class VerificationReport:
         return json.dumps(payload, indent=2)
 
 
-def _sharpened(params: ModelParams) -> ModelParams:
-    """Copy of params with quadrature tight enough for stencil arithmetic.
-
-    Finite differences divide solver output by steps of order 1e-5 * t_c,
-    which amplifies solve noise by ~1e5; the default 1e-12 quadrature target
-    would eat the whole first-derivative budget, so comparison solves run
-    at 1e-14.
-    """
-    spec = params.quad_spec
-    return replace(
-        params, quad_spec=replace(spec, rel_tol=min(1e-14, spec.rel_tol))
-    )
-
-
 def _five_point(values, h):
     vm2, vm1, vp1, vp2 = values
     return (vm2 - 8.0 * vm1 + 8.0 * vp1 - vp2) / (12.0 * h)
@@ -172,14 +158,13 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
 
     t_c = params.t_c
     delta_sq = params.delta**2
-    sharp = _sharpened(params)
     # the probe grids run on the core view: temperatures in t_c, energies in k_b t_c
     core = params.core
 
     # -- transition point and residual anchors ---------------------------
     # the rule's nodes are interior to [eps, U], so x = 0 is never sampled
     upper = core.hbar_omega_d / 2.0
-    defect = integrate(lambda x: np.tanh(x) / x, params.eps, upper, sharp.quad_spec, scale=1.0)[0]
+    defect = integrate(lambda x: np.tanh(x) / x, params.eps, upper, scale=1.0)[0]
     add(Check(
         "tc_definition_residual",
         abs(defect - 1.0 / params.u0n0) * params.u0n0,
@@ -229,7 +214,7 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
     h0 = _ONESIDED_STEP
     hs = [10.0 ** (-k) for k in _EXTRAP_KS]
     probes = np.concatenate([nodes, *(nodes + o * h for o in _STENCIL), [h0, 2.0 * h0], 1.0 - np.array(hs)])
-    f, fp, fs = np.array([(q.f, q.f_prime, q.f_second) for q in _solved_points(probes, sharp.core)]).T
+    f, fp, fs = np.array([(q.f, q.f_prime, q.f_second) for q in _solved_points(probes, core)]).T
 
     # -- analytic derivatives vs five-point stencils ----------------------
     fp_a, fs_a = fp[:n], fs[:n]

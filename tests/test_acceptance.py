@@ -12,7 +12,6 @@ below that resolution, the nodes must match the oracle instead; and the
 implicit-function slope f' must be negative at every interior node.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -43,13 +42,6 @@ _SEED = 20260817
 def _report(label: str, ok: bool, detail: str) -> bool:
     print(f"[{label}] {'PASS' if ok else 'FAIL'}: {detail}")
     return ok
-
-
-def _sharpened(params):
-    spec = dataclasses.replace(
-        params.quad_spec, rel_tol=min(1e-14, params.quad_spec.rel_tol)
-    )
-    return dataclasses.replace(params, quad_spec=spec)
 
 
 @pytest.fixture(scope="module", params=[0.0, 1e-3], ids=["eps=0", "eps=1e-3"])
@@ -140,7 +132,7 @@ def test_criterion_03_gap_curve_strictly_decreasing(accept_params, curve_201):
 
 
 def test_criterion_04_derivatives_match_finite_differences(accept_params):
-    p = _sharpened(accept_params)
+    p = accept_params
     t_c = p.t_c
     h = 1e-5 * t_c
     stencil = (-2.0, -1.0, 1.0, 2.0)

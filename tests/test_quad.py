@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from bcsgap import quad
 from bcsgap.errors import NonFiniteIntegrand, ToleranceNotMet
-from bcsgap.quad import QuadSpec, integrate, truncation_point
+from bcsgap.quad import integrate, truncation_point
 
 from . import oracles
 
@@ -104,7 +104,7 @@ def test_scale_reports_nonfinite_at_x():
 
 @pytest.mark.parametrize("size", [1e-40, 1e-150, 1e-300])
 def test_tiny_integrals_keep_relative_accuracy(size):
-    # no absolute floor: a tiny integral is resolved to rel_tol of itself
+    # no absolute floor: a tiny integral is resolved to REL_TOL of itself
     val, err = integrate(lambda x: size * np.cos(40.0 * x), 0.0, 1.0)
     exact = size * math.sin(40.0) / 40.0
     assert abs(val - exact) <= 1e-12 * abs(exact)
@@ -160,7 +160,7 @@ def test_stacked_bad_output_is_reported(f):
 def test_tolerance_not_met_when_budget_exhausted(monkeypatch):
     monkeypatch.setattr(quad, "_MAX_PANELS", 4)
     with pytest.raises(ToleranceNotMet):
-        integrate(lambda x: np.abs(x - 1.0 / 3.0) ** 0.1, 0.0, 1.0, spec=QuadSpec(rel_tol=1e-12))
+        integrate(lambda x: np.abs(x - 1.0 / 3.0) ** 0.1, 0.0, 1.0)
 
 
 def test_invalid_limits_rejected():
@@ -171,11 +171,6 @@ def test_invalid_limits_rejected():
     for scale in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="scale"):
             integrate(lambda x: x, 0.0, 1.0, scale=scale)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadSpec(rel_tol=0.0)
 
 
 @given(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,48 @@ def test_cold_point_below_band_rounding(default_params):
     cold = thermodynamic_potential(1e-20, default_params)
     assert cold.omega == thermodynamic_potential(1e-12, default_params).omega
     assert cold.c_v == 0.0
+
+
+@pytest.fixture(scope="module", params=[0.0, 1e-3], ids=["eps=0", "eps=1e-3"])
+def cold_params(request):
+    return build_params(eps=request.param)
+
+
+@pytest.mark.parametrize("k", [66, 103, 108, 200, 300])
+def test_far_below_transition_is_zero_temperature(cold_params, k):
+    # the powers of t the partials and the parts divide by underflow here;
+    # every thermal factor has long vanished, so the zero-temperature values hold
+    p = cold_params
+    t = 10.0 ** -k * p.t_c
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        g = solve_gap_at(t, p)
+        point = thermodynamic_potential(t, p)
+    assert (g.f, g.f_prime, g.f_second) == (p.delta**2, 0.0, 0.0)
+    assert (point.omega_t, point.omega_tt, point.entropy, point.c_v) == (0.0, 0.0, 0.0, 0.0)
+    assert point.omega == thermodynamic_potential(1e-20 * p.t_c, p).omega
+
+
+@pytest.mark.parametrize("ratio", [1e89, 1e120])
+def test_far_above_transition_is_refused(default_params, ratio):
+    # core-unit band integrals of order t^3.5 overflow before the physical
+    # values do; no point comes back with an infinite field, and no warning
+    t = ratio * default_params.t_c
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with pytest.raises(OutsideDomain, match=re.escape(repr(t))):
+            thermodynamic_potential(t, default_params)
+
+
+def test_hot_point_keeps_its_bits(default_params):
+    point = thermodynamic_potential(1e80 * default_params.t_c, default_params)
+    assert dataclasses.astuple(point) == (
+        4.044952519089007e78,
+        -1.5994759715573563e196,
+        -9.88562884242202e117,
+        -3.6659128119933144e39,
+        9.88562884242202e117,
+        1.4828443263633023e118,
+        "normal",
+    )
 
 
 def test_branch_dispatch(default_params):
@@ -357,19 +400,19 @@ def test_one_temperature_is_a_batch_of_one(default_params):
 def _reference_point(t, p):
     """Potential, slope and curvature with one lone integrate call per integrand."""
     n0, kb, kt = p.n0, p.k_b, p.k_b * t
-    mu, L, a, spec = p.mu, p.hbar_omega_d, p.xi_min, p.quad_spec
+    mu, L, a = p.mu, p.hbar_omega_d, p.xi_min
 
     def dos(xi):
         return _dos(xi, n0, mu)
 
     def band(g):
-        return integrate(g, -mu, -L, spec)[0] if mu > L else 0.0
+        return integrate(g, -mu, -L)[0] if mu > L else 0.0
 
     def tail(g):
-        return integrate(g, L, truncation_point(L, kt, spec), spec)[0]
+        return integrate(g, L, truncation_point(L, kt))[0]
 
     def win(g):
-        return integrate(g, a, L, spec)[0]
+        return integrate(g, a, L)[0]
 
     const = band(lambda xi: xi * dos(xi))
     ln = band(lambda xi: dos(xi) * np.log1p(np.exp(xi / kt))) + tail(
