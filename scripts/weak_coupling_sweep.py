@@ -13,7 +13,7 @@ import math
 import pathlib
 import sys
 
-from bcsgap import build_params, solve_tc
+from bcsgap import build_params
 
 LIMIT = 1.1338659173110975311  # 2 e^gamma / pi, 20 significant digits
 
@@ -57,7 +57,7 @@ def main() -> int:
     print(header)
     for u in couplings:
         params = build_params(u0n0=u, eps=args.eps)
-        t_c = solve_tc(params.u0n0, params.hbar_omega_d, params.k_b, params.eps)
+        t_c = params.t_c
         ratio = params.k_b * t_c / (params.hbar_omega_d * math.exp(-1.0 / u))
         row = f"{u:>9.4g} {t_c:>24.17g} {ratio:>22.17g} {ratio - LIMIT:>14.3e}"
         if mp_tc is not None:

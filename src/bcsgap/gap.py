@@ -1,8 +1,10 @@
 """Transition temperature, gap closed forms, and the squared-gap curve.
 
 The curve f(t) = (gap at temperature t)^2 is the zero set of the residual
-from the kernels module.  Endpoints are exact: f(0) is the closed-form
-squared gap and f(t_c) = 0.  Both unknowns, f(t) and t_c, are roots of
+from the kernels module.  f(t_c) = 0 exactly, and t = 0 is solved like
+every other node, at the coldest temperature the kernels evaluate, where
+every thermal factor has underflowed and the root is the closed-form
+squared gap.  Both unknowns, f(t) and t_c, are roots of
 functions that are strictly decreasing and convex in the variable solved
 for, so plain Newton iterations converge without a bracket: a step from
 the right of the root lands at or left of it, and from the left the
@@ -24,7 +26,7 @@ from .errors import (
     OutsideDomain,
     ToleranceNotMet,
 )
-from .kernels import gap_residual, window_pass
+from .kernels import _COLDEST, window_pass
 from .model import ModelParams, _as_finite_float, _require_positive
 from .quad import integrate
 
@@ -203,18 +205,20 @@ def gap_derivatives_at(t: float, params: ModelParams, gap_point: GapPoint) -> tu
 
 
 def _solved_points(ts: np.ndarray, params: ModelParams) -> list[GapPoint]:
-    """Solved points at temperatures 0 < t <= t_c, with f' and f''.
+    """Solved points at temperatures 0 <= t <= t_c, with f' and f''.
 
-    Runs in core units: f(t_c) = 0 and the colder roots come from one
-    batched Newton iteration seeded with f(0); one second-order window pass
-    at the roots then gives every residual, and f' and f'' by the
-    implicit-function quotients, t_c included.  They become physical here,
-    times params.scales, with f held at or below f(0) = delta**2, which the
-    rounded product could pass.  Raises NotSolved, naming the worst row, if
-    any residual is above RESIDUAL_TOL.
+    Runs in core units, a temperature below _COLDEST t_c at _COLDEST t_c,
+    so t = 0 too: f(t_c) = 0 and the colder roots come from one batched
+    Newton iteration seeded with f(0); one second-order window pass at the
+    roots then gives every residual, and f' and f'' by the implicit-function
+    quotients, t_c included.  They become physical here, times
+    params.scales, with f held at or below f(0) = delta**2, which the
+    rounded product could pass, and a zero derivative stored as +0.0.
+    Raises NotSolved, naming the worst row, if any residual is above
+    RESIDUAL_TOL.
     """
     core = params.core
-    taus = ts / params.t_c
+    taus = np.maximum(ts / params.t_c, _COLDEST)
     ys = np.zeros(ts.size)
     cold = taus < 1.0
     ys[cold] = _newton(taus[cold], np.full(np.count_nonzero(cold), core.delta**2), core)
@@ -225,29 +229,24 @@ def _solved_points(ts: np.ndarray, params: ModelParams) -> list[GapPoint]:
     f_prime, f_second = _implicit_derivatives(p)
     f_unit, f_prime_unit, f_second_unit = params.scales
     f = np.minimum(ys * f_unit, params.delta**2)
-    columns = (ts, f, residuals, f_prime * f_prime_unit, f_second * f_second_unit)
+    columns = (ts, f, residuals, f_prime * f_prime_unit + 0.0, f_second * f_second_unit + 0.0)
     return [GapPoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def solve_gap_at(t: float, params: ModelParams) -> GapPoint:
     """Solved point at one temperature in [0, t_c], with f' and f''.
 
-    t = 0 short-circuits to the closed forms: f is the zero-temperature
-    squared gap and both derivatives vanish.  Every other temperature is one
-    row of the solved-point path.
+    One row of the solved-point path; at t = 0, f is the zero-temperature
+    squared gap and both derivatives vanish.
     """
-    t = _checked_temperature(t, params)
-    if t == 0.0:
-        y = params.delta**2
-        return GapPoint(0.0, y, abs(gap_residual(0.0, y, params)), f_prime=0.0, f_second=0.0)
-    return _solved_points(np.array([t]), params)[0]
+    return _solved_points(np.array([_checked_temperature(t, params)]), params)[0]
 
 
 def sample_gap_curve(params: ModelParams, n_points: int, grid: str = "uniform") -> GapCurve:
     """Solve the squared-gap curve on [0, t_c] with derivatives at each node.
 
-    Every node above t = 0 is a row of one solved-point batch: one batched
-    Newton iteration seeded with f(0) for the nodes below t_c, then one
+    Every node is a row of one solved-point batch: one batched Newton
+    iteration seeded with f(0) for the nodes below t_c, then one
     second-order window pass, t_c included, for every residual, f' and f''.
     grid = "chebyshev" clusters nodes at both endpoints, where the curve
     bends hardest.
@@ -266,5 +265,4 @@ def sample_gap_curve(params: ModelParams, n_points: int, grid: str = "uniform") 
     else:
         raise ValueError(f"grid must be 'uniform' or 'chebyshev', got {grid!r}")
     ts[0], ts[-1] = 0.0, params.t_c
-    points = (solve_gap_at(0.0, params), *_solved_points(ts[1:], params))
-    return GapCurve(points=points, params=params)
+    return GapCurve(points=tuple(_solved_points(ts, params)), params=params)

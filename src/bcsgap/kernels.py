@@ -136,7 +136,9 @@ def _by_branch(x, coeffs, direct):
     small = x < _SERIES_CUT
     out[small] = _poly_even(x[small], coeffs)
     big = ~small
-    out[big] = direct(big)
+    # past x ~ 1e154, x * x overflows to inf and the kernel goes to its limit -0
+    with np.errstate(over="ignore"):
+        out[big] = direct(big)
     return out
 
 

@@ -1,9 +1,9 @@
 """Thermodynamic potential: normal part, condensation part, and the jump.
 
-The potential is piecewise: the normal branch everywhere, plus a
-condensation correction at and below the transition.  The correction and
-its first temperature derivative vanish at the transition (the potential is
-C1 there), while the second derivative jumps by a closed-form amount; the
+The potential is the normal branch plus a condensation correction at the
+squared gap f, which is 0 where f = 0, so at and above the transition.  The
+correction and its first temperature derivative vanish at the transition
+(the potential is C1 there), while the second derivative jumps by a closed-form amount; the
 specific-heat discontinuity follows from it.  Everything is evaluated with
 overflow-safe thermal factors, and the semi-infinite band tails truncate on
 the thermal decay scale.
@@ -112,23 +112,25 @@ def _column(values: list):
     return values[0] if len(values) == 1 else np.array(values)[:, None]
 
 
-def _quadratures(ts: list, params: ModelParams, fs: list | None = None):
+def _quadratures(ts: list, params: ModelParams, fs: list):
     """Every temperature-dependent integral of the potential at core temperatures ts.
 
     Runs on the core view, where k_b = n0 = 1, and stacks the rows of every
-    temperature on shared nodes, in three quadrature calls: the
-    _thermal_rows times the density of states on the lower band (none when
-    mu lies inside the window) and on the upper tail, summed into band; and
-    the pairing window's _thermal_rows, then its _condensation_rows at the
-    squared gaps fs if they are given, one per temperature.  Both band
-    pieces stop at one edge where the thermal rows of the warmest
-    temperature are negligible, so their decay is resolved however far mu
-    or the tail reaches; a temperature whose rows at the window edge, about
-    e^{-hbar_omega_d / t}, are below the smallest normal float gets no band
-    rows, as a relative target on them would underflow.  The window is
-    mapped on the smallest sqrt(f + (pi t)^2), the distance from the real
-    axis of its integrands' nearest singularities.  Returns (band, window),
-    each a list with one list of integrals per temperature.
+    temperature on shared nodes: the _thermal_rows times the density of
+    states on the lower band (none when mu lies inside the window) and on
+    the upper tail, summed into band; and the pairing window's
+    _thermal_rows, then its _condensation_rows at the squared gaps fs, all
+    0 where f = 0.  Both band pieces stop at one edge where the thermal
+    rows of the warmest temperature are negligible, so their decay is
+    resolved however far mu or the tail reaches; a temperature whose rows
+    at the window edge, about e^{-hbar_omega_d / t}, are below the smallest
+    normal float gets no band rows, as a relative target on them would
+    underflow.  A lower band that ends before that edge is split at its
+    midpoint, each half integrated in the distance from its nearer end, so
+    no node forms xi + mu where it cancels.  The window is mapped on the
+    smallest sqrt(f + (pi t)^2), the distance from the real axis of its
+    integrands' nearest singularities.  Returns (band, window), each a list
+    with one list of integrals per temperature.
     """
     mu, L = params.mu, params.hbar_omega_d
     band = [[0.0] * 3 for _ in ts]
@@ -139,45 +141,40 @@ def _quadratures(ts: list, params: ModelParams, fs: list | None = None):
         # at temperatures far above t_c these integrals, of order t^3.5, overflow; _physical refuses them
         with np.errstate(over="ignore", invalid="ignore"):
             values = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(xi, kt), L, edge)[0]
-            if mu > L:
-                lower = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(-xi, kt), -min(mu, edge), -L)[0]
-                values = lower + values
+            if mu >= edge:
+                values = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(-xi, kt), -edge, -L)[0] + values
+            elif mu > L:
+                # energies L + s up to the midpoint, and mu - u^2 below it, where the density is u / sqrt(mu)
+                half = (mu - L) / 2.0
+                near = lambda s: np.sqrt((mu - L - s) / mu) * _thermal_rows(L + s, kt)
+                bottom = lambda u: 2.0 * u * u / math.sqrt(mu) * _thermal_rows(mu - u * u, kt)
+                values = integrate(near, 0.0, half)[0] + integrate(bottom, 0.0, math.sqrt(half))[0] + values
         for i, row in zip(hot, values.reshape(3, -1).T.tolist()):
             band[i] = row
 
-    kt = _column(ts)
-    f = None if fs is None else _column(fs)
-
-    def window(xi):
-        rows = _thermal_rows(xi, kt)
-        return rows if f is None else np.concatenate((rows, _condensation_rows(xi, kt, f)))
-
-    scale = min(math.sqrt(fi + (math.pi * t) ** 2) for t, fi in zip(ts, fs or [0.0] * len(ts)))
+    kt, f = _column(ts), _column(fs)
+    scale = min(math.sqrt(fi + (math.pi * t) ** 2) for t, fi in zip(ts, fs))
+    window = lambda xi: np.concatenate((_thermal_rows(xi, kt), _condensation_rows(xi, kt, f)))
     values = integrate(window, params.xi_min, L, scale=scale)[0].reshape(-1, len(ts))
     return band, values.T.tolist()
 
 
-def _tail_parts(t: float, band) -> tuple:
-    ln, occ, w = band
-    return -2.0 * t * ln, -2.0 * ln - (2.0 / t) * occ, -2.0 / t**3 * w
+def _parts(t: float, params: ModelParams, f: float, f_prime: float, band, window) -> tuple:
+    """Core (tail, normal, condensation) parts, each (value, d1, d2), at t and squared gap f.
 
-
-def _normal_parts(t: float, tails, window) -> tuple:
-    ln, occ, w = window[:3]
-    return (
-        -4.0 * t * ln + tails[0],
-        -4.0 * ln - (4.0 / t) * occ + tails[1],
-        -4.0 / t**3 * w + tails[2],
-    )
-
-
-def _condensation_parts(t: float, params: ModelParams, f: float, f_prime: float, window) -> tuple:
-    _, _, w, ratio, shift, occ, w_shift, w_gap = window
-    return (
+    The tail part is the band's, the normal part the window's plus the
+    tail's, and the condensation part is (0, 0, 0) at f = f' = 0.
+    """
+    ln_b, occ_b, w_b = band
+    ln, occ, w, ratio, shift, occ_diff, w_shift, w_gap = window
+    tails = (-2.0 * t * ln_b, -2.0 * ln_b - (2.0 / t) * occ_b, -2.0 / t**3 * w_b)
+    normal = (-4.0 * t * ln + tails[0], -4.0 * ln - (4.0 / t) * occ + tails[1], -4.0 / t**3 * w + tails[2])
+    cond = (
         f / params.u0n0 - 2.0 * shift - 4.0 * t * ratio,
-        -4.0 * ratio + (4.0 / t) * occ,
+        -4.0 * ratio + (4.0 / t) * occ_diff,
         4.0 / t**3 * (w - (w_shift - t * f_prime / 2.0 * w_gap)),
     )
+    return tails, normal, cond
 
 
 def _physical(t: float, params: ModelParams, parts, constant: float = 0.0) -> tuple:
@@ -199,50 +196,40 @@ def _finite(t: float, *values: float) -> tuple:
     return values
 
 
-def _branch(ts, params: ModelParams, gaps=None) -> list[tuple]:
-    """Core (tail, normal, condensation) parts at checked temperatures ts of one branch.
+def _branch(ts, params: ModelParams, gaps) -> list[tuple]:
+    """Core _parts at checked temperatures ts, from one _quadratures call.
 
-    One _quadratures call for the whole list.  gaps, the solved GapPoints
-    at ts, add the condensation rows to the window; without them the
-    condensation part is None.  A temperature below _COLDEST t_c is
-    evaluated there, as window_pass does; one above _HOTTEST t_c is refused.
+    gaps holds the physical (f, f') at each temperature: the solved gap at
+    or below t_c, and (0, 0) above it, the normal branch.  A temperature
+    below _COLDEST t_c is evaluated there, as window_pass does; one above
+    _HOTTEST t_c is refused.
     """
     f_unit, f_prime_unit, _ = params.scales
     taus = [max(t / params.t_c, _COLDEST) for t in ts]
     for t, tau in zip(ts, taus):
         if not tau <= _HOTTEST:
             raise OutsideDomain(f"temperature {t!r} is above {_HOTTEST:.6g} t_c, whose cube overflows")
-    fs = None if gaps is None else [g.f / f_unit for g in gaps]
+    fs = [f / f_unit for f, _ in gaps]
     bands, windows = _quadratures(taus, params.core, fs)
-    parts = []
-    for i, (tau, band, window) in enumerate(zip(taus, bands, windows)):
-        tails = _tail_parts(tau, band)
-        cond = None if gaps is None else _condensation_parts(tau, params, fs[i], gaps[i].f_prime / f_prime_unit, window)
-        parts.append((tails, _normal_parts(tau, tails, window), cond))
-    return parts
+    return [
+        _parts(tau, params, f, f_prime / f_prime_unit, band, window)
+        for tau, f, (_, f_prime), band, window in zip(taus, fs, gaps, bands, windows)
+    ]
 
 
 def _thermo_point(t: float, params: ModelParams, parts) -> ThermoPoint:
-    """The ThermoPoint at t from its _branch parts: normal plus condensation, made physical once."""
+    """The ThermoPoint at t from its _parts: normal plus condensation, made physical once."""
     _, normal, cond = parts
-    if cond is not None:
-        normal = tuple(nv + cv for nv, cv in zip(normal, cond))
-    omega, omega_t, omega_tt = _physical(t, params, normal, _normal_constant(params))
+    total = tuple(nv + cv for nv, cv in zip(normal, cond))
+    omega, omega_t, omega_tt = _physical(t, params, total, _normal_constant(params))
     (c_v,) = _finite(t, -t * omega_tt)
-    return ThermoPoint(
-        t=t,
-        omega=omega,
-        omega_t=omega_t,
-        omega_tt=omega_tt,
-        entropy=-omega_t,
-        c_v=c_v,
-        branch="normal" if cond is None else "superconducting",
-    )
+    branch = "superconducting" if t <= params.t_c else "normal"
+    return ThermoPoint(t, omega, omega_t, omega_tt, entropy=-omega_t, c_v=c_v, branch=branch)
 
 
 def _superconducting_point(t: float, params: ModelParams, gap: GapPoint) -> tuple:
     """The ThermoPoint at a checked t <= t_c and its condensation_potential, from one window pass at gap."""
-    parts = _branch([t], params, [gap])[0]
+    parts = _branch([t], params, [(gap.f, gap.f_prime)])[0]
     return _thermo_point(t, params, parts), _physical(t, params, parts[2])
 
 
@@ -250,22 +237,18 @@ def _points(ts, params: ModelParams) -> list[ThermoPoint]:
     """Piecewise potential at a batch of temperatures, in their order.
 
     Per _BATCH temperatures, one _solved_points call for those at or below
-    t_c and one _branch call, so one _quadratures call, per branch: the
-    superconducting rows carry the condensation part at their solved gaps.
+    t_c and one _branch call, so one _quadratures call, for all of them:
+    above t_c the gap is f = f' = 0, where the condensation part vanishes.
     A batch of one is thermodynamic_potential.
     """
     ts = [_check_temperature(t) for t in ts]
-    points = [None] * len(ts)
+    points = []
     for lo in range(0, len(ts), _BATCH):
-        chunk = range(lo, min(lo + _BATCH, len(ts)))
-        cold = [i for i in chunk if ts[i] <= params.t_c]
-        warm = [i for i in chunk if ts[i] > params.t_c]
-        for branch in (cold, warm):
-            if branch:
-                branch_ts = [ts[i] for i in branch]
-                gaps = _solved_points(np.array(branch_ts), params) if branch is cold else None
-                for i, parts in zip(branch, _branch(branch_ts, params, gaps)):
-                    points[i] = _thermo_point(ts[i], params, parts)
+        chunk = ts[lo:lo + _BATCH]
+        cold = np.array([t for t in chunk if t <= params.t_c])
+        solved = {g.t: (g.f, g.f_prime) for g in (_solved_points(cold, params) if cold.size else ())}
+        gaps = [solved.get(t, (0.0, 0.0)) for t in chunk]
+        points += [_thermo_point(t, params, parts) for t, parts in zip(chunk, _branch(chunk, params, gaps))]
     return points
 
 
@@ -276,7 +259,7 @@ def tail_potential(t: float, params: ModelParams) -> tuple:
     window) and [hbar_omega_d, inf); the improper tail truncates on the
     thermal decay scale k_b * t.  Returns (value, d1, d2).
     """
-    tails, _, _ = _branch([_check_temperature(t)], params)[0]
+    tails, _, _ = _branch([_check_temperature(t)], params, [(0.0, 0.0)])[0]
     return _physical(t, params, tails, 2.0 * params.band_constant)
 
 
@@ -286,7 +269,7 @@ def normal_potential(t: float, params: ModelParams) -> tuple:
     The window's zero-point piece -n0 * (hbar_omega_d^2 - xi_min^2) is a
     closed form; the thermal window piece and the tails are quadratures.
     """
-    _, normal, _ = _branch([_check_temperature(t)], params)[0]
+    _, normal, _ = _branch([_check_temperature(t)], params, [(0.0, 0.0)])[0]
     return _physical(t, params, normal, _normal_constant(params))
 
 
@@ -309,11 +292,10 @@ def condensation_potential(t: float, params: ModelParams, gap: GapPoint) -> tupl
 def thermodynamic_potential(t: float, params: ModelParams) -> ThermoPoint:
     """Piecewise potential at one temperature, with entropy and specific heat.
 
-    At or below the transition the condensation part is added to the normal
-    branch (the gap is solved internally); above it the normal branch alone.
-    Either way every integral comes from one _quadratures pass on the core
-    view, and the sum becomes physical once.  It is _points at one
-    temperature.
+    The normal branch plus the condensation part at the gap, solved
+    internally at or below the transition and 0 above it.  Every integral
+    comes from one _quadratures pass on the core view, and the sum becomes
+    physical once.  It is _points at one temperature.
     """
     return _points([t], params)[0]
 
@@ -336,10 +318,18 @@ def _curvature_jump(params: ModelParams, f_prime: float) -> float:
 
 
 def extrapolate_to_zero(hs, ys) -> float:
-    """Neville tableau for the limit of y(h) as h -> 0."""
+    """Neville tableau for the limit of y(h) as h -> 0.
+
+    Raises ValueError unless there are as many distinct abscissae hs as
+    values ys, and at least one.
+    """
     hs = [float(h) for h in hs]
     tab = [float(y) for y in ys]
     n = len(tab)
+    if len(hs) != n or n == 0:
+        raise ValueError(f"need as many abscissae as values, at least one: got {len(hs)} and {n}")
+    if len(set(hs)) != n:
+        raise ValueError(f"abscissae must be distinct, got {hs}")
     for level in range(1, n):
         for i in range(n - level):
             tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * hs[i + level] / (

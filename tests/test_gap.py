@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bcsgap.errors import (
     OutsideDomain,
 )
 from bcsgap.gap import (
+    RESIDUAL_TOL,
     gap_derivatives_at,
     sample_gap_curve,
     solve_gap_at,
@@ -187,6 +189,32 @@ def test_derivatives_vanish_at_zero_temperature(default_params):
     assert gap_derivatives_at(0.0, p, point) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"eps": 1e-3}, {"u0n0": 0.0035}])
+def test_zero_temperature_is_solved_like_every_cold_node(kwargs):
+    # t = 0 is one row of the solved-point path, evaluated at the coldest
+    # temperature the kernels take, where every thermal factor has underflowed
+    p = build_params(**kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = solve_gap_at(0.0, p)
+    assert point.f == p.delta**2
+    for derivative in (point.f_prime, point.f_second):
+        assert derivative == 0.0 and math.copysign(1.0, derivative) == 1.0
+    assert point.residual <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("u0n0", [0.0035, 0.003])
+def test_weak_coupling_cold_solves_raise_no_warnings(u0n0):
+    # past eta ~ 1e154 the kernels' x * x overflows; the kernels' limit, -0,
+    # is right, and no numpy warning reaches the caller
+    p = build_params(u0n0=u0n0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_gap_at(1e-60 * p.t_c, p)
+        curve = sample_gap_curve(p, 9)
+    assert curve.points[0].f == p.delta**2
+
+
 def test_endpoint_derivatives_match_frozen_closed_forms(default_params):
     p = default_params
     point = solve_gap_at(p.t_c, p)
@@ -350,6 +378,20 @@ def test_curve_is_solved_in_few_quadrature_calls(default_params, monkeypatch):
     monkeypatch.setattr(kernels, "integrate", counting)
     sample_gap_curve(default_params, 201)
     assert len(calls) <= 100
+
+
+def test_curve_is_one_solved_point_batch(default_params, monkeypatch):
+    # every node, t = 0 and t_c included, is a row of one _solved_points call
+    sizes = []
+    real = gap._solved_points
+
+    def counting(ts, params):
+        sizes.append(ts.size)
+        return real(ts, params)
+
+    monkeypatch.setattr(gap, "_solved_points", counting)
+    sample_gap_curve(default_params, 201)
+    assert sizes == [201]
 
 
 def test_curve_memory_stays_flat(default_params):

@@ -16,6 +16,7 @@ from bcsgap.quad import integrate, truncation_point
 from bcsgap.thermo import (
     JumpMeasurement,
     condensation_potential,
+    extrapolate_to_zero,
     measured_second_derivative_jump,
     normal_potential,
     second_derivative_jump,
@@ -345,15 +346,56 @@ def test_point_is_integrated_in_few_quadrature_calls(monkeypatch):
 
 def test_batches_are_integrated_in_few_quadrature_calls(monkeypatch):
     # a batch takes one Newton iteration and one second-order pass for its
-    # cold temperatures and three stacked calls per branch, however many
-    # temperatures it holds
+    # cold temperatures and three stacked calls for all of them, however
+    # many temperatures it holds
     p = build_params()
     calls = _counting_integrate(monkeypatch)
     measured_second_derivative_jump(p)
-    assert len(calls) <= 12
+    assert len(calls) <= 9
     calls.clear()
     thermo._points([p.t_c * (0.5 + i / 40) for i in range(41)], p)
-    assert len(calls) <= 20
+    assert len(calls) <= 12
+
+
+def test_straddling_batch_is_one_stacked_pass(monkeypatch):
+    # temperatures on both sides of t_c share one _quadratures call per
+    # _BATCH chunk: the normal branch is the f = f' = 0 case
+    p = build_params()
+    sizes = []
+    real = thermo._quadratures
+
+    def counting(ts, params, fs):
+        sizes.append(len(ts))
+        return real(ts, params, fs)
+
+    monkeypatch.setattr(thermo, "_quadratures", counting)
+    measured_second_derivative_jump(p)
+    assert sizes == [8]
+    sizes.clear()
+    thermo._points([p.t_c * (0.5 + i / 100) for i in range(101)], p)
+    assert sizes == [thermo._BATCH, 101 - thermo._BATCH]
+
+
+@pytest.mark.parametrize("depth", [1e-12, 1e-9, 1e-3, 0.5])
+def test_normal_specific_heat_with_thin_lower_band(depth):
+    # the band bottom -mu sits depth below the window edge -hbar_omega_d;
+    # integrated in xi, xi + mu cancelled there and the quadrature stalled
+    p = build_params(mu=1.0 + depth)
+    for ratio in (1.5, 3.0):
+        t = ratio * p.t_c
+        ref = oracles.mp_normal_specific_heat(t, p.k_b, p.hbar_omega_d, p.n0, p.mu, p.xi_min)
+        assert thermodynamic_potential(t, p).c_v == pytest.approx(ref, rel=1e-12)
+    assert thermodynamic_potential(0.5 * p.t_c, p).branch == "superconducting"
+
+
+def test_extrapolate_to_zero_validates_its_input():
+    assert extrapolate_to_zero([0.1, 0.01], [1.1, 1.01]) == pytest.approx(1.0, rel=1e-15)
+    mismatched = (([0.1, 0.01], [1.0]), ([0.1], [1.0, 2.0]), ([], []))
+    for hs, ys in mismatched:
+        with pytest.raises(ValueError, match="as many abscissae as values"):
+            extrapolate_to_zero(hs, ys)
+    with pytest.raises(ValueError, match="distinct"):
+        extrapolate_to_zero([0.1, 0.1], [1.0, 2.0])
 
 
 def _assert_batch_matches_points(ts, p):
