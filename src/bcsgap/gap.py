@@ -26,7 +26,7 @@ from .errors import (
     OutsideDomain,
     ToleranceNotMet,
 )
-from .kernels import _COLDEST, window_pass
+from .kernels import _COLDEST, _window_partials, window_pass
 from .model import ModelParams, _as_finite_float, _require_positive
 from .quad import integrate
 
@@ -144,7 +144,9 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarra
     batch.  An iterate at y = 0 with F(t, 0) <= 0 stops there, as the
     clamped step does not move it; the residual gate of _solved_points
     decides whether that is a root (F(t, 0) within rounding of 0, as one ulp
-    below t_c) or no root exists.  Returns the iterates.
+    below t_c) or no root exists.  The steps skip window_pass's domain gate,
+    as the iterates stay in [0, seed]; the gated second-order pass of
+    _solved_points checks every root.  Returns the iterates.
     """
     y = np.array(seeds, dtype=float)
     active = np.arange(ts.size)
@@ -152,7 +154,7 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarra
         if active.size == 0:
             break
         t, y_now = ts[active], y[active]
-        p = window_pass(t, y_now, params, order=0)
+        p = _window_partials(t, y_now, params, order=0)
         y_next = np.maximum(0.0, y_now - p.value / p.d_y)
         done = (y_next == y_now) | (np.abs(p.value) <= 1e-13)
         y[active] = y_next

@@ -20,7 +20,7 @@ library calls it; the scalar functions gate and return physical values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -308,7 +308,15 @@ def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
     _gate_closure(given, ys, params)
     if (given == 0.0).any():
         raise OutsideDomain("the zero-temperature edge is handled by closed forms")
-    ts = np.maximum(given, _COLDEST * params.t_c)
+    return replace(_window_partials(np.maximum(given, _COLDEST * params.t_c), ys, params, order), t=given)
+
+
+def _window_partials(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
+    """window_pass without its gate, at flat float arrays of pairs with t >= _COLDEST t_c.
+
+    For a caller that made the pairs itself inside the domain, as the
+    Newton iteration does its iterates.
+    """
     kinds = _ORDER_KERNELS[order]
     i = dict(zip(kinds, window_integrals(ts, ys, params, kinds)))
     kb = params.k_b
@@ -321,7 +329,7 @@ def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
         d_ty = i["mixed"] / (two_kbt**3 * ts)
         d_yy = -i["curv"] / (4.0 * two_kbt**5)
     return ResidualPartials(
-        t=given,
+        t=ts,
         y=ys,
         value=i["value"] - 1.0 / params.u0n0,
         d_t=d_t,

@@ -117,20 +117,23 @@ def _quadratures(ts: list, params: ModelParams, fs: list):
 
     Runs on the core view, where k_b = n0 = 1, and stacks the rows of every
     temperature on shared nodes: the _thermal_rows times the density of
-    states on the lower band (none when mu lies inside the window) and on
-    the upper tail, summed into band; and the pairing window's
-    _thermal_rows, then its _condensation_rows at the squared gaps fs, all
-    0 where f = 0.  Both band pieces stop at one edge where the thermal
+    states on the band outside the window, which is band; and the pairing
+    window's _thermal_rows, then its _condensation_rows at the squared gaps
+    fs, all 0 where f = 0.  The band stops at one edge where the thermal
     rows of the warmest temperature are negligible, so their decay is
     resolved however far mu or the tail reaches; a temperature whose rows
     at the window edge, about e^{-hbar_omega_d / t}, are below the smallest
     normal float gets no band rows, as a relative target on them would
-    underflow.  A lower band that ends before that edge is split at its
-    midpoint, each half integrated in the distance from its nearer end, so
-    no node forms xi + mu where it cancels.  The window is mapped on the
-    smallest sqrt(f + (pi t)^2), the distance from the real axis of its
-    integrands' nearest singularities.  Returns (band, window), each a list
-    with one list of integrals per temperature.
+    underflow.  The lower band's rows are the thermal rows at |xi|, so it,
+    [-min(mu, edge), -L], is folded onto the upper tail [L, edge], and the
+    band is one integral of their summed densities (the lower one exactly
+    0 when mu lies inside the window).  A lower band that ends before that
+    edge is integrated apart instead: split at its midpoint, each half in
+    the distance from its nearer end, so no node forms xi + mu where it
+    cancels.  The window is mapped on the smallest sqrt(f + (pi t)^2), the
+    distance from the real axis of its integrands' nearest singularities.
+    Returns (band, window), each a list with one list of integrals per
+    temperature.
     """
     mu, L = params.mu, params.hbar_omega_d
     band = [[0.0] * 3 for _ in ts]
@@ -140,10 +143,11 @@ def _quadratures(ts: list, params: ModelParams, fs: list):
         edge = truncation_point(L, max(ts[i] for i in hot))
         # at temperatures far above t_c these integrals, of order t^3.5, overflow; _physical refuses them
         with np.errstate(over="ignore", invalid="ignore"):
-            values = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(xi, kt), L, edge)[0]
-            if mu >= edge:
-                values = integrate(lambda xi: _dos(xi, 1.0, mu) * _thermal_rows(-xi, kt), -edge, -L)[0] + values
-            elif mu > L:
+            split = L < mu < edge
+            # the lower band's energies -x folded onto the tail's x: its density is exactly 0 where mu <= L
+            lower = (lambda x: 0.0) if split else (lambda x: _dos(-x, 1.0, mu))
+            values = integrate(lambda x: (_dos(x, 1.0, mu) + lower(x)) * _thermal_rows(x, kt), L, edge)[0]
+            if split:
                 # energies L + s up to the midpoint, and mu - u^2 below it, where the density is u / sqrt(mu)
                 half = (mu - L) / 2.0
                 near = lambda s: np.sqrt((mu - L - s) / mu) * _thermal_rows(L + s, kt)
@@ -224,7 +228,8 @@ def _thermo_point(t: float, params: ModelParams, parts) -> ThermoPoint:
     omega, omega_t, omega_tt = _physical(t, params, total, _normal_constant(params))
     (c_v,) = _finite(t, -t * omega_tt)
     branch = "superconducting" if t <= params.t_c else "normal"
-    return ThermoPoint(t, omega, omega_t, omega_tt, entropy=-omega_t, c_v=c_v, branch=branch)
+    # + 0.0: a cold point's exact zeros are stored as +0.0, not negated to -0.0
+    return ThermoPoint(t, omega, omega_t, omega_tt, entropy=-omega_t + 0.0, c_v=c_v + 0.0, branch=branch)
 
 
 def _superconducting_point(t: float, params: ModelParams, gap: GapPoint) -> tuple:

@@ -23,3 +23,20 @@ def eps_params():
     from bcsgap.model import build_params
 
     return build_params(eps=0.5)
+
+
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """A list that gains one entry per quadrature call, from whichever bcsgap module makes it."""
+    from bcsgap import gap, kernels, quad, thermo, verify
+
+    calls = []
+    real = quad.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (quad, kernels, gap, thermo, verify):
+        monkeypatch.setattr(module, "integrate", counting)
+    return calls

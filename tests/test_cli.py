@@ -1,6 +1,7 @@
 """End-to-end command-line coverage, driven through cli.main()."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -112,6 +113,17 @@ def test_thermo_window_from_below_band_rounding(capsys):
     code, out, err = run(capsys, "thermo", "--points", "2", "--tmin", "1e-20", "--tmax", "0.02")
     assert code == 0, err
     assert float(out.strip().split("\n")[1].split(",")[5]) == 0.0  # c_v at 1e-20
+
+
+def test_cold_thermo_row_prints_no_negative_zero(capsys):
+    # S = -omega_t and c_v = -T omega_tt of exact zeros are +0, in CSV and JSON
+    argv = ("thermo", "--points", "11", "--tmin", "1e-20", "--tmax", "0.02")
+    _, csv_text, _ = run(capsys, *argv)
+    assert csv_text.split("\n")[1].split(",")[4:6] == ["0", "0"]
+    _, json_text, _ = run(capsys, *argv, "--format", "json")
+    row = json.loads(json_text)["points"][0]
+    assert [math.copysign(1.0, row[k]) for k in ("entropy", "c_v")] == [1.0, 1.0]
+    assert (row["entropy"], row["c_v"]) == (0.0, 0.0)
 
 
 def test_jump_text_output(capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from bcsgap import gap, kernels, quad, thermo
+from bcsgap import gap
 from bcsgap.errors import (
     NonFiniteInput,
     NonPositiveParameter,
@@ -252,22 +252,13 @@ def test_endpoint_derivatives_match_mpmath_quotients(u0n0, eps):
     assert point.f_second == pytest.approx(f_second, rel=1e-10, abs=0.0)
 
 
-def test_endpoint_point_is_one_quadrature_call(default_params, monkeypatch):
+def test_endpoint_point_is_one_quadrature_call(default_params, integrate_calls):
     # f(t_c) = 0 needs no Newton step: one second-order window pass gives
     # the residual, f' and f'', and gap_derivatives_at reads them off the
     # point
-    calls = []
-    real = quad.integrate
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    for module in (quad, kernels, gap, thermo):
-        monkeypatch.setattr(module, "integrate", counting)
     p = default_params
     gap_derivatives_at(p.t_c, p, solve_gap_at(p.t_c, p))
-    assert len(calls) == 1
+    assert len(integrate_calls) == 1
 
 
 def test_interior_first_derivative_matches_solver_differences(default_params):
@@ -366,18 +357,10 @@ def test_curve_is_covariant_at_small_energy_scales(default_params):
         assert (pt.f_second, pt.residual) == (ref.f_second, ref.residual)
 
 
-def test_curve_is_solved_in_few_quadrature_calls(default_params, monkeypatch):
+def test_curve_is_solved_in_few_quadrature_calls(default_params, integrate_calls):
     # one batched Newton and one second-order pass, not one solve per node
-    calls = []
-    real = kernels.integrate
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(kernels, "integrate", counting)
     sample_gap_curve(default_params, 201)
-    assert len(calls) <= 100
+    assert len(integrate_calls) <= 100
 
 
 def test_curve_is_one_solved_point_batch(default_params, monkeypatch):

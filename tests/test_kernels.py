@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bcsgap import kernels
 from bcsgap.errors import NonFiniteInput, OutsideDomain, ZeroGapAtZeroT
 from bcsgap.kernels import (
     _CURV_SERIES,
@@ -221,6 +222,19 @@ def test_second_partials_rejected_on_boundaries(default_params):
             with pytest.raises(error):
                 window_pass([mid_t, t], [mid_y, y], p, order=order)
     assert gap_residual_second_partials(mid_t, mid_y, p).d_yy > 0.0
+
+
+def test_ungated_core_is_window_pass_at_order_0(default_params):
+    # the Newton iteration steps through the ungated core; its value and d_y
+    # are window_pass's to the bit, at y = 0, next to t_c and at _COLDEST
+    # (the refusals of window_pass are test_second_partials_rejected_on_boundaries)
+    core = default_params.core
+    ts = np.array([kernels._COLDEST, 0.01, 0.5, 0.5, float(np.nextafter(1.0, 0.0)), 1.0])
+    ys = np.array([core.delta**2, 0.3 * core.y_max, 0.0, core.y_max, 0.0, 0.0])
+    gated = window_pass(ts, ys, core, order=0)
+    ungated = kernels._window_partials(ts, ys, core, order=0)
+    assert ungated.value.tolist() == gated.value.tolist()
+    assert ungated.d_y.tolist() == gated.d_y.tolist()
 
 
 @pytest.mark.parametrize("where", ["t_c", "y=0", "y_max", "t_c,y=0", "t_c,y_max"])

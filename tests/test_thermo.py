@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from bcsgap import gap, kernels, quad, thermo
+from bcsgap import thermo
 from bcsgap.errors import CutoffNotZero, NotSolved, OutsideDomain
 from bcsgap.gap import gap_derivatives_at, solve_gap_at
 from bcsgap.kernels import fermi, fermi_weight
@@ -264,6 +264,28 @@ def test_normal_specific_heat_with_far_band_edge(u0n0, mu):
     assert thermodynamic_potential(t, p).c_v == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("ratio", [1.1, 1.5, 3.0])
+def test_band_is_one_folded_integral(default_params, integrate_calls, ratio):
+    # at the benchmark's mu = 10 the band reaches past the truncation edge:
+    # its lower part, folded onto the upper tail's energies, shares the
+    # tail's call (the other call is the window), and the band rows are
+    # those of the two pieces integrated apart
+    core = default_params.core
+    mu, L = core.mu, core.hbar_omega_d
+    edge = truncation_point(L, ratio)
+    assert mu >= edge
+    (band,), _ = thermo._quadratures([ratio], core, [0.0])
+    assert len(integrate_calls) == 2
+    upper = integrate(lambda x: _dos(x, 1.0, mu) * thermo._thermal_rows(x, ratio), L, edge)[0]
+    lower = integrate(lambda xi: _dos(xi, 1.0, mu) * thermo._thermal_rows(-xi, ratio), -edge, -L)[0]
+    for got, ref in zip(band, upper + lower):
+        assert abs(got - ref) <= 1e-15 * abs(ref)
+    p = default_params
+    t = ratio * p.t_c
+    ref = oracles.mp_normal_specific_heat(t, p.k_b, p.hbar_omega_d, p.n0, p.mu, p.xi_min)
+    assert thermodynamic_potential(t, p).c_v == pytest.approx(ref, rel=1e-12)
+
+
 def test_jump_measurement(default_params):
     p = default_params
     closed = second_derivative_jump(p)
@@ -314,47 +336,35 @@ def test_csv_serialization(default_params):
     assert float(above[5]) == points[1].c_v
 
 
-def _counting_integrate(monkeypatch):
-    calls = []
-    real = quad.integrate
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    for module in (quad, kernels, gap, thermo):
-        monkeypatch.setattr(module, "integrate", counting)
-    return calls
-
-
-def test_point_is_integrated_in_few_quadrature_calls(monkeypatch):
-    # three stacked calls per point (lower band, upper tail, window), plus
-    # the gap's Newton steps and one second-order pass below t_c; the
+def test_point_is_integrated_in_few_quadrature_calls(integrate_calls):
+    # two stacked calls per point (the band, its lower part folded onto the
+    # upper tail's energies, and the window), plus the gap's Newton steps
+    # below t_c and one second-order pass at or below it; the
     # temperature-independent band constant is a closed form
     p = build_params()
-    calls = _counting_integrate(monkeypatch)
     counts = []
-    for ratio in (0.5, 0.5, 1.2):
-        calls.clear()
+    for ratio in (0.5, 0.5, 1.0, 1.5):
+        integrate_calls.clear()
         thermodynamic_potential(ratio * p.t_c, p)
-        counts.append(len(calls))
-    first, second, above = counts
-    assert second <= 12
+        counts.append(len(integrate_calls))
+    first, second, at_tc, above = counts
+    assert second <= 8
     assert first == second  # nothing is integrated once per params
-    assert above <= 3
+    assert at_tc <= 3
+    assert above <= 2
 
 
-def test_batches_are_integrated_in_few_quadrature_calls(monkeypatch):
+def test_batches_are_integrated_in_few_quadrature_calls(integrate_calls):
     # a batch takes one Newton iteration and one second-order pass for its
-    # cold temperatures and three stacked calls for all of them, however
+    # cold temperatures and two stacked calls for all of them, however
     # many temperatures it holds
     p = build_params()
-    calls = _counting_integrate(monkeypatch)
+    integrate_calls.clear()
     measured_second_derivative_jump(p)
-    assert len(calls) <= 9
-    calls.clear()
+    assert len(integrate_calls) <= 8
+    integrate_calls.clear()
     thermo._points([p.t_c * (0.5 + i / 40) for i in range(41)], p)
-    assert len(calls) <= 12
+    assert len(integrate_calls) <= 11
 
 
 def test_straddling_batch_is_one_stacked_pass(monkeypatch):

@@ -125,23 +125,12 @@ def test_suite_passes_across_the_accepted_domain(kwargs):
     assert [c.name for c in report.checks if not c.passed] == []
 
 
-def test_suite_work_count(monkeypatch):
+def test_suite_work_count(integrate_calls):
     # every gap-curve probe of the suite is solved in one batch, not one
     # Newton solve per stencil point; t_c is solved once, the eight jump
     # points are one thermo batch, and the partials grid integrates only
     # the two kernels its signs come from
-    from bcsgap import gap, kernels, quad, thermo
-
-    calls = []
-    real = quad.integrate
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    for module in (quad, kernels, gap, thermo, verify):
-        monkeypatch.setattr(module, "integrate", counting)
     p = build_params()
-    calls.clear()
+    integrate_calls.clear()
     assert run_suite(p).passed
-    assert len(calls) <= 230
+    assert len(integrate_calls) <= 230
