@@ -142,11 +142,11 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarra
     the iterates rise monotonically.  A node stops when its step does not
     move y or its residual is at most 1e-13; it then drops out of the
     batch.  An iterate at y = 0 with F(t, 0) <= 0 stops there, as the
-    clamped step does not move it; the residual gate of _solved_points
+    clamped step does not move it; the residual gate of _solved_columns
     decides whether that is a root (F(t, 0) within rounding of 0, as one ulp
     below t_c) or no root exists.  The steps skip window_pass's domain gate,
-    as the iterates stay in [0, seed]; the gated second-order pass of
-    _solved_points checks every root.  Returns the iterates.
+    as the iterates stay in [0, seed]; the gated pass of _solved_columns
+    at the roots checks every root.  Returns the iterates.
     """
     y = np.array(seeds, dtype=float)
     active = np.arange(ts.size)
@@ -172,12 +172,14 @@ def _checked_temperature(t, params: ModelParams) -> float:
 
 
 def _implicit_derivatives(p):
-    """f' and f'' of the curve from the residual partials at solved points.
+    """f', and f'' where p holds second partials, of the curve from the residual partials at solved points.
 
     f'' is divided by d_y once, not by d_y**3, so no intermediate leaves the
     range of the partials themselves at small energy scales.
     """
     f_prime = -p.d_t / p.d_y
+    if p.d_tt is None:
+        return (f_prime,)
     f_second = -(p.d_tt + (2.0 * p.d_ty + p.d_yy * f_prime) * f_prime) / p.d_y
     return f_prime, f_second
 
@@ -206,17 +208,17 @@ def gap_derivatives_at(t: float, params: ModelParams, gap_point: GapPoint) -> tu
     return gap_point.f_prime, gap_point.f_second
 
 
-def _solved_points(ts: np.ndarray, params: ModelParams) -> list[GapPoint]:
-    """Solved points at temperatures 0 <= t <= t_c, with f' and f''.
+def _solved_columns(ts: np.ndarray, params: ModelParams, order: int) -> tuple:
+    """Physical columns t, f, residual, f' and, at order 2, f'' at temperatures 0 <= t <= t_c.
 
     Runs in core units, a temperature below _COLDEST t_c at _COLDEST t_c,
     so t = 0 too: f(t_c) = 0 and the colder roots come from one batched
-    Newton iteration seeded with f(0); one second-order window pass at the
-    roots then gives every residual, and f' and f'' by the implicit-function
-    quotients, t_c included.  They become physical here, times
-    params.scales, with f held at or below f(0) = delta**2, which the
-    rounded product could pass, and a zero derivative stored as +0.0.
-    Raises NotSolved, naming the worst row, if any residual is above
+    Newton iteration seeded with f(0); one window pass of the given order,
+    1 or 2, at the roots then gives every residual, and the derivatives by
+    the implicit-function quotients, t_c included.  They become physical
+    here, times params.scales, with f held at or below f(0) = delta**2,
+    which the rounded product could pass, and a zero derivative stored as
+    +0.0.  Raises NotSolved, naming the worst row, if any residual is above
     RESIDUAL_TOL.
     """
     core = params.core
@@ -224,15 +226,18 @@ def _solved_points(ts: np.ndarray, params: ModelParams) -> list[GapPoint]:
     ys = np.zeros(ts.size)
     cold = taus < 1.0
     ys[cold] = _newton(taus[cold], np.full(np.count_nonzero(cold), core.delta**2), core)
-    p = window_pass(taus, ys, core, order=2)
+    p = window_pass(taus, ys, core, order=order)
     residuals = np.abs(p.value)
     worst = int(np.argmax(residuals))  # the first NaN, if any
     _check_residual(float(ts[worst]), float(residuals[worst]))
-    f_prime, f_second = _implicit_derivatives(p)
-    f_unit, f_prime_unit, f_second_unit = params.scales
-    f = np.minimum(ys * f_unit, params.delta**2)
-    columns = (ts, f, residuals, f_prime * f_prime_unit + 0.0, f_second * f_second_unit + 0.0)
-    return [GapPoint(*row) for row in zip(*(c.tolist() for c in columns))]
+    f = np.minimum(ys * params.scales[0], params.delta**2)
+    derivatives = [d * unit + 0.0 for d, unit in zip(_implicit_derivatives(p), params.scales[1:])]
+    return (ts, f, residuals, *derivatives)
+
+
+def _solved_points(ts: np.ndarray, params: ModelParams) -> list[GapPoint]:
+    """Solved points at temperatures 0 <= t <= t_c, with f' and f'': the second-order _solved_columns."""
+    return [GapPoint(*row) for row in zip(*(c.tolist() for c in _solved_columns(ts, params, 2)))]
 
 
 def solve_gap_at(t: float, params: ModelParams) -> GapPoint:

@@ -1,12 +1,15 @@
-"""Thermodynamic potential: normal part, condensation part, and the jump.
+"""Thermodynamic potential in quasiparticle form, and the jump at t_c.
 
-The potential is the normal branch plus a condensation correction at the
-squared gap f, which is 0 where f = 0, so at and above the transition.  The
-correction and its first temperature derivative vanish at the transition
-(the potential is C1 there), while the second derivative jumps by a closed-form amount; the
-specific-heat discontinuity follows from it.  Everything is evaluated with
-overflow-safe thermal factors, and the semi-infinite band tails truncate on
-the thermal decay scale.
+At squared gap f, 0 at and above the transition, the potential is a
+closed-form constant, the band outside the pairing window, and the window
+at E = sqrt(xi^2 + f) (Bardeen, Cooper and Schrieffer 1957; Muehlschlegel
+1959), whose entropy and specific heat are integrals of positive rows, so
+they keep their relative accuracy however far below t_c they fall.  The
+condensation part, superconducting minus normal, and its first temperature
+derivative vanish at the transition (the potential is C1 there), while the
+second derivative jumps by a closed-form amount; the specific-heat
+discontinuity follows from it.  Thermal factors are overflow-safe, and the
+semi-infinite band truncates on the thermal decay scale.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffNotZero, NonFiniteInput, OutsideDomain
-from .gap import GapPoint, _csv, _require_solved, _solved_points, solve_gap_at
+from .gap import GapPoint, _csv, _require_solved, _solved_columns, solve_gap_at
 from .kernels import _COLDEST, fermi, fermi_weight
 from .model import ModelParams, _as_finite_float, _dos, _normal_constant
 from .quad import integrate, truncation_point
@@ -39,9 +42,9 @@ __all__ = [
 
 # Offsets t_c * 10^-k of the one-sided samples the measured jump extrapolates from.
 _JUMP_KS = (3, 4, 5, 6)
-# Temperatures per stacked pass of _points.  Every temperature adds up to
-# eight rows on every node, so the cap keeps peak memory independent of how
-# many temperatures a batch is given.
+# Temperatures per stacked pass of _points.  Every temperature adds three
+# rows on every node, so the cap keeps peak memory independent of how many
+# temperatures a batch is given.
 _BATCH = 64
 # Hottest temperature, in units of t_c, that thermo evaluates: the parts divide by its cube.
 _HOTTEST = sys.float_info.max ** (1.0 / 3.0)
@@ -76,20 +79,20 @@ def _check_temperature(t) -> float:
     return t
 
 
-def _thermal_rows(e, kt):
-    """Rows ln(1 + e^{-e/kt}), e fermi(e/kt), e^2 fermi_weight(e/kt) at energies e >= 0.
+def _thermal_rows(e, kt, lift=0.0):
+    """Rows ln(1 + e^{-e/kt}), e fermi(e/kt), (e^2 + lift) fermi_weight(e/kt) at energies e >= 0.
 
-    kt is a float, or a column of n temperatures, which gives each row n
-    rows in turn.
+    kt and lift are floats, or columns of n temperatures and their lifts,
+    which give each row n rows in turn.
     """
-    return np.vstack((np.log1p(np.exp(-e / kt)), e * fermi(e / kt), e * e * fermi_weight(e / kt)))
+    return np.vstack((np.log1p(np.exp(-e / kt)), e * fermi(e / kt), (e * e + lift) * fermi_weight(e / kt)))
 
 
 def _condensation_rows(xi, kt, f):
     """Condensation rows at squared gap f, with s = sqrt(xi^2 + f).
 
-    The log ratio, gap shift, occupation difference, and fermi_weight(s/kt)
-    times (xi^2 + f) and times 1, apart so f' multiplies outside the integral.
+    The log ratio, the occupation difference, and fermi_weight(s/kt) times
+    (xi^2 + f) and times 1, apart so f' multiplies outside the integral.
     """
     s = np.sqrt(xi * xi + f)
     # sqrt(xi^2 + f) - xi without cancellation for xi >> sqrt(f)
@@ -104,7 +107,7 @@ def _condensation_rows(xi, kt, f):
     drop = -np.expm1(-shift / kt) / (1.0 + np.exp(-s / kt))
     occ_diff = xi * fermi(xi / kt) * drop - shift * fermi(s / kt)
     weight = fermi_weight(s / kt)
-    return np.vstack((ln_ratio, shift, occ_diff, weight * (xi * xi + f), weight))
+    return np.vstack((ln_ratio, occ_diff, weight * (xi * xi + f), weight))
 
 
 def _column(values: list):
@@ -112,73 +115,107 @@ def _column(values: list):
     return values[0] if len(values) == 1 else np.array(values)[:, None]
 
 
-def _quadratures(ts: list, params: ModelParams, fs: list):
-    """Every temperature-dependent integral of the potential at core temperatures ts.
+def _band(ts: list, params: ModelParams) -> list:
+    """The band's _thermal_rows integrals at core temperatures ts, one list of three per temperature.
 
     Runs on the core view, where k_b = n0 = 1, and stacks the rows of every
-    temperature on shared nodes: the _thermal_rows times the density of
-    states on the band outside the window, which is band; and the pairing
-    window's _thermal_rows, then its _condensation_rows at the squared gaps
-    fs, all 0 where f = 0.  The band stops at one edge where the thermal
-    rows of the warmest temperature are negligible, so their decay is
-    resolved however far mu or the tail reaches; a temperature whose rows
+    temperature on shared nodes, times the density of states of the band
+    outside the pairing window.  The band stops at one edge where the
+    thermal rows of the warmest temperature are negligible, so their decay
+    is resolved however far mu or the tail reaches; a temperature whose rows
     at the window edge, about e^{-hbar_omega_d / t}, are below the smallest
     normal float gets no band rows, as a relative target on them would
     underflow.  The lower band's rows are the thermal rows at |xi|, so it,
     [-min(mu, edge), -L], is folded onto the upper tail [L, edge], and the
     band is one integral of their summed densities (the lower one exactly
-    0 when mu lies inside the window).  A lower band that ends before that
-    edge is integrated apart instead: split at its midpoint, each half in
-    the distance from its nearer end, so no node forms xi + mu where it
-    cancels.  The window is mapped on the smallest sqrt(f + (pi t)^2), the
-    distance from the real axis of its integrands' nearest singularities.
-    Returns (band, window), each a list with one list of integrals per
-    temperature.
+    0 when mu lies inside the window).  It is integrated in the distance
+    s = x - L above the window edge, mapped on the coldest temperature of
+    the pass, the width over which its rows decay.  A lower band that ends
+    before that edge is integrated apart instead: split at its midpoint,
+    each half in the distance from its nearer end, so no node forms
+    xi + mu where it cancels.
     """
     mu, L = params.mu, params.hbar_omega_d
     band = [[0.0] * 3 for _ in ts]
     hot = [i for i, t in enumerate(ts) if L / t < -math.log(sys.float_info.min)]
-    if hot:
-        kt = _column([ts[i] for i in hot])
-        edge = truncation_point(L, max(ts[i] for i in hot))
-        # at temperatures far above t_c these integrals, of order t^3.5, overflow; _physical refuses them
-        with np.errstate(over="ignore", invalid="ignore"):
-            split = L < mu < edge
-            # the lower band's energies -x folded onto the tail's x: its density is exactly 0 where mu <= L
-            lower = (lambda x: 0.0) if split else (lambda x: _dos(-x, 1.0, mu))
-            values = integrate(lambda x: (_dos(x, 1.0, mu) + lower(x)) * _thermal_rows(x, kt), L, edge)[0]
-            if split:
-                # energies L + s up to the midpoint, and mu - u^2 below it, where the density is u / sqrt(mu)
-                half = (mu - L) / 2.0
-                near = lambda s: np.sqrt((mu - L - s) / mu) * _thermal_rows(L + s, kt)
-                bottom = lambda u: 2.0 * u * u / math.sqrt(mu) * _thermal_rows(mu - u * u, kt)
-                values = integrate(near, 0.0, half)[0] + integrate(bottom, 0.0, math.sqrt(half))[0] + values
-        for i, row in zip(hot, values.reshape(3, -1).T.tolist()):
-            band[i] = row
+    if not hot:
+        return band
+    kt = _column([ts[i] for i in hot])
+    edge = truncation_point(L, max(ts[i] for i in hot))
+    # at temperatures far above t_c these integrals, of order t^3.5, overflow; _physical refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        split = L < mu < edge
+        # the lower band's energies -x folded onto the tail's x: its density is exactly 0 where mu <= L
+        lower = (lambda x: 0.0) if split else (lambda x: _dos(-x, 1.0, mu))
 
-    kt, f = _column(ts), _column(fs)
-    scale = min(math.sqrt(fi + (math.pi * t) ** 2) for t, fi in zip(ts, fs))
-    window = lambda xi: np.concatenate((_thermal_rows(xi, kt), _condensation_rows(xi, kt, f)))
-    values = integrate(window, params.xi_min, L, scale=scale)[0].reshape(-1, len(ts))
-    return band, values.T.tolist()
+        def rows(s):
+            x = L + s
+            return (_dos(x, 1.0, mu) + lower(x)) * _thermal_rows(x, kt)
+
+        values = integrate(rows, 0.0, edge - L, scale=min(ts[i] for i in hot))[0]
+        if split:
+            # energies L + s up to the midpoint, and mu - u^2 below it, where the density is u / sqrt(mu)
+            half = (mu - L) / 2.0
+            near = lambda s: np.sqrt((mu - L - s) / mu) * _thermal_rows(L + s, kt)
+            bottom = lambda u: 2.0 * u * u / math.sqrt(mu) * _thermal_rows(mu - u * u, kt)
+            values = integrate(near, 0.0, half)[0] + integrate(bottom, 0.0, math.sqrt(half))[0] + values
+    for i, row in zip(hot, values.reshape(3, -1).T.tolist()):
+        band[i] = row
+    return band
 
 
-def _parts(t: float, params: ModelParams, f: float, f_prime: float, band, window) -> tuple:
-    """Core (tail, normal, condensation) parts, each (value, d1, d2), at t and squared gap f.
+def _quadratures(ts: list, params: ModelParams, fs: list, f_primes: list):
+    """Every temperature-dependent integral of the potential at core temperatures ts.
 
-    The tail part is the band's, the normal part the window's plus the
-    tail's, and the condensation part is (0, 0, 0) at f = f' = 0.
+    fs and f_primes are each temperature's squared gap and its slope, 0
+    above t_c.  The band's rows come from _band; the pairing window's are
+    _thermal_rows at the quasiparticle energies E = sqrt(xi^2 + f), lifted
+    by -t f' / 2 >= 0, so every row is positive.  The rows of every
+    temperature share nodes, mapped on the smallest sqrt(f + (pi t)^2), the
+    distance from the real axis of the integrands' nearest singularities.
+    Returns (band, window), each a list with one list of three integrals
+    per temperature.
     """
+    kt, f = _column(ts), _column(fs)
+    lift = _column([-t * f_prime / 2.0 for t, f_prime in zip(ts, f_primes)])
+    scale = min(math.sqrt(fi + (math.pi * t) ** 2) for t, fi in zip(ts, fs))
+    window = lambda xi: _thermal_rows(np.sqrt(xi * xi + f), kt, lift)
+    values = integrate(window, params.xi_min, params.hbar_omega_d, scale=scale)[0]
+    return _band(ts, params), values.reshape(3, -1).T.tolist()
+
+
+def _shift(params: ModelParams, f: float) -> float:
+    """Integral of sqrt(xi^2 + f) - xi over the pairing window, in closed form.
+
+    Its antiderivative (xi f / (E + xi) + f ln(xi + E)) / 2, E = sqrt(xi^2 + f),
+    is a sum of positive terms with no cancellation for xi >> sqrt(f).
+    """
+    if f == 0.0:
+        return 0.0
+    a, L = params.xi_min, params.hbar_omega_d
+    e_a, e_l = math.sqrt(a * a + f), math.sqrt(L * L + f)
+    return 0.5 * f * (L / (e_l + L) - a / (e_a + a) + math.log((L + e_l) / (a + e_a)))
+
+
+def _tails(t: float, band) -> tuple:
+    """Core (value, d1, d2) of the band outside the window at t, from its _band integrals."""
     ln_b, occ_b, w_b = band
-    ln, occ, w, ratio, shift, occ_diff, w_shift, w_gap = window
-    tails = (-2.0 * t * ln_b, -2.0 * ln_b - (2.0 / t) * occ_b, -2.0 / t**3 * w_b)
-    normal = (-4.0 * t * ln + tails[0], -4.0 * ln - (4.0 / t) * occ + tails[1], -4.0 / t**3 * w + tails[2])
-    cond = (
-        f / params.u0n0 - 2.0 * shift - 4.0 * t * ratio,
-        -4.0 * ratio + (4.0 / t) * occ_diff,
-        4.0 / t**3 * (w - (w_shift - t * f_prime / 2.0 * w_gap)),
+    return (-2.0 * t * ln_b, -2.0 * ln_b - (2.0 / t) * occ_b, -2.0 / t**3 * w_b)
+
+
+def _parts(t: float, core: ModelParams, f: float, band, window) -> tuple:
+    """Core (value, d1, d2) of the potential at t and squared gap f, less its constant.
+
+    The band's _tails plus the window in quasiparticle form; at f = 0 the
+    window terms are the normal branch's to the bit, as E = xi there.
+    """
+    ln, occ, w = window
+    tails = _tails(t, band)
+    return (
+        f / core.u0n0 - 2.0 * _shift(core, f) - 4.0 * t * ln + tails[0],
+        -4.0 * ln - (4.0 / t) * occ + tails[1],
+        -4.0 / t**3 * w + tails[2],
     )
-    return tails, normal, cond
 
 
 def _physical(t: float, params: ModelParams, parts, constant: float = 0.0) -> tuple:
@@ -200,58 +237,85 @@ def _finite(t: float, *values: float) -> tuple:
     return values
 
 
-def _branch(ts, params: ModelParams, gaps) -> list[tuple]:
-    """Core _parts at checked temperatures ts, from one _quadratures call.
+def _core_temperatures(ts, params: ModelParams) -> list:
+    """Checked temperatures ts in units of t_c.
 
-    gaps holds the physical (f, f') at each temperature: the solved gap at
-    or below t_c, and (0, 0) above it, the normal branch.  A temperature
-    below _COLDEST t_c is evaluated there, as window_pass does; one above
-    _HOTTEST t_c is refused.
+    One below _COLDEST t_c is evaluated there, as window_pass does; one
+    above _HOTTEST t_c is refused.
     """
-    f_unit, f_prime_unit, _ = params.scales
     taus = [max(t / params.t_c, _COLDEST) for t in ts]
     for t, tau in zip(ts, taus):
         if not tau <= _HOTTEST:
             raise OutsideDomain(f"temperature {t!r} is above {_HOTTEST:.6g} t_c, whose cube overflows")
+    return taus
+
+
+def _branch(ts, params: ModelParams, gaps) -> list[tuple]:
+    """Core _parts at checked temperatures ts, from one _quadratures call.
+
+    gaps holds the physical (f, f') at each temperature: the solved gap at
+    or below t_c, and (0, 0) above it, the normal branch.
+    """
+    f_unit, f_prime_unit, _ = params.scales
+    taus = _core_temperatures(ts, params)
     fs = [f / f_unit for f, _ in gaps]
-    bands, windows = _quadratures(taus, params.core, fs)
-    return [
-        _parts(tau, params, f, f_prime / f_prime_unit, band, window)
-        for tau, f, (_, f_prime), band, window in zip(taus, fs, gaps, bands, windows)
-    ]
+    bands, windows = _quadratures(taus, params.core, fs, [f_prime / f_prime_unit for _, f_prime in gaps])
+    return [_parts(tau, params.core, f, band, window) for tau, f, band, window in zip(taus, fs, bands, windows)]
 
 
 def _thermo_point(t: float, params: ModelParams, parts) -> ThermoPoint:
-    """The ThermoPoint at t from its _parts: normal plus condensation, made physical once."""
-    _, normal, cond = parts
-    total = tuple(nv + cv for nv, cv in zip(normal, cond))
-    omega, omega_t, omega_tt = _physical(t, params, total, _normal_constant(params))
+    """The ThermoPoint at t from its _parts, made physical once."""
+    omega, omega_t, omega_tt = _physical(t, params, parts, _normal_constant(params))
     (c_v,) = _finite(t, -t * omega_tt)
     branch = "superconducting" if t <= params.t_c else "normal"
     # + 0.0: a cold point's exact zeros are stored as +0.0, not negated to -0.0
     return ThermoPoint(t, omega, omega_t, omega_tt, entropy=-omega_t + 0.0, c_v=c_v + 0.0, branch=branch)
 
 
+def _condensation(t: float, params: ModelParams, gap: GapPoint) -> tuple:
+    """condensation_potential at a checked t <= t_c, from one window call of the _condensation_rows.
+
+    They share nodes with the normal weight row xi^2 fermi_weight(xi/t),
+    which the second derivative subtracts from; the shift is _shift.
+    """
+    (tau,) = _core_temperatures([t], params)
+    core = params.core
+    f, f_prime = gap.f / params.scales[0], gap.f_prime / params.scales[1]
+    rows = lambda xi: np.vstack((xi * xi * fermi_weight(xi / tau), _condensation_rows(xi, tau, f)))
+    scale = math.sqrt(f + (math.pi * tau) ** 2)
+    w, ratio, occ_diff, w_shift, w_gap = integrate(rows, core.xi_min, core.hbar_omega_d, scale=scale)[0].tolist()
+    cond = (
+        f / core.u0n0 - 2.0 * _shift(core, f) - 4.0 * tau * ratio,
+        -4.0 * ratio + (4.0 / tau) * occ_diff,
+        4.0 / tau**3 * (w - (w_shift - tau * f_prime / 2.0 * w_gap)),
+    )
+    return _physical(t, params, cond)
+
+
 def _superconducting_point(t: float, params: ModelParams, gap: GapPoint) -> tuple:
-    """The ThermoPoint at a checked t <= t_c and its condensation_potential, from one window pass at gap."""
+    """The ThermoPoint at a checked t <= t_c at the solved gap, and its condensation_potential."""
     parts = _branch([t], params, [(gap.f, gap.f_prime)])[0]
-    return _thermo_point(t, params, parts), _physical(t, params, parts[2])
+    return _thermo_point(t, params, parts), _condensation(t, params, gap)
 
 
 def _points(ts, params: ModelParams) -> list[ThermoPoint]:
     """Piecewise potential at a batch of temperatures, in their order.
 
-    Per _BATCH temperatures, one _solved_points call for those at or below
-    t_c and one _branch call, so one _quadratures call, for all of them:
-    above t_c the gap is f = f' = 0, where the condensation part vanishes.
-    A batch of one is thermodynamic_potential.
+    Per _BATCH temperatures, one first-order _solved_columns call for those
+    at or below t_c, as the potential reads f and f' alone, and one _branch
+    call, so one _quadratures call, for all of them: above t_c the gap is
+    f = f' = 0, the normal branch.  A batch of one is
+    thermodynamic_potential.
     """
     ts = [_check_temperature(t) for t in ts]
     points = []
     for lo in range(0, len(ts), _BATCH):
         chunk = ts[lo:lo + _BATCH]
         cold = np.array([t for t in chunk if t <= params.t_c])
-        solved = {g.t: (g.f, g.f_prime) for g in (_solved_points(cold, params) if cold.size else ())}
+        solved = {}
+        if cold.size:
+            _, f, _, f_prime = _solved_columns(cold, params, 1)
+            solved = dict(zip(cold.tolist(), zip(f.tolist(), f_prime.tolist())))
         gaps = [solved.get(t, (0.0, 0.0)) for t in chunk]
         points += [_thermo_point(t, params, parts) for t, parts in zip(chunk, _branch(chunk, params, gaps))]
     return points
@@ -262,10 +326,12 @@ def tail_potential(t: float, params: ModelParams) -> tuple:
 
     Covers energies in [-mu, -hbar_omega_d] (empty when mu is inside the
     window) and [hbar_omega_d, inf); the improper tail truncates on the
-    thermal decay scale k_b * t.  Returns (value, d1, d2).
+    thermal decay scale k_b * t.  One _band call.  Returns (value, d1, d2).
     """
-    tails, _, _ = _branch([_check_temperature(t)], params, [(0.0, 0.0)])[0]
-    return _physical(t, params, tails, 2.0 * params.band_constant)
+    t = _check_temperature(t)
+    (tau,) = _core_temperatures([t], params)
+    (band,) = _band([tau], params.core)
+    return _physical(t, params, _tails(tau, band), 2.0 * params.band_constant)
 
 
 def normal_potential(t: float, params: ModelParams) -> tuple:
@@ -273,9 +339,11 @@ def normal_potential(t: float, params: ModelParams) -> tuple:
 
     The window's zero-point piece -n0 * (hbar_omega_d^2 - xi_min^2) is a
     closed form; the thermal window piece and the tails are quadratures.
+    It is the f = 0 case of the one thermo pass, so above t_c it is
+    thermodynamic_potential's to the bit.
     """
-    _, normal, _ = _branch([_check_temperature(t)], params, [(0.0, 0.0)])[0]
-    return _physical(t, params, normal, _normal_constant(params))
+    parts = _branch([_check_temperature(t)], params, [(0.0, 0.0)])[0]
+    return _physical(t, params, parts, _normal_constant(params))
 
 
 def condensation_potential(t: float, params: ModelParams, gap: GapPoint) -> tuple:
@@ -291,13 +359,13 @@ def condensation_potential(t: float, params: ModelParams, gap: GapPoint) -> tupl
     if t > params.t_c:
         raise OutsideDomain(f"condensation part exists for 0 < t <= t_c, got t = {t!r}")
     _require_solved(t, gap)
-    return _superconducting_point(t, params, gap)[1]
+    return _condensation(t, params, gap)
 
 
 def thermodynamic_potential(t: float, params: ModelParams) -> ThermoPoint:
     """Piecewise potential at one temperature, with entropy and specific heat.
 
-    The normal branch plus the condensation part at the gap, solved
+    The band plus the window in quasiparticle form at the gap, solved
     internally at or below the transition and 0 above it.  Every integral
     comes from one _quadratures pass on the core view, and the sum becomes
     physical once.  It is _points at one temperature.

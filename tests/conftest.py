@@ -40,3 +40,19 @@ def integrate_calls(monkeypatch):
     for module in (quad, kernels, gap, thermo, verify):
         monkeypatch.setattr(module, "integrate", counting)
     return calls
+
+
+@pytest.fixture
+def quadrature_rounds(monkeypatch):
+    """A list that gains one entry per quadrature round: one evaluation of every panel of an integrate call."""
+    from bcsgap import quad
+
+    rounds = []
+    real = quad._panels_eval
+
+    def counting(*args, **kwargs):
+        rounds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quad, "_panels_eval", counting)
+    return rounds

@@ -221,6 +221,71 @@ def mp_normal_specific_heat(t, k_b, hbar_omega_d, n0, mu, xi_min=0.0, dps=30):
         return float((4 * n0 * window + 2 * band) / (kt * mp.mpf(t)))
 
 
+def _mp_thermal_sum(window_row, band_row, t, k_b, hbar_omega_d, n0, mu, xi_min, f):
+    """4 n0 times the pairing-window integral of window_row(E) at E = sqrt(xi^2 + f), plus 2
+    times the band integral of n0 sqrt((xi + mu) / mu) band_row(|xi|) outside the window.
+
+    The band is the upper tail [L, L + 128 k_b t], past which band_row is
+    below e^{-128} of its value at L, and, when mu > L, the lower band
+    [-mu, -L], folded onto the same energies.  Each integrand falls off from
+    the lower end of its range over a width: sqrt(2 k_b t sqrt(f)) on the
+    window, or k_b t when that is smaller or f = 0, and k_b t on the band.
+    Its range is split there and then geometrically, and it is scaled by its
+    value half a width up before mp.quad, which stops on an absolute error,
+    so the sum keeps its relative accuracy however small it is.  Call
+    inside mp.workdps, with every argument an mpf.
+    """
+    kt = k_b * t
+
+    def scaled_quad(g, lo, hi, width):
+        cuts = [lo + width * 4**k for k in range(40) if lo + width * 4**k < hi]
+        peak = g(lo + min(width, hi - lo) / 2)
+        return peak * mp.quad(lambda x: g(x) / peak, [lo, *cuts, hi])
+
+    width = min(kt, mp.sqrt(2 * kt * mp.sqrt(f))) if f > 0 else kt
+    window = scaled_quad(lambda xi: window_row(mp.sqrt(xi * xi + f)), xi_min, hbar_omega_d, width)
+    dos = lambda xi: n0 * mp.sqrt(max(xi + mu, 0) / mu)
+    band = scaled_quad(lambda x: dos(x) * band_row(x), hbar_omega_d, hbar_omega_d + 128 * kt, kt)
+    if mu > hbar_omega_d:
+        band += scaled_quad(lambda x: dos(-x) * band_row(x), hbar_omega_d, mu, kt)
+    return 4 * n0 * window + 2 * band
+
+
+def mp_superconducting_entropy(t, k_b, hbar_omega_d, n0, mu, xi_min, f, dps=20):
+    """Entropy at temperature t and squared gap f, in quasiparticle form (mpmath).
+
+    With E = sqrt(xi^2 + f) on the pairing window and s(x) = ln(1 + e^{-x})
+    + x / (e^x + 1), the entropy is k_b (4 n0 W + 2 B), where W integrates
+    s(E / k_b t) over the window [xi_min, L] and B integrates s(xi / k_b t)
+    times the free-electron density of states over the band outside it.
+    Every integrand is positive.  f = 0 is the normal branch.
+    """
+    with mp.workdps(dps):
+        t, k_b, big, n0, mu, a, f = map(mp.mpf, (t, k_b, hbar_omega_d, n0, mu, xi_min, f))
+        kt = k_b * t
+        row = lambda e: mp.log1p(mp.exp(-e / kt)) + (e / kt) / (mp.exp(e / kt) + 1)
+        return float(k_b * _mp_thermal_sum(row, row, t, k_b, big, n0, mu, a, f))
+
+
+def mp_superconducting_specific_heat(t, k_b, hbar_omega_d, n0, mu, xi_min, f, f_prime, dps=20):
+    """Specific heat at temperature t, squared gap f and its slope f' <= 0, in quasiparticle form (mpmath).
+
+    With E = sqrt(xi^2 + f) on the pairing window and w(x) = e^x / (1 + e^x)^2,
+    c_v = (4 n0 W + 2 B) / (k_b t^2), where W integrates
+    w(E / k_b t) (E^2 - t f' / 2) over the window [xi_min, L] and B
+    integrates w(xi / k_b t) xi^2 times the free-electron density of states
+    over the band outside it.  Every integrand is positive.  f = f' = 0 is
+    mp_normal_specific_heat.
+    """
+    with mp.workdps(dps):
+        t, k_b, big, n0, mu, a, f, f_prime = map(mp.mpf, (t, k_b, hbar_omega_d, n0, mu, xi_min, f, f_prime))
+        kt = k_b * t
+        w = lambda e: 1 / (4 * mp.cosh(e / (2 * kt)) ** 2)
+        window_row = lambda e: w(e) * (e * e - t * f_prime / 2)
+        band_row = lambda x: w(x) * x * x
+        return float(_mp_thermal_sum(window_row, band_row, t, k_b, big, n0, mu, a, f) / (kt * t))
+
+
 def mp_band_constant(n0, mu, hbar_omega_d, dps=40):
     """Integral of xi n0 sqrt((xi + mu) / mu) over [-mu, -hbar_omega_d] (mpmath).
 

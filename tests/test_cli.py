@@ -126,6 +126,19 @@ def test_cold_thermo_row_prints_no_negative_zero(capsys):
     assert (row["entropy"], row["c_v"]) == (0.0, 0.0)
 
 
+def test_cold_thermo_rows_have_positive_entropy_and_specific_heat(capsys):
+    # both are integrals of positive rows; the row at 0.0247 t_c printed 0, 0
+    # when they were a normal part minus a condensation part
+    code, out, err = run(capsys, "thermo", "--points", "41", "--tmin", "1e-20", "--tmax", "0.04")
+    assert code == 0, err
+    t_c = build_params().t_c
+    rows = [[float(v) for v in line.split(",")[:6]] for line in out.strip().split("\n")[1:]]
+    cold = [row for row in rows if row[0] >= 0.02 * t_c]
+    assert len(cold) == 40
+    for t, _, _, _, entropy, c_v in cold:
+        assert entropy > 0.0 and c_v > 0.0, (t, entropy, c_v)
+
+
 def test_jump_text_output(capsys):
     code, out, _ = run(capsys, "jump")
     assert code == 0

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from bcsgap import thermo
+from bcsgap import gap, thermo
 from bcsgap.errors import CutoffNotZero, NotSolved, OutsideDomain
 from bcsgap.gap import gap_derivatives_at, solve_gap_at
 from bcsgap.kernels import fermi, fermi_weight
@@ -172,13 +172,15 @@ def test_far_above_transition_is_refused(default_params, ratio):
 
 
 def test_hot_point_keeps_its_bits(default_params):
+    # mpmath puts the entropy at 9.885628842422015e117: this value is 3 ulps
+    # above it (the unmapped band's 9.88562884242202e117 was 4)
     point = thermodynamic_potential(1e80 * default_params.t_c, default_params)
     assert dataclasses.astuple(point) == (
         4.044952519089007e78,
         -1.5994759715573563e196,
-        -9.88562884242202e117,
+        -9.885628842422019e117,
         -3.6659128119933144e39,
-        9.88562884242202e117,
+        9.885628842422019e117,
         1.4828443263633023e118,
         "normal",
     )
@@ -264,6 +266,41 @@ def test_normal_specific_heat_with_far_band_edge(u0n0, mu):
     assert thermodynamic_potential(t, p).c_v == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+@pytest.mark.parametrize("u0n0", [0.3, 0.1])
+def test_superconducting_entropy_and_specific_heat_match_mpmath(u0n0, eps):
+    # every row of the quasiparticle form is positive, so far below t_c,
+    # where both fall like e^{-Delta / k_b t}, they keep their relative
+    # accuracy (the normal-minus-condensation split returned 0 at 0.035 t_c)
+    p = build_params(u0n0=u0n0, eps=eps)
+    for ratio in (0.02, 0.03, 0.04, 0.05, 0.1, 0.5, 0.9):
+        t = ratio * p.t_c
+        point, solved = thermodynamic_potential(t, p), solve_gap_at(t, p)
+        args = (t, p.k_b, p.hbar_omega_d, p.n0, p.mu, p.xi_min, solved.f)
+        entropy = oracles.mp_superconducting_entropy(*args)
+        c_v = oracles.mp_superconducting_specific_heat(*args, solved.f_prime)
+        assert point.entropy == pytest.approx(entropy, rel=1e-12, abs=0.0), ratio
+        assert point.c_v == pytest.approx(c_v, rel=1e-12, abs=0.0), ratio
+
+
+@pytest.mark.parametrize("u0n0", [0.3, 0.1])
+def test_low_temperature_specific_heat_is_the_bcs_asymptote(u0n0):
+    # as t -> 0, c_v -> 4 sqrt(pi/2) n0 k_b Delta tau^{-3/2} e^{-1/tau} with
+    # tau = k_b t / Delta (Tinkham, Introduction to Superconductivity, 2nd
+    # ed. (1996), ch. 3), and the ratio runs to 1 like tau: expanding
+    # E^3 / sqrt(E^2 - Delta^2) about E = Delta puts it at
+    # 1 + (11/8) tau + (225/128) tau^2 + (945/1024) tau^3 + ..., up to terms
+    # in e^{-1/tau}
+    p = build_params(u0n0=u0n0)
+    for ratio in (0.1, 0.06, 0.04, 0.03, 0.02, 0.01):
+        t = ratio * p.t_c
+        delta = math.sqrt(solve_gap_at(t, p).f)
+        tau = p.k_b * t / delta
+        leading = 4.0 * math.sqrt(math.pi / 2.0) * p.n0 * p.k_b * delta * tau**-1.5 * math.exp(-1.0 / tau)
+        slope = (thermodynamic_potential(t, p).c_v / leading - 1.0) / tau
+        assert abs(slope - 11.0 / 8.0 - 225.0 / 128.0 * tau) <= tau * tau, (ratio, slope)
+
+
 @pytest.mark.parametrize("ratio", [1.1, 1.5, 3.0])
 def test_band_is_one_folded_integral(default_params, integrate_calls, ratio):
     # at the benchmark's mu = 10 the band reaches past the truncation edge:
@@ -274,7 +311,7 @@ def test_band_is_one_folded_integral(default_params, integrate_calls, ratio):
     mu, L = core.mu, core.hbar_omega_d
     edge = truncation_point(L, ratio)
     assert mu >= edge
-    (band,), _ = thermo._quadratures([ratio], core, [0.0])
+    (band,), _ = thermo._quadratures([ratio], core, [0.0], [0.0])
     assert len(integrate_calls) == 2
     upper = integrate(lambda x: _dos(x, 1.0, mu) * thermo._thermal_rows(x, ratio), L, edge)[0]
     lower = integrate(lambda xi: _dos(xi, 1.0, mu) * thermo._thermal_rows(-xi, ratio), -edge, -L)[0]
@@ -339,7 +376,7 @@ def test_csv_serialization(default_params):
 def test_point_is_integrated_in_few_quadrature_calls(integrate_calls):
     # two stacked calls per point (the band, its lower part folded onto the
     # upper tail's energies, and the window), plus the gap's Newton steps
-    # below t_c and one second-order pass at or below it; the
+    # below t_c and one first-order pass at or below it; the
     # temperature-independent band constant is a closed form
     p = build_params()
     counts = []
@@ -354,8 +391,32 @@ def test_point_is_integrated_in_few_quadrature_calls(integrate_calls):
     assert above <= 2
 
 
+def test_warm_point_takes_few_quadrature_rounds(quadrature_rounds):
+    # the band, integrated above the window edge on its thermal scale, and
+    # the window's three rows each converge in about one round
+    p = build_params()
+    quadrature_rounds.clear()
+    thermodynamic_potential(1.1 * p.t_c, p)
+    assert len(quadrature_rounds) <= 3
+
+
+def test_thermo_solves_the_gap_to_first_order(default_params, monkeypatch):
+    # the potential reads f and f' alone, so its pass at the roots skips
+    # the three second-order kernels that only f'' needs
+    orders = []
+    real = gap.window_pass
+
+    def recording(*args, order):
+        orders.append(order)
+        return real(*args, order=order)
+
+    monkeypatch.setattr(gap, "window_pass", recording)
+    thermo._points([r * default_params.t_c for r in (0.5, 1.0, 1.5)], default_params)
+    assert orders == [1]
+
+
 def test_batches_are_integrated_in_few_quadrature_calls(integrate_calls):
-    # a batch takes one Newton iteration and one second-order pass for its
+    # a batch takes one Newton iteration and one first-order pass for its
     # cold temperatures and two stacked calls for all of them, however
     # many temperatures it holds
     p = build_params()
@@ -374,9 +435,9 @@ def test_straddling_batch_is_one_stacked_pass(monkeypatch):
     sizes = []
     real = thermo._quadratures
 
-    def counting(ts, params, fs):
+    def counting(ts, params, fs, f_primes):
         sizes.append(len(ts))
-        return real(ts, params, fs)
+        return real(ts, params, fs, f_primes)
 
     monkeypatch.setattr(thermo, "_quadratures", counting)
     measured_second_derivative_jump(p)
@@ -430,6 +491,8 @@ def test_batch_matches_one_temperature_points_at_the_edges(default_params):
     # the CLI window from below the band rounding, where the cold point has
     # no band rows, and one ulp either side of t_c, at two couplings
     _assert_batch_matches_points([1e-20, 0.02], default_params)
+    # far below t_c too, where the entropy and c_v are e^{-Delta / k_b t} small
+    _assert_batch_matches_points([r * default_params.t_c for r in (0.02, 0.03, 0.05, 0.1, 0.5, 1.2)], default_params)
     for p in (default_params, build_params(u0n0=0.1)):
         _assert_batch_matches_points([float(np.nextafter(p.t_c, side)) for side in (0.0, 1.0)], p)
 
