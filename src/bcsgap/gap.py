@@ -26,7 +26,7 @@ from .errors import (
     OutsideDomain,
     ToleranceNotMet,
 )
-from .kernels import _COLDEST, _window_partials, window_pass
+from .kernels import _COLDEST, _ORDER_KERNELS, _window_partials, window_pass
 from .model import ModelParams, _as_finite_float, _require_positive
 from .quad import integrate
 
@@ -154,7 +154,7 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarra
         if active.size == 0:
             break
         t, y_now = ts[active], y[active]
-        p = _window_partials(t, y_now, params, order=0)
+        p = _window_partials(t, y_now, params, _ORDER_KERNELS[0])
         y_next = np.maximum(0.0, y_now - p.value / p.d_y)
         done = (y_next == y_now) | (np.abs(p.value) <= 1e-13)
         y[active] = y_next

@@ -12,9 +12,13 @@ inside the 1e-14 continuity budget.
 
 The residual and all its partials up to second order are pairing-window
 integrals of six kernels that share eta = sqrt(xi^2 + y) / (2 k_b t).
-window_pass evaluates the ones an order needs, at arrays of (t, y) pairs,
-as one stacked integrand, on the core view of the parameters when the
-library calls it; the scalar functions gate and return physical values.
+Each is an algebraic asymptote in E = sqrt(xi^2 + y), or 0, plus a thermal
+part that decays like e^{-E / k_b t}: the kernels are integrated over
+[xi_min, X] only, X one thermal edge (_edge), and their asymptotes over the
+rest of the window in closed form (_tails), which at t = 0 cover all of
+it.  window_pass evaluates the kernels an order needs, at arrays of (t, y)
+pairs, as one stacked integrand, on the core view of the parameters when
+the library calls it; the scalar functions gate and return physical values.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import NonFiniteInput, OutsideDomain, ZeroGapAtZeroT
 from .model import _TINY, ModelParams
-from .quad import integrate
+from .quad import integrate, truncation_point
 
 __all__ = [
     "ResidualPartials",
@@ -226,13 +230,6 @@ def _gate_closure(ts, ys, params: ModelParams) -> None:
         )
 
 
-def _zero_t_value(y: float, params: ModelParams) -> float:
-    a = params.xi_min
-    upper = params.hbar_omega_d + math.hypot(params.hbar_omega_d, math.sqrt(y))
-    lower = a + math.hypot(a, math.sqrt(y))
-    return math.log(upper / lower) - 1.0 / params.u0n0
-
-
 # The pairing-window kernels, all functions of eta = sqrt(xi^2 + y) / (2 k_b t):
 # the residual integrand tanh(eta) / sqrt(xi^2 + y), sech^2(eta), the slope
 # kernel, eta tanh(eta) sech^2(eta), tanh(eta) sech^2(eta) / eta, and the
@@ -242,8 +239,13 @@ _ORDER_KERNELS = (("value", "slope"), ("value", "sech", "slope"), WINDOW_KERNELS
 # Coldest temperature, in units of t_c, that window_pass evaluates: there
 # (2t)^5, the highest power of t it divides by, is still a normal float, and
 # every thermal factor e^{-Delta/t} has long underflowed, so the model is at
-# zero temperature.  A colder t is evaluated here.
+# zero temperature.  A colder t is evaluated here, where that is exact.
 _COLDEST = _TINY ** 0.2
+# Thermal edge, in units of k_b t_c: a factor e^{-x} times a slowly growing
+# one is below the quadrature target past x = _EDGE, so past _EDGE k_b t_c
+# every kernel's thermal part is, at every t <= t_c.  The cutoff margin of
+# build_params keeps xi_min below about 25 k_b t_c, well inside it.
+_EDGE = float(truncation_point(0.0, 1.0))
 # Stacked integrand rows per quadrature call.  Each row holds one kernel at
 # one (t, y) pair on every node, so the cap keeps peak memory independent
 # of how many pairs a pass is given.
@@ -268,19 +270,56 @@ def _kernel_rows(xi, beta, y, kinds):
     return np.stack([make[kind]() for kind in kinds])
 
 
+def _edge(params: ModelParams) -> float:
+    """Upper end X of the kernels' quadrature: _EDGE k_b t_c, or the window edge if nearer.
+
+    It does not depend on t, so rows at nearby temperatures share their
+    nodes and their rounding.
+    """
+    return min(params.hbar_omega_d, _EDGE * params.k_b * params.t_c)
+
+
+def _tails(ys, params: ModelParams, lower, fifth=False) -> tuple:
+    """Integrals over [lower, L] of 1/E, 1/E^3 and, if fifth, 1/E^5, E = sqrt(xi^2 + y).
+
+    They are the asymptotes of the value, slope and curv kernels without
+    their powers of 2 k_b t.  Each is formed ratio-first, in the differences
+    of xi / E between the ends, so nothing cancels as y -> 0 and no
+    intermediate leaves float range with L near 1e154.  lower = 0 needs
+    y > 0.
+    """
+    # with u = xi / E, du = y dxi / E^3: the integral of 1/E^3 is [u] / y and
+    # that of 1/E^5 is [u - u^3 / 3] / y^2, and both quotients by y are
+    # expanded below so that y cancels
+    big, c = params.hbar_omega_d, lower
+    root = np.sqrt(ys)
+    e_big, e_c = np.hypot(big, root), np.hypot(c, root)
+    inv1 = np.log((big + e_big) / (c + e_c))
+    inv3 = ((big - c) / e_big) * ((big + c) / (e_c * (big * e_c + c * e_big)))
+    if not fifth:
+        return inv1, inv3
+    near = (1.0 + (c / e_big) ** 2) / (e_c * (e_c + c * (big / e_big)))
+    return inv1, inv3, inv3 * ((1.0 / e_big) ** 2 + (1.0 / e_c) ** 2 + near) / 3.0
+
+
 def window_integrals(ts, ys, params: ModelParams, kinds) -> np.ndarray:
-    """Pairing-window integrals of the named kernels at each (t, y) pair.
+    """Integrals over [xi_min, X] of the named kernels at each (t, y) pair, X = _edge(params).
 
     kinds is a subsequence of WINDOW_KERNELS; the result has shape
-    (len(kinds), number of pairs).  Every kernel at every pair is one row of
-    a stacked integrand, integrated on shared panels in blocks of at most
-    _BLOCK_ROWS rows, each row to its own tolerance.  Every block is mapped
-    on the zero-temperature gap params.delta, the scale of the kernels'
-    structure at every t in (0, t_c], so no row starts out unresolved.  No
-    domain checks: t must be positive.
+    (len(kinds), number of pairs).  Past X each kernel is its asymptote,
+    which _window_partials adds in closed form; at defaults X is the window
+    edge.  Every kernel at every pair is one row of a stacked integrand,
+    integrated on shared panels in blocks of at most _BLOCK_ROWS rows, each
+    row to its own tolerance.  Every block is mapped on the smaller of the
+    zero-temperature gap params.delta and the smallest
+    sqrt(y + (pi k_b t)^2) of its rows, the distance of the kernels'
+    nearest poles from the real axis, so no row starts out unresolved, at
+    y = 0 and t far below t_c too.  No domain checks: t must be positive.
     """
     ts, ys = _pairs(ts, ys)
     betas = 1.0 / (2.0 * params.k_b * ts)
+    reach_sq = ys + (np.pi * params.k_b * ts) ** 2
+    delta, edge = params.delta, _edge(params)
     per = max(1, _BLOCK_ROWS // len(kinds))
     out = np.empty((len(kinds), ts.size))
     for lo in range(0, ts.size, per):
@@ -289,7 +328,8 @@ def window_integrals(ts, ys, params: ModelParams, kinds) -> np.ndarray:
         def integrand(xi, beta=beta, y=y):
             return _kernel_rows(xi, beta, y, kinds).reshape(-1, xi.size)
 
-        vals, _ = integrate(integrand, params.xi_min, params.hbar_omega_d, scale=params.delta)
+        scale = min(delta, math.sqrt(reach_sq[lo:lo + per].min()))
+        vals, _ = integrate(integrand, params.xi_min, edge, scale=scale)
         out[:, lo:lo + per] = vals.reshape(len(kinds), -1)
     return out
 
@@ -302,42 +342,65 @@ def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
     without the zero-temperature edge, which the closed forms of
     gap_residual_partials cover: F is analytic in y for every t > 0, so
     the partials exist on the t_c, y = 0 and y = y_max edges too.  A t
-    below _COLDEST t_c is evaluated at _COLDEST t_c.
+    below _COLDEST t_c is evaluated at _COLDEST t_c; that is exact, and
+    admitted, where sqrt(xi_min^2 + y) is at least _EDGE k_b _COLDEST t_c,
+    so that every thermal part is below the quadrature target at both
+    temperatures.
     """
     given, ys = _pairs(ts, ys)
     _gate_closure(given, ys, params)
-    if (given == 0.0).any():
-        raise OutsideDomain("the zero-temperature edge is handled by closed forms")
-    return replace(_window_partials(np.maximum(given, _COLDEST * params.t_c), ys, params, order), t=given)
+    coldest = _COLDEST * params.t_c
+    if given.size and given.min() < coldest:
+        if (given == 0.0).any():
+            raise OutsideDomain("the zero-temperature edge is handled by closed forms")
+        edge = _EDGE * params.k_b * coldest
+        inexact = (given < coldest) & (np.hypot(params.xi_min, np.sqrt(ys)) < edge)
+        if inexact.any():
+            i = int(np.argmax(inexact))
+            raise OutsideDomain(
+                f"(t, y) = ({float(given[i])!r}, {float(ys[i])!r}): below {coldest!r} the residual is "
+                f"evaluated at {coldest!r}, exact only where sqrt(xi_min^2 + y) >= {edge!r}"
+            )
+    partials = _window_partials(np.maximum(given, coldest), ys, params, _ORDER_KERNELS[order])
+    return replace(partials, t=given)
 
 
-def _window_partials(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
-    """window_pass without its gate, at flat float arrays of pairs with t >= _COLDEST t_c.
+def _window_partials(ts, ys, params: ModelParams, kinds) -> ResidualPartials:
+    """The fields the named kernels give, at flat float arrays of pairs with t >= _COLDEST t_c.
 
-    For a caller that made the pairs itself inside the domain, as the
-    Newton iteration does its iterates.
+    value comes from "value", d_t from "sech", d_y from "slope", d_tt from
+    "sech" and "eta_tanh", d_ty from "mixed" and d_yy from "curv"; the
+    other fields stay None.  No gate, for a caller that made the pairs
+    itself inside the domain, as the Newton iteration does its iterates.
     """
-    kinds = _ORDER_KERNELS[order]
     i = dict(zip(kinds, window_integrals(ts, ys, params, kinds)))
     kb = params.k_b
     two_kbt = 2.0 * kb * ts
-    d_t = d_tt = d_ty = d_yy = None
-    if order >= 1:
-        d_t = -i["sech"] / (2.0 * kb * ts * ts)
-    if order == 2:
-        d_tt = (i["sech"] - i["eta_tanh"]) / (kb * ts**3)
-        d_ty = i["mixed"] / (two_kbt**3 * ts)
-        d_yy = -i["curv"] / (4.0 * two_kbt**5)
-    return ResidualPartials(
-        t=ts,
-        y=ys,
-        value=i["value"] - 1.0 / params.u0n0,
-        d_t=d_t,
-        d_y=i["slope"] / (2.0 * two_kbt**3),
-        d_tt=d_tt,
-        d_ty=d_ty,
-        d_yy=d_yy,
-    )
+    fields = {}
+    if "value" in i:
+        fields["value"] = i["value"] - 1.0 / params.u0n0
+    if "sech" in i:
+        fields["d_t"] = -i["sech"] / (2.0 * kb * ts * ts)
+    if "slope" in i:
+        fields["d_y"] = i["slope"] / (2.0 * two_kbt**3)
+    if "eta_tanh" in i:
+        fields["d_tt"] = (i["sech"] - i["eta_tanh"]) / (kb * ts**3)
+    if "mixed" in i:
+        fields["d_ty"] = i["mixed"] / (two_kbt**3 * ts)
+    if "curv" in i:
+        fields["d_yy"] = -i["curv"] / (4.0 * two_kbt**5)
+    edge = _edge(params)
+    if edge < params.hbar_omega_d:
+        # past the edge each kernel is its asymptote, whose powers of 2 k_b t
+        # cancel in its field
+        tails = _tails(ys, params, edge, fifth="curv" in i)
+        if "value" in i:
+            fields["value"] = fields["value"] + tails[0]
+        if "slope" in i:
+            fields["d_y"] = fields["d_y"] - 0.5 * tails[1]
+        if "curv" in i:
+            fields["d_yy"] = fields["d_yy"] + 0.75 * tails[2]
+    return ResidualPartials(t=ts, y=ys, **fields)
 
 
 def _at(t, y, params: ModelParams, order: int) -> ResidualPartials:
@@ -346,32 +409,39 @@ def _at(t, y, params: ModelParams, order: int) -> ResidualPartials:
     (t, y) is gated as given, then evaluated in core units, with y held to
     the core y_max, which rounding can put below the converted edge; each
     t- and y-derivative is then divided by t_c and (k_b t_c)^2.  t = 0
-    below order 2 takes the closed forms of gap_residual_partials.
+    below order 2 takes the closed forms of gap_residual_partials.  Raises
+    OutsideDomain if a field is not a finite float.
     """
     _gate_closure(t, y, params)
     core = params.core
     t_unit, y_unit = params.t_c, params.scales[0]
     tau, y_core = float(t) / t_unit, min(float(y) / y_unit, core.y_max)
     if tau == 0.0 and order < 2:
-        a, b = core.xi_min, core.hbar_omega_d
-        anti = lambda xi: xi / (y_core * math.hypot(xi, math.sqrt(y_core)))
-        c = ResidualPartials(tau, y_core, _zero_t_value(y_core, core), d_t=0.0, d_y=-0.5 * (anti(b) - anti(a)))
+        # at y near the smallest float the closed forms leave float range;
+        # the finiteness check below refuses them
+        with np.errstate(over="ignore", divide="ignore"):
+            inv1, inv3 = _tails(y_core, core, core.xi_min)
+        c = ResidualPartials(tau, y_core, inv1 - 1.0 / core.u0n0, d_t=0.0, d_y=-0.5 * inv3)
     else:
         c = window_pass(tau, y_core, core, order)
     units = {"value": 1.0, "d_t": t_unit, "d_y": y_unit, "d_tt": t_unit * t_unit,
              "d_ty": t_unit * y_unit, "d_yy": y_unit * y_unit}
-    return ResidualPartials(float(t), float(y), **{
-        name: None if getattr(c, name) is None else float(np.ravel(getattr(c, name))[0]) / unit
-        for name, unit in units.items()
-    })
+    fields = {
+        name: float(np.ravel(getattr(c, name))[0]) / unit
+        for name, unit in units.items() if getattr(c, name) is not None
+    }
+    if not all(map(math.isfinite, fields.values())):
+        raise OutsideDomain(f"a residual field at (t, y) = ({t!r}, {y!r}) is not a finite float: {fields}")
+    return ResidualPartials(float(t), float(y), **fields)
 
 
 def gap_residual(t: float, y: float, params: ModelParams) -> float:
     """Gap-equation residual at temperature t and squared gap y.
 
     Positive above the gap curve's zero set in t (below it in y), negative
-    on the other side, zero on the curve.  t = 0 uses the exact logarithmic
-    antiderivative; t > 0 integrates over the pairing window.
+    on the other side, zero on the curve.  t = 0 is the closed-form integral
+    of 1/sqrt(xi^2 + y) over the window; t > 0 integrates the kernel up to
+    the thermal edge and adds that closed form past it.
     """
     return _at(t, y, params, 0).value
 
@@ -389,10 +459,11 @@ def residual_and_slope(t: float, y: float, params: ModelParams) -> tuple[float, 
 def gap_residual_partials(t: float, y: float, params: ModelParams) -> ResidualPartials:
     """Residual with first partial derivatives.
 
-    On the zero-temperature edge d_t is exactly 0 and d_y comes from the
-    closed-form antiderivative xi / (y * sqrt(xi^2 + y)); elsewhere both are
-    pairing-window integrals (d_t of the thermal sech^2 weight, d_y of the
-    slope kernel).  Both are strictly negative off the zero-temperature edge.
+    On the zero-temperature edge d_t is exactly 0 and d_y is minus half
+    the closed-form integral of (xi^2 + y)^(-3/2) over the window; elsewhere
+    both are pairing-window integrals (d_t of the thermal sech^2 weight, d_y
+    of the slope kernel).  Both are strictly negative off the
+    zero-temperature edge.
     """
     return _at(t, y, params, 1)
 

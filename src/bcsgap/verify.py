@@ -30,11 +30,11 @@ from .kernels import (
     _SERIES_CUT,
     _SLOPE_SERIES,
     _poly_even,
+    _window_partials,
     curvature_kernel,
     gap_residual,
     gap_residual_second_partials,
     slope_kernel,
-    window_integrals,
     window_pass,
 )
 from .model import ModelParams
@@ -385,20 +385,17 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
         [core.y_max * (j / _PARTIALS_GRID) for j in range(_PARTIALS_GRID)],
         indexing="ij",
     )
-    # only the two kernels the signs come from, d_t and d_y formed as in window_pass
-    sech, slope = window_integrals(grid_t, grid_y, core, ("sech", "slope"))
-    grid_t = grid_t.ravel()
-    d_t = -sech / (2.0 * grid_t * grid_t)
-    d_y = slope / (2.0 * (2.0 * grid_t) ** 3)
-    violations = np.sum(~(d_t < 0.0)) + np.sum(~(d_y < 0.0))
+    # only the two kernels the signs come from
+    p = _window_partials(grid_t.ravel(), grid_y.ravel(), core, ("sech", "slope"))
+    violations = np.sum(~(p.d_t < 0.0)) + np.sum(~(p.d_y < 0.0))
     add(Check("partials_negative_grid", float(violations), 0.0, 0.0))
 
     # -- the analytically dropped slope term is machine-level -------------
     # re-integrated at the warm nodes in one call, not read off the curve
     warm = [*node_idx, grid_size - 1]
-    ys = [curve.points[i].f / params.scales[0] for i in warm]
-    values = window_integrals(ts[warm] / t_c, ys, core, ("value",))[0]
-    residuals = [gap_residual(0.0, curve.points[0].f, params), *(values - 1.0 / params.u0n0)]
+    ys = np.array([curve.points[i].f / params.scales[0] for i in warm])
+    values = _window_partials(ts[warm] / t_c, ys, core, ("value",)).value
+    residuals = [gap_residual(0.0, curve.points[0].f, params), *values]
     cancel = params.n0 * max(abs(r) for r in residuals)
     add(Check(
         "cancellation_residual_max",

@@ -44,15 +44,18 @@ def integrate_calls(monkeypatch):
 
 @pytest.fixture
 def quadrature_rounds(monkeypatch):
-    """A list that gains one entry per quadrature round: one evaluation of every panel of an integrate call."""
+    """A list that gains one entry per quadrature round: the integrand nodes of that round.
+
+    A round is one evaluation of every panel of an integrate call.
+    """
     from bcsgap import quad
 
     rounds = []
     real = quad._panels_eval
 
-    def counting(*args, **kwargs):
-        rounds.append(1)
-        return real(*args, **kwargs)
+    def counting(f, lo, hi, scale):
+        rounds.append(lo.size * quad._NODES.size)
+        return real(f, lo, hi, scale)
 
     monkeypatch.setattr(quad, "_panels_eval", counting)
     return rounds

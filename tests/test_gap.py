@@ -215,6 +215,41 @@ def test_weak_coupling_cold_solves_raise_no_warnings(u0n0):
     assert curve.points[0].f == p.delta**2
 
 
+def _universal_gap_at_half_tc(p):
+    """f, f' t_c and f'' t_c^2 at 0.5 t_c over the squared zero-temperature gap, all in core units."""
+    point = solve_gap_at(0.5 * p.t_c, p)
+    d2 = p.core.delta**2
+    core = (point.f / p.scales[0], point.f_prime / p.scales[1], point.f_second / p.scales[2])
+    return np.array(core) / d2
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"u0n0": 0.01}, {"u0n0": 0.003}, {"u0n0": 1.0 / 354.5, "hbar_omega_d": 1e150, "mu": 1e151},
+])
+def test_weak_coupling_gap_is_universal_to_the_domain_edge(kwargs):
+    # weak-coupling BCS: in units of t_c and Delta the curve is one function,
+    # up to corrections in (k_b t_c / hbar_omega_d)^2; the closed-form tails
+    # past the thermal edge neither overflow nor warn with the window edge
+    # near 1e154 k_b t_c
+    reference = _universal_gap_at_half_tc(build_params(u0n0=0.03))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _universal_gap_at_half_tc(build_params(**kwargs))
+    assert got == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+def test_curve_work_does_not_grow_with_the_window(quadrature_rounds):
+    # past the thermal edge every kernel is its asymptote, integrated in
+    # closed form, so a wider window in units of k_b t_c adds no nodes
+    nodes = {}
+    for u0n0 in (0.3, 0.1, 0.003):
+        p = build_params(u0n0=u0n0)
+        quadrature_rounds.clear()
+        sample_gap_curve(p, 201)
+        nodes[u0n0] = sum(quadrature_rounds)
+    assert max(nodes[0.1], nodes[0.003]) <= 2 * nodes[0.3]
+
+
 def test_endpoint_derivatives_match_frozen_closed_forms(default_params):
     p = default_params
     point = solve_gap_at(p.t_c, p)

@@ -1,6 +1,7 @@
 """Thermal kernels: series/direct agreement, identities, residual partials."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,55 @@ def test_partials_at_zero_temperature(default_params):
     assert part.d_y == pytest.approx(fd_y, rel=1e-8)
 
 
+def test_zero_temperature_edge_at_a_vanishing_gap(default_params):
+    # the closed forms are ratio-first, so y * sqrt(y) underflowing to 0
+    # leaves no zero divisor; where d_y itself leaves float range the call
+    # raises a typed error
+    p = default_params
+    kt = p.k_b * p.t_c
+    y = 1e-300 * kt * kt
+    big = p.hbar_omega_d
+    e_big = math.hypot(big, math.sqrt(y))
+    value = math.log((big + e_big) / math.sqrt(y)) - 1.0 / p.u0n0
+    assert gap_residual(0.0, y, p) == pytest.approx(value, rel=1e-14, abs=0.0)
+    part = gap_residual_partials(0.0, y, p)
+    assert part.value == pytest.approx(value, rel=1e-14, abs=0.0)
+    assert part.d_y == pytest.approx(-big / (2.0 * y * e_big), rel=1e-14, abs=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutsideDomain):
+            gap_residual_partials(0.0, 1e-320 * kt * kt, p)
+
+
+@pytest.mark.parametrize("u0n0", [0.3, 0.01])
+@pytest.mark.parametrize("ratio", [1e-10, 1e-30, 1e-60])
+def test_zero_gap_far_below_tc_is_the_bcs_logarithm(u0n0, ratio):
+    # at y = 0 the kernels' structure sits at xi ~ k_b t, decades below the
+    # gap; the window is mapped on pi k_b t there, so the rows converge:
+    # F = ln(L / 2 k_b t) + ln(4 e^gamma / pi) - 1/u0n0 and t d_t = -1
+    p = build_params(u0n0=u0n0)
+    t = ratio * p.t_c
+    part = gap_residual_partials(t, 0.0, p)
+    log_bcs = math.log(4.0 / math.pi) + 0.57721566490153286061
+    value = math.log(p.hbar_omega_d / (2.0 * p.k_b * t)) + log_bcs - 1.0 / u0n0
+    assert part.value == pytest.approx(value, rel=1e-13, abs=0.0)
+    assert t * part.d_t == pytest.approx(-1.0, rel=1e-13, abs=0.0)
+
+
+def test_clamp_to_the_coldest_temperature_only_where_exact(default_params):
+    # below _COLDEST t_c a pair is evaluated at _COLDEST t_c; with a gap far
+    # below k_b _COLDEST t_c the thermal parts there are not negligible, and
+    # the pair is refused, not answered at the wrong temperature
+    p = default_params
+    kt = p.k_b * p.t_c
+    t = 1e-100 * p.t_c
+    for y in (0.0, 1e-200 * kt * kt):
+        with pytest.raises(OutsideDomain):
+            gap_residual(t, y, p)
+    y = 0.5 * p.y_max
+    assert gap_residual(t, y, p) == gap_residual(kernels._COLDEST * p.t_c, y, p)
+
+
 def test_partials_allowed_on_transition_edge(default_params):
     p = default_params
     part = gap_residual_partials(p.t_c, 0.5 * p.y_max, p)
@@ -232,7 +282,7 @@ def test_ungated_core_is_window_pass_at_order_0(default_params):
     ts = np.array([kernels._COLDEST, 0.01, 0.5, 0.5, float(np.nextafter(1.0, 0.0)), 1.0])
     ys = np.array([core.delta**2, 0.3 * core.y_max, 0.0, core.y_max, 0.0, 0.0])
     gated = window_pass(ts, ys, core, order=0)
-    ungated = kernels._window_partials(ts, ys, core, order=0)
+    ungated = kernels._window_partials(ts, ys, core, ("value", "slope"))
     assert ungated.value.tolist() == gated.value.tolist()
     assert ungated.d_y.tolist() == gated.d_y.tolist()
 
