@@ -26,7 +26,7 @@ from .errors import (
     OutsideDomain,
     ToleranceNotMet,
 )
-from .kernels import _COLDEST, _ORDER_KERNELS, _window_partials, window_pass
+from .kernels import _COLDEST, _EDGE, _ORDER_KERNELS, _window_partials, window_pass
 from .model import ModelParams, _as_finite_float, _require_positive
 from .quad import integrate
 
@@ -49,6 +49,19 @@ _TC_RESIDUAL = 1e-12  # relative defect u0n0 * |d| allowed in the transition-tem
 _CURVE_COLUMNS = {"T": "t", "f": "f", "f_prime": "f_prime", "f_second": "f_second", "residual": "residual"}
 
 
+def _tanh_integral(lo: float, hi: float) -> float:
+    """Integral of tanh(x)/x over [lo, hi], 0 <= lo < hi, the transition-temperature condition's.
+
+    In x = xi / (2 k_b t_c) the kernels' thermal edge is c = _EDGE / 2, past
+    which tanh(x)/x is 1/x to below the quadrature target; so [lo, c] is a
+    quadrature mapped on x = 1, and the rest is ln(hi / c).
+    """
+    c = _EDGE / 2.0
+    # the rule's nodes are interior to [lo, c], so x = 0 is never sampled
+    inner = integrate(lambda x: np.tanh(x) / x, lo, min(hi, c), scale=1.0)[0] if lo < c else 0.0
+    return inner + math.log(hi / max(lo, c)) if hi > c else inner
+
+
 def solve_tc(
     u0n0: float,
     hbar_omega_d: float,
@@ -63,7 +76,9 @@ def solve_tc(
     convex (slope tanh(U), curvature U sech^2(U)).  The seed puts the
     integral over [0, U] at its large-U limit ln U + ln(4 e^gamma / pi), a
     lower bound, so it lies at or right of the root, and Newton on s falls
-    monotonically to it, stopping on the relative defect u0n0 * |d|.
+    monotonically to it, stopping on the relative defect u0n0 * |d|.  The
+    integral is _tanh_integral's, a quadrature up to its edge c and
+    ln(U / c) past it, so at weak coupling its work does not grow with U.
     Raises OutsideDomain when 2U is not a float (u0n0 below about 1/709).
     """
     values = {"u0n0": u0n0, "hbar_omega_d": hbar_omega_d, "k_b": k_b, "eps": eps}
@@ -74,15 +89,11 @@ def solve_tc(
         raise NonPositiveParameter(f"eps must be >= 0, got {eps}")
 
     target = 1.0 / u0n0
-
-    def tanh_integral(lo: float, hi: float) -> float:
-        return integrate(lambda x: np.tanh(x) / x, lo, hi, scale=1.0)[0]
-
-    s = target - _LOG_BCS_CONSTANT + (tanh_integral(0.0, eps) if eps > 0.0 else 0.0)
+    s = target - _LOG_BCS_CONSTANT + (_tanh_integral(0.0, eps) if eps > 0.0 else 0.0)
     if s > math.log(sys.float_info.max / 2.0):
         raise OutsideDomain(f"U = hbar_omega_d / (2 k_b t_c) = e^{s:.6g} at u0n0 = {u0n0}: 2U is not a float")
     for _ in range(_NEWTON_STEPS):
-        d = tanh_integral(eps, math.exp(s)) - target
+        d = _tanh_integral(eps, math.exp(s)) - target
         if u0n0 * abs(d) <= 0.25 * _TC_RESIDUAL:
             break
         s_next = s - d / math.tanh(math.exp(s))

@@ -19,6 +19,9 @@ rest of the window in closed form (_tails), which at t = 0 cover all of
 it.  window_pass evaluates the kernels an order needs, at arrays of (t, y)
 pairs, as one stacked integrand, on the core view of the parameters when
 the library calls it; the scalar functions gate and return physical values.
+Every pairing-window quadrature, thermo's included, is a _window_rows
+call: it ends at the thermal edge and maps its nodes on the distance of
+the rows' nearest poles from the real axis.
 """
 
 from __future__ import annotations
@@ -270,13 +273,28 @@ def _kernel_rows(xi, beta, y, kinds):
     return np.stack([make[kind]() for kind in kinds])
 
 
-def _edge(params: ModelParams) -> float:
-    """Upper end X of the kernels' quadrature: _EDGE k_b t_c, or the window edge if nearer.
+def _edge(params: ModelParams, t) -> float:
+    """Upper end X of a window quadrature at temperatures up to t: _EDGE k_b max(t_c, t), or the window edge if nearer.
 
-    It does not depend on t, so rows at nearby temperatures share their
-    nodes and their rounding.
+    It is the same at every t <= t_c, so rows at nearby temperatures share
+    their nodes and their rounding.
     """
-    return min(params.hbar_omega_d, _EDGE * params.k_b * params.t_c)
+    return min(params.hbar_omega_d, _EDGE * params.k_b * max(params.t_c, t))
+
+
+def _window_rows(ts, ys, params: ModelParams, rows) -> np.ndarray:
+    """Integrals over [xi_min, _edge(params, max t)] of stacked rows at (t, y) pairs, shape (k,).
+
+    rows maps nodes xi to a (k, n) stack whose thermal parts decay like
+    e^{-sqrt(xi^2 + y) / k_b t}; past the edge they are below the
+    quadrature target, and any algebraic part is the caller's closed form.
+    The nodes are mapped on the smallest sqrt(y + (pi k_b t)^2) of the
+    pairs, the distance of the rows' nearest poles from the real axis, so
+    no row starts out unresolved, at y = 0 and t far below t_c too.
+    """
+    ts, ys = np.asarray(ts, dtype=float), np.asarray(ys, dtype=float)
+    reach = math.sqrt((ys + (np.pi * params.k_b * ts) ** 2).min())
+    return integrate(rows, params.xi_min, _edge(params, ts.max()), scale=reach)[0]
 
 
 def _tails(ys, params: ModelParams, lower, fifth=False) -> tuple:
@@ -303,34 +321,27 @@ def _tails(ys, params: ModelParams, lower, fifth=False) -> tuple:
 
 
 def window_integrals(ts, ys, params: ModelParams, kinds) -> np.ndarray:
-    """Integrals over [xi_min, X] of the named kernels at each (t, y) pair, X = _edge(params).
+    """Integrals over [xi_min, X] of the named kernels at each (t, y) pair, X = _edge(params, t_c).
 
     kinds is a subsequence of WINDOW_KERNELS; the result has shape
     (len(kinds), number of pairs).  Past X each kernel is its asymptote,
     which _window_partials adds in closed form; at defaults X is the window
     edge.  Every kernel at every pair is one row of a stacked integrand,
-    integrated on shared panels in blocks of at most _BLOCK_ROWS rows, each
-    row to its own tolerance.  Every block is mapped on the smaller of the
-    zero-temperature gap params.delta and the smallest
-    sqrt(y + (pi k_b t)^2) of its rows, the distance of the kernels'
-    nearest poles from the real axis, so no row starts out unresolved, at
-    y = 0 and t far below t_c too.  No domain checks: t must be positive.
+    integrated by _window_rows in blocks of at most _BLOCK_ROWS rows, each
+    row to its own tolerance.  No domain checks: t must be in (0, t_c].
     """
     ts, ys = _pairs(ts, ys)
     betas = 1.0 / (2.0 * params.k_b * ts)
-    reach_sq = ys + (np.pi * params.k_b * ts) ** 2
-    delta, edge = params.delta, _edge(params)
     per = max(1, _BLOCK_ROWS // len(kinds))
     out = np.empty((len(kinds), ts.size))
     for lo in range(0, ts.size, per):
-        beta, y = betas[lo:lo + per], ys[lo:lo + per]
+        block = slice(lo, lo + per)
+        beta, y = betas[block], ys[block]
 
         def integrand(xi, beta=beta, y=y):
             return _kernel_rows(xi, beta, y, kinds).reshape(-1, xi.size)
 
-        scale = min(delta, math.sqrt(reach_sq[lo:lo + per].min()))
-        vals, _ = integrate(integrand, params.xi_min, edge, scale=scale)
-        out[:, lo:lo + per] = vals.reshape(len(kinds), -1)
+        out[:, block] = _window_rows(ts[block], y, params, integrand).reshape(len(kinds), -1)
     return out
 
 
@@ -389,7 +400,7 @@ def _window_partials(ts, ys, params: ModelParams, kinds) -> ResidualPartials:
         fields["d_ty"] = i["mixed"] / (two_kbt**3 * ts)
     if "curv" in i:
         fields["d_yy"] = -i["curv"] / (4.0 * two_kbt**5)
-    edge = _edge(params)
+    edge = _edge(params, params.t_c)
     if edge < params.hbar_omega_d:
         # past the edge each kernel is its asymptote, whose powers of 2 k_b t
         # cancel in its field

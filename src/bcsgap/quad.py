@@ -82,14 +82,11 @@ _W7[[1, 3, 5, 7, 9, 11, 13]] = np.concatenate((_WG[:-1], _WG[::-1]))
 def _eval_batch(f, x):
     """Evaluate a vectorized f on a 1-D node array: shape (n,) or (k, n)."""
     y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        if y.ndim == 0:
-            y = np.full(x.shape, float(y))
-        elif y.ndim != 2 or y.shape[1] != x.size:
-            raise NonFiniteIntegrand(
-                f"integrand returned shape {y.shape} for input shape {x.shape} "
-                f"(nodes from x = {x[0]!r})"
-            )
+    if y.shape != x.shape and (y.ndim != 2 or y.shape[1] != x.size):
+        raise NonFiniteIntegrand(
+            f"integrand returned shape {y.shape} for input shape {x.shape} "
+            f"(nodes from x = {x[0]!r})"
+        )
     finite = np.isfinite(y)
     if not finite.all():
         bad = x[~finite.all(axis=0)] if y.ndim == 2 else x[~finite]

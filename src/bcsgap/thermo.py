@@ -8,8 +8,12 @@ they keep their relative accuracy however far below t_c they fall.  The
 condensation part, superconducting minus normal, and its first temperature
 derivative vanish at the transition (the potential is C1 there), while the
 second derivative jumps by a closed-form amount; the specific-heat
-discontinuity follows from it.  Thermal factors are overflow-safe, and the
-semi-infinite band truncates on the thermal decay scale.
+discontinuity follows from it.  Thermal factors are overflow-safe.  Every
+window row decays like e^{-E / k_b t}, so the window and the condensation
+part are integrated up to the kernels' thermal edge, by their one
+_window_rows owner, and their work does not grow with the window; the
+semi-infinite band truncates on its own thermal decay scale, as its rows
+can outweigh the window's far below t_c.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import CutoffNotZero, NonFiniteInput, OutsideDomain
 from .gap import GapPoint, _csv, _require_solved, _solved_columns, solve_gap_at
-from .kernels import _COLDEST, fermi, fermi_weight
+from .kernels import _COLDEST, _window_rows, fermi, fermi_weight
 from .model import ModelParams, _as_finite_float, _dos, _normal_constant
 from .quad import integrate, truncation_point
 
@@ -171,16 +175,13 @@ def _quadratures(ts: list, params: ModelParams, fs: list, f_primes: list):
     above t_c.  The band's rows come from _band; the pairing window's are
     _thermal_rows at the quasiparticle energies E = sqrt(xi^2 + f), lifted
     by -t f' / 2 >= 0, so every row is positive.  The rows of every
-    temperature share nodes, mapped on the smallest sqrt(f + (pi t)^2), the
-    distance from the real axis of the integrands' nearest singularities.
-    Returns (band, window), each a list with one list of three integrals
-    per temperature.
+    temperature share the nodes of one _window_rows call.  Returns (band,
+    window), each a list with one list of three integrals per temperature.
     """
     kt, f = _column(ts), _column(fs)
     lift = _column([-t * f_prime / 2.0 for t, f_prime in zip(ts, f_primes)])
-    scale = min(math.sqrt(fi + (math.pi * t) ** 2) for t, fi in zip(ts, fs))
     window = lambda xi: _thermal_rows(np.sqrt(xi * xi + f), kt, lift)
-    values = integrate(window, params.xi_min, params.hbar_omega_d, scale=scale)[0]
+    values = _window_rows(ts, fs, params, window)
     return _band(ts, params), values.reshape(3, -1).T.tolist()
 
 
@@ -273,7 +274,7 @@ def _thermo_point(t: float, params: ModelParams, parts) -> ThermoPoint:
 
 
 def _condensation(t: float, params: ModelParams, gap: GapPoint) -> tuple:
-    """condensation_potential at a checked t <= t_c, from one window call of the _condensation_rows.
+    """condensation_potential at a checked t <= t_c, from one _window_rows call of the _condensation_rows.
 
     They share nodes with the normal weight row xi^2 fermi_weight(xi/t),
     which the second derivative subtracts from; the shift is _shift.
@@ -282,8 +283,7 @@ def _condensation(t: float, params: ModelParams, gap: GapPoint) -> tuple:
     core = params.core
     f, f_prime = gap.f / params.scales[0], gap.f_prime / params.scales[1]
     rows = lambda xi: np.vstack((xi * xi * fermi_weight(xi / tau), _condensation_rows(xi, tau, f)))
-    scale = math.sqrt(f + (math.pi * tau) ** 2)
-    w, ratio, occ_diff, w_shift, w_gap = integrate(rows, core.xi_min, core.hbar_omega_d, scale=scale)[0].tolist()
+    w, ratio, occ_diff, w_shift, w_gap = _window_rows([tau], [f], core, rows).tolist()
     cond = (
         f / core.u0n0 - 2.0 * _shift(core, f) - 4.0 * tau * ratio,
         -4.0 * ratio + (4.0 / tau) * occ_diff,

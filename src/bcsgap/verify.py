@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gap import _solved_points, sample_gap_curve, solve_gap_at
+from .gap import _solved_points, _tanh_integral, sample_gap_curve, solve_gap_at
 from .kernels import (
     _CURV_SERIES,
     _SERIES_CUT,
@@ -38,7 +38,6 @@ from .kernels import (
     window_pass,
 )
 from .model import ModelParams
-from .quad import integrate
 from .thermo import (
     _curvature_jump,
     _cv_jump,
@@ -162,9 +161,7 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
     core = params.core
 
     # -- transition point and residual anchors ---------------------------
-    # the rule's nodes are interior to [eps, U], so x = 0 is never sampled
-    upper = core.hbar_omega_d / 2.0
-    defect = integrate(lambda x: np.tanh(x) / x, params.eps, upper, scale=1.0)[0]
+    defect = _tanh_integral(params.eps, core.hbar_omega_d / 2.0)
     add(Check(
         "tc_definition_residual",
         abs(defect - 1.0 / params.u0n0) * params.u0n0,

@@ -28,7 +28,7 @@ def eps_params():
 @pytest.fixture
 def integrate_calls(monkeypatch):
     """A list that gains one entry per quadrature call, from whichever bcsgap module makes it."""
-    from bcsgap import gap, kernels, quad, thermo, verify
+    from bcsgap import gap, kernels, quad, thermo
 
     calls = []
     real = quad.integrate
@@ -37,7 +37,7 @@ def integrate_calls(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    for module in (quad, kernels, gap, thermo, verify):
+    for module in (quad, kernels, gap, thermo):
         monkeypatch.setattr(module, "integrate", counting)
     return calls
 

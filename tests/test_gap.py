@@ -26,6 +26,8 @@ from bcsgap.gap import (
 )
 from bcsgap.kernels import gap_residual, gap_residual_partials
 from bcsgap.model import build_params
+from bcsgap.thermo import condensation_potential, thermodynamic_potential
+from bcsgap.verify import run_suite
 
 from . import oracles
 
@@ -248,6 +250,30 @@ def test_curve_work_does_not_grow_with_the_window(quadrature_rounds):
         sample_gap_curve(p, 201)
         nodes[u0n0] = sum(quadrature_rounds)
     assert max(nodes[0.1], nodes[0.003]) <= 2 * nodes[0.3]
+
+
+def test_thermo_and_tc_work_does_not_grow_with_the_window(quadrature_rounds):
+    # thermo's window rows and the transition-temperature condition end at
+    # the kernels' thermal edge too, so once the window reaches past it a
+    # wider one adds no nodes anywhere
+    def nodes(call):
+        quadrature_rounds.clear()
+        call()
+        return sum(quadrature_rounds)
+
+    counts = {}
+    for u0n0 in (0.03, 0.01, 0.003):
+        p = build_params(u0n0=u0n0)
+        cold = 0.5 * p.t_c
+        gap_point = solve_gap_at(cold, p)
+        counts[u0n0] = {
+            "build_params": nodes(lambda: build_params(u0n0=u0n0)),
+            "thermo 0.5 t_c": nodes(lambda: thermodynamic_potential(cold, p)),
+            "thermo 1.5 t_c": nodes(lambda: thermodynamic_potential(1.5 * p.t_c, p)),
+            "condensation": nodes(lambda: condensation_potential(cold, p, gap_point)),
+            "run_suite": nodes(lambda: run_suite(p, 21)),
+        }
+    assert counts[0.01] == counts[0.03] and counts[0.003] == counts[0.03], counts
 
 
 def test_endpoint_derivatives_match_frozen_closed_forms(default_params):

@@ -150,6 +150,7 @@ def test_stacked_small_component_meets_its_own_tolerance():
     [
         pytest.param(lambda x: np.zeros((2, x.size + 1)), id="shape-k-by-n-plus-1"),
         pytest.param(lambda x: np.stack([x, np.where(x > 0.5, np.nan, x)]), id="nan-in-one-row"),
+        pytest.param(lambda x: 1.0, id="shape-0-d"),
     ],
 )
 def test_stacked_bad_output_is_reported(f):

@@ -267,11 +267,14 @@ def test_normal_specific_heat_with_far_band_edge(u0n0, mu):
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-3])
-@pytest.mark.parametrize("u0n0", [0.3, 0.1])
+@pytest.mark.parametrize("u0n0", [0.3, 0.1, 1.0])
 def test_superconducting_entropy_and_specific_heat_match_mpmath(u0n0, eps):
     # every row of the quasiparticle form is positive, so far below t_c,
     # where both fall like e^{-Delta / k_b t}, they keep their relative
-    # accuracy (the normal-minus-condensation split returned 0 at 0.035 t_c)
+    # accuracy (the normal-minus-condensation split returned 0 at 0.035 t_c);
+    # at u0n0 = 1 and 0.03 t_c the band's rows at the window edge, about
+    # e^{-75}, are not negligible against the window's e^{-Delta / k_b t},
+    # so a band cut at the window's thermal edge would miss them
     p = build_params(u0n0=u0n0, eps=eps)
     for ratio in (0.02, 0.03, 0.04, 0.05, 0.1, 0.5, 0.9):
         t = ratio * p.t_c

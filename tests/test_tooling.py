@@ -1,5 +1,6 @@
-"""Every exported name and every function the benchmark's tracer wraps resolves."""
+"""Every exported name and every function the benchmark's tracer wraps resolves, and quadratures have their owners."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -9,7 +10,8 @@ import pytest
 
 import bcsgap
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TRACING = _ROOT / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
 tracing = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracing)
@@ -29,3 +31,17 @@ def test_exported_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names what it lacks: {missing}"
+
+
+def test_quadratures_are_called_from_their_owners_only():
+    # every pairing-window integral goes through the one owner in kernels,
+    # which sets its edge and its map; the band and the transition-temperature
+    # condition each have one integral of their own
+    callers = set()
+    for path in sorted((_ROOT / "src" / "bcsgap").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) == "integrate":
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"kernels._window_rows", "thermo._band", "gap._tanh_integral"}
