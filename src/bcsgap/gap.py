@@ -9,6 +9,14 @@ functions that are strictly decreasing and convex in the variable solved
 for, so plain Newton iterations converge without a bracket: a step from
 the right of the root lands at or left of it, and from the left the
 iterates rise monotonically to it (Fourier's condition).
+
+Only the accepted iterate needs a certified residual (inexact Newton:
+Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19 (1982) 400).  So
+the gap's Newton steps take the window quadrature's first round alone,
+with no error estimate, and the certified window pass at the roots, which
+also gives the derivatives, is the one certificate of each solve.  A root
+whose certified residual is above Newton's stop level is solved again
+with certified steps and takes a certified pass of its own.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10  # |residual| above this marks a gap point as unsolved
 _NEWTON_STEPS = 60  # cap on Newton steps in either root finder
+_NEWTON_STOP = 1e-13  # |residual| at which a gap Newton iterate is a root
 # ln(4 e^gamma / pi): the integral of tanh(x)/x over [0, U] is ln U plus this as U -> infinity
 _LOG_BCS_CONSTANT = math.log(4.0 / math.pi) + 0.57721566490153286061
 _TC_RESIDUAL = 1e-12  # relative defect u0n0 * |d| allowed in the transition-temperature condition
@@ -142,22 +151,26 @@ def _csv(items, columns: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarray:
+def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams, certified: bool = False) -> np.ndarray:
     """Squared gap at each interior temperature in ts by batched Newton.
 
     Callers pass the core view, so 0 < t < t_c = 1.  There the residual is
     strictly decreasing in y and convex (its second y-derivative is
     -I_curv / (4 (2 k_b t)^5) > 0 because curvature_kernel < 0), so Newton
-    steps y <- max(0, y - F / F_y) converge without a bracket: from a seed
-    right of the root the first step lands at or left of it, and from there
-    the iterates rise monotonically.  A node stops when its step does not
-    move y or its residual is at most 1e-13; it then drops out of the
-    batch.  An iterate at y = 0 with F(t, 0) <= 0 stops there, as the
-    clamped step does not move it; the residual gate of _solved_columns
-    decides whether that is a root (F(t, 0) within rounding of 0, as one ulp
-    below t_c) or no root exists.  The steps skip window_pass's domain gate,
-    as the iterates stay in [0, seed]; the gated pass of _solved_columns
-    at the roots checks every root.  Returns the iterates.
+    steps y <- max(0, y - F / F_y) converge without a bracket from any seed
+    in [0, y_max]: from right of the root the first step lands at or left
+    of it, and from there the iterates rise monotonically.  A node stops
+    when its step does not move y or its residual is at most _NEWTON_STOP;
+    it then drops out of the batch.  An iterate at y = 0 with F(t, 0) <= 0
+    stops there, as the clamped step does not move it; the residual gate of
+    _solved_columns decides whether that is a root (F(t, 0) within rounding
+    of 0, as one ulp below t_c) or no root exists.  The steps skip
+    window_pass's domain gate, as the iterates stay in [0, max(seed, root)].
+    By default each step takes the window quadrature's first round alone,
+    with no error estimate; _solved_columns certifies the roots with its
+    gated pass and sends any row that pass does not accept back here with
+    certified=True, where every step is a certified quadrature.  Returns
+    the iterates.
     """
     y = np.array(seeds, dtype=float)
     active = np.arange(ts.size)
@@ -165,9 +178,9 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarra
         if active.size == 0:
             break
         t, y_now = ts[active], y[active]
-        p = _window_partials(t, y_now, params, _ORDER_KERNELS[0])
+        p = _window_partials(t, y_now, params, _ORDER_KERNELS[0], certified)
         y_next = np.maximum(0.0, y_now - p.value / p.d_y)
-        done = (y_next == y_now) | (np.abs(p.value) <= 1e-13)
+        done = (y_next == y_now) | (np.abs(p.value) <= _NEWTON_STOP)
         y[active] = y_next
         active = active[~done]
     if active.size:
@@ -224,13 +237,16 @@ def _solved_columns(ts: np.ndarray, params: ModelParams, order: int) -> tuple:
 
     Runs in core units, a temperature below _COLDEST t_c at _COLDEST t_c,
     so t = 0 too: f(t_c) = 0 and the colder roots come from one batched
-    Newton iteration seeded with f(0); one window pass of the given order,
-    1 or 2, at the roots then gives every residual, and the derivatives by
-    the implicit-function quotients, t_c included.  They become physical
-    here, times params.scales, with f held at or below f(0) = delta**2,
-    which the rounded product could pass, and a zero derivative stored as
-    +0.0.  Raises NotSolved, naming the worst row, if any residual is above
-    RESIDUAL_TOL.
+    Newton iteration seeded with f(0), on uncertified first rounds; one
+    window pass of the given order, 1 or 2, at the roots then certifies
+    every residual and gives the derivatives by the implicit-function
+    quotients, t_c included.  A root whose certified residual is above
+    _NEWTON_STOP is solved again, from where it stands, by the certified
+    Newton iteration, and those rows alone take a pass of their own.  The
+    columns become physical here, times params.scales, with f held at or
+    below f(0) = delta**2, which the rounded product could pass, and a zero
+    derivative stored as +0.0.  Raises NotSolved, naming the worst row, if
+    any residual is above RESIDUAL_TOL.
     """
     core = params.core
     taus = np.maximum(ts / params.t_c, _COLDEST)
@@ -238,6 +254,14 @@ def _solved_columns(ts: np.ndarray, params: ModelParams, order: int) -> tuple:
     cold = taus < 1.0
     ys[cold] = _newton(taus[cold], np.full(np.count_nonzero(cold), core.delta**2), core)
     p = window_pass(taus, ys, core, order=order)
+    redo = cold & (np.abs(p.value) > _NEWTON_STOP)
+    if redo.any():
+        ys[redo] = _newton(taus[redo], ys[redo], core, certified=True)
+        again = window_pass(taus[redo], ys[redo], core, order=order)
+        for name in ("value", "d_t", "d_y", "d_tt", "d_ty", "d_yy"):
+            column = getattr(p, name)  # an array the pass made
+            if column is not None:
+                column[redo] = getattr(again, name)
     residuals = np.abs(p.value)
     worst = int(np.argmax(residuals))  # the first NaN, if any
     _check_residual(float(ts[worst]), float(residuals[worst]))

@@ -21,7 +21,9 @@ pairs, as one stacked integrand, on the core view of the parameters when
 the library calls it; the scalar functions gate and return physical values.
 Every pairing-window quadrature, thermo's included, is a _window_rows
 call: it ends at the thermal edge and maps its nodes on the distance of
-the rows' nearest poles from the real axis.
+the rows' nearest poles from the real axis.  The gap's Newton steps take
+that quadrature's first round alone, uncertified (_window_partials with
+certified=False); the pass at their roots is certified.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import NonFiniteInput, OutsideDomain, ZeroGapAtZeroT
 from .model import _TINY, ModelParams
-from .quad import integrate, truncation_point
+from .quad import _first_round, integrate, truncation_point
 
 __all__ = [
     "ResidualPartials",
@@ -137,25 +139,33 @@ def _validated_eta(eta):
     return x
 
 
-def _by_branch(x, coeffs, direct):
-    """Series below _SERIES_CUT, direct(mask) on the rest; x a float array."""
-    out = np.empty_like(x)
+def _by_branch(x, coeffs, direct, out=None):
+    """Series below _SERIES_CUT, direct(where) on the rest, into out if given; x a float array.
+
+    where is the branch's mask, or Ellipsis when the branch holds every
+    node, so that nothing is copied out; a branch with no nodes is skipped.
+    """
+    out = np.empty_like(x) if out is None else out
     small = x < _SERIES_CUT
-    out[small] = _poly_even(x[small], coeffs)
-    big = ~small
-    # past x ~ 1e154, x * x overflows to inf and the kernel goes to its limit -0
-    with np.errstate(over="ignore"):
-        out[big] = direct(big)
+    n_small = np.count_nonzero(small)
+    if n_small:
+        where = small if n_small < x.size else ...
+        out[where] = _poly_even(x[where], coeffs)
+    if n_small < x.size:
+        where = ~small if n_small else ...
+        # past x ~ 1e154, x * x overflows to inf and the kernel goes to its limit -0
+        with np.errstate(over="ignore"):
+            out[where] = direct(where)
     return out
 
 
-def _slope(x, th, s2):
-    return _by_branch(x, _SLOPE_SERIES, lambda m: (s2[m] - th[m] / x[m]) / (x[m] * x[m]))
+def _slope(x, th, s2, out=None):
+    return _by_branch(x, _SLOPE_SERIES, lambda m: (s2[m] - th[m] / x[m]) / (x[m] * x[m]), out)
 
 
-def _curvature(x, th, s2, g):
+def _curvature(x, th, s2, g, out=None):
     return _by_branch(
-        x, _CURV_SERIES, lambda m: (3.0 * g[m] + 2.0 * th[m] * s2[m] / x[m]) / (x[m] * x[m])
+        x, _CURV_SERIES, lambda m: (3.0 * g[m] + 2.0 * th[m] * s2[m] / x[m]) / (x[m] * x[m]), out
     )
 
 
@@ -214,8 +224,7 @@ def _pairs(ts, ys):
 
 
 def _gate_closure(ts, ys, params: ModelParams) -> None:
-    """Admit the closed box [0, t_c] x [0, y_max], except the (0, 0) corner."""
-    ts, ys = _pairs(ts, ys)
+    """Admit the closed box [0, t_c] x [0, y_max], except the (0, 0) corner, at flat float arrays of pairs."""
     finite = np.isfinite(ts) & np.isfinite(ys)
     if not finite.all():
         i = int(np.argmax(~finite))
@@ -256,21 +265,32 @@ _BLOCK_ROWS = 48
 
 
 def _kernel_rows(xi, beta, y, kinds):
-    """Stack of the named kernels, shape (len(kinds), len(beta), len(xi))."""
+    """Stack of the named kernels, shape (len(kinds), len(beta), len(xi)), each written into its row.
+
+    "curv" reads the slope kernel, from its row when "slope" comes first.
+    """
     s = np.sqrt(xi * xi + y[:, None])
     eta = beta[:, None] * s
     th = np.tanh(eta)
     s2 = sech2(eta)
-    g = _slope(eta, th, s2) if {"slope", "curv"} & set(kinds) else None
-    make = {
-        "value": lambda: th / s,
-        "sech": lambda: s2,
-        "slope": lambda: g,
-        "eta_tanh": lambda: eta * th * s2,
-        "mixed": lambda: th / eta * s2,
-        "curv": lambda: _curvature(eta, th, s2, g),
-    }
-    return np.stack([make[kind]() for kind in kinds])
+    out = np.empty((len(kinds),) + eta.shape)
+    g = None
+    for row, kind in zip(out, kinds):
+        if kind == "value":
+            np.divide(th, s, out=row)
+        elif kind == "sech":
+            row[...] = s2
+        elif kind == "slope":
+            g = _slope(eta, th, s2, row)
+        elif kind == "eta_tanh":
+            np.multiply(eta, th, out=row)
+            row *= s2
+        elif kind == "mixed":
+            np.divide(th, eta, out=row)
+            row *= s2
+        else:
+            _curvature(eta, th, s2, _slope(eta, th, s2) if g is None else g, row)
+    return out
 
 
 def _edge(params: ModelParams, t) -> float:
@@ -282,7 +302,7 @@ def _edge(params: ModelParams, t) -> float:
     return min(params.hbar_omega_d, _EDGE * params.k_b * max(params.t_c, t))
 
 
-def _window_rows(ts, ys, params: ModelParams, rows) -> np.ndarray:
+def _window_rows(ts, ys, params: ModelParams, rows, certified: bool = True) -> np.ndarray:
     """Integrals over [xi_min, _edge(params, max t)] of stacked rows at (t, y) pairs, shape (k,).
 
     rows maps nodes xi to a (k, n) stack whose thermal parts decay like
@@ -291,10 +311,16 @@ def _window_rows(ts, ys, params: ModelParams, rows) -> np.ndarray:
     The nodes are mapped on the smallest sqrt(y + (pi k_b t)^2) of the
     pairs, the distance of the rows' nearest poles from the real axis, so
     no row starts out unresolved, at y = 0 and t far below t_c too.
+    certified=False takes the quadrature's first round alone, with no
+    error estimate: the same value wherever that round meets the target,
+    for a caller that certifies what it accepts.
     """
     ts, ys = np.asarray(ts, dtype=float), np.asarray(ys, dtype=float)
     reach = math.sqrt((ys + (np.pi * params.k_b * ts) ** 2).min())
-    return integrate(rows, params.xi_min, _edge(params, ts.max()), scale=reach)[0]
+    edge = _edge(params, ts.max())
+    if certified:
+        return integrate(rows, params.xi_min, edge, scale=reach)[0]
+    return _first_round(rows, params.xi_min, edge, scale=reach)
 
 
 def _tails(ys, params: ModelParams, lower, fifth=False) -> tuple:
@@ -330,7 +356,11 @@ def window_integrals(ts, ys, params: ModelParams, kinds) -> np.ndarray:
     integrated by _window_rows in blocks of at most _BLOCK_ROWS rows, each
     row to its own tolerance.  No domain checks: t must be in (0, t_c].
     """
-    ts, ys = _pairs(ts, ys)
+    return _integrals(*_pairs(ts, ys), params, kinds)
+
+
+def _integrals(ts, ys, params: ModelParams, kinds, certified: bool = True) -> np.ndarray:
+    """window_integrals at flat float arrays of pairs, first rounds alone if not certified (see _window_rows)."""
     betas = 1.0 / (2.0 * params.k_b * ts)
     per = max(1, _BLOCK_ROWS // len(kinds))
     out = np.empty((len(kinds), ts.size))
@@ -341,7 +371,7 @@ def window_integrals(ts, ys, params: ModelParams, kinds) -> np.ndarray:
         def integrand(xi, beta=beta, y=y):
             return _kernel_rows(xi, beta, y, kinds).reshape(-1, xi.size)
 
-        out[:, block] = _window_rows(ts[block], y, params, integrand).reshape(len(kinds), -1)
+        out[:, block] = _window_rows(ts[block], y, params, integrand, certified).reshape(len(kinds), -1)
     return out
 
 
@@ -376,15 +406,16 @@ def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
     return replace(partials, t=given)
 
 
-def _window_partials(ts, ys, params: ModelParams, kinds) -> ResidualPartials:
+def _window_partials(ts, ys, params: ModelParams, kinds, certified: bool = True) -> ResidualPartials:
     """The fields the named kernels give, at flat float arrays of pairs with t >= _COLDEST t_c.
 
     value comes from "value", d_t from "sech", d_y from "slope", d_tt from
     "sech" and "eta_tanh", d_ty from "mixed" and d_yy from "curv"; the
     other fields stay None.  No gate, for a caller that made the pairs
-    itself inside the domain, as the Newton iteration does its iterates.
+    itself inside the domain, as the Newton iteration does its iterates;
+    certified=False is _window_rows's, for the Newton steps.
     """
-    i = dict(zip(kinds, window_integrals(ts, ys, params, kinds)))
+    i = dict(zip(kinds, _integrals(ts, ys, params, kinds, certified)))
     kb = params.k_b
     two_kbt = 2.0 * kb * ts
     fields = {}
@@ -423,7 +454,7 @@ def _at(t, y, params: ModelParams, order: int) -> ResidualPartials:
     below order 2 takes the closed forms of gap_residual_partials.  Raises
     OutsideDomain if a field is not a finite float.
     """
-    _gate_closure(t, y, params)
+    _gate_closure(*_pairs(t, y), params)
     core = params.core
     t_unit, y_unit = params.t_c, params.scales[0]
     tau, y_core = float(t) / t_unit, min(float(y) / y_unit, core.y_max)

@@ -7,6 +7,12 @@ so integrands written with numpy stay fast; a kept panel's values are
 recomputed, not stored.  The returned error estimate is the usual
 conservative Kronrod-minus-Gauss measure.
 
+_first_round is integrate's first round alone: the same starting panels,
+nodes and Kronrod sums, so its value is integrate's to the bit wherever
+integrate accepts that round, but with no error estimate and no
+refinement.  It is uncertified; its one caller certifies what it accepts
+from it with integrate.
+
 An integrand may also return a stack of k integrands, shape (k, n) for n
 nodes.  They share one set of panels, each component must meet its own
 target, and a panel is split when any component still short of its target
@@ -94,12 +100,13 @@ def _eval_batch(f, x):
     return y
 
 
-def _panels_eval(f, lo, hi, scale):
-    """Kronrod value, error estimate, and |f| integral for each panel.
+def _kronrod(f, lo, hi, scale):
+    """Half-widths, node values and Kronrod value of each panel.
 
     With scale given, the panels are in v and f is evaluated at
-    x = scale * sinh(v) times the Jacobian.  Each result has shape (P,) for
-    a 1-D integrand and (k, P) for a stack.
+    x = scale * sinh(v) times the Jacobian.  The node values have shape
+    (P, 15) for a 1-D integrand and (k, P, 15) for a stack, and the
+    Kronrod values (P,) and (k, P).
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -109,7 +116,12 @@ def _panels_eval(f, lo, hi, scale):
     else:
         y = _eval_batch(f, scale * np.sinh(v)) * (scale * np.cosh(v))
     y = y.reshape(y.shape[:-1] + (lo.size, _NODES.size))
-    k = half * (y @ _W15)
+    return half, y, half * (y @ _W15)
+
+
+def _panels_eval(f, lo, hi, scale):
+    """Kronrod value, error estimate, and |f| integral for each panel, shaped as _kronrod's values."""
+    half, y, k = _kronrod(f, lo, hi, scale)
     g = half * (y @ _W7)
     resabs = half * (np.abs(y) @ _W15)
     mean = k / (2.0 * half)
@@ -133,6 +145,30 @@ def _furthest(total_err, tol, unmet) -> int:
     return int(np.argmax(np.where(unmet, total_err / np.where(unmet, tol, 1.0), 0.0)))
 
 
+def _start_panels(a, b, scale):
+    """Checked limits as the starting panels (lo, hi), and the checked scale.
+
+    With scale given, the panels are equal ones no wider than _MAPPED_WIDTH
+    in v = asinh(x / scale); without it, the one panel [a, b].
+    """
+    a = float(a)
+    b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration limits must be finite, got [{a}, {b}]")
+    if not a < b:
+        raise ValueError(f"integration requires a < b, got [{a}, {b}]")
+
+    n_panels = 1
+    if scale is not None:
+        scale = float(scale)
+        if not (scale > 0.0 and math.isfinite(scale)):
+            raise ValueError(f"scale must be positive and finite, got {scale}")
+        a, b = math.asinh(a / scale), math.asinh(b / scale)
+        n_panels = math.ceil((b - a) / _MAPPED_WIDTH)
+    edges = np.linspace(a, b, n_panels + 1)
+    return edges[:-1], edges[1:], scale
+
+
 def integrate(f, a, b, scale: float | None = None):
     """Integrate f over [a, b] to the module's accuracy target.
 
@@ -143,25 +179,8 @@ def integrate(f, a, b, scale: float | None = None):
     NaN or infinity or a wrongly shaped result, and ToleranceNotMet if the
     panel limit is reached first.
     """
-    a = float(a)
-    b = float(b)
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError(f"integration limits must be finite, got [{a}, {b}]")
-    if not a < b:
-        raise ValueError(f"integration requires a < b, got [{a}, {b}]")
-
-    n_panels = 1
-    if scale is not None:
-        scale = float(scale)
-        if not (scale > 0.0 and np.isfinite(scale)):
-            raise ValueError(f"scale must be positive and finite, got {scale}")
-        a, b = math.asinh(a / scale), math.asinh(b / scale)
-        n_panels = math.ceil((b - a) / _MAPPED_WIDTH)
-    edges = np.linspace(a, b, n_panels + 1)
-    lo = edges[:-1]
-    hi = edges[1:]
-
-    length = b - a
+    lo, hi, scale = _start_panels(a, b, scale)
+    length = hi[-1] - lo[0]
     while True:
         k, err, resabs = _panels_eval(f, lo, hi, scale)
         # one row per component: a 1-D integrand is a stack of one
@@ -206,6 +225,19 @@ def integrate(f, a, b, scale: float | None = None):
     if k.ndim == 2:
         return total, total_err
     return float(total[0]), float(total_err[0])
+
+
+def _first_round(f, a, b, scale: float | None = None):
+    """integrate's first-round value, without its error estimate or refinement.
+
+    The starting panels, nodes and Kronrod sums are integrate's, so the
+    value is integrate's to the bit wherever integrate accepts its first
+    round; nothing checks that it meets the accuracy target.  Returns the
+    value, of shape (k,) for a (k, n) stack, and raises what integrate
+    raises for bad limits, scales and integrand output.
+    """
+    lo, hi, scale = _start_panels(a, b, scale)
+    return np.add.reduce(_kronrod(f, lo, hi, scale)[2], axis=-1)
 
 
 def truncation_point(a, decay_scale):

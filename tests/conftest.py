@@ -46,16 +46,17 @@ def integrate_calls(monkeypatch):
 def quadrature_rounds(monkeypatch):
     """A list that gains one entry per quadrature round: the integrand nodes of that round.
 
-    A round is one evaluation of every panel of an integrate call.
+    A round is one evaluation of every panel of an integrate call, or a
+    first round taken alone, uncertified, as the gap's Newton steps take it.
     """
     from bcsgap import quad
 
     rounds = []
-    real = quad._panels_eval
+    real = quad._kronrod
 
     def counting(f, lo, hi, scale):
         rounds.append(lo.size * quad._NODES.size)
         return real(f, lo, hi, scale)
 
-    monkeypatch.setattr(quad, "_panels_eval", counting)
+    monkeypatch.setattr(quad, "_kronrod", counting)
     return rounds

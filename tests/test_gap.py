@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from bcsgap import gap
+from bcsgap import gap, kernels
 from bcsgap.errors import (
     NonFiniteInput,
+    NonFiniteIntegrand,
     NonPositiveParameter,
     NotSolved,
     OutsideDomain,
@@ -419,9 +420,64 @@ def test_curve_is_covariant_at_small_energy_scales(default_params):
 
 
 def test_curve_is_solved_in_few_quadrature_calls(default_params, integrate_calls):
-    # one batched Newton and one second-order pass, not one solve per node
+    # one batched Newton on uncertified first rounds and one certified
+    # second-order pass, not one solve per node
     sample_gap_curve(default_params, 201)
-    assert len(integrate_calls) <= 100
+    assert len(integrate_calls) <= 26
+
+
+def test_newton_rounds_are_counted_as_quadrature_work(default_params, integrate_calls, quadrature_rounds, monkeypatch):
+    # the Newton steps take no certified call, but their first rounds are
+    # still quadrature rounds, so node counts keep the solve's work
+    steps = []
+    real = kernels._first_round
+
+    def counting(*args, **kwargs):
+        steps.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_first_round", counting)
+    solve_gap_at(0.5 * default_params.t_c, default_params)
+    assert len(integrate_calls) == 1 and len(steps) >= 3
+    assert len(quadrature_rounds) >= len(steps) + len(integrate_calls)
+
+
+def test_nonfinite_integrand_in_a_newton_step_is_reported(default_params, monkeypatch):
+    # an integrand that turns NaN in the second uncertified step raises there,
+    # as a certified quadrature would, and does not run Newton out of steps
+    steps = []
+    real = kernels._first_round
+
+    def turning(f, a, b, scale=None):
+        steps.append(1)
+        bad = len(steps) > 1
+        return real(lambda x: f(x) * (math.nan if bad else 1.0), a, b, scale=scale)
+
+    monkeypatch.setattr(kernels, "_first_round", turning)
+    with pytest.raises(NonFiniteIntegrand):
+        solve_gap_at(0.5 * default_params.t_c, default_params)
+    assert len(steps) == 2
+
+
+@pytest.mark.parametrize("rel_error", [1e-9, 1e-12])
+def test_roots_are_certified_when_the_uncertified_rule_is_off(default_params, monkeypatch, rel_error):
+    # Newton steps on a first round that is off by rel_error stop short of
+    # the root; the certified pass at the roots sees it, and those rows are
+    # solved again by certified steps, so every root keeps a certified
+    # residual at Newton's stop level, and the same root to rounding (next
+    # to t_c, a rounding of F moves the root by a larger share of f itself)
+    p = default_params
+    ts = [0.0, 0.3 * p.t_c, 0.5 * p.t_c, 0.9 * p.t_c, 0.999 * p.t_c]
+    plain = [solve_gap_at(t, p) for t in ts]
+    plain_curve = sample_gap_curve(p, 21).points
+    real = kernels._first_round
+    monkeypatch.setattr(kernels, "_first_round", lambda *a, **k: real(*a, **k) * (1.0 + rel_error))
+    points = [solve_gap_at(t, p) for t in ts]
+    curve = sample_gap_curve(p, 21).points
+    for got, ref in zip(points + list(curve[:-1]), plain + list(plain_curve[:-1])):
+        assert got.residual <= 1e-13
+        assert abs(got.f - ref.f) <= 1e-12 * p.delta**2
+    assert curve[-1].f == 0.0
 
 
 def test_curve_is_one_solved_point_batch(default_params, monkeypatch):

@@ -1,11 +1,12 @@
 """Thermal kernels: series/direct agreement, identities, residual partials."""
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from bcsgap import kernels
 from bcsgap.errors import NonFiniteInput, OutsideDomain, ZeroGapAtZeroT
@@ -285,6 +286,39 @@ def test_ungated_core_is_window_pass_at_order_0(default_params):
     ungated = kernels._window_partials(ts, ys, core, ("value", "slope"))
     assert ungated.value.tolist() == gated.value.tolist()
     assert ungated.d_y.tolist() == gated.d_y.tolist()
+
+
+_ROUND_CELLS = [(u0n0, eps) for u0n0 in (0.3, 0.1, 0.003) for eps in (0.0, 1e-3)]
+
+
+@functools.cache
+def _round_core(u0n0, eps):
+    return build_params(u0n0=u0n0, eps=eps).core
+
+
+@given(
+    cell=st.sampled_from(_ROUND_CELLS),
+    order=st.integers(0, 2),
+    pairs=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=24),
+)
+def test_first_round_is_the_certified_value_wherever_one_round_is_accepted(cell, order, pairs):
+    # a block of (t, y) pairs, t from _COLDEST to t_c and y up to the seed
+    # f(0) of the Newton steps: wherever the certified quadrature accepts its
+    # first round, the uncertified round is the same rows to the bit
+    core = _round_core(*cell)
+    kinds = kernels._ORDER_KERNELS[order]
+    pairs = pairs[: kernels._BLOCK_ROWS // len(kinds)]
+    ts = np.array([max(t, kernels._COLDEST) for t, _ in pairs])
+    ys = np.array([r * core.delta**2 for _, r in pairs])
+    rounds = []
+
+    def rows(xi):
+        rounds.append(1)
+        return kernels._kernel_rows(xi, 1.0 / (2.0 * core.k_b * ts), ys, kinds).reshape(-1, xi.size)
+
+    certified = kernels._window_rows(ts, ys, core, rows)
+    assume(len(rounds) == 1)
+    assert kernels._window_rows(ts, ys, core, rows, certified=False).tobytes() == certified.tobytes()
 
 
 @pytest.mark.parametrize("where", ["t_c", "y=0", "y_max", "t_c,y=0", "t_c,y_max"])

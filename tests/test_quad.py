@@ -158,6 +158,42 @@ def test_stacked_bad_output_is_reported(f):
         integrate(f, 0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        pytest.param(lambda x: np.zeros((2, x.size + 1)), id="shape-k-by-n-plus-1"),
+        pytest.param(lambda x: np.stack([x, np.where(x > 0.5, np.nan, x)]), id="nan-in-one-row"),
+        pytest.param(lambda x: 1.0, id="shape-0-d"),
+    ],
+)
+def test_first_round_keeps_the_checks_of_integrate(f):
+    # the uncertified round evaluates its nodes as integrate does, so a bad
+    # integrand is reported, not carried into a value
+    with pytest.raises(NonFiniteIntegrand, match=r"x = "):
+        quad._first_round(f, 0.0, 1.0, scale=0.1)
+
+
+@pytest.mark.parametrize(
+    "rows, scale",
+    [
+        pytest.param(lambda x: np.stack([1.0 + x**3, x**5]), None, id="one-panel"),
+        pytest.param(lambda x: np.stack([np.exp(-x), np.tanh(x / 0.01) / np.hypot(x, 0.01)]), 1e-3, id="mapped"),
+    ],
+)
+def test_first_round_is_the_value_of_a_one_round_integrate(rows, scale):
+    # where integrate accepts its first round, the round alone is its value to the bit
+    rounds = []
+
+    def f(x):
+        rounds.append(1)
+        return rows(x)
+
+    value, _ = integrate(f, 0.0, 1.0, scale=scale)
+    assert len(rounds) == 1
+    assert quad._first_round(f, 0.0, 1.0, scale=scale).tobytes() == value.tobytes()
+    assert quad._first_round(lambda x: rows(x)[0], 0.0, 1.0, scale=scale) == value[0]
+
+
 def test_tolerance_not_met_when_budget_exhausted(monkeypatch):
     monkeypatch.setattr(quad, "_MAX_PANELS", 4)
     with pytest.raises(ToleranceNotMet):
@@ -165,13 +201,15 @@ def test_tolerance_not_met_when_budget_exhausted(monkeypatch):
 
 
 def test_invalid_limits_rejected():
-    with pytest.raises(ValueError):
-        integrate(lambda x: x, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        integrate(lambda x: x, 0.0, math.inf)
-    for scale in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="scale"):
-            integrate(lambda x: x, 0.0, 1.0, scale=scale)
+    # the uncertified first round takes integrate's limits and checks
+    for rule in (integrate, quad._first_round):
+        with pytest.raises(ValueError):
+            rule(lambda x: x, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            rule(lambda x: x, 0.0, math.inf)
+        for scale in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="scale"):
+                rule(lambda x: x, 0.0, 1.0, scale=scale)
 
 
 @given(
