@@ -66,7 +66,9 @@ def _tanh_integral(lo: float, hi: float) -> float:
     quadrature mapped on x = 1, and the rest is ln(hi / c).
     """
     c = _EDGE / 2.0
-    # the rule's nodes are interior to [lo, c], so x = 0 is never sampled
+    # the rule's nodes are interior to [lo, c], so x = 0 is never sampled, while
+    # the panels' half-widths keep some bits: hi a normal float is enough, but
+    # at hi = 5e-324 the half-width rounds to 0 and every node lands on lo
     inner = integrate(lambda x: np.tanh(x) / x, lo, min(hi, c), scale=1.0)[0] if lo < c else 0.0
     return inner + math.log(hi / max(lo, c)) if hi > c else inner
 
@@ -98,7 +100,8 @@ def solve_tc(
         raise NonPositiveParameter(f"eps must be >= 0, got {eps}")
 
     target = 1.0 / u0n0
-    s = target - _LOG_BCS_CONSTANT + (_tanh_integral(0.0, eps) if eps > 0.0 else 0.0)
+    # below the smallest normal float the integral over [0, eps], about eps, cannot move the seed
+    s = target - _LOG_BCS_CONSTANT + (_tanh_integral(0.0, eps) if eps >= sys.float_info.min else 0.0)
     if s > math.log(sys.float_info.max / 2.0):
         raise OutsideDomain(f"U = hbar_omega_d / (2 k_b t_c) = e^{s:.6g} at u0n0 = {u0n0}: 2U is not a float")
     for _ in range(_NEWTON_STEPS):

@@ -5,10 +5,10 @@ tanh(sqrt(xi^2 + y) / (2 k_b t)) / sqrt(xi^2 + y) minus the inverse coupling;
 the squared-gap curve is its zero set.  Two even kernels control the
 y-derivatives: slope_kernel for the first, curvature_kernel for the second.
 Their defining expressions lose ~2*log10(1/eta) digits to cancellation as
-eta -> 0, so below _SERIES_CUT both are evaluated from fixed Taylor tables
-generated with exact rational arithmetic (scripts/kernel_series_tables.py
-regenerates them).  At the cut the branches agree to ~1e-16 relative, well
-inside the 1e-14 continuity budget.
+eta -> 0, so below _SERIES_CUT both are evaluated from Taylor tables that
+_series_tables computes at import from an exact integer recurrence.  At
+the cut the branches agree to ~1e-16 relative, well inside the 1e-14
+continuity budget.
 
 The residual and all its partials up to second order are pairing-window
 integrals of six kernels that share eta = sqrt(xi^2 + y) / (2 k_b t).
@@ -20,10 +20,11 @@ it.  window_pass evaluates the kernels an order needs, at arrays of (t, y)
 pairs, as one stacked integrand, on the core view of the parameters when
 the library calls it; the scalar functions gate and return physical values.
 Every pairing-window quadrature, thermo's included, is a _window_rows
-call: it ends at the thermal edge and maps its nodes on the distance of
-the rows' nearest poles from the real axis.  The gap's Newton steps take
-that quadrature's first round alone, uncertified (_window_partials with
-certified=False); the pass at their roots is certified.
+call: it ends at the thermal edge and maps its nodes on
+sqrt(y + (pi k_b t)^2), the distance from the real axis of the nearest
+poles of a row even in E, as the six kernels are.  The gap's Newton steps
+take that quadrature's first round alone, uncertified (_window_partials
+with certified=False); the pass at their roots is certified.
 """
 
 from __future__ import annotations
@@ -48,57 +49,34 @@ __all__ = [
     "gap_residual_second_partials",
     "sech2",
     "slope_kernel",
-    "window_integrals",
     "window_pass",
 ]
 
 _SERIES_CUT = 0.5
 
-# slope kernel: eta^0, eta^2, ..., eta^36
-_SLOPE_SERIES = (
-    -0.66666666666666666667,  # -2/3
-    0.53333333333333333333,  # 8/15
-    -0.32380952380952380952,  # -34/105
-    0.17495590828924162257,  # 496/2835
-    -0.088632355299021965689,
-    0.043105536438869772203,
-    -0.020381681418718455755,
-    0.0094404390551293757021,
-    -0.0043043240563839446667,
-    0.0019383075913858900651,
-    -0.00086412312543297034917,
-    0.00038205372166389515378,
-    -0.00016774391960704119984,
-    0.000073213592236141127519,
-    -0.000031791804960313963053,
-    0.000013743715450476178735,
-    -5.9182504476143602452e-6,
-    2.5396693007043485971e-6,
-    -1.0864719316759964852e-6,
-)
+_SERIES_TERMS = 19  # even orders eta^0 .. eta^36 of each table
 
-# curvature kernel: eta^0, eta^2, ..., eta^36
-_CURV_SERIES = (
-    -1.0666666666666666667,  # -16/15
-    1.2952380952380952381,  # 136/105
-    -1.0497354497354497354,  # -992/945
-    0.70905884239217572551,  # 22112/31185
-    -0.43105536438869772203,
-    0.24458017702462146907,
-    -0.13216614677181125983,
-    0.068869184902143114668,
-    -0.034889536644946021172,
-    0.017282462508659406983,
-    -0.0084051818766056933831,
-    0.0040258540705689887962,
-    -0.0019035533981396693155,
-    0.00089017053888879096548,
-    -0.00041231146351428536206,
-    0.00018938401432365952784,
-    -0.000086348756223947852301,
-    0.000039112989540335873466,
-    -0.000017613219537854255344,
-)
+
+def _series_tables(terms: int) -> tuple:
+    """Taylor coefficients of the slope and curvature kernels at eta^0, eta^2, ..., each correctly rounded.
+
+    Both are fixed multiples of tanh's: with tanh(x) the sum of
+    d_k x^(2k+1) / (2k+1)!, tanh' = 1 - tanh^2 gives the integers
+    d_0 = 1, d_k = -sum_i C(2k, 2i+1) d_i d_(k-1-i) (Knuth and Buckholtz,
+    Math. Comp. 21 (1967) 663).  The slope kernel (tanh' - tanh(x) / x) / x^2
+    then has 2(j+1) d_(j+1) / (2j+3)! at x^(2j), and the curvature kernel,
+    by slope' = -x curvature, -4(j+1)(j+2) d_(j+2) / (2j+5)!; each is one
+    division of exact integers.
+    """
+    d = [1]
+    for k in range(1, terms + 2):
+        d.append(-sum(math.comb(2 * k, 2 * i + 1) * d[i] * d[k - 1 - i] for i in range(k)))
+    slope = tuple(2 * (j + 1) * d[j + 1] / math.factorial(2 * j + 3) for j in range(terms))
+    curv = tuple(-4 * (j + 1) * (j + 2) * d[j + 2] / math.factorial(2 * j + 5) for j in range(terms))
+    return slope, curv
+
+
+_SLOPE_SERIES, _CURV_SERIES = _series_tables(_SERIES_TERMS)
 
 
 def sech2(x):
@@ -309,8 +287,12 @@ def _window_rows(ts, ys, params: ModelParams, rows, certified: bool = True) -> n
     e^{-sqrt(xi^2 + y) / k_b t}; past the edge they are below the
     quadrature target, and any algebraic part is the caller's closed form.
     The nodes are mapped on the smallest sqrt(y + (pi k_b t)^2) of the
-    pairs, the distance of the rows' nearest poles from the real axis, so
-    no row starts out unresolved, at y = 0 and t far below t_c too.
+    pairs, the distance from the real axis of the nearest poles of a row
+    even in E, as the kernels are, so no such row starts out unresolved,
+    at y = 0 and t far below t_c too.  A row not even in E branches nearer,
+    at xi = +-i sqrt(y): thermo's ln(1 + e^{-E/k_b t}) and E fermi(E/k_b t)
+    rows, whose odd parts are -E / 2 k_b t and E / 2, take more rounds when
+    y is small.
     certified=False takes the quadrature's first round alone, with no
     error estimate: the same value wherever that round meets the target,
     for a caller that certifies what it accepts.
@@ -346,21 +328,17 @@ def _tails(ys, params: ModelParams, lower, fifth=False) -> tuple:
     return inv1, inv3, inv3 * ((1.0 / e_big) ** 2 + (1.0 / e_c) ** 2 + near) / 3.0
 
 
-def window_integrals(ts, ys, params: ModelParams, kinds) -> np.ndarray:
-    """Integrals over [xi_min, X] of the named kernels at each (t, y) pair, X = _edge(params, t_c).
+def _integrals(ts, ys, params: ModelParams, kinds, certified: bool = True) -> np.ndarray:
+    """Integrals over [xi_min, X] of the named kernels at flat float arrays of (t, y) pairs, X = _edge(params, t_c).
 
     kinds is a subsequence of WINDOW_KERNELS; the result has shape
     (len(kinds), number of pairs).  Past X each kernel is its asymptote,
     which _window_partials adds in closed form; at defaults X is the window
     edge.  Every kernel at every pair is one row of a stacked integrand,
     integrated by _window_rows in blocks of at most _BLOCK_ROWS rows, each
-    row to its own tolerance.  No domain checks: t must be in (0, t_c].
+    row to its own tolerance, or first rounds alone if not certified.  No
+    domain checks: t must be in (0, t_c].
     """
-    return _integrals(*_pairs(ts, ys), params, kinds)
-
-
-def _integrals(ts, ys, params: ModelParams, kinds, certified: bool = True) -> np.ndarray:
-    """window_integrals at flat float arrays of pairs, first rounds alone if not certified (see _window_rows)."""
     betas = 1.0 / (2.0 * params.k_b * ts)
     per = max(1, _BLOCK_ROWS // len(kinds))
     out = np.empty((len(kinds), ts.size))

@@ -175,7 +175,9 @@ def _quadratures(ts: list, params: ModelParams, fs: list, f_primes: list):
     above t_c.  The band's rows come from _band; the pairing window's are
     _thermal_rows at the quasiparticle energies E = sqrt(xi^2 + f), lifted
     by -t f' / 2 >= 0, so every row is positive.  The rows of every
-    temperature share the nodes of one _window_rows call.  Returns (band,
+    temperature share the nodes of one _window_rows call, mapped on the
+    poles of rows even in E; the first two rows are not, and branch at
+    xi = +-i sqrt(f), so just below t_c they take more rounds.  Returns (band,
     window), each a list with one list of three integrals per temperature.
     """
     kt, f = _column(ts), _column(fs)

@@ -4,6 +4,7 @@ import functools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -23,7 +24,6 @@ from bcsgap.kernels import (
     gap_residual_second_partials,
     sech2,
     slope_kernel,
-    window_integrals,
     window_pass,
 )
 from bcsgap.gap import solve_gap_at
@@ -67,6 +67,20 @@ def test_series_and_direct_branches_agree_at_the_cut():
     series_big_g = float(_poly_even(cut, _CURV_SERIES))
     assert series_g == pytest.approx(slope_kernel(_SERIES_CUT), rel=1e-14)
     assert series_big_g == pytest.approx(curvature_kernel(_SERIES_CUT), rel=1e-14)
+
+
+def test_series_tables_match_bernoulli_closed_form():
+    # tanh(x) has 2^n (2^n - 1) B_n / n! at x^(n-1), n even (Abramowitz and
+    # Stegun 4.5.64); the slope kernel's eta^(2j) coefficient is 2(j+1) times
+    # tanh's at x^(2j+3), and the curvature kernel's is -2(j+1) times the
+    # slope kernel's at eta^(2j+2); each is correctly rounded from 50 digits
+    with mpmath.workdps(50):
+        tanh = lambda n: 2**n * (2**n - 1) * mpmath.bernoulli(n) / mpmath.factorial(n)
+        slope = [float(2 * (j + 1) * tanh(2 * j + 4)) for j in range(len(_SLOPE_SERIES))]
+        curv = [float(-4 * (j + 1) * (j + 2) * tanh(2 * j + 6)) for j in range(len(_CURV_SERIES))]
+    assert list(_SLOPE_SERIES) == slope
+    assert list(_CURV_SERIES) == curv
+    assert len(_SLOPE_SERIES) == len(_CURV_SERIES) == 19
 
 
 def test_kernels_negative_everywhere_sampled():
@@ -353,7 +367,7 @@ def test_lone_sech_row_at_tc(u0n0):
     # own must still find that peak
     p = build_params(u0n0=u0n0)
     two_kt = 2.0 * p.k_b * p.t_c
-    (got,), = window_integrals(p.t_c, 0.0, p, ("sech",))
+    (got,), = kernels._integrals(np.array([p.t_c]), np.array([0.0]), p, ("sech",))
     assert got == pytest.approx(two_kt * math.tanh(p.hbar_omega_d / two_kt), rel=1e-13, abs=0.0)
 
 
@@ -364,7 +378,7 @@ def test_cold_thermal_rows_match_oracle(default_params, ratio):
     p = default_params
     t = ratio * p.t_c
     y = solve_gap_at(t, p).f
-    got = window_integrals(t, y, p, ("sech", "eta_tanh"))[:, 0]
+    got = kernels._integrals(np.array([t]), np.array([y]), p, ("sech", "eta_tanh"))[:, 0]
     for kind, val in zip(("sech", "eta_tanh"), got):
         ref = oracles.mp_window_integral(kind, t, y, p.k_b, p.xi_min, p.hbar_omega_d)
         assert val == pytest.approx(ref, rel=1e-10, abs=0.0)

@@ -1,9 +1,10 @@
 """Parameter validation, closed-form gap values, config files."""
 
 import math
+import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bcsgap.errors import (
     BcsgapError,
@@ -165,6 +166,7 @@ def test_config_errors(tmp_path, line):
     k_b=st.floats(0.5, 2.0),
     eps=st.floats(0.0, 0.5),
 )
+@example(u0n0=0.5, hbar_omega_d=1.0, k_b=1.0, eps=5e-324)
 def test_built_params_invariants(u0n0, hbar_omega_d, k_b, eps):
     params = build_params(u0n0=u0n0, hbar_omega_d=hbar_omega_d, k_b=k_b, eps=eps)
     assert params.t_c > 0.0
@@ -172,6 +174,16 @@ def test_built_params_invariants(u0n0, hbar_omega_d, k_b, eps):
     assert 0.0 < params.delta <= params.delta0
     assert params.y_max == 2.0 * params.delta0**2
     assert 0.0 < params.y_max < math.inf
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-322, 1e-320, 2e-308])
+def test_subnormal_cutoff_keeps_the_zero_cutoff_tc(eps):
+    # the integral of tanh(x)/x over [0, eps] is about eps, below the smallest
+    # normal float, so it cannot move t_c; nor may it sample x = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t_c = build_params(u0n0=0.5, eps=eps).t_c
+    assert t_c == build_params(u0n0=0.5, eps=0.0).t_c
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
-"""Every exported name and every function the benchmark's tracer wraps resolves, and quadratures have their owners."""
+"""Every exported name and every function the benchmark's tracer wraps resolves, quadratures have their
+owners, and the declared dependencies are the imported ones."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,27 @@ def test_quadratures_are_called_from_their_owners_only():
         "integrate": {"kernels._window_rows", "thermo._band", "gap._tanh_integral"},
         "_first_round": {"kernels._window_rows"},
     }
+
+
+def _third_party(*dirs):
+    """Top-level modules imported under dirs that are neither the standard library's nor the repo's own."""
+    files = [path for d in dirs for path in sorted((_ROOT / d).rglob("*.py"))]
+    local = {"bcsgap"} | {path.stem for path in files}
+    found = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.partition(".")[0])
+    return found - set(sys.stdlib_module_names) - local
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    # the package imports numpy alone; the tests, scripts and benchmark import
+    # exactly the runtime dependencies and the test extra, none stale or missing
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((_ROOT / "pyproject.toml").read_text())["project"]
+    declared = project["dependencies"] + project["optional-dependencies"]["test"]
+    assert _third_party("src") == {"numpy"}
+    assert _third_party("tests", "scripts", "perfbench") == {re.split(r"[<>=!~;\[\s]", d)[0] for d in declared}
