@@ -77,16 +77,14 @@ def main() -> int:
         "curvature_jump_measured": measured.jump,
         "curvature_below": measured.below,
         "curvature_above": measured.above,
+        "specific_heat_jump": specific_heat_jump(params),
     }
-    if params.eps == 0.0:
-        summary["specific_heat_jump"] = specific_heat_jump(params)
     (args.out_dir / "jump.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(
         f"curvature jump: closed {closed:.12g}, measured {measured.jump:.12g}, "
         f"relative gap {abs(measured.jump - closed) / abs(closed):.3e}"
     )
-    if "specific_heat_jump" in summary:
-        print(f"specific-heat jump: {summary['specific_heat_jump']:.12g}")
+    print(f"specific-heat jump: {summary['specific_heat_jump']:.12g}")
     return 0
 
 

@@ -10,7 +10,6 @@ form that reproduces the specific-heat discontinuity.
 
 from .errors import (
     BcsgapError,
-    CutoffNotZero,
     CutoffTooLarge,
     NonFiniteInput,
     NonFiniteIntegrand,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BcsgapError",
     "Check",
-    "CutoffNotZero",
     "CutoffTooLarge",
     "GapCurve",
     "GapPoint",

@@ -157,15 +157,11 @@ def _run_thermo(args) -> int:
 
 def _run_jump(args) -> int:
     params = _params_from(args)
-    closed = second_derivative_jump(params)
-    measured = measured_second_derivative_jump(params)
-    values = {
-        "second_derivative_jump_closed_form": closed,
-        "second_derivative_jump_measured": measured.jump,
-    }
-    if params.eps == 0.0:
-        values["specific_heat_jump"] = specific_heat_jump(params)
-    return _write_values(args, values)
+    return _write_values(args, {
+        "second_derivative_jump_closed_form": second_derivative_jump(params),
+        "second_derivative_jump_measured": measured_second_derivative_jump(params).jump,
+        "specific_heat_jump": specific_heat_jump(params),
+    })
 
 
 def _run_verify(args) -> int:

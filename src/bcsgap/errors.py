@@ -36,6 +36,3 @@ class ZeroGapAtZeroT(BcsgapError):
 class NotSolved(BcsgapError):
     """No gap point solved to the residual tolerance at the requested temperature."""
 
-
-class CutoffNotZero(BcsgapError):
-    """A closed form only valid at zero cutoff was requested with eps != 0."""

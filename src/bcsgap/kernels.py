@@ -22,9 +22,10 @@ the library calls it; the scalar functions gate and return physical values.
 Every pairing-window quadrature, thermo's included, is a _window_rows
 call: it ends at the thermal edge and maps its nodes on
 sqrt(y + (pi k_b t)^2), the distance from the real axis of the nearest
-poles of a row even in E, as the six kernels are.  The gap's Newton steps
-take that quadrature's first round alone, uncertified (_window_partials
-with certified=False); the pass at their roots is certified.
+poles of a row even in E, as the six kernels are, or on thermo's rows'
+nearer branch points.  The gap's Newton steps take that quadrature's first
+round alone, uncertified (_window_partials with certified=False); the pass
+at their roots is certified.
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def _edge(params: ModelParams, t) -> float:
     return min(params.hbar_omega_d, _EDGE * params.k_b * max(params.t_c, t))
 
 
-def _window_rows(ts, ys, params: ModelParams, rows, certified: bool = True) -> np.ndarray:
+def _window_rows(ts, ys, params: ModelParams, rows, certified: bool = True, branched: bool = False) -> np.ndarray:
     """Integrals over [xi_min, _edge(params, max t)] of stacked rows at (t, y) pairs, shape (k,).
 
     rows maps nodes xi to a (k, n) stack whose thermal parts decay like
@@ -289,16 +290,18 @@ def _window_rows(ts, ys, params: ModelParams, rows, certified: bool = True) -> n
     The nodes are mapped on the smallest sqrt(y + (pi k_b t)^2) of the
     pairs, the distance from the real axis of the nearest poles of a row
     even in E, as the kernels are, so no such row starts out unresolved,
-    at y = 0 and t far below t_c too.  A row not even in E branches nearer,
-    at xi = +-i sqrt(y): thermo's ln(1 + e^{-E/k_b t}) and E fermi(E/k_b t)
-    rows, whose odd parts are -E / 2 k_b t and E / 2, take more rounds when
-    y is small.
+    at y = 0 and t far below t_c too.  branched=True says some row is not
+    even in E, as thermo's ln(1 + e^{-E/k_b t}) and E fermi(E/k_b t) are,
+    and branches at xi = +-i sqrt(y), sqrt(xi_min^2 + y) from the window:
+    the map then also takes the smallest such distance with y > 0.
     certified=False takes the quadrature's first round alone, with no
     error estimate: the same value wherever that round meets the target,
     for a caller that certifies what it accepts.
     """
     ts, ys = np.asarray(ts, dtype=float), np.asarray(ys, dtype=float)
     reach = math.sqrt((ys + (np.pi * params.k_b * ts) ** 2).min())
+    if branched and ys.max() > 0.0:
+        reach = min(reach, math.sqrt(params.xi_min**2 + ys[ys > 0.0].min()))
     edge = _edge(params, ts.max())
     if certified:
         return integrate(rows, params.xi_min, edge, scale=reach)[0]

@@ -7,8 +7,8 @@ at E = sqrt(xi^2 + f) (Bardeen, Cooper and Schrieffer 1957; Muehlschlegel
 they keep their relative accuracy however far below t_c they fall.  The
 condensation part, superconducting minus normal, and its first temperature
 derivative vanish at the transition (the potential is C1 there), while the
-second derivative jumps by a closed-form amount; the specific-heat
-discontinuity follows from it.  Thermal factors are overflow-safe.  Every
+second derivative jumps by a closed-form amount, and the specific heat by
+-t_c times it at every cutoff.  Thermal factors are overflow-safe.  Every
 window row decays like e^{-E / k_b t}, so the window and the condensation
 part are integrated up to the kernels' thermal edge, by their one
 _window_rows owner, and their work does not grow with the window; the
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffNotZero, NonFiniteInput, OutsideDomain
+from .errors import NonFiniteInput, OutsideDomain
 from .gap import GapPoint, _csv, _require_solved, _solved_columns, solve_gap_at
 from .kernels import _COLDEST, _window_rows, fermi, fermi_weight
 from .model import ModelParams, _as_finite_float, _dos, _normal_constant
@@ -175,15 +175,15 @@ def _quadratures(ts: list, params: ModelParams, fs: list, f_primes: list):
     above t_c.  The band's rows come from _band; the pairing window's are
     _thermal_rows at the quasiparticle energies E = sqrt(xi^2 + f), lifted
     by -t f' / 2 >= 0, so every row is positive.  The rows of every
-    temperature share the nodes of one _window_rows call, mapped on the
-    poles of rows even in E; the first two rows are not, and branch at
-    xi = +-i sqrt(f), so just below t_c they take more rounds.  Returns (band,
-    window), each a list with one list of three integrals per temperature.
+    temperature share the nodes of one branched _window_rows call, as the
+    first two rows are not even in E and branch at xi = +-i sqrt(f), just
+    below t_c nearer than their poles.  Returns (band, window), each a list
+    with one list of three integrals per temperature.
     """
     kt, f = _column(ts), _column(fs)
     lift = _column([-t * f_prime / 2.0 for t, f_prime in zip(ts, f_primes)])
     window = lambda xi: _thermal_rows(np.sqrt(xi * xi + f), kt, lift)
-    values = _window_rows(ts, fs, params, window)
+    values = _window_rows(ts, fs, params, window, branched=True)
     return _band(ts, params), values.reshape(3, -1).T.tolist()
 
 
@@ -285,7 +285,7 @@ def _condensation(t: float, params: ModelParams, gap: GapPoint) -> tuple:
     core = params.core
     f, f_prime = gap.f / params.scales[0], gap.f_prime / params.scales[1]
     rows = lambda xi: np.vstack((xi * xi * fermi_weight(xi / tau), _condensation_rows(xi, tau, f)))
-    w, ratio, occ_diff, w_shift, w_gap = _window_rows([tau], [f], core, rows).tolist()
+    w, ratio, occ_diff, w_shift, w_gap = _window_rows([tau], [f], core, rows, branched=True).tolist()
     cond = (
         f / core.u0n0 - 2.0 * _shift(core, f) - 4.0 * tau * ratio,
         -4.0 * ratio + (4.0 / tau) * occ_diff,
@@ -453,22 +453,25 @@ def measured_second_derivative_jump(params: ModelParams) -> JumpMeasurement:
 
 
 def specific_heat_jump(params: ModelParams) -> float:
-    """Closed-form specific-heat discontinuity at t_c (cutoff-free mode only).
+    """Closed-form specific-heat discontinuity at t_c, at every cutoff.
 
-    -n0 * f'(t_c) * tanh(hbar_omega_d / (2 k_b t_c)), strictly positive:
-    the superconducting side carries the larger specific heat.  Equals
-    -t_c times the second-derivative jump when eps = 0.
+    -n0 f'(t_c) [tanh(U) - tanh(eps)], U = hbar_omega_d / (2 k_b t_c), is
+    -t_c times the second-derivative jump, as c_v = -t omega_tt; strictly
+    positive: the superconducting side carries the larger specific heat.
     """
-    if params.eps != 0.0:
-        raise CutoffNotZero(
-            f"the specific-heat closed form needs eps = 0, got eps = {params.eps}"
-        )
     return _cv_jump(params, solve_gap_at(params.t_c, params).f_prime)
 
 
 def _cv_jump(params: ModelParams, f_prime: float) -> float:
-    """specific_heat_jump from the physical f'(t_c), for eps = 0."""
-    return -params.n0 * f_prime * math.tanh(params.core.hbar_omega_d / 2.0)
+    """specific_heat_jump from the physical f'(t_c).
+
+    Near the CutoffTooLarge bound tanh(U) and tanh(eps) both round to 1, so
+    their difference is the product tanh(U - eps) 2 fermi(2 eps)
+    (1 + e^{-2(U - eps)}) / (1 + e^{-2U}), ratio first: 1.0 at eps = 0.
+    """
+    eps, u = params.eps, params.core.hbar_omega_d / 2.0
+    ratio = 2.0 * float(fermi(2.0 * eps)) * (1.0 + math.exp(2.0 * (eps - u))) / (1.0 + math.exp(-2.0 * u))
+    return -params.n0 * f_prime * math.tanh(u - eps) * ratio
 
 
 def thermo_to_csv(points) -> str:

@@ -139,9 +139,9 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
     endpoint closed forms by extrapolation, the condensation part and its
     slope vanishing at the transition, potential and entropy continuity,
     the measured second-derivative jump against the closed form, the
-    specific-heat discontinuity (cutoff-free mode only), the thermal kernel
-    identities, mixed-partial symmetry, and residual-partial negativity on
-    a grid.  Deterministic: rerunning with equal inputs yields an equal
+    specific-heat discontinuity, the thermal kernel identities,
+    mixed-partial symmetry, and residual-partial negativity on a grid.
+    Deterministic: rerunning with equal inputs yields an equal
     report.  grid_size must be at least 3, so that the derivative stencils
     have an interior node.
     """
@@ -302,21 +302,20 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
         0.0,
         _JUMP_TOL,
     ))
-    if params.eps == 0.0:
-        dcv = _cv_jump(params, tc_gap.f_prime)
-        add(Check("cv_jump_positive", max(0.0, -dcv), 0.0, 0.0))
-        add(Check(
-            "cv_jump_identity",
-            abs(dcv + t_c * jump_closed) / dcv,
-            0.0,
-            _CLOSED_FORM_TOL,
-        ))
-        add(Check(
-            "cv_jump_fd",
-            abs(dcv + t_c * measured.jump) / dcv,
-            0.0,
-            _JUMP_TOL,
-        ))
+    dcv = _cv_jump(params, tc_gap.f_prime)
+    add(Check("cv_jump_positive", max(0.0, -dcv), 0.0, 0.0))
+    add(Check(
+        "cv_jump_identity",
+        abs(dcv + t_c * jump_closed) / dcv,
+        0.0,
+        _CLOSED_FORM_TOL,
+    ))
+    add(Check(
+        "cv_jump_fd",
+        abs(dcv + t_c * measured.jump) / dcv,
+        0.0,
+        _JUMP_TOL,
+    ))
 
     # -- thermal kernels ---------------------------------------------------
     add(Check(

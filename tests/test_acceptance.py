@@ -236,8 +236,8 @@ def test_criterion_06_transition_is_second_order(accept_params):
     assert _report("criterion 06", ok, detail), detail
 
 
-def test_criterion_07_specific_heat_gap():
-    p = build_params()  # the closed form only exists without the cutoff
+def test_criterion_07_specific_heat_gap(accept_params):
+    p = accept_params  # one closed form at every cutoff
     t_c = p.t_c
     dcv = specific_heat_jump(p)
     c_pos = dcv > 0.0

@@ -150,11 +150,11 @@ def test_jump_text_output(capsys):
     ]
 
 
-def test_jump_with_cutoff_drops_cv_line(capsys):
+def test_jump_with_cutoff_prints_cv_line(capsys):
     code, out, _ = run(capsys, "jump", "--eps", "1e-3", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert "specific_heat_jump" not in payload
+    assert payload["specific_heat_jump"] > 0.0
     assert payload["second_derivative_jump_closed_form"] < 0.0
 
 

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end and write what they promise."""
 
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +42,21 @@ def test_transition_study_writes_its_artifacts(tmp_path, default_params):
     lo, hi = 0.25 * p.t_c, 1.5 * p.t_c
     points = _points([lo + (hi - lo) * i / 6 for i in range(7)], p)
     assert (out / "thermo.csv").read_bytes() == thermo_to_csv(points).encode()
+
+
+def test_transition_study_reports_the_specific_heat_jump_with_a_cutoff(tmp_path):
+    out = tmp_path / "out"
+    run = _run(
+        "transition_study.py",
+        "--eps", "0.5",
+        "--curve-points", "5",
+        "--thermo-points", "3",
+        "--out-dir", str(out),
+        cwd=tmp_path,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads((out / "jump.json").read_text())["specific_heat_jump"] > 0.0
+    assert "specific-heat jump:" in run.stdout
 
 
 def test_weak_coupling_sweep_runs(tmp_path):

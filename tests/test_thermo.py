@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bcsgap import gap, thermo
-from bcsgap.errors import CutoffNotZero, NotSolved, OutsideDomain
+from bcsgap.errors import NotSolved, OutsideDomain
 from bcsgap.gap import gap_derivatives_at, solve_gap_at
 from bcsgap.kernels import fermi, fermi_weight
 from bcsgap.model import _dos, build_params
@@ -351,12 +351,19 @@ def test_jump_with_cutoff(eps_params):
 
 
 def test_specific_heat_jump(default_params, eps_params):
-    p = default_params
-    dcv = specific_heat_jump(p)
-    assert dcv > 0.0
-    assert dcv == pytest.approx(-p.t_c * second_derivative_jump(p), rel=1e-12)
-    with pytest.raises(CutoffNotZero):
-        specific_heat_jump(eps_params)
+    for p in (default_params, eps_params):
+        dcv = specific_heat_jump(p)
+        assert dcv > 0.0
+        assert dcv == pytest.approx(-p.t_c * second_derivative_jump(p), rel=1e-12)
+
+
+@pytest.mark.parametrize("u0n0, eps", [(0.1, 8.0), (0.1, 12.0), (0.2, 5.0), (0.3, 0.5)])
+def test_specific_heat_jump_near_the_cutoff_bound(u0n0, eps):
+    # near the CutoffTooLarge bound tanh(U) and tanh(eps) both round to 1:
+    # their plain difference is off by up to 3e-7 here, the product form is
+    # not; abs=0, as the jump falls to 2e-23
+    p = build_params(u0n0=u0n0, eps=eps)
+    assert specific_heat_jump(p) == pytest.approx(-p.t_c * second_derivative_jump(p), rel=1e-13, abs=0.0)
 
 
 def test_csv_serialization(default_params):
@@ -403,6 +410,18 @@ def test_warm_point_takes_few_quadrature_rounds(quadrature_rounds):
     quadrature_rounds.clear()
     thermodynamic_potential(1.1 * p.t_c, p)
     assert len(quadrature_rounds) <= 3
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_measured_jump_takes_few_quadrature_rounds(eps, quadrature_rounds):
+    # just below t_c the window's ln and occupation rows branch at
+    # xi = +-i sqrt(f), nearer than their poles; mapped on that distance
+    # they converge with the rest; on the pole distance alone the eight
+    # points take 15-16 rounds
+    p = build_params(eps=eps)
+    quadrature_rounds.clear()
+    measured_second_derivative_jump(p)
+    assert len(quadrature_rounds) <= 8
 
 
 def test_thermo_solves_the_gap_to_first_order(default_params, monkeypatch):

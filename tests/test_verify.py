@@ -31,11 +31,11 @@ def test_check_names_sorted_and_unique(default_report):
     assert len(names) == 31
 
 
-def test_cutoff_drops_specific_heat_checks(eps_params):
+def test_cutoff_keeps_specific_heat_checks(eps_params):
     report = run_suite(eps_params, grid_size=51)
     names = {c.name for c in report.checks}
-    assert len(report.checks) == 28
-    assert not any(name.startswith("cv_") for name in names)
+    assert len(report.checks) == 31
+    assert {"cv_jump_fd", "cv_jump_identity", "cv_jump_positive"} <= names
     assert report.passed
 
 
