@@ -13,15 +13,8 @@ import argparse
 import json
 import pathlib
 
-from bcsgap import (
-    build_params,
-    measured_second_derivative_jump,
-    sample_gap_curve,
-    second_derivative_jump,
-    specific_heat_jump,
-    thermo_to_csv,
-)
-from bcsgap.thermo import _points
+from bcsgap import build_params, measured_second_derivative_jump, sample_gap_curve, solve_gap_at, thermo_to_csv
+from bcsgap.thermo import _curvature_jump, _cv_jump, _points
 
 
 def parse_args() -> argparse.Namespace:
@@ -69,7 +62,9 @@ def main() -> int:
     warm = min(p.c_v for p in points if p.branch == "normal")
     print(f"thermo: c_v peaks at {cold:.6g} cold side, drops to {warm:.6g} warm side")
 
-    closed = second_derivative_jump(params)
+    # one solve at t_c gives f'(t_c) to both closed forms
+    f_prime = solve_gap_at(params.t_c, params).f_prime
+    closed = _curvature_jump(params, f_prime)
     measured = measured_second_derivative_jump(params)
     summary = {
         "params": params.as_dict(),
@@ -77,7 +72,7 @@ def main() -> int:
         "curvature_jump_measured": measured.jump,
         "curvature_below": measured.below,
         "curvature_above": measured.above,
-        "specific_heat_jump": specific_heat_jump(params),
+        "specific_heat_jump": _cv_jump(params, f_prime),
     }
     (args.out_dir / "jump.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(

@@ -27,13 +27,7 @@ import sys
 from .errors import BcsgapError
 from .gap import _CURVE_COLUMNS, _csv, _rows, sample_gap_curve, solve_gap_at
 from .model import build_params, load_config
-from .thermo import (
-    _THERMO_COLUMNS,
-    _points,
-    measured_second_derivative_jump,
-    second_derivative_jump,
-    specific_heat_jump,
-)
+from .thermo import _THERMO_COLUMNS, _curvature_jump, _cv_jump, _points, measured_second_derivative_jump
 from .verify import run_suite
 
 __all__ = ["main"]
@@ -157,10 +151,12 @@ def _run_thermo(args) -> int:
 
 def _run_jump(args) -> int:
     params = _params_from(args)
+    # one solve at t_c gives f'(t_c) to both closed forms
+    f_prime = solve_gap_at(params.t_c, params).f_prime
     return _write_values(args, {
-        "second_derivative_jump_closed_form": second_derivative_jump(params),
+        "second_derivative_jump_closed_form": _curvature_jump(params, f_prime),
         "second_derivative_jump_measured": measured_second_derivative_jump(params).jump,
-        "specific_heat_jump": specific_heat_jump(params),
+        "specific_heat_jump": _cv_jump(params, f_prime),
     })
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -60,3 +61,19 @@ def quadrature_rounds(monkeypatch):
 
     monkeypatch.setattr(quad, "_kronrod", counting)
     return rounds
+
+
+@pytest.fixture
+def window_passes(monkeypatch):
+    """A list that gains (order, number of pairs) for each window pass the gap module makes at its roots."""
+    from bcsgap import gap
+
+    passes = []
+    real = gap.window_pass
+
+    def recording(ts, ys, params, order):
+        passes.append((order, np.size(ts)))
+        return real(ts, ys, params, order)
+
+    monkeypatch.setattr(gap, "window_pass", recording)
+    return passes

@@ -158,6 +158,15 @@ def test_jump_with_cutoff_prints_cv_line(capsys):
     assert payload["second_derivative_jump_closed_form"] < 0.0
 
 
+def test_jump_solves_t_c_once(capsys, window_passes):
+    # f'(t_c) comes from one second-order pass at (t_c, 0) and feeds both
+    # closed forms; the measured jump's four cold points take one
+    # first-order pass
+    code, _, _ = run(capsys, "jump")
+    assert code == 0
+    assert sorted(window_passes) == [(1, 4), (2, 1)]
+
+
 def test_verify_text_and_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--points", "51")
     assert code == 0

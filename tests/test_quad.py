@@ -194,6 +194,38 @@ def test_first_round_is_the_value_of_a_one_round_integrate(rows, scale):
     assert quad._first_round(lambda x: rows(x)[0], 0.0, 1.0, scale=scale) == value[0]
 
 
+@pytest.mark.parametrize(
+    "a, b, scale, n",
+    [
+        pytest.param(0.0, 1.0, None, 1, id="one-panel"),
+        pytest.param(0.0, 5e-324, None, 1, id="one-subnormal-panel"),
+        pytest.param(-0.0, 3.0, 10.0, 1, id="one-mapped-panel"),
+        pytest.param(0.0, 1.0, 1e-300, 1383, id="small-scale-many-panels"),
+        pytest.param(1.0, 1.0 + 2.0**-52, 1e-300, 0, id="zero-step"),
+    ],
+)
+def test_start_panels_are_linspace_edges(a, b, scale, n):
+    # the edges are np.linspace's to the bit without its call; limits whose
+    # mapped values round to one float make a zero step, which takes
+    # linspace itself
+    lo, hi, _ = quad._start_panels(a, b, scale)
+    if scale is not None:
+        a, b = math.asinh(a / scale), math.asinh(b / scale)
+    edges = np.linspace(a, b, n + 1)
+    assert lo.size == n
+    assert (lo.tobytes(), hi.tobytes()) == (edges[:-1].tobytes(), edges[1:].tobytes())
+
+
+def test_start_panels_are_linspace_edges_at_many_scales():
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        a, b = np.sort(rng.uniform(-5.0, 5.0, 2)).tolist()
+        scale = 10.0 ** rng.uniform(-300.0, 2.0)
+        lo, hi, _ = quad._start_panels(a, b, scale)
+        edges = np.linspace(math.asinh(a / scale), math.asinh(b / scale), lo.size + 1)
+        assert (lo.tobytes(), hi.tobytes()) == (edges[:-1].tobytes(), edges[1:].tobytes()), (a, b, scale)
+
+
 def test_tolerance_not_met_when_budget_exhausted(monkeypatch):
     monkeypatch.setattr(quad, "_MAX_PANELS", 4)
     with pytest.raises(ToleranceNotMet):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +64,13 @@ def test_weak_coupling_sweep_runs(tmp_path):
     run = _run("weak_coupling_sweep.py", "--couplings", "0.3,0.2", cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     assert len(run.stdout.strip().splitlines()) == 3  # header and one row per coupling
+
+
+def test_transition_study_solves_t_c_once(tmp_path, monkeypatch, window_passes):
+    # the jump summary takes f'(t_c) from one second-order pass at (t_c, 0);
+    # the curve is the other second-order pass
+    study = runpy.run_path(str(ROOT / "scripts" / "transition_study.py"))
+    argv = ["transition_study.py", "--curve-points", "5", "--thermo-points", "3", "--out-dir", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert study["main"]() == 0
+    assert [size for order, size in window_passes if order == 2] == [5, 1]

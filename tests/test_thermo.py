@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from bcsgap import gap, thermo
+from bcsgap import thermo
 from bcsgap.errors import NotSolved, OutsideDomain
 from bcsgap.gap import gap_derivatives_at, solve_gap_at
 from bcsgap.kernels import fermi, fermi_weight
@@ -424,19 +424,11 @@ def test_measured_jump_takes_few_quadrature_rounds(eps, quadrature_rounds):
     assert len(quadrature_rounds) <= 8
 
 
-def test_thermo_solves_the_gap_to_first_order(default_params, monkeypatch):
+def test_thermo_solves_the_gap_to_first_order(default_params, window_passes):
     # the potential reads f and f' alone, so its pass at the roots skips
     # the three second-order kernels that only f'' needs
-    orders = []
-    real = gap.window_pass
-
-    def recording(*args, order):
-        orders.append(order)
-        return real(*args, order=order)
-
-    monkeypatch.setattr(gap, "window_pass", recording)
     thermo._points([r * default_params.t_c for r in (0.5, 1.0, 1.5)], default_params)
-    assert orders == [1]
+    assert [order for order, _ in window_passes] == [1]
 
 
 def test_batches_are_integrated_in_few_quadrature_calls(integrate_calls):
