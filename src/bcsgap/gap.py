@@ -14,7 +14,12 @@ Only the accepted iterate needs a certified residual (inexact Newton:
 Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19 (1982) 400).  So
 the gap's Newton steps take the window quadrature's first round alone,
 with no error estimate, and the certified window pass at the roots, which
-also gives the derivatives, is the one certificate of each solve.  A root
+also gives the derivatives, is the one certificate of each solve.  For
+the same reason a node whose residuals already fall quadratically stops
+once the rate measured from its last two residuals puts the next one far
+below Newton's stop level: the step it takes is the root, and the
+certified pass is the evaluation that confirms it (Kelley, Solving
+Nonlinear Equations with Newton's Method, SIAM 2003, ch. 1).  A root
 whose certified residual is above Newton's stop level is solved again
 with certified steps and takes a certified pass of its own.
 """
@@ -51,6 +56,17 @@ __all__ = [
 RESIDUAL_TOL = 1e-10  # |residual| above this marks a gap point as unsolved
 _NEWTON_STEPS = 60  # cap on Newton steps in either root finder
 _NEWTON_STOP = 1e-13  # |residual| at which a gap Newton iterate is a root
+# Near a root the gap Newton's residuals fall as |F_next| = C |F|^2.  C,
+# measured as |F| / |F_prev|^2 over the last steps of a solve, is 1.0-1.9
+# at couplings up to 1 and grows like u0n0 above them (170 at u0n0 = 100).
+# An uncertified step also stops when the measured rate puts the next
+# residual, C |F|^2, _RATE_MARGIN below _NEWTON_STOP, and when |F| is at
+# most _RATE_GATE: there C = 1.9 puts the next residual at 1.7e-15, two
+# orders below _NEWTON_STOP, so a rate measured from a pre-asymptotic
+# |F_prev|, as after a first step from right of the root, cannot stop a
+# node far from its root.
+_RATE_MARGIN = 1e-3
+_RATE_GATE = 3e-8
 # ln(4 e^gamma / pi): the integral of tanh(x)/x over [0, U] is ln U plus this as U -> infinity
 _LOG_BCS_CONSTANT = math.log(4.0 / math.pi) + 0.57721566490153286061
 _TC_RESIDUAL = 1e-12  # relative defect u0n0 * |d| allowed in the transition-temperature condition
@@ -163,19 +179,24 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams, certified: b
     steps y <- max(0, y - F / F_y) converge without a bracket from any seed
     in [0, y_max]: from right of the root the first step lands at or left
     of it, and from there the iterates rise monotonically.  A node stops
-    when its step does not move y or its residual is at most _NEWTON_STOP;
-    it then drops out of the batch.  An iterate at y = 0 with F(t, 0) <= 0
-    stops there, as the clamped step does not move it; the residual gate of
-    _solved_columns decides whether that is a root (F(t, 0) within rounding
-    of 0, as one ulp below t_c) or no root exists.  The steps skip
-    window_pass's domain gate, as the iterates stay in [0, max(seed, root)].
+    when its step does not move y or its residual is at most _NEWTON_STOP,
+    or, on uncertified steps, when its residual is at most _RATE_GATE and
+    the rate measured from its last two residuals puts the next one
+    _RATE_MARGIN below _NEWTON_STOP; it then takes that step and drops out
+    of the batch.  An iterate at y = 0 with F(t, 0) <= 0 stops there, as
+    the clamped step does not move it; the residual gate of _solved_columns
+    decides whether that is a root (F(t, 0) within rounding of 0, as one
+    ulp below t_c) or no root exists.  The steps skip window_pass's domain
+    gate, as the iterates stay in [0, max(seed, root)].
     By default each step takes the window quadrature's first round alone,
     with no error estimate; _solved_columns certifies the roots with its
-    gated pass and sends any row that pass does not accept back here with
-    certified=True, where every step is a certified quadrature.  Returns
-    the iterates.
+    gated pass, the one evaluation at a root the rate rule stopped at, and
+    sends any row that pass does not accept back here with certified=True,
+    where every step is a certified quadrature and stops on its own
+    residual.  Returns the iterates.
     """
     y = np.array(seeds, dtype=float)
+    last = np.zeros(ts.size)  # each node's previous |F|, 0 before its first step
     active = np.arange(ts.size)
     for _ in range(_NEWTON_STEPS):
         if active.size == 0:
@@ -183,7 +204,11 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams, certified: b
         t, y_now = ts[active], y[active]
         p = _window_partials(t, y_now, params, _ORDER_KERNELS[0], certified)
         y_next = np.maximum(0.0, y_now - p.value / p.d_y)
-        done = (y_next == y_now) | (np.abs(p.value) <= _NEWTON_STOP)
+        size = np.abs(p.value)
+        done = (y_next == y_now) | (size <= _NEWTON_STOP)
+        if not certified:
+            done |= (size <= _RATE_GATE) & (size**3 <= _RATE_MARGIN * _NEWTON_STOP * last[active] ** 2)
+            last[active] = size
         y[active] = y_next
         active = active[~done]
     if active.size:
@@ -242,13 +267,14 @@ def _solved_columns(ts: np.ndarray, params: ModelParams, order: int) -> tuple:
     so t = 0 too: f(t_c) = 0 and the colder roots come from one batched
     Newton iteration seeded with f(0), on uncertified first rounds; one
     window pass of the given order, 1 or 2, at the roots then certifies
-    every residual and gives the derivatives by the implicit-function
-    quotients, t_c included.  A root whose certified residual is above
-    _NEWTON_STOP is solved again, from where it stands, by the certified
-    Newton iteration, and those rows alone take a pass of their own.  The
-    columns become physical here, times params.scales, with f held at or
-    below f(0) = delta**2, which the rounded product could pass, and a zero
-    derivative stored as +0.0.  Raises NotSolved, naming the worst row, if
+    every residual, the first evaluation at a root where Newton stopped
+    on its measured rate, and gives the derivatives by the
+    implicit-function quotients, t_c included.  A root whose certified
+    residual is above _NEWTON_STOP is solved again, from where it stands,
+    by the certified Newton iteration, and those rows alone take a pass of
+    their own.  The columns become physical here, times params.scales, with
+    f held at or below f(0) = delta**2, which the rounded product could
+    pass, and a zero derivative stored as +0.0.  Raises NotSolved, naming the worst row, if
     any residual is above RESIDUAL_TOL.
     """
     core = params.core

@@ -426,9 +426,8 @@ def test_curve_is_solved_in_few_quadrature_calls(default_params, integrate_calls
     assert len(integrate_calls) <= 26
 
 
-def test_newton_rounds_are_counted_as_quadrature_work(default_params, integrate_calls, quadrature_rounds, monkeypatch):
-    # the Newton steps take no certified call, but their first rounds are
-    # still quadrature rounds, so node counts keep the solve's work
+def _first_rounds(monkeypatch):
+    """A list that gains one entry per uncertified first round, that is, per batched Newton step."""
     steps = []
     real = kernels._first_round
 
@@ -437,9 +436,60 @@ def test_newton_rounds_are_counted_as_quadrature_work(default_params, integrate_
         return real(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "_first_round", counting)
+    return steps
+
+
+def test_newton_rounds_are_counted_as_quadrature_work(default_params, integrate_calls, quadrature_rounds, monkeypatch):
+    # the Newton steps take no certified call, but their first rounds are
+    # still quadrature rounds, so node counts keep the solve's work
+    steps = _first_rounds(monkeypatch)
     solve_gap_at(0.5 * default_params.t_c, default_params)
     assert len(integrate_calls) == 1 and len(steps) >= 3
     assert len(quadrature_rounds) >= len(steps) + len(integrate_calls)
+
+
+def test_newton_work_is_pinned(default_params, quadrature_rounds, monkeypatch):
+    # a node stops once its measured quadratic rate puts the next residual
+    # far below Newton's stop level, so it skips the evaluation that would
+    # only repeat what the certified pass at the roots checks; stopping on
+    # the residual alone takes 5 and 39 first rounds and 9 rounds here
+    p = default_params
+    steps = _first_rounds(monkeypatch)
+    solve_gap_at(0.5 * p.t_c, p)
+    assert len(steps) <= 4
+    steps.clear()
+    sample_gap_curve(p, 201)
+    assert len(steps) <= 33
+    quadrature_rounds.clear()
+    thermodynamic_potential(0.9 * p.t_c, p)
+    assert len(quadrature_rounds) <= 8
+
+
+_GUARD_COUPLINGS = (0.003, 0.01, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0)
+_GUARD_CUTOFFS = (0.0, 1e-6, 1e-3, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("eps", _GUARD_CUTOFFS)
+@pytest.mark.parametrize("u0n0", _GUARD_COUPLINGS)
+def test_rate_stop_sends_no_row_to_the_certified_redo(u0n0, eps, monkeypatch):
+    # the rate rule's roots are confirmed by the certified pass at the roots:
+    # over every coupling and cutoff cell of this grid, each root's
+    # certified residual is at Newton's stop level, so no row is solved
+    # again by certified steps
+    p = build_params(u0n0=u0n0, eps=eps)
+    redo = []
+    real = gap._newton
+
+    def recording(ts, seeds, params, certified=False):
+        if certified:
+            redo.extend(ts.tolist())
+        return real(ts, seeds, params, certified)
+
+    monkeypatch.setattr(gap, "_newton", recording)
+    points = list(sample_gap_curve(p, 201).points[:-1])
+    points += [solve_gap_at(r * p.t_c, p) for r in np.linspace(0.02, 0.999, 25)]
+    assert redo == []
+    assert max(pt.residual for pt in points) <= gap._NEWTON_STOP
 
 
 def test_nonfinite_integrand_in_a_newton_step_is_reported(default_params, monkeypatch):
