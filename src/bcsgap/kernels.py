@@ -31,7 +31,7 @@ at their roots is certified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,13 +203,7 @@ def _pairs(ts, ys):
 
 
 def _gate_closure(ts, ys, params: ModelParams) -> None:
-    """Admit the closed box [0, t_c] x [0, y_max], except the (0, 0) corner, at flat float arrays of pairs.
-
-    A batch whose extremes lie in the box with t > 0 is admitted from four
-    reductions; a NaN, which they carry, and t = 0 take the checks below.
-    """
-    if ts.size and 0.0 < ts.min() and ts.max() <= params.t_c and 0.0 <= ys.min() and ys.max() <= params.y_max:
-        return
+    """Admit the closed box [0, t_c] x [0, y_max], except the (0, 0) corner, at flat float arrays of pairs."""
     finite = np.isfinite(ts) & np.isfinite(ys)
     if not finite.all():
         i = int(np.argmax(~finite))
@@ -349,20 +343,16 @@ def _integrals(ts, ys, params: ModelParams, kinds, certified: bool = True) -> np
     domain checks: t must be in (0, t_c].
     """
     betas = 1.0 / (2.0 * params.k_b * ts)
-
-    def block_integrals(ts, ys, betas):
-        def integrand(xi):
-            return _kernel_rows(xi, betas, ys, kinds).reshape(-1, xi.size)
-
-        return _window_rows(ts, ys, params, integrand, certified).reshape(len(kinds), -1)
-
-    starts = range(0, ts.size, max(1, _BLOCK_ROWS // len(kinds)))
-    if len(starts) == 1:
-        return block_integrals(ts, ys, betas)
+    per = max(1, _BLOCK_ROWS // len(kinds))
     out = np.empty((len(kinds), ts.size))
-    for lo in starts:
-        block = slice(lo, lo + starts.step)
-        out[:, block] = block_integrals(ts[block], ys[block], betas[block])
+    for lo in range(0, ts.size, per):
+        block = slice(lo, lo + per)
+        beta, y = betas[block], ys[block]
+
+        def integrand(xi, beta=beta, y=y):
+            return _kernel_rows(xi, beta, y, kinds).reshape(-1, xi.size)
+
+        out[:, block] = _window_rows(ts[block], y, params, integrand, certified).reshape(len(kinds), -1)
     return out
 
 
@@ -393,11 +383,12 @@ def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
                 f"(t, y) = ({float(given[i])!r}, {float(ys[i])!r}): below {coldest!r} the residual is "
                 f"evaluated at {coldest!r}, exact only where sqrt(xi_min^2 + y) >= {edge!r}"
             )
-    return _window_partials(given, ys, params, _ORDER_KERNELS[order])
+    partials = _window_partials(np.maximum(given, coldest), ys, params, _ORDER_KERNELS[order])
+    return replace(partials, t=given)
 
 
 def _window_partials(ts, ys, params: ModelParams, kinds, certified: bool = True) -> ResidualPartials:
-    """The fields the named kernels give, at flat float arrays of pairs, a t below _COLDEST t_c evaluated there.
+    """The fields the named kernels give, at flat float arrays of pairs with t >= _COLDEST t_c.
 
     value comes from "value", d_t from "sech", d_y from "slope", d_tt from
     "sech" and "eta_tanh", d_ty from "mixed" and d_yy from "curv"; the
@@ -405,7 +396,6 @@ def _window_partials(ts, ys, params: ModelParams, kinds, certified: bool = True)
     itself inside the domain, as the Newton iteration does its iterates;
     certified=False is _window_rows's, for the Newton steps.
     """
-    given, ts = ts, np.maximum(ts, _COLDEST * params.t_c)
     i = dict(zip(kinds, _integrals(ts, ys, params, kinds, certified)))
     kb = params.k_b
     two_kbt = 2.0 * kb * ts
@@ -433,7 +423,7 @@ def _window_partials(ts, ys, params: ModelParams, kinds, certified: bool = True)
             fields["d_y"] = fields["d_y"] - 0.5 * tails[1]
         if "curv" in i:
             fields["d_yy"] = fields["d_yy"] + 0.75 * tails[2]
-    return ResidualPartials(t=given, y=ys, **fields)
+    return ResidualPartials(t=ts, y=ys, **fields)
 
 
 def _at(t, y, params: ModelParams, order: int) -> ResidualPartials:
