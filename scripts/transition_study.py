@@ -13,8 +13,8 @@ import argparse
 import json
 import pathlib
 
-from bcsgap import build_params, measured_second_derivative_jump, sample_gap_curve, solve_gap_at, thermo_to_csv
-from bcsgap.thermo import _curvature_jump, _cv_jump, _points
+from bcsgap import build_params, measured_second_derivative_jump, sample_gap_curve, thermo_to_csv
+from bcsgap.thermo import _closed_form_jumps, _points
 
 
 def parse_args() -> argparse.Namespace:
@@ -62,9 +62,7 @@ def main() -> int:
     warm = min(p.c_v for p in points if p.branch == "normal")
     print(f"thermo: c_v peaks at {cold:.6g} cold side, drops to {warm:.6g} warm side")
 
-    # one solve at t_c gives f'(t_c) to both closed forms
-    f_prime = solve_gap_at(params.t_c, params).f_prime
-    closed = _curvature_jump(params, f_prime)
+    closed, cv_jump = _closed_form_jumps(params)
     measured = measured_second_derivative_jump(params)
     summary = {
         "params": params.as_dict(),
@@ -72,7 +70,7 @@ def main() -> int:
         "curvature_jump_measured": measured.jump,
         "curvature_below": measured.below,
         "curvature_above": measured.above,
-        "specific_heat_jump": _cv_jump(params, f_prime),
+        "specific_heat_jump": cv_jump,
     }
     (args.out_dir / "jump.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(

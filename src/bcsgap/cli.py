@@ -27,7 +27,7 @@ import sys
 from .errors import BcsgapError
 from .gap import _CURVE_COLUMNS, _csv, _rows, sample_gap_curve, solve_gap_at
 from .model import build_params, load_config
-from .thermo import _THERMO_COLUMNS, _curvature_jump, _cv_jump, _points, measured_second_derivative_jump
+from .thermo import _THERMO_COLUMNS, _closed_form_jumps, _points, measured_second_derivative_jump
 from .verify import run_suite
 
 __all__ = ["main"]
@@ -151,12 +151,11 @@ def _run_thermo(args) -> int:
 
 def _run_jump(args) -> int:
     params = _params_from(args)
-    # one solve at t_c gives f'(t_c) to both closed forms
-    f_prime = solve_gap_at(params.t_c, params).f_prime
+    closed, cv_jump = _closed_form_jumps(params)
     return _write_values(args, {
-        "second_derivative_jump_closed_form": _curvature_jump(params, f_prime),
+        "second_derivative_jump_closed_form": closed,
         "second_derivative_jump_measured": measured_second_derivative_jump(params).jump,
-        "specific_heat_jump": _cv_jump(params, f_prime),
+        "specific_heat_jump": cv_jump,
     })
 
 

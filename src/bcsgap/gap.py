@@ -58,13 +58,19 @@ _NEWTON_STEPS = 60  # cap on Newton steps in either root finder
 _NEWTON_STOP = 1e-13  # |residual| at which a gap Newton iterate is a root
 # Near a root the gap Newton's residuals fall as |F_next| = C |F|^2.  C,
 # measured as |F| / |F_prev|^2 over the last steps of a solve, is 1.0-1.9
-# at couplings up to 1 and grows like u0n0 above them (170 at u0n0 = 100).
+# at couplings up to 1 and grows like u0n0 above them (170 at u0n0 = 100,
+# 2,300 at 1000).
 # An uncertified step also stops when the measured rate puts the next
 # residual, C |F|^2, _RATE_MARGIN below _NEWTON_STOP, and when |F| is at
-# most _RATE_GATE: there C = 1.9 puts the next residual at 1.7e-15, two
-# orders below _NEWTON_STOP, so a rate measured from a pre-asymptotic
-# |F_prev|, as after a first step from right of the root, cannot stop a
-# node far from its root.
+# most _RATE_GATE.  The gate covers a rate measured from a pre-asymptotic
+# |F_prev|, as after a first step from right of the root: at the gate
+# C |F|^2 stays below _NEWTON_STOP while C <= 110 (1.7e-15 at C = 1.9), so
+# such a rate cannot stop a node far from its root.  Above that the rate
+# condition protects: with C measured near its true value it stops only at
+# |F| <= sqrt(_RATE_MARGIN _NEWTON_STOP / C), 7.7e-10 at u0n0 = 100, and a
+# rate measured too low costs a certified redo of the row, not accuracy.
+# Over couplings 0.003-1000 no row reaches that redo; stronger ones are
+# unmeasured.
 _RATE_MARGIN = 1e-3
 _RATE_GATE = 3e-8
 # ln(4 e^gamma / pi): the integral of tanh(x)/x over [0, U] is ln U plus this as U -> infinity

@@ -165,15 +165,9 @@ def _start_panels(a, b, scale):
             raise ValueError(f"scale must be positive and finite, got {scale}")
         a, b = math.asinh(a / scale), math.asinh(b / scale)
         n_panels = math.ceil((b - a) / _MAPPED_WIDTH)
-    # np.linspace(a, b, n_panels + 1) to the bit, without its call overhead;
-    # a zero step, of mapped limits that round to one float, takes linspace's
-    # own path, as a step that underflows to 0 would
-    step = (b - a) / max(n_panels, 1)
-    if step == 0.0:
-        edges = np.linspace(a, b, n_panels + 1)
-    else:
-        edges = np.arange(n_panels + 1.0) * step + a
-        edges[-1] = b
+    # np.linspace(a, b, n_panels + 1) to the bit, without its call overhead
+    edges = np.arange(n_panels + 1.0) * ((b - a) / max(n_panels, 1)) + a
+    edges[-1] = b
     return edges[:-1], edges[1:], scale
 
 

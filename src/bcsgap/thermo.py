@@ -383,13 +383,7 @@ def second_derivative_jump(params: ModelParams) -> float:
     jump is strictly negative: the limit from below lies under the limit
     from above.
     """
-    return _curvature_jump(params, solve_gap_at(params.t_c, params).f_prime)
-
-
-def _curvature_jump(params: ModelParams, f_prime: float) -> float:
-    """second_derivative_jump from the physical f'(t_c)."""
-    bracket = float(fermi(2.0 * params.eps)) - float(fermi(params.core.hbar_omega_d))
-    return 2.0 * params.n0 * f_prime / params.t_c * bracket
+    return _closed_form_jumps(params)[0]
 
 
 def extrapolate_to_zero(hs, ys) -> float:
@@ -459,19 +453,23 @@ def specific_heat_jump(params: ModelParams) -> float:
     -t_c times the second-derivative jump, as c_v = -t omega_tt; strictly
     positive: the superconducting side carries the larger specific heat.
     """
-    return _cv_jump(params, solve_gap_at(params.t_c, params).f_prime)
+    return _closed_form_jumps(params)[1]
 
 
-def _cv_jump(params: ModelParams, f_prime: float) -> float:
-    """specific_heat_jump from the physical f'(t_c).
+def _closed_form_jumps(params: ModelParams, at_tc: GapPoint | None = None) -> tuple[float, float]:
+    """(second_derivative_jump, specific_heat_jump) from the f'(t_c) of one gap solve at t_c.
 
-    Near the CutoffTooLarge bound tanh(U) and tanh(eps) both round to 1, so
-    their difference is the product tanh(U - eps) 2 fermi(2 eps)
-    (1 + e^{-2(U - eps)}) / (1 + e^{-2U}), ratio first: 1.0 at eps = 0.
+    at_tc is that solve where the caller has made it; without it, it is
+    made here, once for both jumps.  Near the CutoffTooLarge bound tanh(U)
+    and tanh(eps) both round to 1, so their difference is the product
+    tanh(U - eps) 2 fermi(2 eps) (1 + e^{-2(U - eps)}) / (1 + e^{-2U}),
+    ratio first: 1.0 at eps = 0.
     """
+    f_prime = (solve_gap_at(params.t_c, params) if at_tc is None else at_tc).f_prime
+    bracket = float(fermi(2.0 * params.eps)) - float(fermi(params.core.hbar_omega_d))
     eps, u = params.eps, params.core.hbar_omega_d / 2.0
     ratio = 2.0 * float(fermi(2.0 * eps)) * (1.0 + math.exp(2.0 * (eps - u))) / (1.0 + math.exp(-2.0 * u))
-    return -params.n0 * f_prime * math.tanh(u - eps) * ratio
+    return 2.0 * params.n0 * f_prime / params.t_c * bracket, -params.n0 * f_prime * math.tanh(u - eps) * ratio
 
 
 def thermo_to_csv(points) -> str:

@@ -39,8 +39,7 @@ from .kernels import (
 )
 from .model import ModelParams
 from .thermo import (
-    _curvature_jump,
-    _cv_jump,
+    _closed_form_jumps,
     _superconducting_point,
     extrapolate_to_zero,
     measured_second_derivative_jump,
@@ -274,7 +273,7 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
         0.0,
         _CLOSED_FORM_TOL * max(1.0, abs(point_tc.omega_t)),
     ))
-    jump_closed = _curvature_jump(params, tc_gap.f_prime)
+    jump_closed, dcv = _closed_form_jumps(params, tc_gap)
     add(Check(
         "jump_equals_delta_curvature",
         abs(d2 - jump_closed) / abs(jump_closed),
@@ -302,7 +301,6 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
         0.0,
         _JUMP_TOL,
     ))
-    dcv = _cv_jump(params, tc_gap.f_prime)
     add(Check("cv_jump_positive", max(0.0, -dcv), 0.0, 0.0))
     add(Check(
         "cv_jump_identity",

@@ -465,7 +465,7 @@ def test_newton_work_is_pinned(default_params, quadrature_rounds, monkeypatch):
     assert len(quadrature_rounds) <= 8
 
 
-_GUARD_COUPLINGS = (0.003, 0.01, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0)
+_GUARD_COUPLINGS = (0.003, 0.01, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0, 1000.0)
 _GUARD_CUTOFFS = (0.0, 1e-6, 1e-3, 0.1, 1.0)
 
 

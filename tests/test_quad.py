@@ -205,9 +205,8 @@ def test_first_round_is_the_value_of_a_one_round_integrate(rows, scale):
     ],
 )
 def test_start_panels_are_linspace_edges(a, b, scale, n):
-    # the edges are np.linspace's to the bit without its call; limits whose
-    # mapped values round to one float make a zero step, which takes
-    # linspace itself
+    # the edges are np.linspace's to the bit without its call, also for
+    # limits whose mapped values round to one float, which make no panel
     lo, hi, _ = quad._start_panels(a, b, scale)
     if scale is not None:
         a, b = math.asinh(a / scale), math.asinh(b / scale)
