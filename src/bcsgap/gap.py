@@ -8,7 +8,12 @@ squared gap.  Both unknowns, f(t) and t_c, are roots of
 functions that are strictly decreasing and convex in the variable solved
 for, so plain Newton iterations converge without a bracket: a step from
 the right of the root lands at or left of it, and from the left the
-iterates rise monotonically to it (Fourier's condition).
+iterates rise monotonically to it (Fourier's condition).  So any seed in
+[0, f(0)] converges, and the gap's is the closed-form interpolation
+f(0) tanh^2(A sqrt(t_c / t - 1)), whose slope into t_c is the
+Ginzburg-Landau one of weak coupling (Gor'kov, Sov. Phys. JETP 9 (1959)
+1364), centred on the BCS curve (Muehlschlegel, Z. Phys. 155 (1959) 313)
+and capped at f(0), which it holds exactly below 0.2998 t_c.
 
 Only the accepted iterate needs a certified residual (inexact Newton:
 Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19 (1982) 400).  So
@@ -21,7 +26,9 @@ below Newton's stop level: the step it takes is the root, and the
 certified pass is the evaluation that confirms it (Kelley, Solving
 Nonlinear Equations with Newton's Method, SIAM 2003, ch. 1).  A root
 whose certified residual is above Newton's stop level is solved again
-with certified steps and takes a certified pass of its own.
+with certified steps and takes a certified pass of its own.  A caller's
+own pairing-window rows at the roots, as thermo's at a cold temperature,
+ride in that certified pass, so they cost no window pass of their own.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .errors import (
     OutsideDomain,
     ToleranceNotMet,
 )
-from .kernels import _COLDEST, _EDGE, _ORDER_KERNELS, _window_partials, window_pass
+from .kernels import _COLDEST, _EDGE, _ORDER_KERNELS, _gated_pass, _window_partials
 from .model import ModelParams, _as_finite_float, _require_positive
 from .quad import integrate
 
@@ -73,8 +80,19 @@ _NEWTON_STOP = 1e-13  # |residual| at which a gap Newton iterate is a root
 # unmeasured.
 _RATE_MARGIN = 1e-3
 _RATE_GATE = 3e-8
+_EULER_GAMMA = 0.57721566490153286061
+_ZETA_3 = 1.2020569031595942854
 # ln(4 e^gamma / pi): the integral of tanh(x)/x over [0, U] is ln U plus this as U -> infinity
-_LOG_BCS_CONSTANT = math.log(4.0 / math.pi) + 0.57721566490153286061
+_LOG_BCS_CONSTANT = math.log(4.0 / math.pi) + _EULER_GAMMA
+# Newton's seed at t / t_c = tau is delta^2 min(1, _SEED_CENTRE tanh^2(sqrt(_GL_SLOPE (1/tau - 1)))).
+# _GL_SLOPE is the weak-coupling slope -f'(t_c) = 8 pi^2 k_b^2 t_c / (7 zeta(3))
+# (Gor'kov 1959) over delta^2 = (pi e^-gamma k_b t_c)^2, so the seed falls into
+# t_c on the Ginzburg-Landau line; the tanh^2 undershoots the weak-coupling
+# curve (Muehlschlegel 1959) by 0 to 3.9%, worst at 0.61 t_c, and
+# _SEED_CENTRE centres it.  The cap holds the seed at exactly delta^2 below
+# 0.2998 t_c, where the curve is flat to far below a step.
+_GL_SLOPE = 8.0 * math.exp(2.0 * _EULER_GAMMA) / (7.0 * _ZETA_3)
+_SEED_CENTRE = 1.02
 _TC_RESIDUAL = 1e-12  # relative defect u0n0 * |d| allowed in the transition-temperature condition
 # Columns of a gap-curve table, each with the GapPoint field it holds.
 _CURVE_COLUMNS = {"T": "t", "f": "f", "f_prime": "f_prime", "f_second": "f_second", "residual": "residual"}
@@ -266,33 +284,37 @@ def gap_derivatives_at(t: float, params: ModelParams, gap_point: GapPoint) -> tu
     return gap_point.f_prime, gap_point.f_second
 
 
-def _solved_columns(ts: np.ndarray, params: ModelParams, order: int) -> tuple:
-    """Physical columns t, f, residual, f' and, at order 2, f'' at temperatures 0 <= t <= t_c.
+def _solved_columns(ts: np.ndarray, params: ModelParams, order: int, rows=None) -> tuple:
+    """Physical columns t, f, residual, f' and, at order 2, f'' at temperatures 0 <= t <= t_c, and rows' integrals.
 
     Runs in core units, a temperature below _COLDEST t_c at _COLDEST t_c,
     so t = 0 too: f(t_c) = 0 and the colder roots come from one batched
-    Newton iteration seeded with f(0), on uncertified first rounds; one
-    window pass of the given order, 1 or 2, at the roots then certifies
-    every residual, the first evaluation at a root where Newton stopped
-    on its measured rate, and gives the derivatives by the
-    implicit-function quotients, t_c included.  A root whose certified
-    residual is above _NEWTON_STOP is solved again, from where it stands,
-    by the certified Newton iteration, and those rows alone take a pass of
-    their own.  The columns become physical here, times params.scales, with
-    f held at or below f(0) = delta**2, which the rounded product could
-    pass, and a zero derivative stored as +0.0.  Raises NotSolved, naming the worst row, if
+    Newton iteration, on uncertified first rounds, seeded on the
+    interpolation of _GL_SLOPE; one window pass of the given order, 1 or 2,
+    at the roots then certifies every residual, the first evaluation at a
+    root where Newton stopped on its measured rate, and gives the
+    derivatives by the implicit-function quotients, t_c included.  rows,
+    kernels._integrals's, rides in that pass: its integrals at each core
+    root (t, f), shape (m, len(ts)), are the second item returned, with
+    m = 0 without rows.  A root whose certified residual is above
+    _NEWTON_STOP is solved again, from where it stands, by the certified
+    Newton iteration, and those rows alone take a pass of their own.  The
+    columns become physical here, times params.scales, with f held at or
+    below f(0) = delta**2, which the rounded product could pass, and a zero
+    derivative stored as +0.0.  Raises NotSolved, naming the worst row, if
     any residual is above RESIDUAL_TOL.
     """
     core = params.core
     taus = np.maximum(ts / params.t_c, _COLDEST)
     ys = np.zeros(ts.size)
     cold = taus < 1.0
-    ys[cold] = _newton(taus[cold], np.full(np.count_nonzero(cold), core.delta**2), core)
-    p = window_pass(taus, ys, core, order=order)
+    gl = np.tanh(np.sqrt(_GL_SLOPE * (1.0 / taus[cold] - 1.0)))
+    ys[cold] = _newton(taus[cold], core.delta**2 * np.minimum(1.0, _SEED_CENTRE * gl * gl), core)
+    p, integrals = _gated_pass(taus, ys, core, order, rows)
     redo = cold & (np.abs(p.value) > _NEWTON_STOP)
     if redo.any():
         ys[redo] = _newton(taus[redo], ys[redo], core, certified=True)
-        again = window_pass(taus[redo], ys[redo], core, order=order)
+        again, integrals[:, redo] = _gated_pass(taus[redo], ys[redo], core, order, rows)
         for name in ("value", "d_t", "d_y", "d_tt", "d_ty", "d_yy"):
             column = getattr(p, name)  # an array the pass made
             if column is not None:
@@ -302,12 +324,13 @@ def _solved_columns(ts: np.ndarray, params: ModelParams, order: int) -> tuple:
     _check_residual(float(ts[worst]), float(residuals[worst]))
     f = np.minimum(ys * params.scales[0], params.delta**2)
     derivatives = [d * unit + 0.0 for d, unit in zip(_implicit_derivatives(p), params.scales[1:])]
-    return (ts, f, residuals, *derivatives)
+    return (ts, f, residuals, *derivatives), integrals
 
 
 def _solved_points(ts: np.ndarray, params: ModelParams) -> list[GapPoint]:
     """Solved points at temperatures 0 <= t <= t_c, with f' and f'': the second-order _solved_columns."""
-    return [GapPoint(*row) for row in zip(*(c.tolist() for c in _solved_columns(ts, params, 2)))]
+    columns, _ = _solved_columns(ts, params, 2)
+    return [GapPoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def solve_gap_at(t: float, params: ModelParams) -> GapPoint:
@@ -323,7 +346,8 @@ def sample_gap_curve(params: ModelParams, n_points: int, grid: str = "uniform") 
     """Solve the squared-gap curve on [0, t_c] with derivatives at each node.
 
     Every node is a row of one solved-point batch: one batched Newton
-    iteration seeded with f(0) for the nodes below t_c, then one
+    iteration for the nodes below t_c, each seeded on the interpolation of
+    _GL_SLOPE, then one
     second-order window pass, t_c included, for every residual, f' and f''.
     grid = "chebyshev" clusters nodes at both endpoints, where the curve
     bends hardest.

@@ -25,7 +25,9 @@ sqrt(y + (pi k_b t)^2), the distance from the real axis of the nearest
 poles of a row even in E, as the six kernels are, or on thermo's rows'
 nearer branch points.  The gap's Newton steps take that quadrature's first
 round alone, uncertified (_window_partials with certified=False); the pass
-at their roots is certified.
+at their roots is certified (_gated_pass), and a caller's own rows at the
+roots, thermo's window rows at a cold temperature, share its nodes and its
+quadratures on the branched map.
 """
 
 from __future__ import annotations
@@ -237,9 +239,10 @@ _COLDEST = _TINY ** 0.2
 # every kernel's thermal part is, at every t <= t_c.  The cutoff margin of
 # build_params keeps xi_min below about 25 k_b t_c, well inside it.
 _EDGE = float(truncation_point(0.0, 1.0))
-# Stacked integrand rows per quadrature call.  Each row holds one kernel at
-# one (t, y) pair on every node, so the cap keeps peak memory independent
-# of how many pairs a pass is given.
+# Stacked kernel rows per quadrature call.  Each row holds one kernel at
+# one (t, y) pair on every node, so the cap, with a caller's rows at the
+# same pairs (thermo's four), keeps peak memory independent of how many
+# pairs a pass is given.
 _BLOCK_ROWS = 48
 
 
@@ -331,29 +334,37 @@ def _tails(ys, params: ModelParams, lower, fifth=False) -> tuple:
     return inv1, inv3, inv3 * ((1.0 / e_big) ** 2 + (1.0 / e_c) ** 2 + near) / 3.0
 
 
-def _integrals(ts, ys, params: ModelParams, kinds, certified: bool = True) -> np.ndarray:
+def _integrals(ts, ys, params: ModelParams, kinds, certified: bool = True, rows=None) -> np.ndarray:
     """Integrals over [xi_min, X] of the named kernels at flat float arrays of (t, y) pairs, X = _edge(params, t_c).
 
     kinds is a subsequence of WINDOW_KERNELS; the result has shape
     (len(kinds), number of pairs).  Past X each kernel is its asymptote,
-    which _window_partials adds in closed form; at defaults X is the window
+    which _partials adds in closed form; at defaults X is the window
     edge.  Every kernel at every pair is one row of a stacked integrand,
-    integrated by _window_rows in blocks of at most _BLOCK_ROWS rows, each
-    row to its own tolerance, or first rounds alone if not certified.  No
+    integrated by _window_rows in blocks of at most _BLOCK_ROWS kernel rows,
+    each row to its own tolerance, or first rounds alone if not certified.
+    rows, if given, maps the energies E = sqrt(xi^2 + y) of a block's pairs,
+    shape (pairs, nodes), and their k_b t as a column to m more rows per
+    pair, shape (m * pairs, nodes), each decaying like e^{-E / k_b t} but
+    not even in E: they share the block's nodes on the branched map, and
+    their m integrals per pair follow the kernels' in the result.  No
     domain checks: t must be in (0, t_c].
     """
     betas = 1.0 / (2.0 * params.k_b * ts)
     per = max(1, _BLOCK_ROWS // len(kinds))
-    out = np.empty((len(kinds), ts.size))
+    blocks = []
     for lo in range(0, ts.size, per):
         block = slice(lo, lo + per)
-        beta, y = betas[block], ys[block]
+        t, beta, y = ts[block], betas[block], ys[block]
 
-        def integrand(xi, beta=beta, y=y):
-            return _kernel_rows(xi, beta, y, kinds).reshape(-1, xi.size)
+        def integrand(xi, t=t, beta=beta, y=y):
+            stack = _kernel_rows(xi, beta, y, kinds).reshape(-1, xi.size)
+            if rows is None:
+                return stack
+            return np.vstack((stack, rows(np.sqrt(xi * xi + y[:, None]), params.k_b * t[:, None])))
 
-        out[:, block] = _window_rows(ts[block], y, params, integrand, certified).reshape(len(kinds), -1)
-    return out
+        blocks.append(_window_rows(t, y, params, integrand, certified, rows is not None).reshape(-1, t.size))
+    return np.hstack(blocks) if blocks else np.empty((len(kinds), 0))
 
 
 def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
@@ -369,6 +380,15 @@ def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
     so that every thermal part is below the quadrature target at both
     temperatures.
     """
+    return _gated_pass(ts, ys, params, order)[0]
+
+
+def _gated_pass(ts, ys, params: ModelParams, order: int, rows=None) -> tuple:
+    """window_pass's partials, and the integrals of a caller's rows at the same pairs in the same quadratures.
+
+    rows is _integrals's, evaluated at the clamped temperatures; the second
+    item has shape (m, number of pairs), m = 0 without rows.
+    """
     given, ys = _pairs(ts, ys)
     _gate_closure(given, ys, params)
     coldest = _COLDEST * params.t_c
@@ -383,20 +403,29 @@ def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
                 f"(t, y) = ({float(given[i])!r}, {float(ys[i])!r}): below {coldest!r} the residual is "
                 f"evaluated at {coldest!r}, exact only where sqrt(xi_min^2 + y) >= {edge!r}"
             )
-    partials = _window_partials(np.maximum(given, coldest), ys, params, _ORDER_KERNELS[order])
-    return replace(partials, t=given)
+    ts, kinds = np.maximum(given, coldest), _ORDER_KERNELS[order]
+    integrals = _integrals(ts, ys, params, kinds, rows=rows)
+    return replace(_partials(ts, ys, params, kinds, integrals), t=given), integrals[len(kinds):]
 
 
 def _window_partials(ts, ys, params: ModelParams, kinds, certified: bool = True) -> ResidualPartials:
     """The fields the named kernels give, at flat float arrays of pairs with t >= _COLDEST t_c.
 
+    No gate, for a caller that made the pairs itself inside the domain, as
+    the Newton iteration does its iterates; certified=False is
+    _window_rows's, for the Newton steps.
+    """
+    return _partials(ts, ys, params, kinds, _integrals(ts, ys, params, kinds, certified))
+
+
+def _partials(ts, ys, params: ModelParams, kinds, integrals) -> ResidualPartials:
+    """The fields of the named kernels' _integrals at pairs (ts, ys), each kernel's asymptote past the edge added.
+
     value comes from "value", d_t from "sech", d_y from "slope", d_tt from
     "sech" and "eta_tanh", d_ty from "mixed" and d_yy from "curv"; the
-    other fields stay None.  No gate, for a caller that made the pairs
-    itself inside the domain, as the Newton iteration does its iterates;
-    certified=False is _window_rows's, for the Newton steps.
+    other fields stay None.
     """
-    i = dict(zip(kinds, _integrals(ts, ys, params, kinds, certified)))
+    i = dict(zip(kinds, integrals))
     kb = params.k_b
     two_kbt = 2.0 * kb * ts
     fields = {}

@@ -149,7 +149,8 @@ def _start_panels(a, b, scale):
     """Checked limits as the starting panels (lo, hi), and the checked scale.
 
     With scale given, the panels are equal ones no wider than _MAPPED_WIDTH
-    in v = asinh(x / scale); without it, the one panel [a, b].
+    in v = asinh(x / scale); without it, or where the mapped limits round
+    to one float, the one panel [a, b], and the scale returned is None.
     """
     a = float(a)
     b = float(b)
@@ -163,10 +164,14 @@ def _start_panels(a, b, scale):
         scale = float(scale)
         if not (scale > 0.0 and math.isfinite(scale)):
             raise ValueError(f"scale must be positive and finite, got {scale}")
-        a, b = math.asinh(a / scale), math.asinh(b / scale)
-        n_panels = math.ceil((b - a) / _MAPPED_WIDTH)
+        v_a, v_b = math.asinh(a / scale), math.asinh(b / scale)
+        if v_a < v_b:
+            a, b = v_a, v_b
+            n_panels = math.ceil((b - a) / _MAPPED_WIDTH)
+        else:
+            scale = None
     # np.linspace(a, b, n_panels + 1) to the bit, without its call overhead
-    edges = np.arange(n_panels + 1.0) * ((b - a) / max(n_panels, 1)) + a
+    edges = np.arange(n_panels + 1.0) * ((b - a) / n_panels) + a
     edges[-1] = b
     return edges[:-1], edges[1:], scale
 
@@ -175,8 +180,9 @@ def integrate(f, a, b, scale: float | None = None):
     """Integrate f over [a, b] to the module's accuracy target.
 
     With scale given, the rule runs in v = asinh(x / scale) from equal
-    panels no wider than _MAPPED_WIDTH; without it, from the one panel
-    [a, b].  Returns (value, err_est) as floats, or as arrays of shape (k,)
+    panels no wider than _MAPPED_WIDTH; without it, or where asinh(a / scale)
+    and asinh(b / scale) round to one float, from the one panel [a, b].
+    Returns (value, err_est) as floats, or as arrays of shape (k,)
     when f returns a (k, n) stack.  Raises NonFiniteIntegrand if f produces
     NaN or infinity or a wrongly shaped result, and ToleranceNotMet if the
     panel limit is reached first.

@@ -13,7 +13,11 @@ window row decays like e^{-E / k_b t}, so the window and the condensation
 part are integrated up to the kernels' thermal edge, by their one
 _window_rows owner, and their work does not grow with the window; the
 semi-infinite band truncates on its own thermal decay scale, as its rows
-can outweigh the window's far below t_c.
+can outweigh the window's far below t_c.  At and below t_c the window's
+rows depend on the solved root (t, f) alone, f' entering only as a factor
+outside the integral, so they ride in the gap's certified pass at that
+root: a cold point takes that one certified window quadrature and the
+band's, and a warm one the normal window's and the band's.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ __all__ = [
 # Offsets t_c * 10^-k of the one-sided samples the measured jump extrapolates from.
 _JUMP_KS = (3, 4, 5, 6)
 # Temperatures per stacked pass of _points.  Every temperature adds three
-# rows on every node, so the cap keeps peak memory independent of how many
-# temperatures a batch is given.
+# or four rows on every node, so the cap keeps peak memory independent of
+# how many temperatures a batch is given.
 _BATCH = 64
 # Hottest temperature, in units of t_c, that thermo evaluates: the parts divide by its cube.
 _HOTTEST = sys.float_info.max ** (1.0 / 3.0)
@@ -83,13 +87,17 @@ def _check_temperature(t) -> float:
     return t
 
 
-def _thermal_rows(e, kt, lift=0.0):
-    """Rows ln(1 + e^{-e/kt}), e fermi(e/kt), (e^2 + lift) fermi_weight(e/kt) at energies e >= 0.
+def _thermal_rows(e, kt, split=False):
+    """Rows ln(1 + u), e fermi(e/kt) and e^2 fermi_weight(e/kt) at energies e >= 0, all from u = e^{-e/kt}.
 
-    kt and lift are floats, or columns of n temperatures and their lifts,
-    which give each row n rows in turn.
+    split=True appends fermi_weight(e/kt) itself, the row that a lift of the
+    third row multiplies.  kt is a float, or a column of n temperatures,
+    which gives each row n rows in turn.
     """
-    return np.vstack((np.log1p(np.exp(-e / kt)), e * fermi(e / kt), (e * e + lift) * fermi_weight(e / kt)))
+    u = np.exp(-e / kt)
+    weight = u / (1.0 + u) ** 2
+    rows = (np.log1p(u), e * (u / (1.0 + u)), e * e * weight)
+    return np.vstack(rows + (weight,) if split else rows)
 
 
 def _condensation_rows(xi, kt, f):
@@ -168,23 +176,15 @@ def _band(ts: list, params: ModelParams) -> list:
     return band
 
 
-def _quadratures(ts: list, params: ModelParams, fs: list, f_primes: list):
-    """Every temperature-dependent integral of the potential at core temperatures ts.
+def _normal_window(ts: list, params: ModelParams) -> list:
+    """The window's _thermal_rows integrals at f = 0, where E = xi, at core temperatures ts: one _window_rows call.
 
-    fs and f_primes are each temperature's squared gap and its slope, 0
-    above t_c.  The band's rows come from _band; the pairing window's are
-    _thermal_rows at the quasiparticle energies E = sqrt(xi^2 + f), lifted
-    by -t f' / 2 >= 0, so every row is positive.  The rows of every
-    temperature share the nodes of one branched _window_rows call, as the
-    first two rows are not even in E and branch at xi = +-i sqrt(f), just
-    below t_c nearer than their poles.  Returns (band, window), each a list
-    with one list of three integrals per temperature.
+    Returns one list of three per temperature.  The solved gap's window
+    rows are integrated in its certified pass instead (_points).
     """
-    kt, f = _column(ts), _column(fs)
-    lift = _column([-t * f_prime / 2.0 for t, f_prime in zip(ts, f_primes)])
-    window = lambda xi: _thermal_rows(np.sqrt(xi * xi + f), kt, lift)
-    values = _window_rows(ts, fs, params, window, branched=True)
-    return _band(ts, params), values.reshape(3, -1).T.tolist()
+    kt = _column(ts)
+    values = _window_rows(ts, np.zeros(len(ts)), params, lambda xi: _thermal_rows(xi, kt))
+    return values.reshape(3, -1).T.tolist()
 
 
 def _shift(params: ModelParams, f: float) -> float:
@@ -253,19 +253,6 @@ def _core_temperatures(ts, params: ModelParams) -> list:
     return taus
 
 
-def _branch(ts, params: ModelParams, gaps) -> list[tuple]:
-    """Core _parts at checked temperatures ts, from one _quadratures call.
-
-    gaps holds the physical (f, f') at each temperature: the solved gap at
-    or below t_c, and (0, 0) above it, the normal branch.
-    """
-    f_unit, f_prime_unit, _ = params.scales
-    taus = _core_temperatures(ts, params)
-    fs = [f / f_unit for f, _ in gaps]
-    bands, windows = _quadratures(taus, params.core, fs, [f_prime / f_prime_unit for _, f_prime in gaps])
-    return [_parts(tau, params.core, f, band, window) for tau, f, band, window in zip(taus, fs, bands, windows)]
-
-
 def _thermo_point(t: float, params: ModelParams, parts) -> ThermoPoint:
     """The ThermoPoint at t from its _parts, made physical once."""
     omega, omega_t, omega_tt = _physical(t, params, parts, _normal_constant(params))
@@ -294,32 +281,42 @@ def _condensation(t: float, params: ModelParams, gap: GapPoint) -> tuple:
     return _physical(t, params, cond)
 
 
-def _superconducting_point(t: float, params: ModelParams, gap: GapPoint) -> tuple:
-    """The ThermoPoint at a checked t <= t_c at the solved gap, and its condensation_potential."""
-    parts = _branch([t], params, [(gap.f, gap.f_prime)])[0]
-    return _thermo_point(t, params, parts), _condensation(t, params, gap)
-
-
 def _points(ts, params: ModelParams) -> list[ThermoPoint]:
     """Piecewise potential at a batch of temperatures, in their order.
 
     Per _BATCH temperatures, one first-order _solved_columns call for those
-    at or below t_c, as the potential reads f and f' alone, and one _branch
-    call, so one _quadratures call, for all of them: above t_c the gap is
-    f = f' = 0, the normal branch.  A batch of one is
-    thermodynamic_potential.
+    at or below t_c, as the potential reads f and f' alone, whose certified
+    pass at the roots also integrates their window rows, _thermal_rows at
+    the quasiparticle energies E = sqrt(xi^2 + f) on the branched map: the
+    first two rows are not even in E and branch at xi = +-i sqrt(f), just
+    below t_c nearer than their poles.  The third row's lift -t f' / 2 >= 0,
+    which keeps every row positive, multiplies the split-off weight row
+    after the pass, so every row depends on the root (t, f) alone.  Above
+    t_c the gap is f = f' = 0, the normal branch, whose window is one
+    _normal_window call; every temperature's band is one _band call.  A
+    batch of one is thermodynamic_potential.
     """
     ts = [_check_temperature(t) for t in ts]
+    core = params.core
+    f_unit, f_prime_unit, _ = params.scales
+    split_rows = lambda e, kt: _thermal_rows(e, kt, split=True)
     points = []
     for lo in range(0, len(ts), _BATCH):
         chunk = ts[lo:lo + _BATCH]
-        cold = np.array([t for t in chunk if t <= params.t_c])
-        solved = {}
-        if cold.size:
-            _, f, _, f_prime = _solved_columns(cold, params, 1)
-            solved = dict(zip(cold.tolist(), zip(f.tolist(), f_prime.tolist())))
-        gaps = [solved.get(t, (0.0, 0.0)) for t in chunk]
-        points += [_thermo_point(t, params, parts) for t, parts in zip(chunk, _branch(chunk, params, gaps))]
+        taus = _core_temperatures(chunk, params)
+        cold = [i for i, t in enumerate(chunk) if t <= params.t_c]
+        warm = [i for i, t in enumerate(chunk) if t > params.t_c]
+        fs, windows = [0.0] * len(chunk), [None] * len(chunk)
+        if cold:
+            (_, f, _, f_prime), rows = _solved_columns(np.array([chunk[i] for i in cold]), params, 1, split_rows)
+            for i, f_i, f_prime_i, (ln, occ, w_e, w) in zip(cold, f.tolist(), f_prime.tolist(), rows.T.tolist()):
+                fs[i] = f_i / f_unit
+                windows[i] = [ln, occ, w_e - taus[i] * (f_prime_i / f_prime_unit) / 2.0 * w]
+        if warm:
+            for i, window in zip(warm, _normal_window([taus[i] for i in warm], core)):
+                windows[i] = window
+        for t, tau, f, band, window in zip(chunk, taus, fs, _band(taus, core), windows):
+            points.append(_thermo_point(t, params, _parts(tau, core, f, band, window)))
     return points
 
 
@@ -341,11 +338,13 @@ def normal_potential(t: float, params: ModelParams) -> tuple:
 
     The window's zero-point piece -n0 * (hbar_omega_d^2 - xi_min^2) is a
     closed form; the thermal window piece and the tails are quadratures.
-    It is the f = 0 case of the one thermo pass, so above t_c it is
-    thermodynamic_potential's to the bit.
+    It is the f = 0 case of the thermo point, one _normal_window and one
+    _band call, so above t_c it is thermodynamic_potential's to the bit.
     """
-    parts = _branch([_check_temperature(t)], params, [(0.0, 0.0)])[0]
-    return _physical(t, params, parts, _normal_constant(params))
+    t = _check_temperature(t)
+    (tau,) = _core_temperatures([t], params)
+    (window,), (band,) = _normal_window([tau], params.core), _band([tau], params.core)
+    return _physical(t, params, _parts(tau, params.core, 0.0, band, window), _normal_constant(params))
 
 
 def condensation_potential(t: float, params: ModelParams, gap: GapPoint) -> tuple:
@@ -368,9 +367,11 @@ def thermodynamic_potential(t: float, params: ModelParams) -> ThermoPoint:
     """Piecewise potential at one temperature, with entropy and specific heat.
 
     The band plus the window in quasiparticle form at the gap, solved
-    internally at or below the transition and 0 above it.  Every integral
-    comes from one _quadratures pass on the core view, and the sum becomes
-    physical once.  It is _points at one temperature.
+    internally at or below the transition and 0 above it.  Below t_c the
+    window's integrals come from the gap's certified pass at its root, and
+    above it from one window quadrature; the band is one more, on the core
+    view, and the sum becomes physical once.  It is _points at one
+    temperature.
     """
     return _points([t], params)[0]
 

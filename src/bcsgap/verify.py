@@ -40,9 +40,10 @@ from .kernels import (
 from .model import ModelParams
 from .thermo import (
     _closed_form_jumps,
-    _superconducting_point,
+    condensation_potential,
     extrapolate_to_zero,
     measured_second_derivative_jump,
+    thermodynamic_potential,
 )
 
 __all__ = ["Check", "VerificationReport", "run_suite"]
@@ -264,7 +265,8 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
     add(Check("fprime_tc_negative", max(0.0, fp_tc), 0.0, 0.0))
 
     # -- condensation part closes the potential smoothly ------------------
-    point_tc, (d0, d1, d2) = _superconducting_point(t_c, params, tc_gap)
+    point_tc = thermodynamic_potential(t_c, params)
+    d0, d1, d2 = condensation_potential(t_c, params, tc_gap)
     omega_scale = abs(point_tc.omega)
     add(Check("delta_tc_zero", abs(d0), 0.0, _CLOSED_FORM_TOL * omega_scale))
     add(Check(

@@ -69,11 +69,11 @@ def window_passes(monkeypatch):
     from bcsgap import gap
 
     passes = []
-    real = gap.window_pass
+    real = gap._gated_pass
 
-    def recording(ts, ys, params, order):
+    def recording(ts, ys, params, order, rows=None):
         passes.append((order, np.size(ts)))
-        return real(ts, ys, params, order)
+        return real(ts, ys, params, order, rows)
 
-    monkeypatch.setattr(gap, "window_pass", recording)
+    monkeypatch.setattr(gap, "_gated_pass", recording)
     return passes

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bcsgap
 from bcsgap.cli import main
 from bcsgap.model import build_params
 
@@ -181,6 +186,16 @@ def test_verify_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] is True
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # python -m bcsgap from a source checkout prints what main() prints
+    argv = ["verify", "--format", "json"]
+    src = str(Path(bcsgap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "bcsgap", *argv], capture_output=True, text=True, env=env, check=False)
+    code, out, _ = run(capsys, *argv)
+    assert (done.returncode, done.stdout) == (code, out) == (0, out)
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

@@ -451,18 +451,45 @@ def test_newton_rounds_are_counted_as_quadrature_work(default_params, integrate_
 def test_newton_work_is_pinned(default_params, quadrature_rounds, monkeypatch):
     # a node stops once its measured quadratic rate puts the next residual
     # far below Newton's stop level, so it skips the evaluation that would
-    # only repeat what the certified pass at the roots checks; stopping on
-    # the residual alone takes 5 and 39 first rounds and 9 rounds here
+    # only repeat what the certified pass at the roots checks, and its seed
+    # lies on the Ginzburg-Landau interpolation of the curve; seeded at f(0)
+    # it takes 4 and 33 first rounds here, and stopping on the residual
+    # alone 5 and 39.  The thermo point's window rows ride in its gap's
+    # certified pass, so it takes 5 rounds, 2 of them certified (that pass
+    # and the band), where a second window pass and f(0) seeds took 8
     p = default_params
     steps = _first_rounds(monkeypatch)
     solve_gap_at(0.5 * p.t_c, p)
-    assert len(steps) <= 4
+    assert len(steps) <= 3
     steps.clear()
     sample_gap_curve(p, 201)
-    assert len(steps) <= 33
+    assert len(steps) <= 24
     quadrature_rounds.clear()
     thermodynamic_potential(0.9 * p.t_c, p)
-    assert len(quadrature_rounds) <= 8
+    assert len(quadrature_rounds) <= 5
+
+
+def test_nodes_below_0_2998_t_c_seed_at_the_zero_temperature_gap(monkeypatch):
+    # the seed's cap holds it at exactly delta^2 wherever the interpolation
+    # would pass it, so those nodes take the iterates of a seed at f(0);
+    # from 0.2999 t_c up the seed is the interpolation, below delta^2
+    seeds = {}
+    real = gap._newton
+
+    def recording(ts, ys, params, certified=False):
+        if not certified:
+            seeds.update(zip(ts.tolist(), ys.tolist()))
+        return real(ts, ys, params, certified)
+
+    monkeypatch.setattr(gap, "_newton", recording)
+    for p in (build_params(), build_params(u0n0=0.1, eps=1e-3), build_params(u0n0=3.0, eps=1.0)):
+        seeds.clear()
+        sample_gap_curve(p, 201)
+        sample_gap_curve(p, 201, grid="chebyshev")
+        f0 = p.core.delta**2
+        below = [tau for tau in seeds if tau < 0.2998]
+        assert len(below) > 100 and all(seeds[tau] == f0 for tau in below)
+        assert all(0.0 < seeds[tau] < f0 for tau in seeds if tau >= 0.2999)
 
 
 _GUARD_COUPLINGS = (0.003, 0.01, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0, 1000.0)
@@ -515,11 +542,13 @@ def test_roots_are_certified_when_the_uncertified_rule_is_off(default_params, mo
     # the root; the certified pass at the roots sees it, and those rows are
     # solved again by certified steps, so every root keeps a certified
     # residual at Newton's stop level, and the same root to rounding (next
-    # to t_c, a rounding of F moves the root by a larger share of f itself)
+    # to t_c, a rounding of F moves the root by a larger share of f itself);
+    # a thermo point's window rows ride in the redo's pass too
     p = default_params
     ts = [0.0, 0.3 * p.t_c, 0.5 * p.t_c, 0.9 * p.t_c, 0.999 * p.t_c]
     plain = [solve_gap_at(t, p) for t in ts]
     plain_curve = sample_gap_curve(p, 21).points
+    plain_thermo = [thermodynamic_potential(t, p) for t in ts[1:]]
     real = kernels._first_round
     monkeypatch.setattr(kernels, "_first_round", lambda *a, **k: real(*a, **k) * (1.0 + rel_error))
     points = [solve_gap_at(t, p) for t in ts]
@@ -528,6 +557,9 @@ def test_roots_are_certified_when_the_uncertified_rule_is_off(default_params, mo
         assert got.residual <= 1e-13
         assert abs(got.f - ref.f) <= 1e-12 * p.delta**2
     assert curve[-1].f == 0.0
+    for got, ref in zip([thermodynamic_potential(t, p) for t in ts[1:]], plain_thermo):
+        assert got.omega == pytest.approx(ref.omega, rel=1e-15)
+        assert got.c_v == pytest.approx(ref.c_v, rel=1e-13)
 
 
 def test_curve_is_one_solved_point_batch(default_params, monkeypatch):

@@ -302,6 +302,15 @@ def test_ungated_core_is_window_pass_at_order_0(default_params):
     assert ungated.d_y.tolist() == gated.d_y.tolist()
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_window_pass_takes_no_pairs(default_params, order):
+    # no pairs make no quadrature and empty fields of the order's shape
+    p = window_pass([], [], default_params.core, order=order)
+    fields = [p.value, p.d_t, p.d_y, p.d_tt, p.d_ty, p.d_yy]
+    assert [f is None for f in fields] == [False, order < 1, False] + [order < 2] * 3
+    assert all(f.shape == (0,) for f in fields if f is not None)
+
+
 _ROUND_CELLS = [(u0n0, eps) for u0n0 in (0.3, 0.1, 0.003) for eps in (0.0, 1e-3)]
 
 

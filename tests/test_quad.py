@@ -201,18 +201,28 @@ def test_first_round_is_the_value_of_a_one_round_integrate(rows, scale):
         pytest.param(0.0, 5e-324, None, 1, id="one-subnormal-panel"),
         pytest.param(-0.0, 3.0, 10.0, 1, id="one-mapped-panel"),
         pytest.param(0.0, 1.0, 1e-300, 1383, id="small-scale-many-panels"),
-        pytest.param(1.0, 1.0 + 2.0**-52, 1e-300, 0, id="zero-step"),
+        pytest.param(1.0, 1.0 + 2.0**-52, 1e-300, 1, id="zero-step"),
     ],
 )
 def test_start_panels_are_linspace_edges(a, b, scale, n):
-    # the edges are np.linspace's to the bit without its call, also for
-    # limits whose mapped values round to one float, which make no panel
-    lo, hi, _ = quad._start_panels(a, b, scale)
-    if scale is not None:
+    # the edges are np.linspace's to the bit without its call; limits whose
+    # mapped values round to one float make the one unmapped panel [a, b]
+    lo, hi, mapped = quad._start_panels(a, b, scale)
+    if mapped is not None:
         a, b = math.asinh(a / scale), math.asinh(b / scale)
     edges = np.linspace(a, b, n + 1)
     assert lo.size == n
     assert (lo.tobytes(), hi.tobytes()) == (edges[:-1].tobytes(), edges[1:].tobytes())
+
+
+def test_mapped_limits_that_round_to_one_float_integrate_unmapped():
+    # asinh(1 / 1e-300) and asinh((1 + 2^-52) / 1e-300) are one float: both
+    # rules integrate on the one panel [a, b], as the unmapped call does
+    a, b = 1.0, 1.0 + 2.0**-52
+    unmapped, _ = integrate(np.ones_like, a, b)
+    assert unmapped == pytest.approx(b - a, rel=1e-15)
+    assert integrate(np.ones_like, a, b, scale=1e-300)[0] == unmapped
+    assert quad._first_round(np.ones_like, a, b, scale=1e-300) == unmapped
 
 
 def test_start_panels_are_linspace_edges_at_many_scales():

@@ -308,14 +308,14 @@ def test_low_temperature_specific_heat_is_the_bcs_asymptote(u0n0):
 def test_band_is_one_folded_integral(default_params, integrate_calls, ratio):
     # at the benchmark's mu = 10 the band reaches past the truncation edge:
     # its lower part, folded onto the upper tail's energies, shares the
-    # tail's call (the other call is the window), and the band rows are
-    # those of the two pieces integrated apart
+    # tail's one call, and the band rows are those of the two pieces
+    # integrated apart
     core = default_params.core
     mu, L = core.mu, core.hbar_omega_d
     edge = truncation_point(L, ratio)
     assert mu >= edge
-    (band,), _ = thermo._quadratures([ratio], core, [0.0], [0.0])
-    assert len(integrate_calls) == 2
+    (band,) = thermo._band([ratio], core)
+    assert len(integrate_calls) == 1
     upper = integrate(lambda x: _dos(x, 1.0, mu) * thermo._thermal_rows(x, ratio), L, edge)[0]
     lower = integrate(lambda xi: _dos(xi, 1.0, mu) * thermo._thermal_rows(-xi, ratio), -edge, -L)[0]
     for got, ref in zip(band, upper + lower):
@@ -425,10 +425,34 @@ def test_measured_jump_takes_few_quadrature_rounds(eps, quadrature_rounds):
 
 
 def test_thermo_solves_the_gap_to_first_order(default_params, window_passes):
-    # the potential reads f and f' alone, so its pass at the roots skips
-    # the three second-order kernels that only f'' needs
+    # the potential reads f and f' alone, so the certified pass at the roots
+    # of its cold temperatures skips the three second-order kernels; it is
+    # one pass for all of them, t_c included, and none for the warm one
     thermo._points([r * default_params.t_c for r in (0.5, 1.0, 1.5)], default_params)
-    assert [order for order, _ in window_passes] == [1]
+    assert window_passes == [(1, 2)]
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 0.5, 0.9, 1.0 - 1e-6, 1.0])
+def test_cold_point_makes_one_certified_window_quadrature(default_params, eps_params, integrate_calls, ratio, monkeypatch):
+    # the window rows of a cold point ride in its gap's certified pass at
+    # the root, so besides the band that pass is its only certified
+    # quadrature
+    band_calls = []
+    real = thermo._band
+
+    def band(ts, params):
+        before = len(integrate_calls)
+        out = real(ts, params)
+        band_calls.append(len(integrate_calls) - before)
+        return out
+
+    monkeypatch.setattr(thermo, "_band", band)
+    for p in (default_params, eps_params):
+        integrate_calls.clear()
+        band_calls.clear()
+        thermodynamic_potential(ratio * p.t_c, p)
+        assert len(band_calls) == 1
+        assert len(integrate_calls) - band_calls[0] == 1
 
 
 def test_batches_are_integrated_in_few_quadrature_calls(integrate_calls):
@@ -445,22 +469,26 @@ def test_batches_are_integrated_in_few_quadrature_calls(integrate_calls):
 
 
 def test_straddling_batch_is_one_stacked_pass(monkeypatch):
-    # temperatures on both sides of t_c share one _quadratures call per
-    # _BATCH chunk: the normal branch is the f = f' = 0 case
+    # per _BATCH chunk, temperatures on both sides of t_c share one band
+    # call; the cold ones, t_c included, take one gap solve, whose certified
+    # pass carries their window rows, and the warm ones one window call of
+    # the normal branch, the f = f' = 0 case
     p = build_params()
-    sizes = []
-    real = thermo._quadratures
+    calls = {"_solved_columns": [], "_normal_window": [], "_band": []}
+    for name, sizes in calls.items():
+        real = getattr(thermo, name)
 
-    def counting(ts, params, fs, f_primes):
-        sizes.append(len(ts))
-        return real(ts, params, fs, f_primes)
+        def counting(ts, *args, real=real, sizes=sizes):
+            sizes.append(len(ts))
+            return real(ts, *args)
 
-    monkeypatch.setattr(thermo, "_quadratures", counting)
+        monkeypatch.setattr(thermo, name, counting)
     measured_second_derivative_jump(p)
-    assert sizes == [8]
-    sizes.clear()
+    assert calls == {"_solved_columns": [4], "_normal_window": [4], "_band": [8]}
+    for sizes in calls.values():
+        sizes.clear()
     thermo._points([p.t_c * (0.5 + i / 100) for i in range(101)], p)
-    assert sizes == [thermo._BATCH, 101 - thermo._BATCH]
+    assert calls == {"_solved_columns": [51], "_normal_window": [13, 37], "_band": [thermo._BATCH, 101 - thermo._BATCH]}
 
 
 @pytest.mark.parametrize("depth", [1e-12, 1e-9, 1e-3, 0.5])
