@@ -363,7 +363,7 @@ def _integrals(ts, ys, params: ModelParams, kinds, certified: bool = True, rows=
                 return stack
             return np.vstack((stack, rows(np.sqrt(xi * xi + y[:, None]), params.k_b * t[:, None])))
 
-        blocks.append(_window_rows(t, y, params, integrand, certified, rows is not None).reshape(-1, t.size))
+        blocks.append(_window_rows(t, y, params, integrand, certified, branched=rows is not None).reshape(-1, t.size))
     return np.hstack(blocks) if blocks else np.empty((len(kinds), 0))
 
 

@@ -193,7 +193,8 @@ def test_python_dash_m_runs_the_cli(capsys):
     argv = ["verify", "--format", "json"]
     src = str(Path(bcsgap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-m", "bcsgap", *argv], capture_output=True, text=True, env=env, check=False)
+    command = [sys.executable, "-m", "bcsgap", *argv]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, check=False)
     code, out, _ = run(capsys, *argv)
     assert (done.returncode, done.stdout) == (code, out) == (0, out)
 

@@ -433,7 +433,9 @@ def test_thermo_solves_the_gap_to_first_order(default_params, window_passes):
 
 
 @pytest.mark.parametrize("ratio", [1e-3, 0.5, 0.9, 1.0 - 1e-6, 1.0])
-def test_cold_point_makes_one_certified_window_quadrature(default_params, eps_params, integrate_calls, ratio, monkeypatch):
+def test_cold_point_makes_one_certified_window_quadrature(
+    default_params, eps_params, integrate_calls, ratio, monkeypatch
+):
     # the window rows of a cold point ride in its gap's certified pass at
     # the root, so besides the band that pass is its only certified
     # quadrature
