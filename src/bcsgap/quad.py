@@ -1,11 +1,12 @@
 """Adaptive quadrature on finite intervals.
 
-The engine is a globally adaptive Gauss-Kronrod 7/15 rule.  Panels whose
-error estimate exceeds their share of the budget are bisected, and each
-round evaluates every panel, kept and new alike, in one vectorized call,
-so integrands written with numpy stay fast; a kept panel's values are
-recomputed, not stored.  The returned error estimate is the usual
-conservative Kronrod-minus-Gauss measure.
+The engine is a globally adaptive Gauss-Kronrod 7/15 rule, with the usual
+conservative Kronrod-minus-Gauss error estimate and one refinement rule:
+each round bisects every panel over its share of the budget that is wider
+than floating-point width, and evaluates every panel, kept and new alike,
+in one vectorized call, so integrands written with numpy stay fast; a kept
+panel's values are recomputed, not stored.  Its one failure is
+ToleranceNotMet, when no such panel is left or the panel cap is reached.
 
 _first_round is integrate's first round alone: the same starting panels,
 nodes and Kronrod sums, so its value is integrate's to the bit wherever
@@ -136,15 +137,6 @@ def _panels_eval(f, lo, hi, scale):
     return k, err, resabs
 
 
-def _furthest(total_err, tol, unmet) -> int:
-    """Index of the component furthest above its target.
-
-    An unmet target is positive: a zero target means the integrand
-    vanished at every node, and then so does its error estimate.
-    """
-    return int(np.argmax(np.where(unmet, total_err / np.where(unmet, tol, 1.0), 0.0)))
-
-
 def _start_panels(a, b, scale):
     """Checked limits as the starting panels (lo, hi), and the checked scale.
 
@@ -184,8 +176,9 @@ def integrate(f, a, b, scale: float | None = None):
     and asinh(b / scale) round to one float, from the one panel [a, b].
     Returns (value, err_est) as floats, or as arrays of shape (k,)
     when f returns a (k, n) stack.  Raises NonFiniteIntegrand if f produces
-    NaN or infinity or a wrongly shaped result, and ToleranceNotMet if the
-    panel limit is reached first.
+    NaN or infinity or a wrongly shaped result, and ToleranceNotMet, naming
+    the component furthest over its target, when no splittable panel is over
+    budget or the panel cap is reached.
     """
     lo, hi, scale = _start_panels(a, b, scale)
     length = hi[-1] - lo[0]
@@ -195,33 +188,20 @@ def integrate(f, a, b, scale: float | None = None):
         total, total_err, total_abs = np.add.reduce((k, err, resabs), axis=-1).reshape(3, -1)
         tol = np.maximum(REL_TOL * np.abs(total), 50.0 * _EPS * total_abs)
         unmet = total_err > tol
-        n_unmet = np.count_nonzero(unmet)
-        if not n_unmet:
+        if not unmet.any():
             break
-        err = err.reshape(total.size, -1)
-        # Panels at floating-point width cannot be refined further.
         widths = hi - lo
+        # a panel at floating-point width cannot be bisected
         splittable = widths > 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) + 2.0 * _TINY
         # components that already meet their target set no budget
-        cap = tol if n_unmet == unmet.size else np.where(unmet, tol, np.inf)
-        over_budget = (err > cap[:, None] * (widths / length)).any(axis=0)
-        to_split = over_budget & splittable
-        if not to_split.any():
-            row = _furthest(total_err, tol, unmet)
-            worst = int(np.argmax(np.where(splittable, err[row], -1.0)))
-            if not splittable[worst]:
-                raise ToleranceNotMet(
-                    f"roundoff-limited at error estimate {total_err[row]:.3e} "
-                    f"(target {tol[row]:.3e})"
-                )
-            to_split = np.zeros_like(over_budget)
-            to_split[worst] = True
-        n_new = lo.size + int(to_split.sum())
-        if n_new > _MAX_PANELS:
-            row = _furthest(total_err, tol, unmet)
+        budget = np.where(unmet, tol, np.inf)[:, None] * (widths / length)
+        to_split = (err.reshape(total.size, -1) > budget).any(axis=0) & splittable
+        if not to_split.any() or lo.size + np.count_nonzero(to_split) > _MAX_PANELS:
+            # the target may underflow to 0, so the excess, not a ratio, picks the component
+            row = int(np.argmax(total_err - tol))
             raise ToleranceNotMet(
-                f"error estimate {total_err[row]:.3e} exceeds target {tol[row]:.3e} "
-                f"after {lo.size} panels (limit {_MAX_PANELS})"
+                f"error estimate {total_err[row]:.3e} exceeds target {tol[row]:.3e} after {lo.size} "
+                f"panels: no splittable panel is over budget, or the limit {_MAX_PANELS} is reached"
             )
         mids = 0.5 * (lo[to_split] + hi[to_split])
         lo = np.concatenate((lo[~to_split], lo[to_split], mids))

@@ -145,7 +145,9 @@ def _band(ts: list, params: ModelParams) -> list:
     the pass, the width over which its rows decay.  A lower band that ends
     before that edge is integrated apart instead: split at its midpoint,
     each half in the distance from its nearer end, so no node forms
-    xi + mu where it cancels.
+    xi + mu where it cancels.  The half below the midpoint carries only the
+    temperatures whose own truncation point passes it: a colder one's rows
+    are negligible there, and a relative target on them would underflow.
     """
     mu, L = params.mu, params.hbar_omega_d
     band = [[0.0] * 3 for _ in ts]
@@ -169,8 +171,14 @@ def _band(ts: list, params: ModelParams) -> list:
             # energies L + s up to the midpoint, and mu - u^2 below it, where the density is u / sqrt(mu)
             half = (mu - L) / 2.0
             near = lambda s: np.sqrt((mu - L - s) / mu) * _thermal_rows(L + s, kt)
-            bottom = lambda u: 2.0 * u * u / math.sqrt(mu) * _thermal_rows(mu - u * u, kt)
-            values = integrate(near, 0.0, half)[0] + integrate(bottom, 0.0, math.sqrt(half))[0] + values
+            # only a temperature whose truncation point passes the midpoint has rows
+            # below it; the warmest's is the edge, above mu, so the stack is never empty
+            deep = [j for j, i in enumerate(hot) if truncation_point(L, ts[i]) > L + half]
+            deep_kt = _column([ts[hot[j]] for j in deep])
+            bottom = lambda u: 2.0 * u * u / math.sqrt(mu) * _thermal_rows(mu - u * u, deep_kt)
+            bottom_values = np.zeros((3, len(hot)))
+            bottom_values[:, deep] = integrate(bottom, 0.0, math.sqrt(half))[0].reshape(3, -1)
+            values = integrate(near, 0.0, half)[0] + bottom_values.ravel() + values
     for i, row in zip(hot, values.reshape(3, -1).T.tolist()):
         band[i] = row
     return band

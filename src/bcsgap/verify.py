@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gap import _solved_points, _tanh_integral, sample_gap_curve, solve_gap_at
+from .gap import _solved_points, _tanh_integral, sample_gap_curve
 from .kernels import (
     _CURV_SERIES,
     _SERIES_CUT,
@@ -248,7 +248,7 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
     ))
 
     # -- closed-form endpoint derivatives by interior extrapolation -------
-    tc_gap = solve_gap_at(t_c, params)
+    tc_gap = curve.points[-1]
     fp_tc, fs_tc = tc_gap.f_prime / params.scales[1], tc_gap.f_second / params.scales[2]
     add(Check(
         "fprime_tc_extrapolated",

@@ -67,12 +67,12 @@ def test_gap_curve_json(capsys):
 
 @pytest.mark.parametrize(
     "command, points, bound",
-    [("gap-curve", "1", ">= 2"), ("verify", "2", ">= 3")],
-    ids=["gap-curve", "verify"],
+    [("gap-curve", "1", ">= 2"), ("verify", "2", ">= 3"), ("thermo", "1", ">= 2")],
+    ids=["gap-curve", "verify", "thermo"],
 )
 def test_gap_curve_rejects_tiny_grid(capsys, command, points, bound):
-    code, _, err = run(capsys, command, "--points", points)
-    assert code == 1
+    code, out, err = run(capsys, command, "--points", points)
+    assert (code, out) == (1, "")
     assert err.startswith("error:")
     assert bound in err
 
@@ -102,6 +102,12 @@ def test_thermo_weak_coupling_row_one_ulp_below_tc(capsys):
     t, c_v = float(rows[0][0]), float(rows[0][5])
     c_n = -t * float(rows[1][3])  # the normal omega_tt is constant in t here
     assert c_v / c_n == pytest.approx(1.0 + 12.0 / (7.0 * 1.2020569031595942), rel=1e-6)
+
+
+def test_thermo_rejects_reversed_window(capsys):
+    code, out, err = run(capsys, "thermo", "--tmin", "0.2", "--tmax", "0.1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "need 0 < tmin < tmax" in err
 
 
 def test_thermo_explicit_window(capsys):

@@ -61,6 +61,8 @@ def test_solve_tc_validation():
         solve_tc(-0.3, 1.0, 1.0)
     with pytest.raises(NonFiniteInput):
         solve_tc(float("nan"), 1.0, 1.0)
+    with pytest.raises(NonPositiveParameter, match="eps must be >= 0"):
+        solve_tc(0.3, 1.0, 1.0, eps=-1.0)
 
 
 @pytest.mark.parametrize("name", ["u0n0", "hbar_omega_d", "k_b", "eps"])

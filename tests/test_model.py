@@ -12,6 +12,7 @@ from bcsgap.errors import (
     NonFiniteInput,
     NonPositiveParameter,
     OutsideDomain,
+    ToleranceNotMet,
 )
 from bcsgap.gap import sample_gap_curve, solve_tc
 from bcsgap.model import build_params, load_config
@@ -87,6 +88,15 @@ def test_oversized_cutoff_rejected():
     # 2 k_b t_c eps beyond the bandwidth leaves no pairing window
     with pytest.raises(CutoffTooLarge):
         build_params(eps=20.0)
+
+
+@pytest.mark.parametrize("u0n0, eps", [(1e4, 1.0), (3e4, 2.0)])
+def test_strong_coupling_with_cutoff_out_of_float_reach_is_refused(u0n0, eps):
+    # the t_c condition's relative defect cannot go below about
+    # u0n0 ulp(U) tanh(U) / U, about 1.7e-16 u0n0 at eps = 1; here the
+    # closest float U leaves -1.75e-12 and -4.9e-12 against 1e-12
+    with pytest.raises(ToleranceNotMet, match="transition-temperature defect"):
+        build_params(u0n0=u0n0, eps=eps)
 
 
 def test_extreme_couplings():

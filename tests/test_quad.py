@@ -241,6 +241,18 @@ def test_tolerance_not_met_when_budget_exhausted(monkeypatch):
         integrate(lambda x: np.abs(x - 1.0 / 3.0) ** 0.1, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+def test_tolerance_not_met_at_float_width(stacked, quadrature_rounds):
+    # a step inside a panel four ulps wide: the one panel is over budget and
+    # cannot be bisected, so the first round raises, naming the step's row
+    # beside a constant that meets its target
+    step = lambda x: (x > 1.0 + 2.0**-51).astype(float)
+    f = (lambda x: np.vstack((np.ones_like(x), step(x)))) if stacked else step
+    with pytest.raises(ToleranceNotMet, match=r"estimate 4\.016e-16"):
+        integrate(f, 1.0, 1.0 + 2.0**-50)
+    assert len(quadrature_rounds) == 1
+
+
 def test_invalid_limits_rejected():
     # the uncertified first round takes integrate's limits and checks
     for rule in (integrate, quad._first_round):

@@ -541,6 +541,11 @@ def test_batch_matches_one_temperature_points_at_the_edges(default_params):
     _assert_batch_matches_points([r * default_params.t_c for r in (0.02, 0.03, 0.05, 0.1, 0.5, 1.2)], default_params)
     for p in (default_params, build_params(u0n0=0.1)):
         _assert_batch_matches_points([float(np.nextafter(p.t_c, side)) for side in (0.0, 1.0)], p)
+    # far above t_c, with mu below the 1e6 t_c row's band edge, so the lower
+    # band is split at its midpoint; the 1e3 t_c row is e^{-x/t} subnormal
+    # below it, where a relative target on its rows was never met
+    p = build_params(u0n0=0.1, eps=3.0)
+    _assert_batch_matches_points([1e3 * p.t_c, 1e6 * p.t_c], p)
 
 
 def test_long_unordered_batch_matches_one_temperature_points(default_params):

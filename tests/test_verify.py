@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bcsgap import verify
+from bcsgap.gap import sample_gap_curve, solve_gap_at
 from bcsgap.model import build_params
 from bcsgap.thermo import measured_second_derivative_jump, second_derivative_jump
 from bcsgap.verify import Check, VerificationReport, run_suite
@@ -22,6 +23,20 @@ def test_suite_passes_on_defaults(default_report):
     failed = [c.name for c in default_report.checks if not c.passed]
     assert failed == []
     assert default_report.passed
+
+
+def test_suite_certified_quadratures_are_pinned(default_params, integrate_calls):
+    # t_c's gap point is the curve's last row, not a solve of its own
+    run_suite(default_params)
+    assert len(integrate_calls) == 153
+
+
+@pytest.mark.parametrize("u0n0, eps", [(0.3, 0.0), (0.1, 0.0), (0.3, 1e-3), (0.12, 1e-3), (3.0, 1.0)])
+def test_default_curve_ends_on_the_lone_t_c_solve(u0n0, eps):
+    # at 201 nodes t_c is alone in the curve's last block, so the suite's
+    # t_c point keeps the bits of solve_gap_at(t_c)
+    p = build_params(u0n0=u0n0, eps=eps)
+    assert sample_gap_curve(p, 201).points[-1] == solve_gap_at(p.t_c, p)
 
 
 def test_check_names_sorted_and_unique(default_report):
