@@ -13,11 +13,15 @@ window row decays like e^{-E / k_b t}, so the window and the condensation
 part are integrated up to the kernels' thermal edge, by their one
 _window_rows owner, and their work does not grow with the window; the
 semi-infinite band truncates on its own thermal decay scale, as its rows
-can outweigh the window's far below t_c.  At and below t_c the window's
-rows depend on the solved root (t, f) alone, f' entering only as a factor
-outside the integral, so they ride in the gap's certified pass at that
-root: a cold point takes that one certified window quadrature and the
-band's, and a warm one the normal window's and the band's.
+can outweigh the window's far below t_c.  It is integrated only at a
+temperature where it can reach the window's quadrature target: its rows
+start hbar_omega_d - E_min above the window's lowest quasiparticle energy
+E_min, and past one thermal edge, allowing for its density of states, they
+cannot.  At and below t_c the window's rows depend on the solved root
+(t, f) alone, f' entering only as a factor outside the integral, so they
+ride in the gap's certified pass at that root: a cold point takes that one
+certified window quadrature, and a warm one the normal window's, each with
+the band's where the band can reach the target.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import NonFiniteInput, OutsideDomain
 from .gap import GapPoint, _csv, _require_solved, _solved_columns, solve_gap_at
-from .kernels import _COLDEST, _window_rows, fermi, fermi_weight
+from .kernels import _COLDEST, _EDGE, _window_rows, fermi, fermi_weight
 from .model import ModelParams, _as_finite_float, _dos, _normal_constant
 from .quad import integrate, truncation_point
 
@@ -132,12 +136,15 @@ def _band(ts: list, params: ModelParams) -> list:
 
     Runs on the core view, where k_b = n0 = 1, and stacks the rows of every
     temperature on shared nodes, times the density of states of the band
-    outside the pairing window.  The band stops at one edge where the
-    thermal rows of the warmest temperature are negligible, so their decay
-    is resolved however far mu or the tail reaches; a temperature whose rows
-    at the window edge, about e^{-hbar_omega_d / t}, are below the smallest
-    normal float gets no band rows, as a relative target on them would
-    underflow.  The lower band's rows are the thermal rows at |xi|, so it,
+    outside the pairing window.  Each integral keeps its own relative
+    accuracy, as tail_potential returns them; a thermo point passes only
+    temperatures whose band can reach its window's target (_reaching_band),
+    so ts may be empty.  The band stops at one edge where the thermal rows
+    of the warmest temperature are negligible, so their decay is resolved
+    however far mu or the tail reaches; a temperature whose rows at the
+    window edge, about e^{-hbar_omega_d / t}, are below the smallest normal
+    float gets no band rows, as a relative target on them would underflow.
+    The lower band's rows are the thermal rows at |xi|, so it,
     [-min(mu, edge), -L], is folded onto the upper tail [L, edge], and the
     band is one integral of their summed densities (the lower one exactly
     0 when mu lies inside the window).  It is integrated in the distance
@@ -180,6 +187,35 @@ def _band(ts: list, params: ModelParams) -> list:
             bottom_values[:, deep] = integrate(bottom, 0.0, math.sqrt(half))[0].reshape(3, -1)
             values = integrate(near, 0.0, half)[0] + bottom_values.ravel() + values
     for i, row in zip(hot, values.reshape(3, -1).T.tolist()):
+        band[i] = row
+    return band
+
+
+def _reaching_band(ts: list, fs: list, params: ModelParams) -> list:
+    """_band at core temperatures ts and squared gaps fs, with zero rows where the band cannot reach the window's target.
+
+    One _band call, of the temperatures whose band can reach the target of
+    the window's integrals beside it, possibly none.
+    """
+    L, mu = params.hbar_omega_d, params.mu
+    # The bound.  E_min = sqrt(xi_min^2 + f) is the window's lowest
+    # quasiparticle energy, and w(x) the band's density of states at x, its
+    # two pieces summed, over the window's: (_dos(x) + _dos(-x)) / 2 at
+    # n0 = 1, formed below in floats, as numpy would cost a lone point more
+    # than the rest of the rule.  A band row at x >= L is at most the same
+    # row at E_min times e^{-(x - E_min) / t}, a power of x / E_min and
+    # w(x); the window's row, positive and entering each field with the
+    # band's sign, keeps its value at E_min over a width of order t.  So the
+    # band is at most e^{-(L - E_min) / t} w(L) times the window's, up to
+    # factors that grow slowly in (x - E_min) / t, and, as past the kernels'
+    # _EDGE, below the quadrature target wherever (L - E_min) / t >=
+    # _EDGE + ln w(L).  w(L) grows like sqrt(L / mu) for mu < L, so a tiny
+    # mu keeps its band.
+    limit = _EDGE + math.log((math.sqrt(1.0 + L / mu) + math.sqrt(max(1.0 - L / mu, 0.0))) / 2.0)
+    a2 = params.xi_min**2
+    reach = [i for i, (t, f) in enumerate(zip(ts, fs)) if (L - math.sqrt(a2 + f)) / t < limit]
+    band = [[0.0] * 3 for _ in ts]
+    for i, row in zip(reach, _band([ts[i] for i in reach], params)):
         band[i] = row
     return band
 
@@ -301,8 +337,10 @@ def _points(ts, params: ModelParams) -> list[ThermoPoint]:
     which keeps every row positive, multiplies the split-off weight row
     after the pass, so every row depends on the root (t, f) alone.  Above
     t_c the gap is f = f' = 0, the normal branch, whose window is one
-    _normal_window call; every temperature's band is one _band call.  A
-    batch of one is thermodynamic_potential.
+    _normal_window call.  The band is one _reaching_band call, whose one
+    _band call takes only the temperatures whose band can reach the
+    window's target, at weak coupling often none.  A batch of one is
+    thermodynamic_potential.
     """
     ts = [_check_temperature(t) for t in ts]
     core = params.core
@@ -323,7 +361,7 @@ def _points(ts, params: ModelParams) -> list[ThermoPoint]:
         if warm:
             for i, window in zip(warm, _normal_window([taus[i] for i in warm], core)):
                 windows[i] = window
-        for t, tau, f, band, window in zip(chunk, taus, fs, _band(taus, core), windows):
+        for t, tau, f, band, window in zip(chunk, taus, fs, _reaching_band(taus, fs, core), windows):
             points.append(_thermo_point(t, params, _parts(tau, core, f, band, window)))
     return points
 
@@ -333,7 +371,9 @@ def tail_potential(t: float, params: ModelParams) -> tuple:
 
     Covers energies in [-mu, -hbar_omega_d] (empty when mu is inside the
     window) and [hbar_omega_d, inf); the improper tail truncates on the
-    thermal decay scale k_b * t.  One _band call.  Returns (value, d1, d2).
+    thermal decay scale k_b * t.  One _band call, at any temperature whose
+    band rows are normal floats, so the band keeps its relative accuracy
+    where the thermo point drops it.  Returns (value, d1, d2).
     """
     t = _check_temperature(t)
     (tau,) = _core_temperatures([t], params)
@@ -347,11 +387,13 @@ def normal_potential(t: float, params: ModelParams) -> tuple:
     The window's zero-point piece -n0 * (hbar_omega_d^2 - xi_min^2) is a
     closed form; the thermal window piece and the tails are quadratures.
     It is the f = 0 case of the thermo point, one _normal_window and one
-    _band call, so above t_c it is thermodynamic_potential's to the bit.
+    _reaching_band call, so above t_c it is thermodynamic_potential's to the
+    bit, and where the band cannot reach the window's target it is not
+    integrated.
     """
     t = _check_temperature(t)
     (tau,) = _core_temperatures([t], params)
-    (window,), (band,) = _normal_window([tau], params.core), _band([tau], params.core)
+    (window,), (band,) = _normal_window([tau], params.core), _reaching_band([tau], [0.0], params.core)
     return _physical(t, params, _parts(tau, params.core, 0.0, band, window), _normal_constant(params))
 
 
@@ -378,8 +420,8 @@ def thermodynamic_potential(t: float, params: ModelParams) -> ThermoPoint:
     internally at or below the transition and 0 above it.  Below t_c the
     window's integrals come from the gap's certified pass at its root, and
     above it from one window quadrature; the band is one more, on the core
-    view, and the sum becomes physical once.  It is _points at one
-    temperature.
+    view, where it can reach the window's target, and the sum becomes
+    physical once.  It is _points at one temperature.
     """
     return _points([t], params)[0]
 

@@ -221,34 +221,63 @@ def mp_normal_specific_heat(t, k_b, hbar_omega_d, n0, mu, xi_min=0.0, dps=30):
         return float((4 * n0 * window + 2 * band) / (kt * mp.mpf(t)))
 
 
-def _mp_thermal_sum(window_row, band_row, t, k_b, hbar_omega_d, n0, mu, xi_min, f):
-    """4 n0 times the pairing-window integral of window_row(E) at E = sqrt(xi^2 + f), plus 2
-    times the band integral of n0 sqrt((xi + mu) / mu) band_row(|xi|) outside the window.
+def _mp_scaled_quad(g, lo, hi, width):
+    """Integral of g over [lo, hi], split at lo + width 4^k and scaled by g half a width up (call inside mp.workdps).
+
+    mp.quad stops on an absolute error, so the scaling keeps the integral's
+    relative accuracy however small it is.
+    """
+    cuts = [lo + width * 4**k for k in range(40) if lo + width * 4**k < hi]
+    peak = g(lo + min(width, hi - lo) / 2)
+    return peak * mp.quad(lambda x: g(x) / peak, [lo, *cuts, hi])
+
+
+def _mp_band_sum(band_row, t, k_b, hbar_omega_d, n0, mu):
+    """Band integral of n0 sqrt((xi + mu) / mu) band_row(|xi|) outside the pairing window.
 
     The band is the upper tail [L, L + 128 k_b t], past which band_row is
     below e^{-128} of its value at L, and, when mu > L, the lower band
-    [-mu, -L], folded onto the same energies.  Each integrand falls off from
-    the lower end of its range over a width: sqrt(2 k_b t sqrt(f)) on the
-    window, or k_b t when that is smaller or f = 0, and k_b t on the band.
-    Its range is split there and then geometrically, and it is scaled by its
-    value half a width up before mp.quad, which stops on an absolute error,
-    so the sum keeps its relative accuracy however small it is.  Call
-    inside mp.workdps, with every argument an mpf.
+    [-mu, -L], folded onto the same energies; each falls off over k_b t.
+    Call inside mp.workdps, with every argument an mpf.
     """
     kt = k_b * t
-
-    def scaled_quad(g, lo, hi, width):
-        cuts = [lo + width * 4**k for k in range(40) if lo + width * 4**k < hi]
-        peak = g(lo + min(width, hi - lo) / 2)
-        return peak * mp.quad(lambda x: g(x) / peak, [lo, *cuts, hi])
-
-    width = min(kt, mp.sqrt(2 * kt * mp.sqrt(f))) if f > 0 else kt
-    window = scaled_quad(lambda xi: window_row(mp.sqrt(xi * xi + f)), xi_min, hbar_omega_d, width)
     dos = lambda xi: n0 * mp.sqrt(max(xi + mu, 0) / mu)
-    band = scaled_quad(lambda x: dos(x) * band_row(x), hbar_omega_d, hbar_omega_d + 128 * kt, kt)
+    band = _mp_scaled_quad(lambda x: dos(x) * band_row(x), hbar_omega_d, hbar_omega_d + 128 * kt, kt)
     if mu > hbar_omega_d:
-        band += scaled_quad(lambda x: dos(-x) * band_row(x), hbar_omega_d, mu, kt)
-    return 4 * n0 * window + 2 * band
+        band += _mp_scaled_quad(lambda x: dos(-x) * band_row(x), hbar_omega_d, mu, kt)
+    return band
+
+
+def _mp_thermal_sum(window_row, band_row, t, k_b, hbar_omega_d, n0, mu, xi_min, f):
+    """4 n0 times the pairing-window integral of window_row(E) at E = sqrt(xi^2 + f), plus 2
+    times the _mp_band_sum of band_row.
+
+    The window's integrand falls off from xi_min over sqrt(2 k_b t sqrt(f)),
+    or k_b t when that is smaller or f = 0, and _mp_scaled_quad splits it
+    there.  Call inside mp.workdps, with every argument an mpf.
+    """
+    kt = k_b * t
+    width = min(kt, mp.sqrt(2 * kt * mp.sqrt(f))) if f > 0 else kt
+    window = _mp_scaled_quad(lambda xi: window_row(mp.sqrt(xi * xi + f)), xi_min, hbar_omega_d, width)
+    return 4 * n0 * window + 2 * _mp_band_sum(band_row, t, k_b, hbar_omega_d, n0, mu)
+
+
+def mp_band_derivatives(t, k_b, hbar_omega_d, n0, mu, dps=20):
+    """First and second temperature derivatives of the band's part of the potential (mpmath).
+
+    With s(x) = ln(1 + e^{-x}) + x / (e^x + 1) and w(x) = e^x / (1 + e^x)^2,
+    they are -2 k_b B_s and -2 B_w / (k_b t^3), where B_s integrates
+    s(xi / k_b t) and B_w integrates w(xi / k_b t) xi^2 times the
+    free-electron density of states over the band outside the pairing
+    window: tail_potential's d1 and d2.
+    """
+    with mp.workdps(dps):
+        t, k_b, big, n0, mu = map(mp.mpf, (t, k_b, hbar_omega_d, n0, mu))
+        kt = k_b * t
+        s = lambda e: mp.log1p(mp.exp(-e / kt)) + (e / kt) / (mp.exp(e / kt) + 1)
+        w = lambda e: e * e / (4 * mp.cosh(e / (2 * kt)) ** 2)
+        band = lambda row: _mp_band_sum(row, t, k_b, big, n0, mu)
+        return float(-2 * k_b * band(s)), float(-2 * band(w) / (kt * t * t))
 
 
 def mp_superconducting_entropy(t, k_b, hbar_omega_d, n0, mu, xi_min, f, dps=20):

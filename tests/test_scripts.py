@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -74,3 +75,13 @@ def test_transition_study_solves_t_c_once(tmp_path, monkeypatch, window_passes):
     monkeypatch.setattr(sys, "argv", argv)
     assert study["main"]() == 0
     assert [size for order, size in window_passes if order == 2] == [5, 1]
+
+
+def test_output_digest_prints_one_stable_sha256(tmp_path):
+    # a bit-identity claim compares this line between two trees, so it must
+    # not change from one run to the next
+    runs = [_run("output_digest.py", cwd=tmp_path) for _ in range(2)]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    assert re.fullmatch(r"[0-9a-f]{64}\n", runs[0].stdout)
+    assert runs[1].stdout == runs[0].stdout

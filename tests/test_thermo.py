@@ -197,6 +197,64 @@ def test_branch_dispatch(default_params):
     assert at_tc.branch == "superconducting"
 
 
+@pytest.mark.parametrize("ratio", [1.1, 1.5, 3.0])
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+@pytest.mark.parametrize("u0n0", [0.15, 0.2])
+def test_normal_potential_is_the_warm_point_where_the_band_is_dropped(u0n0, eps, ratio):
+    # at these couplings the band starts 44 to 630 k_b t above the window,
+    # past one thermal edge, 70.5 k_b t, everywhere but at u0n0 = 0.2 and
+    # 3 t_c; neither call integrates it there, and both agree to the bit
+    p = build_params(u0n0=u0n0, eps=eps)
+    point = thermodynamic_potential(ratio * p.t_c, p)
+    assert (point.omega, point.omega_t, point.omega_tt) == normal_potential(ratio * p.t_c, p)
+
+
+def _band_quadratures(monkeypatch, integrate_calls) -> list:
+    """A list that gains, per thermo._band call, the number of quadratures it made."""
+    counts = []
+    real = thermo._band
+
+    def band(ts, params):
+        before = len(integrate_calls)
+        out = real(ts, params)
+        counts.append(len(integrate_calls) - before)
+        return out
+
+    monkeypatch.setattr(thermo, "_band", band)
+    return counts
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_band_is_integrated_only_where_it_reaches_the_window_target(eps, integrate_calls, monkeypatch):
+    # at u0n0 = 0.15 and 0.2 hbar_omega_d is 693 and 131 k_b t_c, so from
+    # 0.5 to 1.5 t_c the band lies more than one thermal edge above the
+    # window and no point integrates it; at defaults, 24.7 k_b t_c, it does
+    band_quadratures = _band_quadratures(monkeypatch, integrate_calls)
+    ratios = [0.5, 0.9, 1.0, 1.1, 1.5]
+    for u0n0, quadratures in ((0.15, 0), (0.2, 0), (0.3, 1)):
+        p = build_params(u0n0=u0n0, eps=eps)
+        band_quadratures.clear()
+        thermo._points([r * p.t_c for r in ratios], p)
+        for r in ratios:
+            thermodynamic_potential(r * p.t_c, p)
+        assert band_quadratures == [quadratures] * (1 + len(ratios)), u0n0
+
+
+def test_tail_potential_keeps_the_band_where_thermo_points_drop_it(integrate_calls, monkeypatch):
+    # the thermo point at 3 t_c, u0n0 = 0.15 skips the band, 230 k_b t above
+    # the window; tail_potential still integrates it to its own relative
+    # accuracy, e^{-230} small
+    band_quadratures = _band_quadratures(monkeypatch, integrate_calls)
+    p = build_params(u0n0=0.15)
+    t = 3.0 * p.t_c
+    thermodynamic_potential(t, p)
+    _, d1, d2 = tail_potential(t, p)
+    assert band_quadratures == [0, 1]
+    ref = oracles.mp_band_derivatives(t, p.k_b, p.hbar_omega_d, p.n0, p.mu)
+    assert 0.0 > d1 == pytest.approx(ref[0], rel=1e-12, abs=0.0)
+    assert 0.0 > d2 == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+
+
 def test_temperature_validation(default_params):
     p = default_params
     for bad in (0.0, -1.0, math.nan, math.inf, np.float32("nan"), "0.01", None, 10**400):
@@ -439,16 +497,7 @@ def test_cold_point_makes_one_certified_window_quadrature(
     # the window rows of a cold point ride in its gap's certified pass at
     # the root, so besides the band that pass is its only certified
     # quadrature
-    band_calls = []
-    real = thermo._band
-
-    def band(ts, params):
-        before = len(integrate_calls)
-        out = real(ts, params)
-        band_calls.append(len(integrate_calls) - before)
-        return out
-
-    monkeypatch.setattr(thermo, "_band", band)
+    band_calls = _band_quadratures(monkeypatch, integrate_calls)
     for p in (default_params, eps_params):
         integrate_calls.clear()
         band_calls.clear()
