@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 validation or usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,7 +40,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later main call of the process."""
     parser = argparse.ArgumentParser(
         prog="bcsgap",
         description="Cutoff pairing-model gap solver and transition certifier.",

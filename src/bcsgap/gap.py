@@ -9,11 +9,14 @@ functions that are strictly decreasing and convex in the variable solved
 for, so plain Newton iterations converge without a bracket: a step from
 the right of the root lands at or left of it, and from the left the
 iterates rise monotonically to it (Fourier's condition).  So any seed in
-[0, f(0)] converges, and the gap's is the closed-form interpolation
+[0, f(0)] converges.  The gap's starts from the closed-form interpolation
 f(0) tanh^2(A sqrt(t_c / t - 1)), whose slope into t_c is the
 Ginzburg-Landau one of weak coupling (Gor'kov, Sov. Phys. JETP 9 (1959)
-1364), centred on the BCS curve (Muehlschlegel, Z. Phys. 155 (1959) 313)
-and capped at f(0), which it holds exactly below 0.2998 t_c.
+1364), times a fitted polynomial that puts it on the weak-coupling BCS
+curve (Muehlschlegel, Z. Phys. 155 (1959) 313) with its finite-window
+terms in 1 / U^2 and its linear response to the cutoff: within 1e-5 of
+f(t) / f(0) at couplings up to 0.33, so Newton starts a step or two from
+the root.  It is clipped to [0, f(0)], and is f(0) below 0.2998 t_c.
 
 Only the accepted iterate needs a certified residual (inexact Newton:
 Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19 (1982) 400).  So
@@ -21,10 +24,11 @@ the gap's Newton steps take the window quadrature's first round alone,
 with no error estimate, and the certified window pass at the roots, which
 also gives the derivatives, is the one certificate of each solve.  For
 the same reason a node whose residuals already fall quadratically stops
-once the rate measured from its last two residuals puts the next one far
-below Newton's stop level: the step it takes is the root, and the
-certified pass is the evaluation that confirms it (Kelley, Solving
-Nonlinear Equations with Newton's Method, SIAM 2003, ch. 1).  A root
+once the rate measured from its last two residuals, or on its first step
+the bound on that rate, puts the next one far below Newton's stop level:
+the step it takes is the root, and the certified pass is the evaluation
+that confirms it (Kelley, Solving Nonlinear Equations with Newton's
+Method, SIAM 2003, ch. 1).  A root
 whose certified residual is above Newton's stop level is solved again
 with certified steps and takes a certified pass of its own.  A caller's
 own pairing-window rows at the roots, as thermo's at a cold temperature,
@@ -64,9 +68,9 @@ RESIDUAL_TOL = 1e-10  # |residual| above this marks a gap point as unsolved
 _NEWTON_STEPS = 60  # cap on Newton steps in either root finder
 _NEWTON_STOP = 1e-13  # |residual| at which a gap Newton iterate is a root
 # Near a root the gap Newton's residuals fall as |F_next| = C |F|^2.  C,
-# measured as |F| / |F_prev|^2 over the last steps of a solve, is 1.0-1.9
-# at couplings up to 1 and grows like u0n0 above them (170 at u0n0 = 100,
-# 2,300 at 1000).
+# measured as |F| / |F_prev|^2 over the steps of a solve, is 1.0-1.97 at
+# couplings up to 1 and grows like u0n0 above them (150-170 at u0n0 = 100,
+# 1,500-2,300 at 1000), over cutoffs 0-12; so C <= _RATE_BOUND max(1, u0n0).
 # An uncertified step also stops when the measured rate puts the next
 # residual, C |F|^2, _RATE_MARGIN below _NEWTON_STOP, and when |F| is at
 # most _RATE_GATE.  The gate covers a rate measured from a pre-asymptotic
@@ -76,23 +80,49 @@ _NEWTON_STOP = 1e-13  # |residual| at which a gap Newton iterate is a root
 # condition protects: with C measured near its true value it stops only at
 # |F| <= sqrt(_RATE_MARGIN _NEWTON_STOP / C), 7.7e-10 at u0n0 = 100, and a
 # rate measured too low costs a certified redo of the row, not accuracy.
-# Over couplings 0.003-1000 no row reaches that redo; stronger ones are
-# unmeasured.
+# A first step has no measured rate, and takes the bound instead: it stops
+# at |F| <= sqrt(_RATE_MARGIN _NEWTON_STOP / (_RATE_BOUND max(1, u0n0))),
+# 6.6e-9 at couplings up to 1.  Over couplings 0.003-1000 no row reaches
+# the redo; stronger ones are unmeasured.
 _RATE_MARGIN = 1e-3
 _RATE_GATE = 3e-8
+_RATE_BOUND = 2.3
 _EULER_GAMMA = 0.57721566490153286061
 _ZETA_3 = 1.2020569031595942854
 # ln(4 e^gamma / pi): the integral of tanh(x)/x over [0, U] is ln U plus this as U -> infinity
 _LOG_BCS_CONSTANT = math.log(4.0 / math.pi) + _EULER_GAMMA
-# Newton's seed at t / t_c = tau is delta^2 min(1, _SEED_CENTRE tanh^2(sqrt(_GL_SLOPE (1/tau - 1)))).
+# Newton's seed at t / t_c = tau is delta^2 clip(gl(tau) P(x), 0, 1), with
+# gl(tau) = tanh^2(sqrt(_GL_SLOPE (1/tau - 1))) and x = (tau - 0.65) / 0.35.
 # _GL_SLOPE is the weak-coupling slope -f'(t_c) = 8 pi^2 k_b^2 t_c / (7 zeta(3))
-# (Gor'kov 1959) over delta^2 = (pi e^-gamma k_b t_c)^2, so the seed falls into
-# t_c on the Ginzburg-Landau line; the tanh^2 undershoots the weak-coupling
-# curve (Muehlschlegel 1959) by 0 to 3.9%, worst at 0.61 t_c, and
-# _SEED_CENTRE centres it.  The cap holds the seed at exactly delta^2 below
-# 0.2998 t_c, where the curve is flat to far below a step.
+# (Gor'kov 1959) over delta^2 = (pi e^-gamma k_b t_c)^2, so gl falls into t_c
+# on the Ginzburg-Landau line.  P = S + G1 / U^2 + G2 / U^4 + H eps, with
+# U = hbar_omega_d / (2 k_b t_c), puts the seed on the weak-coupling curve
+# (Muehlschlegel 1959), S, plus its finite-window terms and its linear
+# response to the cutoff; the columns of _SEED_TABLE are the coefficients of
+# S, G1, G2 and H in powers of x, fitted from the solver by
+# scripts/fit_seed.py.  Below U = 3 the window terms are dropped, so a strong
+# coupling's seed stays on the universal curve.  Below 0.2998 t_c the seed
+# is delta^2 itself, as the interpolation's cap made it; f / f(0) is
+# 1 - 5.7e-3 at 0.2997 t_c at defaults, and such nodes take up to 3 first
+# rounds.
 _GL_SLOPE = 8.0 * math.exp(2.0 * _EULER_GAMMA) / (7.0 * _ZETA_3)
-_SEED_CENTRE = 1.02
+_SEED_FLAT = 0.2998
+_SEED_TABLE = np.array([
+    [1.0401025930064567, 0.08188532665278873, -0.002616263758516512, 0.024515693651162018],  # x^0
+    [-0.007957811879970326, 0.10871253874130629, 0.005828461840970778, 0.028479823581144276],  # x^1
+    [-0.03686822758540643, 0.01833497331164871, -0.0028255876741647423, -0.0008202348829309134],  # x^2
+    [0.003407539201287672, -0.010713601066670244, -0.020244770189352897, -0.004059154894217695],  # x^3
+    [0.0027222148951392394, 0.0029620118994203135, -0.010617853339172154, 0.0020353033212291986],  # x^4
+    [-0.0021791496519666183, -0.0005067977753448686, 0.0012904384989187996, -0.0005671766607273679],  # x^5
+    [0.0010987297313631824, -0.00015230438002770155, 0.0014026296247461525, -1.8257469503981982e-05],  # x^6
+    [-0.00039932262722804454, 0.00018248575711475218, -0.00011596171548260246, 0.00011854292088873128],  # x^7
+    [7.772234851360875e-05, -7.429740184047991e-05, -0.0002498418279681869, -6.051195537321191e-05],  # x^8
+    [-3.4129395721781425e-05, 0.0001179766866150745, 0.00011366296588764496, 9.34746800197607e-05],  # x^9
+    [7.770070554319e-06, -0.0001465339338200447, -8.870284745269714e-06, -0.00010078385988026038],  # x^10
+    [6.563508814551602e-05, 1.414356957679756e-05, -4.033285013398313e-05, -4.098191324056167e-06],  # x^11
+    [-4.3707323116236546e-05, 3.3274129102464024e-05, 2.4699133541585937e-05, 3.0498854081852234e-05],  # x^12
+])
+_SEED_POWERS = np.arange(_SEED_TABLE.shape[0])
 _TC_RESIDUAL = 1e-12  # relative defect u0n0 * |d| allowed in the transition-temperature condition
 # Columns of a gap-curve table, each with the GapPoint field it holds.
 _CURVE_COLUMNS = {"T": "t", "f": "f", "f_prime": "f_prime", "f_second": "f_second", "residual": "residual"}
@@ -194,6 +224,20 @@ def _csv(items, columns: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _seed_fraction(taus: np.ndarray, core: ModelParams, table: np.ndarray) -> np.ndarray:
+    """Newton's seed over f(0) at core temperatures 0 < tau < 1, on the columns of table, as _SEED_TABLE's.
+
+    One power matrix of x and one product with the table's columns weighted
+    by 1, 1/U^2, 1/U^4 and eps.
+    """
+    u = core.hbar_omega_d / 2.0
+    window = 1.0 / (u * u) if u >= 3.0 else 0.0
+    gl = np.tanh(np.sqrt(_GL_SLOPE * (1.0 / taus - 1.0)))
+    x = (taus - 0.65) / 0.35
+    fraction = gl * gl * ((x[:, None] ** _SEED_POWERS) @ (table @ [1.0, window, window * window, core.eps]))
+    return np.where(taus < _SEED_FLAT, 1.0, np.minimum(np.maximum(fraction, 0.0), 1.0))
+
+
 def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams, certified: bool = False) -> np.ndarray:
     """Squared gap at each interior temperature in ts by batched Newton.
 
@@ -206,8 +250,10 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams, certified: b
     when its step does not move y or its residual is at most _NEWTON_STOP,
     or, on uncertified steps, when its residual is at most _RATE_GATE and
     the rate measured from its last two residuals puts the next one
-    _RATE_MARGIN below _NEWTON_STOP; it then takes that step and drops out
-    of the batch.  An iterate at y = 0 with F(t, 0) <= 0 stops there, as
+    _RATE_MARGIN below _NEWTON_STOP, the rate's bound _RATE_BOUND
+    max(1, u0n0) standing in for it on a first step; it then takes that
+    step and drops out of the batch.  An iterate at y = 0 with
+    F(t, 0) <= 0 stops there, as
     the clamped step does not move it; the residual gate of _solved_columns
     decides whether that is a root (F(t, 0) within rounding of 0, as one
     ulp below t_c) or no root exists.  The steps skip window_pass's domain
@@ -220,9 +266,10 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams, certified: b
     residual.  Returns the iterates.
     """
     y = np.array(seeds, dtype=float)
-    last = np.zeros(ts.size)  # each node's previous |F|, 0 before its first step
+    last = np.zeros(ts.size)  # each node's previous |F|
     active = np.arange(ts.size)
-    for _ in range(_NEWTON_STEPS):
+    first_gate = math.sqrt(_RATE_MARGIN * _NEWTON_STOP / (_RATE_BOUND * max(1.0, params.u0n0)))
+    for step in range(_NEWTON_STEPS):
         if active.size == 0:
             break
         t, y_now = ts[active], y[active]
@@ -231,7 +278,10 @@ def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams, certified: b
         size = np.abs(p.value)
         done = (y_next == y_now) | (size <= _NEWTON_STOP)
         if not certified:
-            done |= (size <= _RATE_GATE) & (size**3 <= _RATE_MARGIN * _NEWTON_STOP * last[active] ** 2)
+            if step == 0:  # no rate measured yet: its bound
+                done |= size <= first_gate
+            else:
+                done |= (size <= _RATE_GATE) & (size**3 <= _RATE_MARGIN * _NEWTON_STOP * last[active] ** 2)
             last[active] = size
         y[active] = y_next
         active = active[~done]
@@ -289,8 +339,9 @@ def _solved_columns(ts: np.ndarray, params: ModelParams, order: int, rows=None) 
 
     Runs in core units, a temperature below _COLDEST t_c at _COLDEST t_c,
     so t = 0 too: f(t_c) = 0 and the colder roots come from one batched
-    Newton iteration, on uncertified first rounds, seeded on the
-    interpolation of _GL_SLOPE; one window pass of the given order, 1 or 2,
+    Newton iteration, on uncertified first rounds, seeded by
+    _seed_fraction on the weak-coupling curve of _SEED_TABLE, f(0) below
+    _SEED_FLAT t_c; one window pass of the given order, 1 or 2,
     at the roots then certifies every residual, the first evaluation at a
     root where Newton stopped on its measured rate, and gives the
     derivatives by the implicit-function quotients, t_c included.  rows,
@@ -308,8 +359,8 @@ def _solved_columns(ts: np.ndarray, params: ModelParams, order: int, rows=None) 
     taus = np.maximum(ts / params.t_c, _COLDEST)
     ys = np.zeros(ts.size)
     cold = taus < 1.0
-    gl = np.tanh(np.sqrt(_GL_SLOPE * (1.0 / taus[cold] - 1.0)))
-    ys[cold] = _newton(taus[cold], core.delta**2 * np.minimum(1.0, _SEED_CENTRE * gl * gl), core)
+    if cold.any():  # a batch of t_c alone, where f = 0, has nothing to solve
+        ys[cold] = _newton(taus[cold], core.delta**2 * _seed_fraction(taus[cold], core, _SEED_TABLE), core)
     p, integrals = _gated_pass(taus, ys, core, order, rows)
     redo = cold & (np.abs(p.value) > _NEWTON_STOP)
     if redo.any():
@@ -346,9 +397,10 @@ def sample_gap_curve(params: ModelParams, n_points: int, grid: str = "uniform") 
     """Solve the squared-gap curve on [0, t_c] with derivatives at each node.
 
     Every node is a row of one solved-point batch: one batched Newton
-    iteration for the nodes below t_c, each seeded on the interpolation of
-    _GL_SLOPE, then one
-    second-order window pass, t_c included, for every residual, f' and f''.
+    iteration for the nodes below t_c, each seeded on the fitted
+    weak-coupling curve, then one second-order window pass, t_c included,
+    for every residual, f' and f''.  At defaults a 201-node curve takes 18
+    uncertified first rounds and 26 certified quadrature calls.
     grid = "chebyshev" clusters nodes at both endpoints, where the curve
     bends hardest.
     """

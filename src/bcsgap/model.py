@@ -56,9 +56,13 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def _dos(xi, n0: float, mu: float):
-    """Free-electron density of states n0 * sqrt((xi + mu) / mu), 0 below the band."""
+    """Free-electron density of states n0 * sqrt((xi + mu) / mu), 0 below the band.
+
+    Formed as sqrt(xi + mu) / sqrt(mu), so a band bottom mu near the
+    smallest normal float does not overflow the ratio.
+    """
     band = np.maximum(np.asarray(xi, dtype=float) + mu, 0.0)
-    return n0 * np.sqrt(band / mu)
+    return n0 * np.sqrt(band) / math.sqrt(mu)
 
 
 def _gap_radical(u0n0: float, hbar_omega_d: float, xi_min: float) -> float:
@@ -231,9 +235,10 @@ def build_params(
             f"the normal constant 2 band_constant - n0 (hbar_omega_d^2 - xi_min^2) must be finite, got {constant!r}"
         )
     core = params.core  # the core kernels square window energies up to 2U
-    if not max(core.hbar_omega_d * core.hbar_omega_d, core.mu) <= _HUGE:
+    if not (core.hbar_omega_d * core.hbar_omega_d <= _HUGE and _TINY <= core.mu <= _HUGE):
         raise OutsideDomain(
-            f"(2U)^2 or mu / (k_b t_c) overflows: 2U = {core.hbar_omega_d!r}, mu / (k_b t_c) = {core.mu!r}"
+            f"(2U)^2 overflows or mu / (k_b t_c) is not a normal float: "
+            f"2U = {core.hbar_omega_d!r}, mu / (k_b t_c) = {core.mu!r}"
         )
     if eps > 0.0:
         if eps >= core.hbar_omega_d / 2.0:

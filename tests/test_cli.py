@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import bcsgap
+from bcsgap import cli
 from bcsgap.cli import main
 from bcsgap.model import build_params
 
@@ -28,6 +29,16 @@ def test_tc_text_output(capsys):
     labels = [line.split(" = ")[0] for line in lines]
     assert labels == ["T_c", "Delta0", "Delta", "f_prime_at_T_c"]
     assert float(lines[0].split(" = ")[1]) == pytest.approx(0.04044952519089008)
+
+
+def test_parser_is_built_once_per_process(capsys):
+    # main reuses one parser, also after a usage error, and prints the same
+    # bytes with it each time
+    cli._build_parser.cache_clear()
+    first = run(capsys, "tc", "--u0n0", "0.25")
+    assert run(capsys, "tc", "--no-such-flag")[0] == 1
+    assert run(capsys, "tc", "--u0n0", "0.25") == first
+    assert first[0] == 0 and cli._build_parser.cache_info().misses == 1
 
 
 def test_tc_json_output(capsys):

@@ -443,38 +443,97 @@ def _first_rounds(monkeypatch):
 
 def test_newton_rounds_are_counted_as_quadrature_work(default_params, integrate_calls, quadrature_rounds, monkeypatch):
     # the Newton steps take no certified call, but their first rounds are
-    # still quadrature rounds, so node counts keep the solve's work
+    # still quadrature rounds, so node counts keep the solve's work: at
+    # 0.5 t_c two Newton steps from the seed and one certified round
     steps = _first_rounds(monkeypatch)
     solve_gap_at(0.5 * default_params.t_c, default_params)
-    assert len(integrate_calls) == 1 and len(steps) >= 3
-    assert len(quadrature_rounds) >= len(steps) + len(integrate_calls)
+    assert len(integrate_calls) == 1 and len(steps) == 2
+    assert len(quadrature_rounds) == len(steps) + len(integrate_calls) == 3
 
 
 def test_newton_work_is_pinned(default_params, quadrature_rounds, monkeypatch):
-    # a node stops once its measured quadratic rate puts the next residual
-    # far below Newton's stop level, so it skips the evaluation that would
-    # only repeat what the certified pass at the roots checks, and its seed
-    # lies on the Ginzburg-Landau interpolation of the curve; seeded at f(0)
-    # it takes 4 and 33 first rounds here, and stopping on the residual
-    # alone 5 and 39.  The thermo point's window rows ride in its gap's
-    # certified pass, so it takes 5 rounds, 2 of them certified (that pass
-    # and the band), where a second window pass and f(0) seeds took 8
+    # a node stops once its measured quadratic rate, or on a first step the
+    # rate's bound, puts the next residual far below Newton's stop level, so
+    # it skips the evaluation that would only repeat what the certified pass
+    # at the roots checks, and its seed lies on the weak-coupling curve; on
+    # the Ginzburg-Landau interpolation alone it takes 3 and 24 first rounds
+    # here, seeded at f(0) 4 and 33, and stopping on the residual alone 5
+    # and 39.  The thermo point's window rows ride in its gap's certified
+    # pass, so it takes 4 rounds, 2 of them certified (that pass and the
+    # band), where the interpolation took 5, and a second window pass and
+    # f(0) seeds 8
     p = default_params
     steps = _first_rounds(monkeypatch)
     solve_gap_at(0.5 * p.t_c, p)
-    assert len(steps) <= 3
+    assert len(steps) <= 2
     steps.clear()
     sample_gap_curve(p, 201)
-    assert len(steps) <= 24
+    assert len(steps) <= 18
     quadrature_rounds.clear()
     thermodynamic_potential(0.9 * p.t_c, p)
-    assert len(quadrature_rounds) <= 5
+    assert len(quadrature_rounds) <= 4
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+@pytest.mark.parametrize("u0n0", [0.12, 0.14, 0.17, 0.23, 0.26, 0.3, 0.33])
+def test_seed_lies_on_the_solved_curve_outside_its_fit_set(u0n0, eps):
+    # scripts/fit_seed.py fits the seed's table at couplings 0.04, 0.1, 0.2,
+    # 0.35 and 0.45 and cutoffs 0 and 1e-4; between them, and at the
+    # benchmark's cutoff 1e-3, the seed stays within 1e-5 of f / f(0) from
+    # 0.2998 t_c up (2.4e-6 at the worst of these cells), and is f(0) below
+    p = build_params(u0n0=u0n0, eps=eps)
+    curve = sample_gap_curve(p, 201).points[:-1]
+    taus = np.array([pt.t / p.t_c for pt in curve])
+    fraction = np.array([pt.f for pt in curve]) / p.delta**2
+    seed = gap._seed_fraction(np.maximum(taus, gap._COLDEST), p.core, gap._SEED_TABLE)
+    flat = taus < gap._SEED_FLAT
+    assert np.abs(seed - fraction)[~flat].max() <= 1e-5
+    assert np.all(seed[flat] == 1.0) and np.all((0.0 <= seed) & (seed <= 1.0))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 1e-2])
+@pytest.mark.parametrize("u0n0", [0.03, 0.12, 0.2, 0.3, 0.33])
+def test_cold_solves_take_at_most_two_first_rounds(u0n0, eps, monkeypatch):
+    # from 0.2999 t_c up the seed starts Newton within a step of the root, so
+    # a lone cold solve takes one or two uncertified rounds; below, where
+    # the seed is f(0), at most three
+    p = build_params(u0n0=u0n0, eps=eps)
+    steps = _first_rounds(monkeypatch)
+    rounds = {}
+    for r in (0.0, 0.1, 0.25, 0.2997, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999):
+        steps.clear()
+        solve_gap_at(r * p.t_c, p)
+        rounds[r] = len(steps)
+    assert max(n for r, n in rounds.items() if r >= 0.3) <= 2, rounds
+    assert max(rounds.values()) <= 3, rounds
+
+
+# first rounds of a 201-node curve with the seed delta^2 min(1, 1.02 gl(tau)),
+# the Ginzburg-Landau interpolation alone
+_GL_SEED_CURVE_ROUNDS = {
+    (0.003, 0.0): 24, (0.003, 1.0): 23, (0.003, 8.0): 15,
+    (0.03, 0.0): 24, (0.03, 1.0): 23, (0.03, 8.0): 15,
+    (0.3, 0.0): 24, (0.3, 1.0): 23, (0.3, 8.0): 15,
+    (3.0, 0.0): 24, (3.0, 1.0): 26, (3.0, 8.0): 15,
+    (100.0, 0.0): 24, (100.0, 1.0): 23, (100.0, 8.0): 15,
+}
+
+
+@pytest.mark.parametrize("u0n0, eps", list(_GL_SEED_CURVE_ROUNDS))
+def test_curve_takes_no_more_first_rounds_than_the_ginzburg_landau_seed(u0n0, eps, monkeypatch):
+    # far from the fit set, at strong coupling and near the CutoffTooLarge
+    # bound, the fitted seed costs no Newton round the interpolation it
+    # refines did not
+    p = build_params(u0n0=u0n0, eps=eps)
+    steps = _first_rounds(monkeypatch)
+    sample_gap_curve(p, 201)
+    assert len(steps) <= _GL_SEED_CURVE_ROUNDS[u0n0, eps]
 
 
 def test_nodes_below_0_2998_t_c_seed_at_the_zero_temperature_gap(monkeypatch):
-    # the seed's cap holds it at exactly delta^2 wherever the interpolation
-    # would pass it, so those nodes take the iterates of a seed at f(0);
-    # from 0.2999 t_c up the seed is the interpolation, below delta^2
+    # below 0.2998 t_c the seed is exactly delta^2, so those nodes take the
+    # iterates of a seed at f(0); from 0.2999 t_c up the seed is the fitted
+    # curve, below delta^2, at strong coupling and with a cutoff too
     seeds = {}
     real = gap._newton
 

@@ -213,6 +213,22 @@ def test_units_outside_float64_are_refused(kwargs):
         build_params(**kwargs)
 
 
+def test_band_bottom_down_to_the_smallest_normal_float():
+    # the specific heat grows like mu^(-1/2) as the band bottom mu falls, so
+    # c_v sqrt(mu) holds still down to where mu / (k_b t_c) is still a
+    # normal float; below that build_params refuses mu, as its docstring says
+    scaled = []
+    for mu in (1e-300, 1e-308):
+        p = build_params(mu=mu)
+        points = [thermodynamic_potential(r * p.t_c, p) for r in (0.5, 1.5)]
+        assert all(math.isfinite(q.c_v) for q in points)
+        scaled.append([q.c_v * math.sqrt(mu) for q in points])
+    assert scaled[1] == pytest.approx(scaled[0], rel=1e-12, abs=0.0)
+    for mu in (1e-310, 5e-324):
+        with pytest.raises(OutsideDomain):
+            build_params(mu=mu)
+
+
 def _scaled_outputs(p):
     """A 9-node curve and thermo at 0.5 and 1.5 t_c, each value over its unit."""
     kt = p.k_b * p.t_c

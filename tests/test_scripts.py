@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from bcsgap import gap
 from bcsgap.thermo import _points, thermo_to_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,3 +86,19 @@ def test_output_digest_prints_one_stable_sha256(tmp_path):
         assert run.returncode == 0, run.stderr
     assert re.fullmatch(r"[0-9a-f]{64}\n", runs[0].stdout)
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_fit_seed_check_accepts_the_checked_in_table(tmp_path):
+    run = _run("fit_seed.py", "--check", cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "14 of 14 validation cells agree\n"
+
+
+def test_fit_seed_check_refuses_a_table_it_did_not_make(monkeypatch, capsys):
+    # a table off by 1e-6 in its constant term is a different seed accuracy
+    fit = runpy.run_path(str(ROOT / "scripts" / "fit_seed.py"))
+    table = gap._SEED_TABLE.copy()
+    table[0, 0] += 1e-6
+    monkeypatch.setattr(gap, "_SEED_TABLE", table)
+    assert fit["main"](["--check"]) == 1
+    assert "checked-in table" in capsys.readouterr().err

@@ -172,15 +172,16 @@ def test_far_above_transition_is_refused(default_params, ratio):
 
 
 def test_hot_point_keeps_its_bits(default_params):
-    # mpmath puts the entropy at 9.885628842422015e117: this value is 3 ulps
-    # above it (the unmapped band's 9.88562884242202e117 was 4)
+    # mpmath puts the entropy at 9.885628842422015e117: this value is 1 ulp
+    # above it (3 with the density formed as sqrt((x + mu) / mu), 4 with the
+    # unmapped band's 9.88562884242202e117)
     point = thermodynamic_potential(1e80 * default_params.t_c, default_params)
     assert dataclasses.astuple(point) == (
         4.044952519089007e78,
         -1.5994759715573563e196,
-        -9.885628842422019e117,
+        -9.885628842422017e117,
         -3.6659128119933144e39,
-        9.885628842422019e117,
+        9.885628842422017e117,
         1.4828443263633023e118,
         "normal",
     )

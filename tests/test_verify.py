@@ -10,7 +10,7 @@ import pytest
 from bcsgap import verify
 from bcsgap.gap import sample_gap_curve, solve_gap_at
 from bcsgap.model import build_params
-from bcsgap.thermo import measured_second_derivative_jump, second_derivative_jump
+from bcsgap.thermo import _closed_form_jumps, measured_second_derivative_jump
 from bcsgap.verify import Check, VerificationReport, run_suite
 
 
@@ -63,9 +63,11 @@ def test_zero_tolerances_fail_difference_checks(default_params, monkeypatch):
     # a five-point stencil never reproduces an analytic derivative to the
     # last bit, so these cannot survive a zero tolerance
     assert {"fprime_fd_max_rel", "fsecond_fd_max_rel"} <= failed
-    # the extrapolated jump survives only if it meets the closed form exactly
+    # the extrapolated jump survives only if it meets the closed form exactly,
+    # the one from f'(t_c) of the suite's own curve
     jump = next(c for c in report.checks if c.name == "jump_measured_vs_closed")
-    exact = measured_second_derivative_jump(default_params).jump == second_derivative_jump(default_params)
+    closed = _closed_form_jumps(default_params, sample_gap_curve(default_params, 51).points[-1])[0]
+    exact = measured_second_derivative_jump(default_params).jump == closed
     assert jump.tolerance == 0.0 and jump.passed == exact
     # counting checks (n violations == 0) are tolerance-free and still pass
     passed = {c.name for c in report.checks if c.passed}
