@@ -23,16 +23,17 @@ Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19 (1982) 400).  So
 the gap's Newton steps take the window quadrature's first round alone,
 with no error estimate, and the certified window pass at the roots, which
 also gives the derivatives, is the one certificate of each solve.  For
-the same reason a node whose residuals already fall quadratically stops
-once the rate measured from its last two residuals, or on its first step
-the bound on that rate, puts the next one far below Newton's stop level:
-the step it takes is the root, and the certified pass is the evaluation
-that confirms it (Kelley, Solving Nonlinear Equations with Newton's
-Method, SIAM 2003, ch. 1).  A root
-whose certified residual is above Newton's stop level is solved again
-with certified steps and takes a certified pass of its own.  A caller's
-own pairing-window rows at the roots, as thermo's at a cold temperature,
-ride in that certified pass, so they cost no window pass of their own.
+the same reason an uncertified step stops a node once the bound on
+Newton's quadratic rate puts the next residual far below Newton's stop
+level: the step it takes is the root, and the certified pass is the
+evaluation that confirms it (Kelley, Solving Nonlinear Equations with
+Newton's Method, SIAM 2003, ch. 1).  A root whose certified residual is
+above Newton's stop level is solved again with certified steps and takes
+a certified pass of its own.  Every pass, the Newton steps' and the
+certified ones, is kernels._ungated_pass; the certified pass runs once
+kernels._gate_closure admits the roots.  A caller's own pairing-window
+rows at the roots, as thermo's at a cold temperature, ride in that
+certified pass, so they cost no window pass of their own.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .errors import (
     OutsideDomain,
     ToleranceNotMet,
 )
-from .kernels import _COLDEST, _EDGE, _ORDER_KERNELS, _gated_pass, _window_partials
+from .kernels import _COLDEST, _EDGE, _ORDER_KERNELS, _gate_closure, _ungated_pass
 from .model import ModelParams, _as_finite_float, _require_positive
 from .quad import integrate
 
@@ -71,21 +72,12 @@ _NEWTON_STOP = 1e-13  # |residual| at which a gap Newton iterate is a root
 # measured as |F| / |F_prev|^2 over the steps of a solve, is 1.0-1.97 at
 # couplings up to 1 and grows like u0n0 above them (150-170 at u0n0 = 100,
 # 1,500-2,300 at 1000), over cutoffs 0-12; so C <= _RATE_BOUND max(1, u0n0).
-# An uncertified step also stops when the measured rate puts the next
-# residual, C |F|^2, _RATE_MARGIN below _NEWTON_STOP, and when |F| is at
-# most _RATE_GATE.  The gate covers a rate measured from a pre-asymptotic
-# |F_prev|, as after a first step from right of the root: at the gate
-# C |F|^2 stays below _NEWTON_STOP while C <= 110 (1.7e-15 at C = 1.9), so
-# such a rate cannot stop a node far from its root.  Above that the rate
-# condition protects: with C measured near its true value it stops only at
-# |F| <= sqrt(_RATE_MARGIN _NEWTON_STOP / C), 7.7e-10 at u0n0 = 100, and a
-# rate measured too low costs a certified redo of the row, not accuracy.
-# A first step has no measured rate, and takes the bound instead: it stops
-# at |F| <= sqrt(_RATE_MARGIN _NEWTON_STOP / (_RATE_BOUND max(1, u0n0))),
+# An uncertified step stops where that bound puts the next residual,
+# C |F|^2, _RATE_MARGIN below _NEWTON_STOP: at
+# |F| <= sqrt(_RATE_MARGIN _NEWTON_STOP / (_RATE_BOUND max(1, u0n0))),
 # 6.6e-9 at couplings up to 1.  Over couplings 0.003-1000 no row reaches
-# the redo; stronger ones are unmeasured.
+# the certified redo; stronger ones are unmeasured.
 _RATE_MARGIN = 1e-3
-_RATE_GATE = 3e-8
 _RATE_BOUND = 2.3
 _EULER_GAMMA = 0.57721566490153286061
 _ZETA_3 = 1.2020569031595942854
@@ -238,55 +230,51 @@ def _seed_fraction(taus: np.ndarray, core: ModelParams, table: np.ndarray) -> np
     return np.where(taus < _SEED_FLAT, 1.0, np.minimum(np.maximum(fraction, 0.0), 1.0))
 
 
-def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams, certified: bool = False) -> np.ndarray:
+def _newton(
+    ts: np.ndarray, seeds: np.ndarray, params: ModelParams, given: np.ndarray, certified: bool = False
+) -> np.ndarray:
     """Squared gap at each interior temperature in ts by batched Newton.
 
-    Callers pass the core view, so 0 < t < t_c = 1.  There the residual is
-    strictly decreasing in y and convex (its second y-derivative is
-    -I_curv / (4 (2 k_b t)^5) > 0 because curvature_kernel < 0), so Newton
-    steps y <- max(0, y - F / F_y) converge without a bracket from any seed
-    in [0, y_max]: from right of the root the first step lands at or left
-    of it, and from there the iterates rise monotonically.  A node stops
-    when its step does not move y or its residual is at most _NEWTON_STOP,
-    or, on uncertified steps, when its residual is at most _RATE_GATE and
-    the rate measured from its last two residuals puts the next one
-    _RATE_MARGIN below _NEWTON_STOP, the rate's bound _RATE_BOUND
-    max(1, u0n0) standing in for it on a first step; it then takes that
+    Callers pass the core view, so 0 < t < t_c = 1, and their own
+    temperatures at the same nodes as given, which a failure names.  There
+    the residual is strictly decreasing in y and convex (its second
+    y-derivative is -I_curv / (4 (2 k_b t)^5) > 0 because
+    curvature_kernel < 0), so Newton steps y <- max(0, y - F / F_y)
+    converge without a bracket from any seed in [0, y_max]: from right of
+    the root the first step lands at or left of it, and from there the
+    iterates rise monotonically.  A node stops when its step does not move
+    y or its residual is at most _NEWTON_STOP, or, on uncertified steps,
+    at most the level where the rate's bound _RATE_BOUND max(1, u0n0) puts
+    the next residual _RATE_MARGIN below _NEWTON_STOP; it then takes that
     step and drops out of the batch.  An iterate at y = 0 with
-    F(t, 0) <= 0 stops there, as
-    the clamped step does not move it; the residual gate of _solved_columns
-    decides whether that is a root (F(t, 0) within rounding of 0, as one
-    ulp below t_c) or no root exists.  The steps skip window_pass's domain
-    gate, as the iterates stay in [0, max(seed, root)].
-    By default each step takes the window quadrature's first round alone,
-    with no error estimate; _solved_columns certifies the roots with its
-    gated pass, the one evaluation at a root the rate rule stopped at, and
-    sends any row that pass does not accept back here with certified=True,
-    where every step is a certified quadrature and stops on its own
-    residual.  Returns the iterates.
+    F(t, 0) <= 0 stops there, as the clamped step does not move it; the
+    residual gate of _solved_columns decides whether that is a root
+    (F(t, 0) within rounding of 0, as one ulp below t_c) or no root exists.
+    The steps skip window_pass's domain gate, as the iterates stay in
+    [0, max(seed, root)].  By default each step takes the window
+    quadrature's first round alone, with no error estimate;
+    _solved_columns certifies the roots with its pass, the one evaluation
+    at a root where the bound stopped a node, and sends any row that pass
+    does not accept back here with certified=True, where every step is a
+    certified quadrature and stops on its own residual.  Returns the
+    iterates; raises ToleranceNotMet, naming a given temperature, if a node
+    has not stopped after _NEWTON_STEPS steps.
     """
     y = np.array(seeds, dtype=float)
-    last = np.zeros(ts.size)  # each node's previous |F|
     active = np.arange(ts.size)
-    first_gate = math.sqrt(_RATE_MARGIN * _NEWTON_STOP / (_RATE_BOUND * max(1.0, params.u0n0)))
-    for step in range(_NEWTON_STEPS):
+    bound = math.sqrt(_RATE_MARGIN * _NEWTON_STOP / (_RATE_BOUND * max(1.0, params.u0n0)))
+    stop = _NEWTON_STOP if certified else max(_NEWTON_STOP, bound)
+    for _ in range(_NEWTON_STEPS):
         if active.size == 0:
             break
         t, y_now = ts[active], y[active]
-        p = _window_partials(t, y_now, params, _ORDER_KERNELS[0], certified)
+        p, _ = _ungated_pass(t, y_now, params, _ORDER_KERNELS[0], certified)
         y_next = np.maximum(0.0, y_now - p.value / p.d_y)
-        size = np.abs(p.value)
-        done = (y_next == y_now) | (size <= _NEWTON_STOP)
-        if not certified:
-            if step == 0:  # no rate measured yet: its bound
-                done |= size <= first_gate
-            else:
-                done |= (size <= _RATE_GATE) & (size**3 <= _RATE_MARGIN * _NEWTON_STOP * last[active] ** 2)
-            last[active] = size
+        done = (y_next == y_now) | (np.abs(p.value) <= stop)
         y[active] = y_next
         active = active[~done]
     if active.size:
-        raise ToleranceNotMet(f"gap solve at t = {float(ts[active[0]])!r} did not converge")
+        raise ToleranceNotMet(f"gap solve at t = {float(given[active[0]])!r} did not converge")
     return y
 
 
@@ -341,11 +329,12 @@ def _solved_columns(ts: np.ndarray, params: ModelParams, order: int, rows=None) 
     so t = 0 too: f(t_c) = 0 and the colder roots come from one batched
     Newton iteration, on uncertified first rounds, seeded by
     _seed_fraction on the weak-coupling curve of _SEED_TABLE, f(0) below
-    _SEED_FLAT t_c; one window pass of the given order, 1 or 2,
-    at the roots then certifies every residual, the first evaluation at a
-    root where Newton stopped on its measured rate, and gives the
-    derivatives by the implicit-function quotients, t_c included.  rows,
-    kernels._integrals's, rides in that pass: its integrals at each core
+    _SEED_FLAT t_c; one certified window pass of the given order, 1 or
+    2, at the roots, once kernels._gate_closure admits them, then
+    certifies every residual, the first evaluation at a root where Newton
+    stopped on the rate's bound, and gives the derivatives by the
+    implicit-function quotients, t_c included.  rows, kernels._integrals's,
+    rides in that pass: its integrals at each core
     root (t, f), shape (m, len(ts)), are the second item returned, with
     m = 0 without rows.  A root whose certified residual is above
     _NEWTON_STOP is solved again, from where it stands, by the certified
@@ -360,12 +349,15 @@ def _solved_columns(ts: np.ndarray, params: ModelParams, order: int, rows=None) 
     ys = np.zeros(ts.size)
     cold = taus < 1.0
     if cold.any():  # a batch of t_c alone, where f = 0, has nothing to solve
-        ys[cold] = _newton(taus[cold], core.delta**2 * _seed_fraction(taus[cold], core, _SEED_TABLE), core)
-    p, integrals = _gated_pass(taus, ys, core, order, rows)
+        seeds = core.delta**2 * _seed_fraction(taus[cold], core, _SEED_TABLE)
+        ys[cold] = _newton(taus[cold], seeds, core, ts[cold])
+    _gate_closure(taus, ys, core)
+    kinds = _ORDER_KERNELS[order]
+    p, integrals = _ungated_pass(taus, ys, core, kinds, rows=rows)
     redo = cold & (np.abs(p.value) > _NEWTON_STOP)
     if redo.any():
-        ys[redo] = _newton(taus[redo], ys[redo], core, certified=True)
-        again, integrals[:, redo] = _gated_pass(taus[redo], ys[redo], core, order, rows)
+        ys[redo] = _newton(taus[redo], ys[redo], core, ts[redo], certified=True)
+        again, integrals[:, redo] = _ungated_pass(taus[redo], ys[redo], core, kinds, rows=rows)
         for name in ("value", "d_t", "d_y", "d_tt", "d_ty", "d_yy"):
             column = getattr(p, name)  # an array the pass made
             if column is not None:

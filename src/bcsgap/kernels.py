@@ -19,15 +19,17 @@ rest of the window in closed form (_tails), which at t = 0 cover all of
 it.  window_pass evaluates the kernels an order needs, at arrays of (t, y)
 pairs, as one stacked integrand, on the core view of the parameters when
 the library calls it; the scalar functions gate and return physical values.
-Every pairing-window quadrature, thermo's included, is a _window_rows
-call: it ends at the thermal edge and maps its nodes on
-sqrt(y + (pi k_b t)^2), the distance from the real axis of the nearest
-poles of a row even in E, as the six kernels are, or on thermo's rows'
-nearer branch points.  The gap's Newton steps take that quadrature's first
-round alone, uncertified (_window_partials with certified=False); the pass
-at their roots is certified (_gated_pass), and a caller's own rows at the
-roots, thermo's window rows at a cold temperature, share its nodes and its
-quadratures on the branched map.
+Every pairing-window quadrature, thermo's included, is an _integrals
+call, which hands each block of rows to _window_rows: it ends at the
+thermal edge and maps its nodes on sqrt(y + (pi k_b t)^2), the distance
+from the real axis of the nearest poles of a row even in E, as the six
+kernels are, or on thermo's rows' nearer branch points.  _ungated_pass
+forms the residual's fields from the kernels' integrals, with no gate:
+window_pass gates it, the gap's Newton steps take its quadrature's first
+round alone, uncertified, and the gap's certified pass at their roots
+carries a caller's own rows at the roots, thermo's window rows at a cold
+temperature, on the same nodes.  Thermo's other window rows, at f = 0 and
+of the condensation part, are _integrals calls with no kernel rows.
 """
 
 from __future__ import annotations
@@ -249,13 +251,16 @@ _BLOCK_ROWS = 48
 def _kernel_rows(xi, beta, y, kinds):
     """Stack of the named kernels, shape (len(kinds), len(beta), len(xi)), each written into its row.
 
-    "curv" reads the slope kernel, from its row when "slope" comes first.
+    "curv" reads the slope kernel, from its row when "slope" comes first;
+    no kinds make an empty stack at no cost.
     """
+    out = np.empty((len(kinds), len(beta), len(xi)))
+    if not kinds:
+        return out
     s = np.sqrt(xi * xi + y[:, None])
     eta = beta[:, None] * s
     th = np.tanh(eta)
     s2 = sech2(eta)
-    out = np.empty((len(kinds),) + eta.shape)
     g = None
     for row, kind in zip(out, kinds):
         if kind == "value":
@@ -335,23 +340,25 @@ def _tails(ys, params: ModelParams, lower, fifth=False) -> tuple:
 
 
 def _integrals(ts, ys, params: ModelParams, kinds, certified: bool = True, rows=None) -> np.ndarray:
-    """Integrals over [xi_min, X] of the named kernels at flat float arrays of (t, y) pairs, X = _edge(params, t_c).
+    """Integrals over [xi_min, X] of the named kernels at flat float arrays of (t, y) pairs, X = _edge(params, max t).
 
-    kinds is a subsequence of WINDOW_KERNELS; the result has shape
-    (len(kinds), number of pairs).  Past X each kernel is its asymptote,
-    which _partials adds in closed form; at defaults X is the window
-    edge.  Every kernel at every pair is one row of a stacked integrand,
-    integrated by _window_rows in blocks of at most _BLOCK_ROWS kernel rows,
-    each row to its own tolerance, or first rounds alone if not certified.
-    rows, if given, maps the energies E = sqrt(xi^2 + y) of a block's pairs,
-    shape (pairs, nodes), and their k_b t as a column to m more rows per
-    pair, shape (m * pairs, nodes), each decaying like e^{-E / k_b t} but
-    not even in E: they share the block's nodes on the branched map, and
-    their m integrals per pair follow the kernels' in the result.  No
-    domain checks: t must be in (0, t_c].
+    kinds is a subsequence of WINDOW_KERNELS, possibly empty; the result
+    has shape (len(kinds), number of pairs).  Past X each kernel is its
+    asymptote, which _partials adds in closed form; at defaults X is the
+    window edge.  Every kernel at every pair is one row of a stacked
+    integrand, integrated by _window_rows in blocks of at most _BLOCK_ROWS
+    kernel rows, each row to its own tolerance, or first rounds alone if
+    not certified.  rows, if given, maps the nodes xi, the squared gaps y
+    of a block's pairs as a column and their k_b t as a column to m more
+    rows per pair, shape (m * pairs, nodes), each decaying like
+    e^{-sqrt(xi^2 + y) / k_b t} but not even in E = sqrt(xi^2 + y): they
+    share the block's nodes on the branched map, and their m integrals per
+    pair follow the kernels' in the result.  Without kinds the caller's
+    rows are one block, as thermo caps its batches.  No domain checks: t
+    must be in (0, t_c] where kinds are given, and above 0 for rows alone.
     """
     betas = 1.0 / (2.0 * params.k_b * ts)
-    per = max(1, _BLOCK_ROWS // len(kinds))
+    per = max(1, _BLOCK_ROWS // len(kinds) if kinds else ts.size)
     blocks = []
     for lo in range(0, ts.size, per):
         block = slice(lo, lo + per)
@@ -361,7 +368,7 @@ def _integrals(ts, ys, params: ModelParams, kinds, certified: bool = True, rows=
             stack = _kernel_rows(xi, beta, y, kinds).reshape(-1, xi.size)
             if rows is None:
                 return stack
-            return np.vstack((stack, rows(np.sqrt(xi * xi + y[:, None]), params.k_b * t[:, None])))
+            return np.vstack((stack, rows(xi, y[:, None], params.k_b * t[:, None])))
 
         blocks.append(_window_rows(t, y, params, integrand, certified, branched=rows is not None).reshape(-1, t.size))
     return np.hstack(blocks) if blocks else np.empty((len(kinds), 0))
@@ -380,15 +387,6 @@ def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
     so that every thermal part is below the quadrature target at both
     temperatures.
     """
-    return _gated_pass(ts, ys, params, order)[0]
-
-
-def _gated_pass(ts, ys, params: ModelParams, order: int, rows=None) -> tuple:
-    """window_pass's partials, and the integrals of a caller's rows at the same pairs in the same quadratures.
-
-    rows is _integrals's, evaluated at the clamped temperatures; the second
-    item has shape (m, number of pairs), m = 0 without rows.
-    """
     given, ys = _pairs(ts, ys)
     _gate_closure(given, ys, params)
     coldest = _COLDEST * params.t_c
@@ -403,19 +401,22 @@ def _gated_pass(ts, ys, params: ModelParams, order: int, rows=None) -> tuple:
                 f"(t, y) = ({float(given[i])!r}, {float(ys[i])!r}): below {coldest!r} the residual is "
                 f"evaluated at {coldest!r}, exact only where sqrt(xi_min^2 + y) >= {edge!r}"
             )
-    ts, kinds = np.maximum(given, coldest), _ORDER_KERNELS[order]
-    integrals = _integrals(ts, ys, params, kinds, rows=rows)
-    return replace(_partials(ts, ys, params, kinds, integrals), t=given), integrals[len(kinds):]
+    p, _ = _ungated_pass(np.maximum(given, coldest), ys, params, _ORDER_KERNELS[order])
+    return replace(p, t=given)
 
 
-def _window_partials(ts, ys, params: ModelParams, kinds, certified: bool = True) -> ResidualPartials:
-    """The fields the named kernels give, at flat float arrays of pairs with t >= _COLDEST t_c.
+def _ungated_pass(ts, ys, params: ModelParams, kinds, certified: bool = True, rows=None) -> tuple:
+    """The fields the named kernels give, and the integrals of a caller's rows in the same quadratures.
 
-    No gate, for a caller that made the pairs itself inside the domain, as
-    the Newton iteration does its iterates; certified=False is
-    _window_rows's, for the Newton steps.
+    At flat float arrays of pairs with t >= _COLDEST t_c, and no gate, for
+    a caller that made its pairs inside the domain, as the Newton iteration
+    does its iterates, or gated them, as the gap's pass at the roots does;
+    certified=False is _window_rows's, for the Newton steps.  rows is
+    _integrals's; the second item has shape (m, number of pairs), m = 0
+    without rows.
     """
-    return _partials(ts, ys, params, kinds, _integrals(ts, ys, params, kinds, certified))
+    integrals = _integrals(ts, ys, params, kinds, certified, rows)
+    return _partials(ts, ys, params, kinds, integrals), integrals[len(kinds):]
 
 
 def _partials(ts, ys, params: ModelParams, kinds, integrals) -> ResidualPartials:

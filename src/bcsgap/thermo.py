@@ -10,8 +10,9 @@ derivative vanish at the transition (the potential is C1 there), while the
 second derivative jumps by a closed-form amount, and the specific heat by
 -t_c times it at every cutoff.  Thermal factors are overflow-safe.  Every
 window row decays like e^{-E / k_b t}, so the window and the condensation
-part are integrated up to the kernels' thermal edge, by their one
-_window_rows owner, and their work does not grow with the window; the
+part are integrated up to the kernels' thermal edge, by
+kernels._integrals, the one owner of every pairing-window quadrature, and
+their work does not grow with the window; the
 semi-infinite band truncates on its own thermal decay scale, as its rows
 can outweigh the window's far below t_c.  It is integrated only at a
 temperature where it can reach the window's quadrature target: its rows
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import NonFiniteInput, OutsideDomain
 from .gap import GapPoint, _csv, _require_solved, _solved_columns, solve_gap_at
-from .kernels import _COLDEST, _EDGE, _window_rows, fermi, fermi_weight
+from .kernels import _COLDEST, _EDGE, _integrals, fermi, fermi_weight
 from .model import ModelParams, _as_finite_float, _dos, _normal_constant
 from .quad import integrate, truncation_point
 
@@ -221,14 +222,13 @@ def _reaching_band(ts: list, fs: list, params: ModelParams) -> list:
 
 
 def _normal_window(ts: list, params: ModelParams) -> list:
-    """The window's _thermal_rows integrals at f = 0, where E = xi, at core temperatures ts: one _window_rows call.
+    """The window's _thermal_rows integrals at f = 0, where E = xi, at core temperatures ts: one _integrals call.
 
     Returns one list of three per temperature.  The solved gap's window
     rows are integrated in its certified pass instead (_points).
     """
-    kt = _column(ts)
-    values = _window_rows(ts, np.zeros(len(ts)), params, lambda xi: _thermal_rows(xi, kt))
-    return values.reshape(3, -1).T.tolist()
+    rows = lambda xi, y, kt: _thermal_rows(xi, kt)
+    return _integrals(np.array(ts), np.zeros(len(ts)), params, (), rows=rows).T.tolist()
 
 
 def _shift(params: ModelParams, f: float) -> float:
@@ -307,7 +307,7 @@ def _thermo_point(t: float, params: ModelParams, parts) -> ThermoPoint:
 
 
 def _condensation(t: float, params: ModelParams, gap: GapPoint) -> tuple:
-    """condensation_potential at a checked t <= t_c, from one _window_rows call of the _condensation_rows.
+    """condensation_potential at a checked t <= t_c, from one _integrals call of the _condensation_rows.
 
     They share nodes with the normal weight row xi^2 fermi_weight(xi/t),
     which the second derivative subtracts from; the shift is _shift.
@@ -315,8 +315,9 @@ def _condensation(t: float, params: ModelParams, gap: GapPoint) -> tuple:
     (tau,) = _core_temperatures([t], params)
     core = params.core
     f, f_prime = gap.f / params.scales[0], gap.f_prime / params.scales[1]
-    rows = lambda xi: np.vstack((xi * xi * fermi_weight(xi / tau), _condensation_rows(xi, tau, f)))
-    w, ratio, occ_diff, w_shift, w_gap = _window_rows([tau], [f], core, rows, branched=True).tolist()
+    rows = lambda xi, y, kt: np.vstack((xi * xi * fermi_weight(xi / kt), _condensation_rows(xi, kt, y)))
+    integrals = _integrals(np.array([tau]), np.array([f]), core, (), rows=rows)
+    w, ratio, occ_diff, w_shift, w_gap = integrals[:, 0].tolist()
     cond = (
         f / core.u0n0 - 2.0 * _shift(core, f) - 4.0 * tau * ratio,
         -4.0 * ratio + (4.0 / tau) * occ_diff,
@@ -331,7 +332,8 @@ def _points(ts, params: ModelParams) -> list[ThermoPoint]:
     Per _BATCH temperatures, one first-order _solved_columns call for those
     at or below t_c, as the potential reads f and f' alone, whose certified
     pass at the roots also integrates their window rows, _thermal_rows at
-    the quasiparticle energies E = sqrt(xi^2 + f) on the branched map: the
+    the quasiparticle energies E = sqrt(xi^2 + f), formed here from the
+    pass's nodes xi and roots f, on the branched map: the
     first two rows are not even in E and branch at xi = +-i sqrt(f), just
     below t_c nearer than their poles.  The third row's lift -t f' / 2 >= 0,
     which keeps every row positive, multiplies the split-off weight row
@@ -345,7 +347,7 @@ def _points(ts, params: ModelParams) -> list[ThermoPoint]:
     ts = [_check_temperature(t) for t in ts]
     core = params.core
     f_unit, f_prime_unit, _ = params.scales
-    split_rows = lambda e, kt: _thermal_rows(e, kt, split=True)
+    split_rows = lambda xi, y, kt: _thermal_rows(np.sqrt(xi * xi + y), kt, split=True)
     points = []
     for lo in range(0, len(ts), _BATCH):
         chunk = ts[lo:lo + _BATCH]

@@ -69,11 +69,13 @@ def window_passes(monkeypatch):
     from bcsgap import gap
 
     passes = []
-    real = gap._gated_pass
+    real = gap._ungated_pass
 
-    def recording(ts, ys, params, order, rows=None):
-        passes.append((order, np.size(ts)))
-        return real(ts, ys, params, order, rows)
+    def recording(ts, ys, params, kinds, certified=True, rows=None):
+        order = gap._ORDER_KERNELS.index(kinds)
+        if order:  # order 0 is a Newton step; the passes at the roots are of order 1 or 2
+            passes.append((order, np.size(ts)))
+        return real(ts, ys, params, kinds, certified, rows)
 
-    monkeypatch.setattr(gap, "_gated_pass", recording)
+    monkeypatch.setattr(gap, "_ungated_pass", recording)
     return passes

@@ -17,6 +17,7 @@ from bcsgap.errors import (
     NonPositiveParameter,
     NotSolved,
     OutsideDomain,
+    ToleranceNotMet,
 )
 from bcsgap.gap import (
     RESIDUAL_TOL,
@@ -138,7 +139,7 @@ def test_hint_does_not_change_the_answer(default_params, hint_ratio):
     p = default_params
     t = 0.37 * p.t_c
     plain = solve_gap_at(t, p)
-    (seeded,) = gap._newton(np.array([t]), np.array([plain.f * hint_ratio]), p)
+    (seeded,) = gap._newton(np.array([t]), np.array([plain.f * hint_ratio]), p, np.array([t]))
     assert abs(seeded - plain.f) <= 1e-13 * p.y_max
 
 
@@ -452,8 +453,8 @@ def test_newton_rounds_are_counted_as_quadrature_work(default_params, integrate_
 
 
 def test_newton_work_is_pinned(default_params, quadrature_rounds, monkeypatch):
-    # a node stops once its measured quadratic rate, or on a first step the
-    # rate's bound, puts the next residual far below Newton's stop level, so
+    # a node stops once the bound on its quadratic rate puts the next
+    # residual far below Newton's stop level, so
     # it skips the evaluation that would only repeat what the certified pass
     # at the roots checks, and its seed lies on the weak-coupling curve; on
     # the Ginzburg-Landau interpolation alone it takes 3 and 24 first rounds
@@ -537,10 +538,10 @@ def test_nodes_below_0_2998_t_c_seed_at_the_zero_temperature_gap(monkeypatch):
     seeds = {}
     real = gap._newton
 
-    def recording(ts, ys, params, certified=False):
+    def recording(ts, ys, params, given, certified=False):
         if not certified:
             seeds.update(zip(ts.tolist(), ys.tolist()))
-        return real(ts, ys, params, certified)
+        return real(ts, ys, params, given, certified)
 
     monkeypatch.setattr(gap, "_newton", recording)
     for p in (build_params(), build_params(u0n0=0.1, eps=1e-3), build_params(u0n0=3.0, eps=1.0)):
@@ -560,7 +561,7 @@ _GUARD_CUTOFFS = (0.0, 1e-6, 1e-3, 0.1, 1.0)
 @pytest.mark.parametrize("eps", _GUARD_CUTOFFS)
 @pytest.mark.parametrize("u0n0", _GUARD_COUPLINGS)
 def test_rate_stop_sends_no_row_to_the_certified_redo(u0n0, eps, monkeypatch):
-    # the rate rule's roots are confirmed by the certified pass at the roots:
+    # the rate bound's roots are confirmed by the certified pass at the roots:
     # over every coupling and cutoff cell of this grid, each root's
     # certified residual is at Newton's stop level, so no row is solved
     # again by certified steps
@@ -568,10 +569,10 @@ def test_rate_stop_sends_no_row_to_the_certified_redo(u0n0, eps, monkeypatch):
     redo = []
     real = gap._newton
 
-    def recording(ts, seeds, params, certified=False):
+    def recording(ts, seeds, params, given, certified=False):
         if certified:
             redo.extend(ts.tolist())
-        return real(ts, seeds, params, certified)
+        return real(ts, seeds, params, given, certified)
 
     monkeypatch.setattr(gap, "_newton", recording)
     points = list(sample_gap_curve(p, 201).points[:-1])
@@ -595,6 +596,23 @@ def test_nonfinite_integrand_in_a_newton_step_is_reported(default_params, monkey
     with pytest.raises(NonFiniteIntegrand):
         solve_gap_at(0.5 * default_params.t_c, default_params)
     assert len(steps) == 2
+
+
+def test_unconverged_newton_names_the_temperature_it_was_given(default_params, monkeypatch):
+    # first rounds that flip sign on every other call never let a node stop;
+    # the failure names the caller's temperature, not its core value t / t_c
+    calls = []
+    real = kernels._first_round
+
+    def flipping(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs) * (-1.0 if len(calls) % 2 else 1.0)
+
+    monkeypatch.setattr(kernels, "_first_round", flipping)
+    t = 0.5 * default_params.t_c
+    with pytest.raises(ToleranceNotMet, match=re.escape(f"gap solve at t = {t!r} did not converge")):
+        solve_gap_at(t, default_params)
+    assert len(calls) == gap._NEWTON_STEPS
 
 
 @pytest.mark.parametrize("rel_error", [1e-9, 1e-12])

@@ -297,7 +297,7 @@ def test_ungated_core_is_window_pass_at_order_0(default_params):
     ts = np.array([kernels._COLDEST, 0.01, 0.5, 0.5, float(np.nextafter(1.0, 0.0)), 1.0])
     ys = np.array([core.delta**2, 0.3 * core.y_max, 0.0, core.y_max, 0.0, 0.0])
     gated = window_pass(ts, ys, core, order=0)
-    ungated = kernels._window_partials(ts, ys, core, ("value", "slope"))
+    ungated, _ = kernels._ungated_pass(ts, ys, core, ("value", "slope"))
     assert ungated.value.tolist() == gated.value.tolist()
     assert ungated.d_y.tolist() == gated.d_y.tolist()
 

@@ -38,10 +38,11 @@ def test_exported_names_resolve(module):
 
 def test_quadratures_are_called_from_their_owners_only():
     # every pairing-window integral goes through the one owner in kernels,
-    # which sets its edge and its map; the band and the transition-temperature
-    # condition each have one integral of their own; the uncertified first
-    # round is reached through that owner alone
-    callers = {"integrate": set(), "_first_round": set()}
+    # which sets its edge and its map, and is reached through _integrals
+    # alone; the band and the transition-temperature condition each have one
+    # integral of their own; the uncertified first round is reached through
+    # that owner alone
+    callers = {"integrate": set(), "_first_round": set(), "_window_rows": set()}
     for path in sorted((_ROOT / "src" / "bcsgap").glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
@@ -52,6 +53,7 @@ def test_quadratures_are_called_from_their_owners_only():
     assert callers == {
         "integrate": {"kernels._window_rows", "thermo._band", "gap._tanh_integral"},
         "_first_round": {"kernels._window_rows"},
+        "_window_rows": {"kernels._integrals"},
     }
 
 
