@@ -27,13 +27,15 @@ the same reason an uncertified step stops a node once the bound on
 Newton's quadratic rate puts the next residual far below Newton's stop
 level: the step it takes is the root, and the certified pass is the
 evaluation that confirms it (Kelley, Solving Nonlinear Equations with
-Newton's Method, SIAM 2003, ch. 1).  A root whose certified residual is
-above Newton's stop level is solved again with certified steps and takes
-a certified pass of its own.  Every pass, the Newton steps' and the
-certified ones, is kernels._ungated_pass; the certified pass runs once
-kernels._gate_closure admits the roots.  A caller's own pairing-window
-rows at the roots, as thermo's at a cold temperature, ride in that
-certified pass, so they cost no window pass of their own.
+Newton's Method, SIAM 2003, ch. 1).  A node whose uncertified steps do
+not stop is handed to the certified pass as it stands, and a root whose
+certified residual is above Newton's stop level is solved again with
+certified steps, whose failure to stop is the one ToleranceNotMet, and
+the batch takes its certified pass again in full.  Every pass, the Newton
+steps' and the certified ones, is kernels._ungated_pass; the certified
+pass runs once kernels._gate_closure admits the roots.  A caller's own
+pairing-window rows at the roots, as thermo's at a cold temperature,
+ride in that certified pass, so they cost no window pass of their own.
 """
 
 from __future__ import annotations
@@ -257,8 +259,9 @@ def _newton(
     at a root where the bound stopped a node, and sends any row that pass
     does not accept back here with certified=True, where every step is a
     certified quadrature and stops on its own residual.  Returns the
-    iterates; raises ToleranceNotMet, naming a given temperature, if a node
-    has not stopped after _NEWTON_STEPS steps.
+    iterates, on uncertified steps those of nodes that have not stopped
+    after _NEWTON_STEPS steps too, for that pass to judge; on certified
+    steps such a node raises ToleranceNotMet, naming its given temperature.
     """
     y = np.array(seeds, dtype=float)
     active = np.arange(ts.size)
@@ -273,7 +276,7 @@ def _newton(
         done = (y_next == y_now) | (np.abs(p.value) <= stop)
         y[active] = y_next
         active = active[~done]
-    if active.size:
+    if certified and active.size:
         raise ToleranceNotMet(f"gap solve at t = {float(given[active[0]])!r} did not converge")
     return y
 
@@ -333,16 +336,17 @@ def _solved_columns(ts: np.ndarray, params: ModelParams, order: int, rows=None) 
     2, at the roots, once kernels._gate_closure admits them, then
     certifies every residual, the first evaluation at a root where Newton
     stopped on the rate's bound, and gives the derivatives by the
-    implicit-function quotients, t_c included.  rows, kernels._integrals's,
-    rides in that pass: its integrals at each core
-    root (t, f), shape (m, len(ts)), are the second item returned, with
-    m = 0 without rows.  A root whose certified residual is above
-    _NEWTON_STOP is solved again, from where it stands, by the certified
-    Newton iteration, and those rows alone take a pass of their own.  The
-    columns become physical here, times params.scales, with f held at or
-    below f(0) = delta**2, which the rounded product could pass, and a zero
-    derivative stored as +0.0.  Raises NotSolved, naming the worst row, if
-    any residual is above RESIDUAL_TOL.
+    implicit-function quotients, t_c included.  rows, kernels._ungated_pass's,
+    rides in that pass: its integrals at each core root (t, f), shape
+    (m, len(ts)), are the second item returned, with m = 0 without rows.
+    A root whose certified residual is above _NEWTON_STOP, such as a node
+    whose uncertified steps never stopped, is solved again, from where it
+    stands, by the certified Newton iteration, and the batch then takes its
+    certified pass again in full.  The columns become physical here, times
+    params.scales, with f held at or below f(0) = delta**2, which the
+    rounded product could pass, and a zero derivative stored as +0.0.
+    Raises NotSolved, naming the worst row, if any residual is above
+    RESIDUAL_TOL.
     """
     core = params.core
     taus = np.maximum(ts / params.t_c, _COLDEST)
@@ -357,17 +361,13 @@ def _solved_columns(ts: np.ndarray, params: ModelParams, order: int, rows=None) 
     redo = cold & (np.abs(p.value) > _NEWTON_STOP)
     if redo.any():
         ys[redo] = _newton(taus[redo], ys[redo], core, ts[redo], certified=True)
-        again, integrals[:, redo] = _ungated_pass(taus[redo], ys[redo], core, kinds, rows=rows)
-        for name in ("value", "d_t", "d_y", "d_tt", "d_ty", "d_yy"):
-            column = getattr(p, name)  # an array the pass made
-            if column is not None:
-                column[redo] = getattr(again, name)
+        p, integrals = _ungated_pass(taus, ys, core, kinds, rows=rows)
     residuals = np.abs(p.value)
     worst = int(np.argmax(residuals))  # the first NaN, if any
     _check_residual(float(ts[worst]), float(residuals[worst]))
     f = np.minimum(ys * params.scales[0], params.delta**2)
     derivatives = [d * unit + 0.0 for d, unit in zip(_implicit_derivatives(p), params.scales[1:])]
-    return (ts, f, residuals, *derivatives), integrals
+    return (ts, f, residuals, *derivatives), integrals[len(kinds):]
 
 
 def _solved_points(ts: np.ndarray, params: ModelParams) -> list[GapPoint]:

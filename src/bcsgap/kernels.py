@@ -19,17 +19,17 @@ rest of the window in closed form (_tails), which at t = 0 cover all of
 it.  window_pass evaluates the kernels an order needs, at arrays of (t, y)
 pairs, as one stacked integrand, on the core view of the parameters when
 the library calls it; the scalar functions gate and return physical values.
-Every pairing-window quadrature, thermo's included, is an _integrals
-call, which hands each block of rows to _window_rows: it ends at the
-thermal edge and maps its nodes on sqrt(y + (pi k_b t)^2), the distance
+Every pairing-window quadrature, thermo's included, is an _ungated_pass
+call, the one pass function: it integrates each block of rows up to the
+thermal edge, with nodes mapped on sqrt(y + (pi k_b t)^2), the distance
 from the real axis of the nearest poles of a row even in E, as the six
-kernels are, or on thermo's rows' nearer branch points.  _ungated_pass
-forms the residual's fields from the kernels' integrals, with no gate:
-window_pass gates it, the gap's Newton steps take its quadrature's first
-round alone, uncertified, and the gap's certified pass at their roots
-carries a caller's own rows at the roots, thermo's window rows at a cold
+kernels are, or on thermo's rows' nearer branch points, and forms the
+residual's fields from the kernels' integrals, with no gate.  window_pass
+gates it, the gap's Newton steps take its quadrature's first round alone,
+uncertified, and the gap's certified pass at their roots carries a
+caller's own rows at the roots, thermo's window rows at a cold
 temperature, on the same nodes.  Thermo's other window rows, at f = 0 and
-of the condensation part, are _integrals calls with no kernel rows.
+of the condensation part, are passes with no kernel rows.
 """
 
 from __future__ import annotations
@@ -289,33 +289,6 @@ def _edge(params: ModelParams, t) -> float:
     return min(params.hbar_omega_d, _EDGE * params.k_b * max(params.t_c, t))
 
 
-def _window_rows(ts, ys, params: ModelParams, rows, certified: bool = True, branched: bool = False) -> np.ndarray:
-    """Integrals over [xi_min, _edge(params, max t)] of stacked rows at (t, y) pairs, shape (k,).
-
-    rows maps nodes xi to a (k, n) stack whose thermal parts decay like
-    e^{-sqrt(xi^2 + y) / k_b t}; past the edge they are below the
-    quadrature target, and any algebraic part is the caller's closed form.
-    The nodes are mapped on the smallest sqrt(y + (pi k_b t)^2) of the
-    pairs, the distance from the real axis of the nearest poles of a row
-    even in E, as the kernels are, so no such row starts out unresolved,
-    at y = 0 and t far below t_c too.  branched=True says some row is not
-    even in E, as thermo's ln(1 + e^{-E/k_b t}) and E fermi(E/k_b t) are,
-    and branches at xi = +-i sqrt(y), sqrt(xi_min^2 + y) from the window:
-    the map then also takes the smallest such distance with y > 0.
-    certified=False takes the quadrature's first round alone, with no
-    error estimate: the same value wherever that round meets the target,
-    for a caller that certifies what it accepts.
-    """
-    ts, ys = np.asarray(ts, dtype=float), np.asarray(ys, dtype=float)
-    reach = math.sqrt((ys + (np.pi * params.k_b * ts) ** 2).min())
-    if branched and ys.max() > 0.0:
-        reach = min(reach, math.sqrt(params.xi_min**2 + ys[ys > 0.0].min()))
-    edge = _edge(params, ts.max())
-    if certified:
-        return integrate(rows, params.xi_min, edge, scale=reach)[0]
-    return _first_round(rows, params.xi_min, edge, scale=reach)
-
-
 def _tails(ys, params: ModelParams, lower, fifth=False) -> tuple:
     """Integrals over [lower, L] of 1/E, 1/E^3 and, if fifth, 1/E^5, E = sqrt(xi^2 + y).
 
@@ -337,41 +310,6 @@ def _tails(ys, params: ModelParams, lower, fifth=False) -> tuple:
         return inv1, inv3
     near = (1.0 + (c / e_big) ** 2) / (e_c * (e_c + c * (big / e_big)))
     return inv1, inv3, inv3 * ((1.0 / e_big) ** 2 + (1.0 / e_c) ** 2 + near) / 3.0
-
-
-def _integrals(ts, ys, params: ModelParams, kinds, certified: bool = True, rows=None) -> np.ndarray:
-    """Integrals over [xi_min, X] of the named kernels at flat float arrays of (t, y) pairs, X = _edge(params, max t).
-
-    kinds is a subsequence of WINDOW_KERNELS, possibly empty; the result
-    has shape (len(kinds), number of pairs).  Past X each kernel is its
-    asymptote, which _partials adds in closed form; at defaults X is the
-    window edge.  Every kernel at every pair is one row of a stacked
-    integrand, integrated by _window_rows in blocks of at most _BLOCK_ROWS
-    kernel rows, each row to its own tolerance, or first rounds alone if
-    not certified.  rows, if given, maps the nodes xi, the squared gaps y
-    of a block's pairs as a column and their k_b t as a column to m more
-    rows per pair, shape (m * pairs, nodes), each decaying like
-    e^{-sqrt(xi^2 + y) / k_b t} but not even in E = sqrt(xi^2 + y): they
-    share the block's nodes on the branched map, and their m integrals per
-    pair follow the kernels' in the result.  Without kinds the caller's
-    rows are one block, as thermo caps its batches.  No domain checks: t
-    must be in (0, t_c] where kinds are given, and above 0 for rows alone.
-    """
-    betas = 1.0 / (2.0 * params.k_b * ts)
-    per = max(1, _BLOCK_ROWS // len(kinds) if kinds else ts.size)
-    blocks = []
-    for lo in range(0, ts.size, per):
-        block = slice(lo, lo + per)
-        t, beta, y = ts[block], betas[block], ys[block]
-
-        def integrand(xi, t=t, beta=beta, y=y):
-            stack = _kernel_rows(xi, beta, y, kinds).reshape(-1, xi.size)
-            if rows is None:
-                return stack
-            return np.vstack((stack, rows(xi, y[:, None], params.k_b * t[:, None])))
-
-        blocks.append(_window_rows(t, y, params, integrand, certified, branched=rows is not None).reshape(-1, t.size))
-    return np.hstack(blocks) if blocks else np.empty((len(kinds), 0))
 
 
 def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
@@ -406,21 +344,62 @@ def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
 
 
 def _ungated_pass(ts, ys, params: ModelParams, kinds, certified: bool = True, rows=None) -> tuple:
-    """The fields the named kernels give, and the integrals of a caller's rows in the same quadratures.
+    """The fields the named kernels give at flat float arrays of (t, y) pairs, and every row's integrals.
 
-    At flat float arrays of pairs with t >= _COLDEST t_c, and no gate, for
-    a caller that made its pairs inside the domain, as the Newton iteration
-    does its iterates, or gated them, as the gap's pass at the roots does;
-    certified=False is _window_rows's, for the Newton steps.  rows is
-    _integrals's; the second item has shape (m, number of pairs), m = 0
-    without rows.
+    No gate, for pairs a caller made inside the domain, as the Newton
+    iteration does its iterates, or gated, as the gap's pass at the roots
+    does: t must be at least _COLDEST t_c where kinds are given, and above
+    0 for rows alone.  kinds is a subsequence of WINDOW_KERNELS, possibly
+    empty; each is integrated over [xi_min, _edge(params, max t)], and
+    _partials adds its asymptote past the edge.  Every kernel at every pair
+    is one row of a stacked integrand, integrated in blocks of at most
+    _BLOCK_ROWS kernel rows, each row to its own tolerance, or, if not
+    certified, by the quadrature's first round alone, with no error
+    estimate: the same value wherever that round meets the target.  rows,
+    if given, maps the nodes xi, a block's squared gaps y as a column and
+    their k_b t as a column to m more rows per pair, shape
+    (m * pairs, nodes), each decaying like e^{-sqrt(xi^2 + y) / k_b t};
+    without kinds they are one block, as thermo caps its batches.  The
+    second item, shape (len(kinds) + m, pairs), is the kernels' integrals,
+    then the caller's.
+
+    A block's nodes are mapped on its smallest sqrt(y + (pi k_b t)^2), the
+    distance from the real axis of the nearest poles of a row even in
+    E = sqrt(xi^2 + y), as the kernels are, so no such row starts out
+    unresolved, at y = 0 and t far below t_c too.  A caller's rows need not
+    be even in E, as thermo's ln(1 + e^{-E/k_b t}) and E fermi(E/k_b t) are
+    not, and branch at xi = +-i sqrt(y), sqrt(xi_min^2 + y) from the
+    window; so with rows the map also takes the smallest such distance
+    with y > 0.
     """
-    integrals = _integrals(ts, ys, params, kinds, certified, rows)
-    return _partials(ts, ys, params, kinds, integrals), integrals[len(kinds):]
+    betas = 1.0 / (2.0 * params.k_b * ts)
+    per = max(1, _BLOCK_ROWS // len(kinds) if kinds else ts.size)
+    blocks = []
+    for lo in range(0, ts.size, per):
+        block = slice(lo, lo + per)
+        t, beta, y = ts[block], betas[block], ys[block]
+
+        def integrand(xi, t=t, beta=beta, y=y):
+            stack = _kernel_rows(xi, beta, y, kinds).reshape(-1, xi.size)
+            if rows is None:
+                return stack
+            return np.vstack((stack, rows(xi, y[:, None], params.k_b * t[:, None])))
+
+        reach = math.sqrt((y + (np.pi * params.k_b * t) ** 2).min())
+        if rows is not None and y.max() > 0.0:
+            reach = min(reach, math.sqrt(params.xi_min**2 + y[y > 0.0].min()))
+        edge = _edge(params, t.max())
+        if certified:
+            integrals = integrate(integrand, params.xi_min, edge, scale=reach)[0]
+        else:
+            integrals = _first_round(integrand, params.xi_min, edge, scale=reach)
+        blocks.append(integrals.reshape(-1, t.size))
+    integrals = np.hstack(blocks) if blocks else np.empty((len(kinds), 0))
+    return _partials(ts, ys, params, kinds, integrals), integrals
 
 
 def _partials(ts, ys, params: ModelParams, kinds, integrals) -> ResidualPartials:
-    """The fields of the named kernels' _integrals at pairs (ts, ys), each kernel's asymptote past the edge added.
+    """The fields of the named kernels' integrals at pairs (ts, ys), each kernel's asymptote past the edge added.
 
     value comes from "value", d_t from "sech", d_y from "slope", d_tt from
     "sech" and "eta_tanh", d_ty from "mixed" and d_yy from "curv"; the
@@ -443,7 +422,7 @@ def _partials(ts, ys, params: ModelParams, kinds, integrals) -> ResidualPartials
     if "curv" in i:
         fields["d_yy"] = -i["curv"] / (4.0 * two_kbt**5)
     edge = _edge(params, params.t_c)
-    if edge < params.hbar_omega_d:
+    if i and edge < params.hbar_omega_d:
         # past the edge each kernel is its asymptote, whose powers of 2 k_b t
         # cancel in its field
         tails = _tails(ys, params, edge, fifth="curv" in i)

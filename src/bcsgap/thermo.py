@@ -11,13 +11,13 @@ second derivative jumps by a closed-form amount, and the specific heat by
 -t_c times it at every cutoff.  Thermal factors are overflow-safe.  Every
 window row decays like e^{-E / k_b t}, so the window and the condensation
 part are integrated up to the kernels' thermal edge, by
-kernels._integrals, the one owner of every pairing-window quadrature, and
-their work does not grow with the window; the
-semi-infinite band truncates on its own thermal decay scale, as its rows
-can outweigh the window's far below t_c.  It is integrated only at a
-temperature where it can reach the window's quadrature target: its rows
-start hbar_omega_d - E_min above the window's lowest quasiparticle energy
-E_min, and past one thermal edge, allowing for its density of states, they
+kernels._ungated_pass, the one owner of every pairing-window quadrature,
+and their work does not grow with the window; the semi-infinite band
+truncates on its own thermal decay scale, as its rows can outweigh the
+window's far below t_c.  It is integrated only at a temperature where it
+can reach the window's quadrature target: its rows start
+hbar_omega_d - E_min above the window's lowest quasiparticle energy E_min,
+and past one thermal edge, allowing for its density of states, they
 cannot.  At and below t_c the window's rows depend on the solved root
 (t, f) alone, f' entering only as a factor outside the integral, so they
 ride in the gap's certified pass at that root: a cold point takes that one
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NonFiniteInput, OutsideDomain
 from .gap import GapPoint, _csv, _require_solved, _solved_columns, solve_gap_at
-from .kernels import _COLDEST, _EDGE, _integrals, fermi, fermi_weight
+from .kernels import _COLDEST, _EDGE, _ungated_pass, fermi, fermi_weight
 from .model import ModelParams, _as_finite_float, _dos, _normal_constant
 from .quad import integrate, truncation_point
 
@@ -222,13 +222,13 @@ def _reaching_band(ts: list, fs: list, params: ModelParams) -> list:
 
 
 def _normal_window(ts: list, params: ModelParams) -> list:
-    """The window's _thermal_rows integrals at f = 0, where E = xi, at core temperatures ts: one _integrals call.
+    """The window's _thermal_rows integrals at f = 0, where E = xi, at core temperatures ts: one window pass.
 
     Returns one list of three per temperature.  The solved gap's window
     rows are integrated in its certified pass instead (_points).
     """
     rows = lambda xi, y, kt: _thermal_rows(xi, kt)
-    return _integrals(np.array(ts), np.zeros(len(ts)), params, (), rows=rows).T.tolist()
+    return _ungated_pass(np.array(ts), np.zeros(len(ts)), params, (), rows=rows)[1].T.tolist()
 
 
 def _shift(params: ModelParams, f: float) -> float:
@@ -306,26 +306,6 @@ def _thermo_point(t: float, params: ModelParams, parts) -> ThermoPoint:
     return ThermoPoint(t, omega, omega_t, omega_tt, entropy=-omega_t + 0.0, c_v=c_v + 0.0, branch=branch)
 
 
-def _condensation(t: float, params: ModelParams, gap: GapPoint) -> tuple:
-    """condensation_potential at a checked t <= t_c, from one _integrals call of the _condensation_rows.
-
-    They share nodes with the normal weight row xi^2 fermi_weight(xi/t),
-    which the second derivative subtracts from; the shift is _shift.
-    """
-    (tau,) = _core_temperatures([t], params)
-    core = params.core
-    f, f_prime = gap.f / params.scales[0], gap.f_prime / params.scales[1]
-    rows = lambda xi, y, kt: np.vstack((xi * xi * fermi_weight(xi / kt), _condensation_rows(xi, kt, y)))
-    integrals = _integrals(np.array([tau]), np.array([f]), core, (), rows=rows)
-    w, ratio, occ_diff, w_shift, w_gap = integrals[:, 0].tolist()
-    cond = (
-        f / core.u0n0 - 2.0 * _shift(core, f) - 4.0 * tau * ratio,
-        -4.0 * ratio + (4.0 / tau) * occ_diff,
-        4.0 / tau**3 * (w - (w_shift - tau * f_prime / 2.0 * w_gap)),
-    )
-    return _physical(t, params, cond)
-
-
 def _points(ts, params: ModelParams) -> list[ThermoPoint]:
     """Piecewise potential at a batch of temperatures, in their order.
 
@@ -333,9 +313,9 @@ def _points(ts, params: ModelParams) -> list[ThermoPoint]:
     at or below t_c, as the potential reads f and f' alone, whose certified
     pass at the roots also integrates their window rows, _thermal_rows at
     the quasiparticle energies E = sqrt(xi^2 + f), formed here from the
-    pass's nodes xi and roots f, on the branched map: the
-    first two rows are not even in E and branch at xi = +-i sqrt(f), just
-    below t_c nearer than their poles.  The third row's lift -t f' / 2 >= 0,
+    pass's nodes xi and roots f, on a map that allows for branch points:
+    the first two rows are not even in E and branch at xi = +-i sqrt(f),
+    just below t_c nearer than their poles.  The third row's lift -t f' / 2 >= 0,
     which keeps every row positive, multiplies the split-off weight row
     after the pass, so every row depends on the root (t, f) alone.  Above
     t_c the gap is f = f' = 0, the normal branch, whose window is one
@@ -404,15 +384,29 @@ def condensation_potential(t: float, params: ModelParams, gap: GapPoint) -> tupl
 
     gap is the solved GapPoint at t, and f' is taken from it.  Vanishes
     identically at t = t_c together with its first derivative; the second
-    derivative does not, which is the whole point.  The first derivative's gap-equation bracket (slope of the gap
-    times the residual) is dropped analytically; the verify suite reports
-    its size.
+    derivative does not, which is the whole point.  The first derivative's
+    gap-equation bracket (slope of the gap times the residual) is dropped
+    analytically; the verify suite reports its size.  The
+    _condensation_rows are one window pass, on nodes they share with the
+    normal weight row xi^2 fermi_weight(xi/t), which the second derivative
+    subtracts from; the shift is _shift.
     """
     t = _check_temperature(t)
     if t > params.t_c:
         raise OutsideDomain(f"condensation part exists for 0 < t <= t_c, got t = {t!r}")
     _require_solved(t, gap)
-    return _condensation(t, params, gap)
+    (tau,) = _core_temperatures([t], params)
+    core = params.core
+    f, f_prime = gap.f / params.scales[0], gap.f_prime / params.scales[1]
+    rows = lambda xi, y, kt: np.vstack((xi * xi * fermi_weight(xi / kt), _condensation_rows(xi, kt, y)))
+    integrals = _ungated_pass(np.array([tau]), np.array([f]), core, (), rows=rows)[1]
+    w, ratio, occ_diff, w_shift, w_gap = integrals[:, 0].tolist()
+    cond = (
+        f / core.u0n0 - 2.0 * _shift(core, f) - 4.0 * tau * ratio,
+        -4.0 * ratio + (4.0 / tau) * occ_diff,
+        4.0 / tau**3 * (w - (w_shift - tau * f_prime / 2.0 * w_gap)),
+    )
+    return _physical(t, params, cond)
 
 
 def thermodynamic_potential(t: float, params: ModelParams) -> ThermoPoint:

@@ -598,9 +598,13 @@ def test_nonfinite_integrand_in_a_newton_step_is_reported(default_params, monkey
     assert len(steps) == 2
 
 
-def test_unconverged_newton_names_the_temperature_it_was_given(default_params, monkeypatch):
+def test_newton_rows_that_do_not_stop_are_solved_by_certified_steps(default_params, monkeypatch):
     # first rounds that flip sign on every other call never let a node stop;
-    # the failure names the caller's temperature, not its core value t / t_c
+    # after _NEWTON_STEPS of them the node goes to the certified pass as it
+    # stands, and the certified steps, which take no first round, solve it
+    p = default_params
+    t = 0.5 * p.t_c
+    plain = solve_gap_at(t, p)
     calls = []
     real = kernels._first_round
 
@@ -609,10 +613,22 @@ def test_unconverged_newton_names_the_temperature_it_was_given(default_params, m
         return real(*args, **kwargs) * (-1.0 if len(calls) % 2 else 1.0)
 
     monkeypatch.setattr(kernels, "_first_round", flipping)
+    point = solve_gap_at(t, p)
+    assert len(calls) == gap._NEWTON_STEPS
+    assert point.residual <= gap._NEWTON_STOP
+    assert abs(point.f - plain.f) <= 1e-12 * p.delta**2
+
+
+def test_unconverged_newton_names_the_temperature_it_was_given(default_params, monkeypatch):
+    # first rounds off by 1e-6 put the uncertified root off the certified
+    # one, and a one-step certified Newton cannot reach it; the failure
+    # names the caller's temperature, not its core value t / t_c
+    real = kernels._first_round
+    monkeypatch.setattr(kernels, "_first_round", lambda *a, **k: real(*a, **k) * (1.0 + 1e-6))
+    monkeypatch.setattr(gap, "_NEWTON_STEPS", 1)
     t = 0.5 * default_params.t_c
     with pytest.raises(ToleranceNotMet, match=re.escape(f"gap solve at t = {t!r} did not converge")):
         solve_gap_at(t, default_params)
-    assert len(calls) == gap._NEWTON_STEPS
 
 
 @pytest.mark.parametrize("rel_error", [1e-9, 1e-12])

@@ -37,12 +37,11 @@ def test_exported_names_resolve(module):
 
 
 def test_quadratures_are_called_from_their_owners_only():
-    # every pairing-window integral goes through the one owner in kernels,
-    # which sets its edge and its map, and is reached through _integrals
-    # alone; the band and the transition-temperature condition each have one
-    # integral of their own; the uncertified first round is reached through
-    # that owner alone
-    callers = {"integrate": set(), "_first_round": set(), "_window_rows": set()}
+    # every pairing-window integral goes through the one pass function in
+    # kernels, which sets its edge and its map; the band and the
+    # transition-temperature condition each have one integral of their own;
+    # the uncertified first round is reached through that pass alone
+    callers = {"integrate": set(), "_first_round": set(), "_ungated_pass": set()}
     for path in sorted((_ROOT / "src" / "bcsgap").glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
@@ -51,9 +50,12 @@ def test_quadratures_are_called_from_their_owners_only():
                 if isinstance(node, ast.Call) and name in callers:
                     callers[name].add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert callers == {
-        "integrate": {"kernels._window_rows", "thermo._band", "gap._tanh_integral"},
-        "_first_round": {"kernels._window_rows"},
-        "_window_rows": {"kernels._integrals"},
+        "integrate": {"kernels._ungated_pass", "thermo._band", "gap._tanh_integral"},
+        "_first_round": {"kernels._ungated_pass"},
+        "_ungated_pass": {
+            "kernels.window_pass", "gap._newton", "gap._solved_columns",
+            "thermo._normal_window", "thermo.condensation_potential", "verify.run_suite",
+        },
     }
 
 
