@@ -28,12 +28,15 @@ Newton's quadratic rate puts the next residual far below Newton's stop
 level: the step it takes is the root, and the certified pass is the
 evaluation that confirms it (Kelley, Solving Nonlinear Equations with
 Newton's Method, SIAM 2003, ch. 1).  A node whose uncertified steps do
-not stop is handed to the certified pass as it stands, and a root whose
-certified residual is above Newton's stop level is solved again with
-certified steps, whose failure to stop is the one ToleranceNotMet, and
-the batch takes its certified pass again in full.  Every pass, the Newton
-steps' and the certified ones, is kernels._ungated_pass; the certified
-pass runs once kernels._gate_closure admits the roots.  A caller's own
+not stop is handed to the certified pass as it stands.  A root whose
+certified residual is above Newton's stop level steps on from that pass's
+own value and slope, all a Newton step needs, and the batch takes its
+certified pass again in full; a root that has not stopped after
+_NEWTON_STEPS such passes is the one ToleranceNotMet.  So there is one
+Newton step, on uncertified rounds before the roots and on certified
+passes at them.  Every pass, the Newton steps' and the certified ones, is
+kernels._ungated_pass; the certified pass runs once
+kernels._gate_closure admits the roots.  A caller's own
 pairing-window rows at the roots, as thermo's at a cold temperature,
 ride in that certified pass, so they cost no window pass of their own.
 """
@@ -68,7 +71,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10  # |residual| above this marks a gap point as unsolved
-_NEWTON_STEPS = 60  # cap on Newton steps in either root finder
+_NEWTON_STEPS = 60  # cap on Newton steps in either root finder, and on the gap's certified passes
 _NEWTON_STOP = 1e-13  # |residual| at which a gap Newton iterate is a root
 # Near a root the gap Newton's residuals fall as |F_next| = C |F|^2.  C,
 # measured as |F| / |F_prev|^2 over the steps of a solve, is 1.0-1.97 at
@@ -232,52 +235,42 @@ def _seed_fraction(taus: np.ndarray, core: ModelParams, table: np.ndarray) -> np
     return np.where(taus < _SEED_FLAT, 1.0, np.minimum(np.maximum(fraction, 0.0), 1.0))
 
 
-def _newton(
-    ts: np.ndarray, seeds: np.ndarray, params: ModelParams, given: np.ndarray, certified: bool = False
-) -> np.ndarray:
-    """Squared gap at each interior temperature in ts by batched Newton.
+def _newton(ts: np.ndarray, seeds: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Squared gap at each interior temperature in ts by batched Newton on uncertified steps.
 
-    Callers pass the core view, so 0 < t < t_c = 1, and their own
-    temperatures at the same nodes as given, which a failure names.  There
-    the residual is strictly decreasing in y and convex (its second
-    y-derivative is -I_curv / (4 (2 k_b t)^5) > 0 because
-    curvature_kernel < 0), so Newton steps y <- max(0, y - F / F_y)
-    converge without a bracket from any seed in [0, y_max]: from right of
-    the root the first step lands at or left of it, and from there the
-    iterates rise monotonically.  A node stops when its step does not move
-    y or its residual is at most _NEWTON_STOP, or, on uncertified steps,
-    at most the level where the rate's bound _RATE_BOUND max(1, u0n0) puts
-    the next residual _RATE_MARGIN below _NEWTON_STOP; it then takes that
-    step and drops out of the batch.  An iterate at y = 0 with
-    F(t, 0) <= 0 stops there, as the clamped step does not move it; the
-    residual gate of _solved_columns decides whether that is a root
-    (F(t, 0) within rounding of 0, as one ulp below t_c) or no root exists.
-    The steps skip window_pass's domain gate, as the iterates stay in
-    [0, max(seed, root)].  By default each step takes the window
-    quadrature's first round alone, with no error estimate;
-    _solved_columns certifies the roots with its pass, the one evaluation
-    at a root where the bound stopped a node, and sends any row that pass
-    does not accept back here with certified=True, where every step is a
-    certified quadrature and stops on its own residual.  Returns the
-    iterates, on uncertified steps those of nodes that have not stopped
-    after _NEWTON_STEPS steps too, for that pass to judge; on certified
-    steps such a node raises ToleranceNotMet, naming its given temperature.
+    Callers pass the core view, so 0 < t < t_c = 1.  There the residual is
+    strictly decreasing in y and convex (its second y-derivative is
+    -I_curv / (4 (2 k_b t)^5) > 0 because curvature_kernel < 0), so Newton
+    steps y <- max(0, y - F / F_y) converge without a bracket from any seed
+    in [0, y_max]: from right of the root the first step lands at or left
+    of it, and from there the iterates rise monotonically.  Each step takes
+    the window quadrature's first round alone, with no error estimate, and
+    no domain gate, as the iterates stay in [0, max(seed, root)].  A node
+    stops when its step does not move y or its residual is at most the
+    level where the rate's bound _RATE_BOUND max(1, u0n0) puts the next
+    residual _RATE_MARGIN below _NEWTON_STOP; it then takes that step and
+    drops out of the batch.  An iterate at y = 0 with F(t, 0) <= 0 stops
+    there, as the clamped step does not move it; the residual gate of
+    _solved_columns decides whether that is a root (F(t, 0) within rounding
+    of 0, as one ulp below t_c) or no root exists.  Returns the iterates,
+    those of nodes that have not stopped after _NEWTON_STEPS steps too:
+    _solved_columns certifies them all with its pass, the one evaluation at
+    a root where the bound stopped a node, and steps on from any it does
+    not accept.
     """
     y = np.array(seeds, dtype=float)
     active = np.arange(ts.size)
     bound = math.sqrt(_RATE_MARGIN * _NEWTON_STOP / (_RATE_BOUND * max(1.0, params.u0n0)))
-    stop = _NEWTON_STOP if certified else max(_NEWTON_STOP, bound)
+    stop = max(_NEWTON_STOP, bound)
     for _ in range(_NEWTON_STEPS):
         if active.size == 0:
             break
         t, y_now = ts[active], y[active]
-        p, _ = _ungated_pass(t, y_now, params, _ORDER_KERNELS[0], certified)
+        p, _ = _ungated_pass(t, y_now, params, _ORDER_KERNELS[0], certified=False)
         y_next = np.maximum(0.0, y_now - p.value / p.d_y)
         done = (y_next == y_now) | (np.abs(p.value) <= stop)
         y[active] = y_next
         active = active[~done]
-    if certified and active.size:
-        raise ToleranceNotMet(f"gap solve at t = {float(given[active[0]])!r} did not converge")
     return y
 
 
@@ -340,11 +333,14 @@ def _solved_columns(ts: np.ndarray, params: ModelParams, order: int, rows=None) 
     rides in that pass: its integrals at each core root (t, f), shape
     (m, len(ts)), are the second item returned, with m = 0 without rows.
     A root whose certified residual is above _NEWTON_STOP, such as a node
-    whose uncertified steps never stopped, is solved again, from where it
-    stands, by the certified Newton iteration, and the batch then takes its
-    certified pass again in full.  The columns become physical here, times
-    params.scales, with f held at or below f(0) = delta**2, which the
-    rounded product could pass, and a zero derivative stored as +0.0.
+    whose uncertified steps never stopped, takes a Newton step from that
+    pass's own value and d_y, and the batch then takes its certified pass
+    again in full, until every such residual is at most _NEWTON_STOP or
+    its step does not move y; after _NEWTON_STEPS passes a root still
+    above it raises ToleranceNotMet, naming its t.  The columns become
+    physical here, times params.scales, with f held at or below
+    f(0) = delta**2, which the rounded product could pass, and a zero
+    derivative stored as +0.0.
     Raises NotSolved, naming the worst row, if any residual is above
     RESIDUAL_TOL.
     """
@@ -354,14 +350,22 @@ def _solved_columns(ts: np.ndarray, params: ModelParams, order: int, rows=None) 
     cold = taus < 1.0
     if cold.any():  # a batch of t_c alone, where f = 0, has nothing to solve
         seeds = core.delta**2 * _seed_fraction(taus[cold], core, _SEED_TABLE)
-        ys[cold] = _newton(taus[cold], seeds, core, ts[cold])
+        ys[cold] = _newton(taus[cold], seeds, core)
     _gate_closure(taus, ys, core)
     kinds = _ORDER_KERNELS[order]
     p, integrals = _ungated_pass(taus, ys, core, kinds, rows=rows)
     redo = cold & (np.abs(p.value) > _NEWTON_STOP)
-    if redo.any():
-        ys[redo] = _newton(taus[redo], ys[redo], core, ts[redo], certified=True)
+    for _ in range(_NEWTON_STEPS):
+        if redo.any():
+            y_next = np.maximum(0.0, ys - p.value / p.d_y)
+            redo &= y_next != ys  # a row whose step does not move y stops
+        if not redo.any():
+            break
+        ys[redo] = y_next[redo]
         p, integrals = _ungated_pass(taus, ys, core, kinds, rows=rows)
+        redo &= np.abs(p.value) > _NEWTON_STOP
+    if redo.any():
+        raise ToleranceNotMet(f"gap solve at t = {float(ts[np.argmax(redo)])!r} did not converge")
     residuals = np.abs(p.value)
     worst = int(np.argmax(residuals))  # the first NaN, if any
     _check_residual(float(ts[worst]), float(residuals[worst]))

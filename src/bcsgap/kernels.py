@@ -16,26 +16,26 @@ Each is an algebraic asymptote in E = sqrt(xi^2 + y), or 0, plus a thermal
 part that decays like e^{-E / k_b t}: the kernels are integrated over
 [xi_min, X] only, X one thermal edge (_edge), and their asymptotes over the
 rest of the window in closed form (_tails), which at t = 0 cover all of
-it.  window_pass evaluates the kernels an order needs, at arrays of (t, y)
-pairs, as one stacked integrand, on the core view of the parameters when
-the library calls it; the scalar functions gate and return physical values.
-Every pairing-window quadrature, thermo's included, is an _ungated_pass
-call, the one pass function: it integrates each block of rows up to the
-thermal edge, with nodes mapped on sqrt(y + (pi k_b t)^2), the distance
-from the real axis of the nearest poles of a row even in E, as the six
-kernels are, or on thermo's rows' nearer branch points, and forms the
-residual's fields from the kernels' integrals, with no gate.  window_pass
-gates it, the gap's Newton steps take its quadrature's first round alone,
-uncertified, and the gap's certified pass at their roots carries a
-caller's own rows at the roots, thermo's window rows at a cold
-temperature, on the same nodes.  Thermo's other window rows, at f = 0 and
-of the condensation part, are passes with no kernel rows.
+it.  Every pairing-window quadrature, thermo's included, is an
+_ungated_pass call, the one pass function: it evaluates the kernels it is
+asked for at arrays of (t, y) pairs, as one stacked integrand, integrating
+each block of rows up to the thermal edge, with nodes mapped on
+sqrt(y + (pi k_b t)^2), the distance from the real axis of the nearest
+poles of a row even in E, as the six kernels are, or on thermo's rows'
+nearer branch points, and forms the residual's fields from the kernels'
+integrals, with no gate.  The scalar functions gate once, in _at, call it
+on the core view of the parameters and return physical values; the gap's
+Newton steps take its quadrature's first round alone, uncertified, and
+the gap's certified pass at their roots carries a caller's own rows at
+the roots, thermo's window rows at a cold temperature, on the same nodes.
+Thermo's other window rows, at f = 0 and of the condensation part, are
+passes with no kernel rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
     "gap_residual_second_partials",
     "sech2",
     "slope_kernel",
-    "window_pass",
 ]
 
 _SERIES_CUT = 0.5
@@ -187,8 +186,8 @@ class ResidualPartials:
     """Residual value and partial derivatives at one (t, y) point.
 
     d_t, d_y are with respect to temperature and squared gap; fields beyond
-    the evaluated order stay None.  window_pass fills the evaluated fields
-    with arrays, one entry per (t, y) pair.
+    the evaluated order stay None.  _ungated_pass fills the evaluated
+    fields with arrays, one entry per (t, y) pair.
     """
 
     t: float
@@ -231,7 +230,7 @@ def _gate_closure(ts, ys, params: ModelParams) -> None:
 # curvature kernel.
 WINDOW_KERNELS = ("value", "sech", "slope", "eta_tanh", "mixed", "curv")
 _ORDER_KERNELS = (("value", "slope"), ("value", "sech", "slope"), WINDOW_KERNELS)
-# Coldest temperature, in units of t_c, that window_pass evaluates: there
+# Coldest temperature, in units of t_c, at which a residual is evaluated: there
 # (2t)^5, the highest power of t it divides by, is still a normal float, and
 # every thermal factor e^{-Delta/t} has long underflowed, so the model is at
 # zero temperature.  A colder t is evaluated here, where that is exact.
@@ -312,43 +311,12 @@ def _tails(ys, params: ModelParams, lower, fifth=False) -> tuple:
     return inv1, inv3, inv3 * ((1.0 / e_big) ** 2 + (1.0 / e_c) ** 2 + near) / 3.0
 
 
-def window_pass(ts, ys, params: ModelParams, order: int) -> ResidualPartials:
-    """Residual and partial derivatives at arrays of (t, y) pairs, as arrays.
-
-    order 0 gives value and d_y (a Newton step), order 1 adds d_t, and
-    order 2 adds the second partials.  Every order admits the closed box
-    without the zero-temperature edge, which the closed forms of
-    gap_residual_partials cover: F is analytic in y for every t > 0, so
-    the partials exist on the t_c, y = 0 and y = y_max edges too.  A t
-    below _COLDEST t_c is evaluated at _COLDEST t_c; that is exact, and
-    admitted, where sqrt(xi_min^2 + y) is at least _EDGE k_b _COLDEST t_c,
-    so that every thermal part is below the quadrature target at both
-    temperatures.
-    """
-    given, ys = _pairs(ts, ys)
-    _gate_closure(given, ys, params)
-    coldest = _COLDEST * params.t_c
-    if given.size and given.min() < coldest:
-        if (given == 0.0).any():
-            raise OutsideDomain("the zero-temperature edge is handled by closed forms")
-        edge = _EDGE * params.k_b * coldest
-        inexact = (given < coldest) & (np.hypot(params.xi_min, np.sqrt(ys)) < edge)
-        if inexact.any():
-            i = int(np.argmax(inexact))
-            raise OutsideDomain(
-                f"(t, y) = ({float(given[i])!r}, {float(ys[i])!r}): below {coldest!r} the residual is "
-                f"evaluated at {coldest!r}, exact only where sqrt(xi_min^2 + y) >= {edge!r}"
-            )
-    p, _ = _ungated_pass(np.maximum(given, coldest), ys, params, _ORDER_KERNELS[order])
-    return replace(p, t=given)
-
-
 def _ungated_pass(ts, ys, params: ModelParams, kinds, certified: bool = True, rows=None) -> tuple:
     """The fields the named kernels give at flat float arrays of (t, y) pairs, and every row's integrals.
 
     No gate, for pairs a caller made inside the domain, as the Newton
-    iteration does its iterates, or gated, as the gap's pass at the roots
-    does: t must be at least _COLDEST t_c where kinds are given, and above
+    iteration does its iterates, or gated, as _at and the gap's pass at the
+    roots gate theirs: t must be at least _COLDEST t_c where kinds are given, and above
     0 for rows alone.  kinds is a subsequence of WINDOW_KERNELS, possibly
     empty; each is integrated over [xi_min, _edge(params, max t)], and
     _partials adds its asymptote past the edge.  Every kernel at every pair
@@ -436,18 +404,25 @@ def _partials(ts, ys, params: ModelParams, kinds, integrals) -> ResidualPartials
 
 
 def _at(t, y, params: ModelParams, order: int) -> ResidualPartials:
-    """Partials up to order at one public (t, y), as physical floats.
+    """Partials up to order at one public (t, y), as physical floats: the one gate of the scalar entries.
 
     (t, y) is gated as given, then evaluated in core units, with y held to
     the core y_max, which rounding can put below the converted edge; each
     t- and y-derivative is then divided by t_c and (k_b t_c)^2.  t = 0
-    below order 2 takes the closed forms of gap_residual_partials.  Raises
-    OutsideDomain if a field is not a finite float.
+    below order 2 takes the closed forms of gap_residual_partials, and
+    order 2 refuses it; F is analytic in y for every t > 0, so the partials
+    exist on the t_c, y = 0 and y = y_max edges too.  A t below _COLDEST t_c
+    is evaluated at _COLDEST t_c; that is exact, and admitted, where
+    sqrt(xi_min^2 + y) is at least _EDGE k_b _COLDEST t_c, so that every
+    thermal part is below the quadrature target at both temperatures.  A
+    refusal names the caller's (t, y) and thresholds.  Raises OutsideDomain
+    if a field is not a finite float.
     """
     _gate_closure(*_pairs(t, y), params)
+    t, y = float(t), float(y)
     core = params.core
     t_unit, y_unit = params.t_c, params.scales[0]
-    tau, y_core = float(t) / t_unit, min(float(y) / y_unit, core.y_max)
+    tau, y_core = t / t_unit, min(y / y_unit, core.y_max)
     if tau == 0.0 and order < 2:
         # at y near the smallest float the closed forms leave float range;
         # the finiteness check below refuses them
@@ -455,7 +430,15 @@ def _at(t, y, params: ModelParams, order: int) -> ResidualPartials:
             inv1, inv3 = _tails(y_core, core, core.xi_min)
         c = ResidualPartials(tau, y_core, inv1 - 1.0 / core.u0n0, d_t=0.0, d_y=-0.5 * inv3)
     else:
-        c = window_pass(tau, y_core, core, order)
+        if tau == 0.0:
+            raise OutsideDomain(f"(t, y) = ({t!r}, {y!r}): no second partials exist on the zero-temperature edge")
+        edge = _EDGE * _COLDEST  # in units of k_b t_c
+        if tau < _COLDEST and np.hypot(core.xi_min, math.sqrt(y_core)) < edge:
+            raise OutsideDomain(
+                f"(t, y) = ({t!r}, {y!r}): below {_COLDEST * t_unit!r} the residual is evaluated at "
+                f"{_COLDEST * t_unit!r}, exact only where sqrt(xi_min^2 + y) >= {edge * params.k_b * t_unit!r}"
+            )
+        c, _ = _ungated_pass(np.array([max(tau, _COLDEST)]), np.array([y_core]), core, _ORDER_KERNELS[order])
     units = {"value": 1.0, "d_t": t_unit, "d_y": y_unit, "d_tt": t_unit * t_unit,
              "d_ty": t_unit * y_unit, "d_yy": y_unit * y_unit}
     fields = {
@@ -464,7 +447,7 @@ def _at(t, y, params: ModelParams, order: int) -> ResidualPartials:
     }
     if not all(map(math.isfinite, fields.values())):
         raise OutsideDomain(f"a residual field at (t, y) = ({t!r}, {y!r}) is not a finite float: {fields}")
-    return ResidualPartials(float(t), float(y), **fields)
+    return ResidualPartials(t, y, **fields)
 
 
 def gap_residual(t: float, y: float, params: ModelParams) -> float:
@@ -482,7 +465,7 @@ def residual_and_slope(t: float, y: float, params: ModelParams) -> tuple[float, 
     """Residual value together with its y-derivative (one Newton step's worth).
 
     Skips the temperature derivative that the full first-order evaluation
-    would also compute; window_pass at order 0 does the same for arrays.
+    would also compute; the gap's Newton steps do the same for arrays.
     """
     p = _at(t, y, params, 0)
     return p.value, p.d_y
@@ -503,7 +486,7 @@ def gap_residual_partials(t: float, y: float, params: ModelParams) -> ResidualPa
 def gap_residual_second_partials(t: float, y: float, params: ModelParams) -> ResidualPartials:
     """Residual with first and second partial derivatives.
 
-    Defined where window_pass is: the closed box without the
-    zero-temperature edge, so also at the gap curve's endpoint (t_c, 0).
+    Defined on the closed box without the zero-temperature edge, so also
+    at the gap curve's endpoint (t_c, 0).
     """
     return _at(t, y, params, 2)

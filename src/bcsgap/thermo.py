@@ -22,7 +22,8 @@ cannot.  At and below t_c the window's rows depend on the solved root
 (t, f) alone, f' entering only as a factor outside the integral, so they
 ride in the gap's certified pass at that root: a cold point takes that one
 certified window quadrature, and a warm one the normal window's, each with
-the band's where the band can reach the target.
+the band's where the band can reach the target.  Every entry checks each
+temperature once, in _gated_temperature, which also gives its core value.
 """
 
 from __future__ import annotations
@@ -82,14 +83,22 @@ class ThermoPoint:
     branch: str
 
 
-def _check_temperature(t) -> float:
+def _gated_temperature(t, params: ModelParams) -> tuple:
+    """(t, tau): a checked temperature t > 0 and tau = t / t_c, its core value.
+
+    One below _COLDEST t_c is evaluated there, as the scalar residual
+    functions do; one above _HOTTEST t_c is refused.
+    """
     try:
         t = _as_finite_float("temperature", t)
     except NonFiniteInput as exc:
         raise OutsideDomain(str(exc)) from None
     if not t > 0.0:
         raise OutsideDomain(f"temperature must be > 0, got {t!r}")
-    return t
+    tau = max(t / params.t_c, _COLDEST)
+    if not tau <= _HOTTEST:
+        raise OutsideDomain(f"temperature {t!r} is above {_HOTTEST:.6g} t_c, whose cube overflows")
+    return t, tau
 
 
 def _thermal_rows(e, kt, split=False):
@@ -284,19 +293,6 @@ def _finite(t: float, *values: float) -> tuple:
     return values
 
 
-def _core_temperatures(ts, params: ModelParams) -> list:
-    """Checked temperatures ts in units of t_c.
-
-    One below _COLDEST t_c is evaluated there, as window_pass does; one
-    above _HOTTEST t_c is refused.
-    """
-    taus = [max(t / params.t_c, _COLDEST) for t in ts]
-    for t, tau in zip(ts, taus):
-        if not tau <= _HOTTEST:
-            raise OutsideDomain(f"temperature {t!r} is above {_HOTTEST:.6g} t_c, whose cube overflows")
-    return taus
-
-
 def _thermo_point(t: float, params: ModelParams, parts) -> ThermoPoint:
     """The ThermoPoint at t from its _parts, made physical once."""
     omega, omega_t, omega_tt = _physical(t, params, parts, _normal_constant(params))
@@ -324,14 +320,13 @@ def _points(ts, params: ModelParams) -> list[ThermoPoint]:
     window's target, at weak coupling often none.  A batch of one is
     thermodynamic_potential.
     """
-    ts = [_check_temperature(t) for t in ts]
+    checked = [_gated_temperature(t, params) for t in ts]
     core = params.core
     f_unit, f_prime_unit, _ = params.scales
     split_rows = lambda xi, y, kt: _thermal_rows(np.sqrt(xi * xi + y), kt, split=True)
     points = []
-    for lo in range(0, len(ts), _BATCH):
-        chunk = ts[lo:lo + _BATCH]
-        taus = _core_temperatures(chunk, params)
+    for lo in range(0, len(checked), _BATCH):
+        chunk, taus = zip(*checked[lo:lo + _BATCH])
         cold = [i for i, t in enumerate(chunk) if t <= params.t_c]
         warm = [i for i, t in enumerate(chunk) if t > params.t_c]
         fs, windows = [0.0] * len(chunk), [None] * len(chunk)
@@ -357,8 +352,7 @@ def tail_potential(t: float, params: ModelParams) -> tuple:
     band rows are normal floats, so the band keeps its relative accuracy
     where the thermo point drops it.  Returns (value, d1, d2).
     """
-    t = _check_temperature(t)
-    (tau,) = _core_temperatures([t], params)
+    t, tau = _gated_temperature(t, params)
     (band,) = _band([tau], params.core)
     return _physical(t, params, _tails(tau, band), 2.0 * params.band_constant)
 
@@ -373,8 +367,7 @@ def normal_potential(t: float, params: ModelParams) -> tuple:
     bit, and where the band cannot reach the window's target it is not
     integrated.
     """
-    t = _check_temperature(t)
-    (tau,) = _core_temperatures([t], params)
+    t, tau = _gated_temperature(t, params)
     (window,), (band,) = _normal_window([tau], params.core), _reaching_band([tau], [0.0], params.core)
     return _physical(t, params, _parts(tau, params.core, 0.0, band, window), _normal_constant(params))
 
@@ -391,11 +384,10 @@ def condensation_potential(t: float, params: ModelParams, gap: GapPoint) -> tupl
     normal weight row xi^2 fermi_weight(xi/t), which the second derivative
     subtracts from; the shift is _shift.
     """
-    t = _check_temperature(t)
+    t, tau = _gated_temperature(t, params)
     if t > params.t_c:
         raise OutsideDomain(f"condensation part exists for 0 < t <= t_c, got t = {t!r}")
     _require_solved(t, gap)
-    (tau,) = _core_temperatures([t], params)
     core = params.core
     f, f_prime = gap.f / params.scales[0], gap.f_prime / params.scales[1]
     rows = lambda xi, y, kt: np.vstack((xi * xi * fermi_weight(xi / kt), _condensation_rows(xi, kt, y)))

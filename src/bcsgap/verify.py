@@ -27,6 +27,7 @@ import numpy as np
 from .gap import _solved_points, _tanh_integral, sample_gap_curve
 from .kernels import (
     _CURV_SERIES,
+    _ORDER_KERNELS,
     _SERIES_CUT,
     _SLOPE_SERIES,
     _poly_even,
@@ -35,7 +36,6 @@ from .kernels import (
     gap_residual,
     gap_residual_second_partials,
     slope_kernel,
-    window_pass,
 )
 from .model import ModelParams
 from .thermo import (
@@ -359,11 +359,11 @@ def run_suite(params: ModelParams, grid_size: int = 201) -> VerificationReport:
     h_y = 1e-5 * core.y_max
     h_t = 1e-5
     steps = np.array(_STENCIL)
-    p = window_pass(
+    p, _ = _ungated_pass(
         np.concatenate([np.full(4, t_m), t_m + steps * h_t]),
         np.concatenate([y_m + steps * h_y, np.full(4, y_m)]),
         core,
-        order=1,
+        _ORDER_KERNELS[1],
     )
     dty_from_y = _five_point(p.d_t[:4], h_y)
     dty_from_t = _five_point(p.d_y[4:], h_t)

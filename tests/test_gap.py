@@ -139,7 +139,7 @@ def test_hint_does_not_change_the_answer(default_params, hint_ratio):
     p = default_params
     t = 0.37 * p.t_c
     plain = solve_gap_at(t, p)
-    (seeded,) = gap._newton(np.array([t]), np.array([plain.f * hint_ratio]), p, np.array([t]))
+    (seeded,) = gap._newton(np.array([t]), np.array([plain.f * hint_ratio]), p)
     assert abs(seeded - plain.f) <= 1e-13 * p.y_max
 
 
@@ -538,10 +538,9 @@ def test_nodes_below_0_2998_t_c_seed_at_the_zero_temperature_gap(monkeypatch):
     seeds = {}
     real = gap._newton
 
-    def recording(ts, ys, params, given, certified=False):
-        if not certified:
-            seeds.update(zip(ts.tolist(), ys.tolist()))
-        return real(ts, ys, params, given, certified)
+    def recording(ts, ys, params):
+        seeds.update(zip(ts.tolist(), ys.tolist()))
+        return real(ts, ys, params)
 
     monkeypatch.setattr(gap, "_newton", recording)
     for p in (build_params(), build_params(u0n0=0.1, eps=1e-3), build_params(u0n0=3.0, eps=1.0)):
@@ -560,24 +559,15 @@ _GUARD_CUTOFFS = (0.0, 1e-6, 1e-3, 0.1, 1.0)
 
 @pytest.mark.parametrize("eps", _GUARD_CUTOFFS)
 @pytest.mark.parametrize("u0n0", _GUARD_COUPLINGS)
-def test_rate_stop_sends_no_row_to_the_certified_redo(u0n0, eps, monkeypatch):
+def test_rate_stop_sends_no_row_to_the_certified_redo(u0n0, eps, window_passes):
     # the rate bound's roots are confirmed by the certified pass at the roots:
     # over every coupling and cutoff cell of this grid, each root's
-    # certified residual is at Newton's stop level, so no row is solved
-    # again by certified steps
+    # certified residual is at Newton's stop level, so no row steps on and
+    # each solve takes its one certified pass
     p = build_params(u0n0=u0n0, eps=eps)
-    redo = []
-    real = gap._newton
-
-    def recording(ts, seeds, params, given, certified=False):
-        if certified:
-            redo.extend(ts.tolist())
-        return real(ts, seeds, params, given, certified)
-
-    monkeypatch.setattr(gap, "_newton", recording)
     points = list(sample_gap_curve(p, 201).points[:-1])
     points += [solve_gap_at(r * p.t_c, p) for r in np.linspace(0.02, 0.999, 25)]
-    assert redo == []
+    assert window_passes == [(2, 201)] + [(2, 1)] * 25
     assert max(pt.residual for pt in points) <= gap._NEWTON_STOP
 
 
@@ -621,7 +611,7 @@ def test_newton_rows_that_do_not_stop_are_solved_by_certified_steps(default_para
 
 def test_unconverged_newton_names_the_temperature_it_was_given(default_params, monkeypatch):
     # first rounds off by 1e-6 put the uncertified root off the certified
-    # one, and a one-step certified Newton cannot reach it; the failure
+    # one, and the step from one certified pass cannot reach it; the failure
     # names the caller's temperature, not its core value t / t_c
     real = kernels._first_round
     monkeypatch.setattr(kernels, "_first_round", lambda *a, **k: real(*a, **k) * (1.0 + 1e-6))
@@ -629,6 +619,27 @@ def test_unconverged_newton_names_the_temperature_it_was_given(default_params, m
     t = 0.5 * default_params.t_c
     with pytest.raises(ToleranceNotMet, match=re.escape(f"gap solve at t = {t!r} did not converge")):
         solve_gap_at(t, default_params)
+
+
+def test_redo_steps_on_its_own_certified_pass(default_params, integrate_calls, monkeypatch):
+    # first rounds 1e-9 off stop Newton short of the certified root; a
+    # rejected row steps from the certified pass's own value and d_y, and
+    # the batch's pass is taken once more: 2 certified calls for a lone
+    # solve, and twice the 26 blocks of a 201-node curve, with no certified
+    # Newton pass between them
+    p = default_params
+    t = 0.5 * p.t_c
+    plain = [solve_gap_at(t, p), *sample_gap_curve(p, 201).points]
+    real = kernels._first_round
+    monkeypatch.setattr(kernels, "_first_round", lambda *a, **k: real(*a, **k) * (1.0 + 1e-9))
+    integrate_calls.clear()
+    point = solve_gap_at(t, p)
+    assert len(integrate_calls) == 2
+    integrate_calls.clear()
+    curve = sample_gap_curve(p, 201).points
+    assert len(integrate_calls) == 52
+    for got, ref in zip([point, *curve], plain):
+        assert abs(got.f - ref.f) <= 1e-12 * p.delta**2
 
 
 @pytest.mark.parametrize("rel_error", [1e-9, 1e-12])

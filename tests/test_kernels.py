@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -25,7 +26,6 @@ from bcsgap.kernels import (
     gap_residual_second_partials,
     sech2,
     slope_kernel,
-    window_pass,
 )
 from bcsgap.gap import solve_gap_at
 from bcsgap.model import build_params
@@ -232,6 +232,23 @@ def test_clamp_to_the_coldest_temperature_only_where_exact(default_params):
     assert gap_residual(t, y, p) == gap_residual(kernels._COLDEST * p.t_c, y, p)
 
 
+def test_cold_pair_refusal_names_the_callers_units():
+    # the refusal names the (t, y) the caller passed, not its core value
+    # (t / t_c, y / (k_b t_c)^2), and its thresholds in the caller's units,
+    # at a k_b and t_c far from 1
+    p = build_params(hbar_omega_d=2.0, k_b=3.0)
+    t, y = 1e-100 * p.t_c, 1e-200 * p.y_max
+    coldest = kernels._COLDEST * p.t_c
+    edge = kernels._EDGE * kernels._COLDEST * p.k_b * p.t_c
+    message = (
+        f"(t, y) = ({t!r}, {y!r}): below {coldest!r} the residual is evaluated at {coldest!r}, "
+        f"exact only where sqrt(xi_min^2 + y) >= {edge!r}"
+    )
+    for entry in (gap_residual, gap_residual_partials, gap_residual_second_partials):
+        with pytest.raises(OutsideDomain, match=re.escape(message)):
+            entry(t, y, p)
+
+
 def test_partials_allowed_on_transition_edge(default_params):
     p = default_params
     part = gap_residual_partials(p.t_c, 0.5 * p.y_max, p)
@@ -268,7 +285,8 @@ def test_second_partials_near_transition_corner(default_params):
 def test_second_partials_rejected_on_boundaries(default_params):
     # one gate at every order: the closed box without the zero-temperature
     # edge; that edge, the (0, 0) corner and everything outside or
-    # non-finite is refused as at orders 0 and 1
+    # non-finite is refused as at orders 0 and 1, where the edge itself
+    # takes the closed forms instead
     p = default_params
     t_c, y_max = p.t_c, p.y_max
     mid_t, mid_y = 0.5 * t_c, 0.5 * y_max
@@ -282,31 +300,43 @@ def test_second_partials_rejected_on_boundaries(default_params):
         ]),
     ]
     for (t, y), error in refused:
-        with pytest.raises(error):
-            gap_residual_second_partials(t, y, p)
-        for order in (0, 1, 2):
+        for entry in (gap_residual, gap_residual_partials, gap_residual_second_partials):
+            if t == 0.0 and y > 0.0 and entry is not gap_residual_second_partials:
+                continue
             with pytest.raises(error):
-                window_pass([mid_t, t], [mid_y, y], p, order=order)
+                entry(t, y, p)
     assert gap_residual_second_partials(mid_t, mid_y, p).d_yy > 0.0
+    # on the zero-temperature edge (xi_min = 0 here) the residual is
+    # asinh(L / sqrt(y)) - 1 / u0n0, and d_y minus half the integral of
+    # (xi^2 + y)^(-3/2), L / (y sqrt(L^2 + y))
+    L = p.hbar_omega_d
+    for y in (mid_y, y_max):
+        first = gap_residual_partials(0.0, y, p)
+        assert first.value == gap_residual(0.0, y, p)
+        assert first.value == pytest.approx(math.asinh(L / math.sqrt(y)) - 1.0 / p.u0n0, rel=1e-14)
+        assert first.d_t == 0.0
+        assert first.d_y == pytest.approx(-0.5 * L / (y * math.sqrt(L * L + y)), rel=1e-14)
 
 
 def test_ungated_core_is_window_pass_at_order_0(default_params):
-    # the Newton iteration steps through the ungated core; its value and d_y
-    # are window_pass's to the bit, at y = 0, next to t_c and at _COLDEST
-    # (the refusals of window_pass are test_second_partials_rejected_on_boundaries)
+    # the Newton iteration steps through the ungated window pass, and the
+    # scalar entries, past their one gate, evaluate through it too: their
+    # value and d_y are its rows to the bit, at y = 0, next to t_c and at
+    # _COLDEST (the refusals of the gate are
+    # test_second_partials_rejected_on_boundaries)
     core = default_params.core
-    ts = np.array([kernels._COLDEST, 0.01, 0.5, 0.5, float(np.nextafter(1.0, 0.0)), 1.0])
-    ys = np.array([core.delta**2, 0.3 * core.y_max, 0.0, core.y_max, 0.0, 0.0])
-    gated = window_pass(ts, ys, core, order=0)
-    ungated, _ = kernels._ungated_pass(ts, ys, core, ("value", "slope"))
-    assert ungated.value.tolist() == gated.value.tolist()
-    assert ungated.d_y.tolist() == gated.d_y.tolist()
+    ts = [kernels._COLDEST, 0.01, 0.5, 0.5, float(np.nextafter(1.0, 0.0)), 1.0]
+    ys = [core.delta**2, 0.3 * core.y_max, 0.0, core.y_max, 0.0, 0.0]
+    for t, y in zip(ts, ys):
+        ungated, _ = kernels._ungated_pass(np.array([t]), np.array([y]), core, ("value", "slope"))
+        assert kernels.residual_and_slope(t, y, core) == (ungated.value[0], ungated.d_y[0])
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_window_pass_takes_no_pairs(default_params, order):
     # no pairs make no quadrature and empty fields of the order's shape
-    p = window_pass([], [], default_params.core, order=order)
+    p, integrals = kernels._ungated_pass(np.empty(0), np.empty(0), default_params.core, kernels._ORDER_KERNELS[order])
+    assert integrals.shape == (len(kernels._ORDER_KERNELS[order]), 0)
     fields = [p.value, p.d_t, p.d_y, p.d_tt, p.d_ty, p.d_yy]
     assert [f is None for f in fields] == [False, order < 1, False] + [order < 2] * 3
     assert all(f.shape == (0,) for f in fields if f is not None)

@@ -53,7 +53,7 @@ def test_quadratures_are_called_from_their_owners_only():
         "integrate": {"kernels._ungated_pass", "thermo._band", "gap._tanh_integral"},
         "_first_round": {"kernels._ungated_pass"},
         "_ungated_pass": {
-            "kernels.window_pass", "gap._newton", "gap._solved_columns",
+            "kernels._at", "gap._newton", "gap._solved_columns",
             "thermo._normal_window", "thermo.condensation_potential", "verify.run_suite",
         },
     }
