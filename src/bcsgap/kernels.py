@@ -81,6 +81,8 @@ def _series_tables(terms: int) -> tuple:
 
 
 _SLOPE_SERIES, _CURV_SERIES = _series_tables(_SERIES_TERMS)
+# both tables as columns, one row per order, for a Horner loop over a stack of both kernels
+_SERIES = np.array((_SLOPE_SERIES, _CURV_SERIES)).T
 
 
 def sech2(x):
@@ -121,34 +123,42 @@ def _validated_eta(eta):
     return x
 
 
-def _by_branch(x, coeffs, direct, out=None):
-    """Series below _SERIES_CUT, direct(where) on the rest, into out if given; x a float array.
+def _by_branch(x, th, s2, slope, curv=None):
+    """Slope kernel into slope and, if curv is given, curvature kernel into curv; x a float array.
 
-    where is the branch's mask, or Ellipsis when the branch holds every
-    node, so that nothing is copied out; a branch with no nodes is skipped.
+    Each direct formula is formed on every node under one np.errstate: below
+    the cut it may divide 0 by 0, and past x ~ 1e154 x * x overflows to inf
+    and the kernel goes to its limit -0.  The Taylor series then overwrite
+    the nodes below _SERIES_CUT, both kernels' in one Horner loop over a
+    stack of rows, each element through the operations of _poly_even.
     """
-    out = np.empty_like(x) if out is None else out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        xx = x * x
+        np.divide(th, x, out=slope)
+        np.subtract(s2, slope, out=slope)
+        slope /= xx
+        if curv is not None:
+            part = 2.0 * th
+            part *= s2
+            part /= x
+            np.multiply(3.0, slope, out=curv)
+            curv += part
+            curv /= xx
     small = x < _SERIES_CUT
-    n_small = np.count_nonzero(small)
-    if n_small:
-        where = small if n_small < x.size else ...
-        out[where] = _poly_even(x[where], coeffs)
-    if n_small < x.size:
-        where = ~small if n_small else ...
-        # past x ~ 1e154, x * x overflows to inf and the kernel goes to its limit -0
-        with np.errstate(over="ignore"):
-            out[where] = direct(where)
-    return out
-
-
-def _slope(x, th, s2, out=None):
-    return _by_branch(x, _SLOPE_SERIES, lambda m: (s2[m] - th[m] / x[m]) / (x[m] * x[m]), out)
-
-
-def _curvature(x, th, s2, g, out=None):
-    return _by_branch(
-        x, _CURV_SERIES, lambda m: (3.0 * g[m] + 2.0 * th[m] * s2[m] / x[m]) / (x[m] * x[m]), out
-    )
+    if small.any():
+        rows = 1 if curv is None else 2
+        tables = _SERIES[:, :rows, None]
+        z = x[small]
+        z *= z
+        acc = np.empty((rows, z.size))
+        acc[...] = tables[-1]
+        for c in tables[-2::-1]:
+            acc *= z
+            acc += c
+        slope[small] = acc[0]
+        if curv is not None:
+            curv[small] = acc[1]
+    return slope if curv is None else curv
 
 
 def _kernel_arg(eta):
@@ -164,7 +174,7 @@ def slope_kernel(eta):
     it is still ~-8e-6 at eta = 50 (algebraic, not exponential, decay).
     """
     scalar, x = _kernel_arg(eta)
-    out = _slope(x, np.tanh(x), sech2(x))
+    out = _by_branch(x, np.tanh(x), sech2(x), np.empty_like(x))
     return float(out[0]) if scalar else out
 
 
@@ -176,8 +186,7 @@ def curvature_kernel(eta):
     slope_kernel'(eta) = -eta * curvature_kernel(eta).
     """
     scalar, x = _kernel_arg(eta)
-    th, s2 = np.tanh(x), sech2(x)
-    out = _curvature(x, th, s2, _slope(x, th, s2))
+    out = _by_branch(x, np.tanh(x), sech2(x), np.empty_like(x), np.empty_like(x))
     return float(out[0]) if scalar else out
 
 
@@ -250,8 +259,9 @@ _BLOCK_ROWS = 48
 def _kernel_rows(xi, beta, y, kinds):
     """Stack of the named kernels, shape (len(kinds), len(beta), len(xi)), each written into its row.
 
-    "curv" reads the slope kernel, from its row when "slope" comes first;
-    no kinds make an empty stack at no cost.
+    The slope and curvature kernels are formed together, the slope into a
+    scratch array where only "curv" is asked for; no kinds make an empty
+    stack at no cost.
     """
     out = np.empty((len(kinds), len(beta), len(xi)))
     if not kinds:
@@ -260,14 +270,14 @@ def _kernel_rows(xi, beta, y, kinds):
     eta = beta[:, None] * s
     th = np.tanh(eta)
     s2 = sech2(eta)
-    g = None
+    slope = curv = None
     for row, kind in zip(out, kinds):
         if kind == "value":
             np.divide(th, s, out=row)
         elif kind == "sech":
             row[...] = s2
         elif kind == "slope":
-            g = _slope(eta, th, s2, row)
+            slope = row
         elif kind == "eta_tanh":
             np.multiply(eta, th, out=row)
             row *= s2
@@ -275,7 +285,9 @@ def _kernel_rows(xi, beta, y, kinds):
             np.divide(th, eta, out=row)
             row *= s2
         else:
-            _curvature(eta, th, s2, _slope(eta, th, s2) if g is None else g, row)
+            curv = row
+    if slope is not None or curv is not None:
+        _by_branch(eta, th, s2, np.empty_like(eta) if slope is None else slope, curv)
     return out
 
 

@@ -30,8 +30,13 @@ truncation_point(a, decay_scale), beyond which its tail is negligible.
 
 Every call has one accuracy target: REL_TOL times |integral|, or 50
 machine epsilons times the integral of |f| where roundoff keeps it from
-meeting that.  There is no absolute floor, so an integral keeps its
-relative accuracy at any magnitude.
+meeting that.  The integral of |f| is formed only on a round where some
+component misses its relative target.  There is no absolute floor, so an
+integral keeps its relative accuracy at any magnitude.
+
+Finiteness is read off the panel sums: every Kronrod weight is positive,
+so a node where f is not finite makes its panel's sum not finite, and only
+then are the nodes scanned for the one NonFiniteIntegrand names.
 """
 
 import math
@@ -94,10 +99,6 @@ def _eval_batch(f, x):
             f"integrand returned shape {y.shape} for input shape {x.shape} "
             f"(nodes from x = {x[0]!r})"
         )
-    finite = np.isfinite(y)
-    if not finite.all():
-        bad = x[~finite.all(axis=0)] if y.ndim == 2 else x[~finite]
-        raise NonFiniteIntegrand(f"integrand is not finite near x = {bad[0]!r}")
     return y
 
 
@@ -107,34 +108,40 @@ def _kronrod(f, lo, hi, scale):
     With scale given, the panels are in v and f is evaluated at
     x = scale * sinh(v) times the Jacobian.  The node values have shape
     (P, 15) for a 1-D integrand and (k, P, 15) for a stack, and the
-    Kronrod values (P,) and (k, P).
+    Kronrod values (P,) and (k, P).  The nodes are scanned only where a
+    panel's value is not finite, and NonFiniteIntegrand names the first x
+    at which f is not.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     v = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    if scale is None:
-        y = _eval_batch(f, v)
-    else:
-        y = _eval_batch(f, scale * np.sinh(v)) * (scale * np.cosh(v))
+    x = v if scale is None else scale * np.sinh(v)
+    fx = _eval_batch(f, x)
+    y = fx if scale is None else fx * (scale * np.cosh(v))
     y = y.reshape(y.shape[:-1] + (lo.size, _NODES.size))
-    return half, y, half * (y @ _W15)
+    # nodes at +inf and -inf in one panel sum to nan, which the scan reports
+    with np.errstate(invalid="ignore"):
+        k = half * (y @ _W15)
+    if not np.isfinite(k).all():
+        finite = np.isfinite(fx)
+        if not finite.all():
+            bad = x[~finite.all(axis=0)] if fx.ndim == 2 else x[~finite]
+            raise NonFiniteIntegrand(f"integrand is not finite near x = {bad[0]!r}")
+    return half, y, k
 
 
 def _panels_eval(f, lo, hi, scale):
-    """Kronrod value, error estimate, and |f| integral for each panel, shaped as _kronrod's values."""
+    """_kronrod's half-widths, node values and Kronrod values, and each panel's error estimate."""
     half, y, k = _kronrod(f, lo, hi, scale)
     g = half * (y @ _W7)
-    resabs = half * (np.abs(y) @ _W15)
-    mean = k / (2.0 * half)
-    resasc = half * (np.abs(y - mean[..., None]) @ _W15)
+    dev = y - (k / (2.0 * half))[..., None]
+    np.abs(dev, out=dev)
+    resasc = half * (dev @ _W15)
     diff = np.abs(k - g)
-    safe = np.where(resasc > 0.0, resasc, 1.0)
-    err = np.where(
-        resasc > 0.0,
-        resasc * np.minimum(1.0, (200.0 * diff / safe) ** 1.5),
-        diff,
-    )
-    return k, err, resabs
+    positive = resasc > 0.0
+    safe = np.where(positive, resasc, 1.0)
+    err = np.where(positive, resasc * np.minimum(1.0, (200.0 * diff / safe) ** 1.5), diff)
+    return half, y, k, err
 
 
 def _start_panels(a, b, scale):
@@ -183,10 +190,16 @@ def integrate(f, a, b, scale: float | None = None):
     lo, hi, scale = _start_panels(a, b, scale)
     length = hi[-1] - lo[0]
     while True:
-        k, err, resabs = _panels_eval(f, lo, hi, scale)
-        # one row per component: a 1-D integrand is a stack of one
-        total, total_err, total_abs = np.add.reduce((k, err, resabs), axis=-1).reshape(3, -1)
-        tol = np.maximum(REL_TOL * np.abs(total), 50.0 * _EPS * total_abs)
+        half, y, k, err = _panels_eval(f, lo, hi, scale)
+        # one entry per component: a 1-D integrand is a stack of one
+        total = np.add.reduce(k, axis=-1).reshape(-1)
+        total_err = np.add.reduce(err, axis=-1).reshape(-1)
+        tol = REL_TOL * np.abs(total)
+        if (total_err <= tol).all():
+            break
+        # the roundoff floor, formed only where a component misses its relative target
+        total_abs = np.add.reduce(half * (np.abs(y) @ _W15), axis=-1).reshape(-1)
+        tol = np.maximum(tol, 50.0 * _EPS * total_abs)
         unmet = total_err > tol
         if not unmet.any():
             break

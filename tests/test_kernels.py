@@ -98,6 +98,57 @@ def test_vectorized_matches_scalar():
         assert v == slope_kernel(float(eta))
 
 
+def _branch_reference(eta, coeffs, direct):
+    # one node at a time: the series below the cut, the direct formula at it and above
+    x = np.array([eta])
+    if eta < _SERIES_CUT:
+        return float(_poly_even(x, coeffs)[0])
+    with np.errstate(over="ignore"):
+        return float(direct(x, np.tanh(x), sech2(x))[0])
+
+
+def _direct_slope(x, th, s2):
+    return (s2 - th / x) / (x * x)
+
+
+def _direct_curvature(x, th, s2):
+    return (3.0 * _direct_slope(x, th, s2) + 2.0 * th * s2 / x) / (x * x)
+
+
+def test_kernels_on_both_branches_match_scalar_calls():
+    # one array across the cut, from 0 to where x * x overflows: each node
+    # is its scalar call and its own branch to the bit, and the direct
+    # formula formed at every node raises no warning at 0 or past 1e154
+    cut = _SERIES_CUT
+    etas = np.array([0.0, 1e-300, 1e-8, 0.1, np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0),
+                     0.7, 3.0, 50.0, 1e154, 1e300])
+    for func, coeffs, direct in ((slope_kernel, _SLOPE_SERIES, _direct_slope),
+                                 (curvature_kernel, _CURV_SERIES, _direct_curvature)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = func(etas)
+            scalars = [func(float(eta)) for eta in etas]
+        assert vec.tobytes() == np.array(scalars).tobytes()
+        reference = [_branch_reference(float(eta), coeffs, direct) for eta in etas]
+        assert vec.tobytes() == np.array(reference).tobytes()
+        assert vec[-1] == 0.0
+
+
+def test_kernel_rows_of_every_order_agree_on_shared_kinds(default_params):
+    # the slope and curvature rows are formed together at order 2; each row
+    # an order shares with another is the same bits, and a curvature row
+    # asked for alone is the order-2 one
+    core = default_params.core
+    # nodes off xi = 0, where the "mixed" row divides by eta = 0 at y = 0
+    xi = np.linspace(core.xi_min, 40.0, 97)[1:]
+    beta = 1.0 / (2.0 * core.k_b * np.array([0.05, 0.5, 1.0]))
+    y = np.array([core.delta**2, 0.2 * core.delta**2, 0.0])
+    full = dict(zip(kernels._ORDER_KERNELS[2], kernels._kernel_rows(xi, beta, y, kernels._ORDER_KERNELS[2])))
+    for kinds in (*kernels._ORDER_KERNELS[:2], ("curv",), ("sech", "curv")):
+        for kind, row in zip(kinds, kernels._kernel_rows(xi, beta, y, kinds)):
+            assert row.tobytes() == full[kind].tobytes(), (kinds, kind)
+
+
 @pytest.mark.parametrize("func", [slope_kernel, curvature_kernel])
 def test_kernel_argument_gates(func):
     with pytest.raises(ValueError):

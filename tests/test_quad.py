@@ -1,6 +1,8 @@
 """Adaptive quadrature against closed forms and independent oracles."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +173,122 @@ def test_first_round_keeps_the_checks_of_integrate(f):
     # integrand is reported, not carried into a value
     with pytest.raises(NonFiniteIntegrand, match=r"x = "):
         quad._first_round(f, 0.0, 1.0, scale=0.1)
+
+
+def _straightforward_integrate(f, a, b, scale=None):
+    """integrate's round in its plainest form, for the bit-identity test below.
+
+    Every round forms every field of every panel, the |f| integral
+    included, sums the three as one stacked array, and tests each component
+    against the larger of its relative target and its roundoff floor.
+    """
+    lo, hi, scale = quad._start_panels(a, b, scale)
+    length = hi[-1] - lo[0]
+    while True:
+        half, y, k = quad._kronrod(f, lo, hi, scale)
+        g = half * (y @ quad._W7)
+        resabs = half * (np.abs(y) @ quad._W15)
+        mean = k / (2.0 * half)
+        resasc = half * (np.abs(y - mean[..., None]) @ quad._W15)
+        diff = np.abs(k - g)
+        safe = np.where(resasc > 0.0, resasc, 1.0)
+        err = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * diff / safe) ** 1.5), diff)
+        total, total_err, total_abs = np.add.reduce((k, err, resabs), axis=-1).reshape(3, -1)
+        tol = np.maximum(quad.REL_TOL * np.abs(total), 50.0 * quad._EPS * total_abs)
+        unmet = total_err > tol
+        if not unmet.any():
+            return total, total_err
+        widths = hi - lo
+        splittable = widths > 4.0 * quad._EPS * np.maximum(np.abs(lo), np.abs(hi)) + 2.0 * quad._TINY
+        budget = np.where(unmet, tol, np.inf)[:, None] * (widths / length)
+        to_split = (err.reshape(total.size, -1) > budget).any(axis=0) & splittable
+        assert to_split.any()
+        mids = 0.5 * (lo[to_split] + hi[to_split])
+        lo = np.concatenate((lo[~to_split], lo[to_split], mids))
+        hi = np.concatenate((hi[~to_split], mids, hi[to_split]))
+        order = np.argsort(lo)
+        lo, hi = lo[order], hi[order]
+
+
+@pytest.mark.parametrize(
+    "f, a, b, scale",
+    [
+        pytest.param(lambda x: np.tanh(x) / x, 1e-300, 5.0, None, id="one-row"),
+        pytest.param(
+            _stack(
+                lambda x: np.tanh(x) / x,
+                lambda x: np.exp(-x) * np.cos(5.0 * x),
+                lambda x: 1.0 / np.sqrt(x * x + 1e-4),
+            ),
+            1e-300, 5.0, None, id="three-rows",
+        ),
+        pytest.param(_stack(lambda x: np.exp(-x * x / 1e-4), lambda x: x * x), -3.0, 1.0, 1e-2, id="mapped"),
+        pytest.param(_stack(np.ones_like, lambda x: 1e-12 * np.cos(40.0 * x)), 0.0, 1.0, None, id="small-row"),
+        pytest.param(lambda x: 1e-300 * np.cos(40.0 * x), 0.0, 1.0, None, id="tiny"),
+        pytest.param(np.sin, -1.0, 1.0, None, id="roundoff-floor"),
+    ],
+)
+def test_rounds_give_the_bits_of_the_straightforward_round(f, a, b, scale):
+    # integrate skips the |f| integral on rounds that meet the relative
+    # target and sums each field apart; its values and error estimates are
+    # those of the plainest form of the round, to the bit
+    value, err = integrate(f, a, b, scale=scale)
+    total, total_err = _straightforward_integrate(f, a, b, scale)
+    assert np.asarray(value).tobytes() == total.tobytes()
+    assert np.asarray(err).tobytes() == total_err.tobytes()
+
+
+def test_roundoff_floor_accepts_an_integral_near_zero():
+    # sin is odd on [-1, 1]: the integral rounds to about 1e-18, far below
+    # what its error estimate can reach at 1e-12 of it, and the 50 eps
+    # integral of |f| accepts it on its first round
+    rounds = []
+
+    def f(x):
+        rounds.append(1)
+        return np.sin(x)
+
+    value, err = integrate(f, -1.0, 1.0)
+    assert err > quad.REL_TOL * abs(value)
+    assert err <= 50.0 * quad._EPS * (2.0 - 2.0 * math.cos(1.0))
+    assert len(rounds) == 1
+
+
+def _mapped_nodes(a, b, scale):
+    lo, hi, scale = quad._start_panels(a, b, scale)
+    v = (0.5 * (hi + lo))[:, None] + (0.5 * (hi - lo))[:, None] * quad._NODES[None, :]
+    return scale * np.sinh(v.ravel())
+
+
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                         ids=["nan", "inf", "minus-inf", "inf-and-minus-inf-in-one-panel"])
+@pytest.mark.parametrize("rule", [integrate, quad._first_round], ids=["integrate", "first-round"])
+def test_nonfinite_node_in_one_row_is_named(bad, rule):
+    # finiteness is read off the panel sums; every weight is positive, so a
+    # non-finite node makes its panel's sum non-finite, nan where +inf and
+    # -inf share a panel, and the error names the first such node, with no
+    # RuntimeWarning on the way
+    nodes = _mapped_nodes(0.0, 1.0, 0.1)
+    first = 37  # nodes 37 and 38 lie in the third panel
+
+    def f(x):
+        row = x.copy()
+        row[first:first + len(bad)] = bad
+        return np.stack([np.exp(-x), row])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteIntegrand, match=re.escape(f"x = {nodes[first]!r}")):
+            rule(f, 0.0, 1.0, scale=0.1)
+
+
+def test_finite_nodes_whose_sum_overflows_are_not_called_nonfinite():
+    # every node is finite, so the panel sums that overflow are not reported
+    # as a non-finite integrand: the call returns what the sums give
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, err = integrate(lambda x: np.full_like(x, 1e308), 0.0, 10.0)
+    assert value == math.inf
+    assert math.isnan(err)
 
 
 @pytest.mark.parametrize(
