@@ -129,8 +129,11 @@ def _by_branch(x, th, s2, slope, curv=None):
     Each direct formula is formed on every node under one np.errstate: below
     the cut it may divide 0 by 0, and past x ~ 1e154 x * x overflows to inf
     and the kernel goes to its limit -0.  The Taylor series then overwrite
-    the nodes below _SERIES_CUT, both kernels' in one Horner loop over a
-    stack of rows, each element through the operations of _poly_even.
+    the nodes below _SERIES_CUT: their eta^2 are gathered into one flat
+    stack, repeated once per kernel, and both kernels' series run in one
+    Horner loop over it, each element through the operations of
+    _poly_even, so a batched node has the bits of its scalar call; the
+    results are scattered back into slope and curv, whose shapes stay.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         xx = x * x
@@ -144,20 +147,21 @@ def _by_branch(x, th, s2, slope, curv=None):
             np.multiply(3.0, slope, out=curv)
             curv += part
             curv /= xx
-    small = x < _SERIES_CUT
-    if small.any():
+    small = np.flatnonzero(x < _SERIES_CUT)
+    if small.size:
         rows = 1 if curv is None else 2
-        tables = _SERIES[:, :rows, None]
-        z = x[small]
+        z = np.take(x, small)
         z *= z
-        acc = np.empty((rows, z.size))
-        acc[...] = tables[-1]
+        z = np.concatenate((z,) * rows)
+        # each order's coefficients, once per node of each kernel
+        tables = np.repeat(_SERIES[:, :rows], small.size, axis=1)
+        acc = tables[-1]
         for c in tables[-2::-1]:
             acc *= z
             acc += c
-        slope[small] = acc[0]
+        np.put(slope, small, acc[:small.size])
         if curv is not None:
-            curv[small] = acc[1]
+            np.put(curv, small, acc[small.size:])
     return slope if curv is None else curv
 
 
@@ -353,6 +357,7 @@ def _ungated_pass(ts, ys, params: ModelParams, kinds, certified: bool = True, ro
     with y > 0.
     """
     betas = 1.0 / (2.0 * params.k_b * ts)
+    reach2 = ys + (np.pi * params.k_b * ts) ** 2
     per = max(1, _BLOCK_ROWS // len(kinds) if kinds else ts.size)
     blocks = []
     for lo in range(0, ts.size, per):
@@ -365,7 +370,7 @@ def _ungated_pass(ts, ys, params: ModelParams, kinds, certified: bool = True, ro
                 return stack
             return np.vstack((stack, rows(xi, y[:, None], params.k_b * t[:, None])))
 
-        reach = math.sqrt((y + (np.pi * params.k_b * t) ** 2).min())
+        reach = math.sqrt(reach2[block].min())
         if rows is not None and y.max() > 0.0:
             reach = min(reach, math.sqrt(params.xi_min**2 + y[y > 0.0].min()))
         edge = _edge(params, t.max())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from bcsgap import kernels, quad
+from bcsgap import kernels, quad, verify
 from bcsgap.errors import NonFiniteInput, OutsideDomain, ZeroGapAtZeroT
 from bcsgap.kernels import (
     _CURV_SERIES,
@@ -147,6 +147,60 @@ def test_kernel_rows_of_every_order_agree_on_shared_kinds(default_params):
     for kinds in (*kernels._ORDER_KERNELS[:2], ("curv",), ("sech", "curv")):
         for kind, row in zip(kinds, kernels._kernel_rows(xi, beta, y, kinds)):
             assert row.tobytes() == full[kind].tobytes(), (kinds, kind)
+
+
+@pytest.mark.parametrize("kinds", [("sech", "slope"), ("slope", "curv")])
+def test_kernel_rows_across_the_cut_are_each_nodes_branch(kinds):
+    # a pairs-by-nodes batch whose eta straddles the cut: every element of a
+    # slope or curvature row is its own node's series or direct formula to
+    # the bit, wherever the flat series stack put it
+    cut = _SERIES_CUT
+    xi = np.array([0.0, 1e-10, np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0), 3.0, 50.0])
+    beta, y = np.array([1.0, 1e-290, 1.0]), np.array([0.0, 0.0, 0.01])
+    eta = beta[:, None] * np.sqrt(xi * xi + y[:, None])
+    assert eta[0].tobytes() == xi.tobytes() and eta[1, 1] == pytest.approx(1e-300)
+    assert (eta < cut).any(axis=1).all() and (eta >= cut).any()
+    tables = {"slope": (_SLOPE_SERIES, _direct_slope), "curv": (_CURV_SERIES, _direct_curvature)}
+    for kind, row in zip(kinds, kernels._kernel_rows(xi, beta, y, kinds)):
+        assert row.shape == eta.shape
+        if kind == "sech":
+            assert row.tobytes() == sech2(eta).tobytes()
+            continue
+        reference = [_branch_reference(float(e), *tables[kind]) for e in eta.ravel()]
+        assert row.tobytes() == np.array(reference).tobytes(), kind
+
+
+@pytest.mark.parametrize("func", [slope_kernel, curvature_kernel])
+def test_kernels_keep_the_callers_shape(func):
+    etas = np.array([[0.1, 3.0], [_SERIES_CUT, 1e-300]])
+    out = func(etas)
+    assert out.shape == (2, 2)
+    assert out.tobytes() == np.array([func(float(e)) for e in etas.ravel()]).tobytes()
+
+
+@pytest.mark.parametrize("batch", ["partials grid", "order 2"])
+def test_window_pass_blocks_depend_on_their_own_pairs_alone(default_params, batch):
+    # a block's map, edge and sums come from its rows alone, so a pass is the
+    # concatenation of passes over its blocks' pairs, to the bit
+    core = default_params.core
+    if batch == "partials grid":
+        n = verify._PARTIALS_GRID
+        grid_t, grid_y = np.meshgrid([i / n for i in range(1, n + 1)], [core.y_max * (j / n) for j in range(n)],
+                                     indexing="ij")
+        ts, ys, kinds = grid_t.ravel(), grid_y.ravel(), ("sech", "slope")
+    else:
+        ts, ys, kinds = np.linspace(0.05, 1.0, 30), np.linspace(core.y_max, 0.0, 30), kernels._ORDER_KERNELS[2]
+    whole, integrals = kernels._ungated_pass(ts, ys, core, kinds)
+    per = kernels._BLOCK_ROWS // len(kinds)
+    parts = [kernels._ungated_pass(ts[lo:lo + per], ys[lo:lo + per], core, kinds) for lo in range(0, ts.size, per)]
+    assert len(parts) > 1
+    assert integrals.tobytes() == np.hstack([p[1] for p in parts]).tobytes()
+    for field in ("value", "d_t", "d_y", "d_tt", "d_ty", "d_yy"):
+        value = getattr(whole, field)
+        if value is None:
+            assert all(getattr(p[0], field) is None for p in parts)
+        else:
+            assert value.tobytes() == np.hstack([getattr(p[0], field) for p in parts]).tobytes(), field
 
 
 @pytest.mark.parametrize("func", [slope_kernel, curvature_kernel])

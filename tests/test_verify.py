@@ -25,10 +25,13 @@ def test_suite_passes_on_defaults(default_report):
     assert default_report.passed
 
 
-def test_suite_certified_quadratures_are_pinned(default_params, integrate_calls):
-    # t_c's gap point is the curve's last row, not a solve of its own
+def test_suite_certified_quadratures_are_pinned(default_params, integrate_calls, quadrature_rounds):
+    # t_c's gap point is the curve's last row, not a solve of its own; the
+    # rounds and their nodes pin the suite's quadrature work, so a change
+    # meant to keep every bit is seen to keep the work too
     run_suite(default_params)
     assert len(integrate_calls) == 153
+    assert (len(quadrature_rounds), sum(quadrature_rounds)) == (198, 22_065)
 
 
 @pytest.mark.parametrize("u0n0, eps", [(0.3, 0.0), (0.1, 0.0), (0.3, 1e-3), (0.12, 1e-3), (3.0, 1.0)])
