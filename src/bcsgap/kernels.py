@@ -21,7 +21,8 @@ _ungated_pass call, the one pass function: it evaluates the kernels it is
 asked for at arrays of (t, y) pairs, as one stacked integrand, integrating
 each block of rows up to the thermal edge, with nodes mapped on
 sqrt(y + (pi k_b t)^2), the distance from the real axis of the nearest
-poles of a row even in E, as the six kernels are, or on thermo's rows'
+poles of a row even in E, as the six kernels are, on the narrower width of
+a cold row of the thermal kernels (_GAUSSIAN_MAP), or on thermo's rows'
 nearer branch points, and forms the residual's fields from the kernels'
 integrals, with no gate.  The scalar functions gate once, in _at, call it
 on the core view of the parameters and return physical values; the gap's
@@ -258,6 +259,25 @@ _EDGE = float(truncation_point(0.0, 1.0))
 # same pairs (thermo's four), keeps peak memory independent of how many
 # pairs a pass is given.
 _BLOCK_ROWS = 48
+# The purely thermal kernels, and their rows' map scale in units of the width
+# of a cold row.  Each row is e^{-E/k_b t} times a slowly varying factor; at a
+# cold row E = sqrt(xi^2 + y) is about E_min + (xi^2 - xi_min^2) / 2 E_min, so
+# the row is e^{-E_min/k_b t} times a Gaussian about xi = 0 of variance
+# k_b t E_min, far narrower than the distance sqrt(y + (pi k_b t)^2) of its
+# poles, about Delta.  On a map of scale s that Gaussian, near v = 0, has
+# standard deviation sqrt(k_b t E_min) / s in v; at
+# s = _GAUSSIAN_MAP sqrt(k_b t E_min + (pi k_b t)^2) that is at most
+# 1 / _GAUSSIAN_MAP = quad's _MAPPED_WIDTH, one starting panel, and the first
+# round meets the target (at 2.5 some cold blocks refine again, and at 1.5
+# they take more nodes).  The (pi k_b t)^2 term keeps s at least twice the
+# poles' thermal part, so warm rows, where e^{-E/k_b t} is no Gaussian, keep
+# the poles' distance.
+_THERMAL_KINDS = frozenset(("sech", "eta_tanh", "mixed"))
+_GAUSSIAN_MAP = 2.0
+# -ln of the smallest normal float: past E_min = _UNDERFLOW k_b t the thermal
+# parts underflow, the rows are their algebraic asymptotes, and the poles'
+# distance stays the map's scale
+_UNDERFLOW = -math.log(_TINY)
 
 
 def _kernel_rows(xi, beta, y, kinds):
@@ -347,17 +367,35 @@ def _ungated_pass(ts, ys, params: ModelParams, kinds, certified: bool = True, ro
     second item, shape (len(kinds) + m, pairs), is the kernels' integrals,
     then the caller's.
 
-    A block's nodes are mapped on its smallest sqrt(y + (pi k_b t)^2), the
-    distance from the real axis of the nearest poles of a row even in
-    E = sqrt(xi^2 + y), as the kernels are, so no such row starts out
-    unresolved, at y = 0 and t far below t_c too.  A caller's rows need not
-    be even in E, as thermo's ln(1 + e^{-E/k_b t}) and E fermi(E/k_b t) are
-    not, and branch at xi = +-i sqrt(y), sqrt(xi_min^2 + y) from the
-    window; so with rows the map also takes the smallest such distance
-    with y > 0.
+    A block's nodes are mapped on the smallest scale among its rows, each
+    row's sqrt(y + (pi k_b t)^2), the distance from the real axis of the
+    nearest poles of a row even in E = sqrt(xi^2 + y), as the kernels are,
+    so no such row starts out unresolved, at y = 0 and t far below t_c too.
+    Where kinds include a purely thermal kernel, "sech", "eta_tanh" or
+    "mixed", a row whose e^{-E_min/k_b t}, E_min = sqrt(xi_min^2 + y), is a
+    normal float takes the smaller of that and
+    _GAUSSIAN_MAP sqrt(k_b t E_min + (pi k_b t)^2), the scale of the
+    Gaussian about xi = 0 that its thermal rows are when cold, so a cold
+    block meets its target on its first round too.  The Newton steps' kinds
+    and the rows at _COLDEST t_c, whose thermal parts underflow, keep the
+    poles' distance.  A caller's rows need not be even in E, as thermo's
+    ln(1 + e^{-E/k_b t}) and E fermi(E/k_b t) are not, and branch at
+    xi = +-i sqrt(y), sqrt(xi_min^2 + y) from the window; so with rows the
+    map also takes the smallest such distance with y > 0.
     """
     betas = 1.0 / (2.0 * params.k_b * ts)
-    reach2 = ys + (np.pi * params.k_b * ts) ** 2
+    poles2 = (np.pi * params.k_b * ts) ** 2
+    reach2 = ys + poles2
+    if not _THERMAL_KINDS.isdisjoint(kinds):
+        # a row narrows only where y > (_GAUSSIAN_MAP^2 - 1)(pi k_b t)^2, so
+        # a pass with no such row, warm or at y = 0, pays one comparison
+        # (count_nonzero: the cheapest test of a small boolean array)
+        near = ys > (_GAUSSIAN_MAP**2 - 1.0) * poles2
+        if np.count_nonzero(near):
+            kt, e_min = params.k_b * ts, np.sqrt(params.xi_min**2 + ys)
+            width2 = _GAUSSIAN_MAP**2 * (kt * e_min + poles2)
+            near &= e_min < _UNDERFLOW * kt
+            np.minimum(reach2, width2, out=reach2, where=near)
     per = max(1, _BLOCK_ROWS // len(kinds) if kinds else ts.size)
     blocks = []
     for lo in range(0, ts.size, per):

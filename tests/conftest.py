@@ -28,18 +28,23 @@ def eps_params():
 
 @pytest.fixture
 def integrate_calls(monkeypatch):
-    """A list that gains one entry per quadrature call, from whichever bcsgap module makes it."""
+    """A list that gains one entry per quadrature call, from whichever bcsgap module makes it: the call's rounds."""
     from bcsgap import gap, kernels, quad, thermo
 
     calls = []
-    real = quad.integrate
+    real, real_round = quad.integrate, quad._panels_eval
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(0)
         return real(*args, **kwargs)
+
+    def round_counting(*args):
+        calls[-1] += 1
+        return real_round(*args)
 
     for module in (quad, kernels, gap, thermo):
         monkeypatch.setattr(module, "integrate", counting)
+    monkeypatch.setattr(quad, "_panels_eval", round_counting)
     return calls
 
 

@@ -518,14 +518,18 @@ def test_lone_sech_row_at_tc(u0n0):
     assert got == pytest.approx(two_kt * math.tanh(p.hbar_omega_d / two_kt), rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("ratio", [0.005, 0.01, 0.02])
-def test_cold_thermal_rows_match_oracle(default_params, ratio):
-    # at the solved gap the sech^2 rows are ~1e-40 to 1e-153: tiny, but they
-    # set f' there and must keep their relative accuracy
+@pytest.mark.parametrize("ratio", [0.005, 0.01, 0.02, 0.04, 0.08, 0.12])
+def test_cold_thermal_rows_match_oracle(default_params, ratio, integrate_calls):
+    # at the solved gap the rows are ~1e-7 to 1e-158: tiny, but they set f'
+    # and f'' there and must keep their relative accuracy, on the first round
+    # of a map on their own Gaussian width
     p = default_params
     t = ratio * p.t_c
     y = solve_gap_at(t, p).f
-    got = kernels._ungated_pass(np.array([t]), np.array([y]), p, ("sech", "eta_tanh"))[1][:, 0]
-    for kind, val in zip(("sech", "eta_tanh"), got):
+    kinds = ("sech", "eta_tanh", "mixed")
+    integrate_calls.clear()
+    got = kernels._ungated_pass(np.array([t]), np.array([y]), p, kinds)[1][:, 0]
+    assert integrate_calls == [1]
+    for kind, val in zip(kinds, got):
         ref = oracles.mp_window_integral(kind, t, y, p.k_b, p.xi_min, p.hbar_omega_d)
         assert val == pytest.approx(ref, rel=1e-10, abs=0.0)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bcsgap import verify
+from bcsgap import thermo, verify
 from bcsgap.gap import sample_gap_curve, solve_gap_at
 from bcsgap.model import build_params
 from bcsgap.thermo import _closed_form_jumps, measured_second_derivative_jump
@@ -31,7 +31,22 @@ def test_suite_certified_quadratures_are_pinned(default_params, integrate_calls,
     # meant to keep every bit is seen to keep the work too
     run_suite(default_params)
     assert len(integrate_calls) == 153
-    assert (len(quadrature_rounds), sum(quadrature_rounds)) == (198, 22_065)
+    assert (len(quadrature_rounds), sum(quadrature_rounds)) == (182, 19_980)
+
+
+@pytest.mark.parametrize("u0n0, eps", [(0.3, 0.0), (0.3, 1e-3), (0.003, 0.0)])
+def test_no_certified_curve_quadrature_refines(u0n0, eps, integrate_calls):
+    # a cold block's thermal rows, Gaussians about xi = 0 of width
+    # sqrt(k_b t E_min), are mapped on that width, so every certified call
+    # meets its target on its first round
+    sample_gap_curve(build_params(u0n0=u0n0, eps=eps), 201)
+    assert set(integrate_calls) == {1}
+
+
+def test_no_certified_suite_or_thermo_quadrature_refines(default_params, integrate_calls):
+    run_suite(default_params)
+    thermo._points(list(np.linspace(0.02, 1.5, 41) * default_params.t_c), default_params)
+    assert set(integrate_calls) == {1}
 
 
 @pytest.mark.parametrize("u0n0, eps", [(0.3, 0.0), (0.1, 0.0), (0.3, 1e-3), (0.12, 1e-3), (3.0, 1.0)])
