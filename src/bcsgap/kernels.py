@@ -18,17 +18,20 @@ part that decays like e^{-E / k_b t}: the kernels are integrated over
 rest of the window in closed form (_tails), which at t = 0 cover all of
 it.  Every pairing-window quadrature, thermo's included, is an
 _ungated_pass call, the one pass function: it evaluates the kernels it is
-asked for at arrays of (t, y) pairs, as one stacked integrand, integrating
-each block of rows up to the thermal edge, with nodes mapped on
-sqrt(y + (pi k_b t)^2), the distance from the real axis of the nearest
-poles of a row even in E, as the six kernels are, on the narrower width of
-a cold row of the thermal kernels (_GAUSSIAN_MAP), or on thermo's rows'
-nearer branch points, and forms the residual's fields from the kernels'
-integrals, with no gate.  The scalar functions gate once, in _at, call it
-on the core view of the parameters and return physical values; the gap's
-Newton steps take its quadrature's first round alone, uncertified, and
-the gap's certified pass at their roots carries a caller's own rows at
-the roots, thermo's window rows at a cold temperature, on the same nodes.
+asked for at arrays of (t, y) pairs, as stacked integrands, integrating
+every row up to the thermal edge, with each pair's nodes mapped on its own
+reach, rounded down to the ladder pi k_b t_c 2^k: sqrt(y + (pi k_b t)^2),
+the distance from the real axis of the nearest poles of a row even in E,
+as the six kernels are, the narrower width of a cold row of the thermal
+kernels (_GAUSSIAN_MAP), or thermo's rows' nearer branch points.  Pairs
+on one rung share their quadrature calls, so a pair's integrals do not
+depend on the batch it comes in wherever no call refines.  The pass forms
+the residual's fields from the kernels' integrals, with no gate.  The
+scalar functions gate once, in _at, call it on the core view of the
+parameters and return physical values; the gap's Newton steps take its
+quadrature's first round alone, uncertified, and the gap's certified pass
+at their roots carries a caller's own rows at the roots, thermo's window
+rows at a cold temperature, on the same nodes.
 Thermo's other window rows, at f = 0 and of the condensation part, are
 passes with no kernel rows.
 """
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import NonFiniteInput, OutsideDomain, ZeroGapAtZeroT
 from .model import _TINY, ModelParams
-from .quad import _first_round, integrate, truncation_point
+from .quad import _NODES, _first_round, _start_panels, integrate, truncation_point
 
 __all__ = [
     "ResidualPartials",
@@ -254,11 +257,18 @@ _COLDEST = _TINY ** 0.2
 # every kernel's thermal part is, at every t <= t_c.  The cutoff margin of
 # build_params keeps xi_min below about 25 k_b t_c, well inside it.
 _EDGE = float(truncation_point(0.0, 1.0))
-# Stacked kernel rows per quadrature call.  Each row holds one kernel at
-# one (t, y) pair on every node, so the cap, with a caller's rows at the
-# same pairs (thermo's four), keeps peak memory independent of how many
-# pairs a pass is given.
+# Stacked rows per quadrature call.  Each row holds one kernel, or one of a
+# caller's rows, at one (t, y) pair on every node, so the caps keep peak
+# memory independent of how many pairs a pass is given: a call takes
+# _BLOCK_ROWS rows, or as many as fill _BLOCK_NODES row-nodes on its
+# starting panels where that is more.  12,288 row-nodes are 96 KiB per
+# float array, under glibc's default 128 KiB mmap threshold, so a call's
+# temporaries come from the heap instead of fresh pages.  Measured on
+# verify's 2,500-pair partials grid (numpy 2.4.6, glibc, a 2-core x86-64
+# VM): a pass took no minor page faults at this cap and 4,062 at twice it,
+# and about a third more time at twice or at half of it.
 _BLOCK_ROWS = 48
+_BLOCK_NODES = 12_288
 # The purely thermal kernels, and their rows' map scale in units of the width
 # of a cold row.  Each row is e^{-E/k_b t} times a slowly varying factor; at a
 # cold row E = sqrt(xi^2 + y) is about E_min + (xi^2 - xi_min^2) / 2 E_min, so
@@ -347,6 +357,13 @@ def _tails(ys, params: ModelParams, lower, fifth=False) -> tuple:
     return inv1, inv3, inv3 * ((1.0 / e_big) ** 2 + (1.0 / e_c) ** 2 + near) / 3.0
 
 
+def _rung(reach: float, base: float) -> float:
+    """The ladder's rung at or below reach: base 2^k, k = floor(log2(reach / base)), exactly."""
+    # reach / base may round up to the next power of 2, and then the rung is halved
+    scale = math.ldexp(base, math.frexp(reach / base)[1] - 1)
+    return scale / 2.0 if scale > reach else scale
+
+
 def _ungated_pass(ts, ys, params: ModelParams, kinds, certified: bool = True, rows=None) -> tuple:
     """The fields the named kernels give at flat float arrays of (t, y) pairs, and every row's integrals.
 
@@ -354,41 +371,47 @@ def _ungated_pass(ts, ys, params: ModelParams, kinds, certified: bool = True, ro
     iteration does its iterates, or gated, as _at and the gap's pass at the
     roots gate theirs: t must be at least _COLDEST t_c where kinds are given, and above
     0 for rows alone.  kinds is a subsequence of WINDOW_KERNELS, possibly
-    empty; each is integrated over [xi_min, _edge(params, max t)], and
+    empty; each is integrated over [xi_min, _edge(params, t)], and
     _partials adds its asymptote past the edge.  Every kernel at every pair
-    is one row of a stacked integrand, integrated in blocks of at most
-    _BLOCK_ROWS kernel rows, each row to its own tolerance, or, if not
-    certified, by the quadrature's first round alone, with no error
-    estimate: the same value wherever that round meets the target.  rows,
-    if given, maps the nodes xi, a block's squared gaps y as a column and
-    their k_b t as a column to m more rows per pair, shape
-    (m * pairs, nodes), each decaying like e^{-sqrt(xi^2 + y) / k_b t};
-    without kinds they are one block, as thermo caps its batches.  The
+    is one row of a stacked integrand, each row integrated to its own
+    tolerance, or, if not certified, by the quadrature's first round alone,
+    with no error estimate: the same value wherever that round meets the
+    target.  rows, if given, maps the nodes xi, a call's squared gaps y as a
+    column and their k_b t as a column to m more rows per pair, shape
+    (m * pairs, nodes), each decaying like e^{-sqrt(xi^2 + y) / k_b t}.  The
     second item, shape (len(kinds) + m, pairs), is the kernels' integrals,
     then the caller's.
 
-    A block's nodes are mapped on the smallest scale among its rows, each
-    row's sqrt(y + (pi k_b t)^2), the distance from the real axis of the
-    nearest poles of a row even in E = sqrt(xi^2 + y), as the kernels are,
-    so no such row starts out unresolved, at y = 0 and t far below t_c too.
+    Each pair's nodes are mapped on its own reach rounded down to the
+    ladder pi k_b t_c 2^k, k an integer (_rung).  The reach is
+    sqrt(y + (pi k_b t)^2), the distance from the real axis of the nearest
+    poles of a row even in E = sqrt(xi^2 + y), as the kernels are, so no
+    such row starts out unresolved, at y = 0 and t far below t_c too.
     Where kinds include a purely thermal kernel, "sech", "eta_tanh" or
-    "mixed", a row whose e^{-E_min/k_b t}, E_min = sqrt(xi_min^2 + y), is a
-    normal float takes the smaller of that and
+    "mixed", a pair whose e^{-E_min/k_b t}, E_min = sqrt(xi_min^2 + y), is
+    a normal float takes the smaller of that and
     _GAUSSIAN_MAP sqrt(k_b t E_min + (pi k_b t)^2), the scale of the
     Gaussian about xi = 0 that its thermal rows are when cold, so a cold
-    block meets its target on its first round too.  The Newton steps' kinds
-    and the rows at _COLDEST t_c, whose thermal parts underflow, keep the
+    pair meets its target on its first round too.  The Newton steps' kinds
+    and the pairs at _COLDEST t_c, whose thermal parts underflow, keep the
     poles' distance.  A caller's rows need not be even in E, as thermo's
     ln(1 + e^{-E/k_b t}) and E fermi(E/k_b t) are not, and branch at
-    xi = +-i sqrt(y), sqrt(xi_min^2 + y) from the window; so with rows the
-    map also takes the smallest such distance with y > 0.
+    xi = +-i sqrt(y), sqrt(xi_min^2 + y) from the window; so with rows a
+    pair with y > 0 also takes that distance.  A scale at or below the
+    reach keeps the nearest singularity at least pi/2 from the real axis of
+    v = asinh(xi / scale).  Pairs on one rung with one edge share their
+    nodes, stacked into calls of at most _BLOCK_ROWS rows, or _BLOCK_NODES
+    row-nodes of the rung's starting panels where that is more, so a
+    pair's integrals depend on that pair alone wherever its call meets its
+    target on the first round; a call that refines splits the panels of
+    all its rows.  A lone pair takes its rung on floats, with no grouping.
     """
     betas = 1.0 / (2.0 * params.k_b * ts)
     poles2 = (np.pi * params.k_b * ts) ** 2
     reach2 = ys + poles2
     if not _THERMAL_KINDS.isdisjoint(kinds):
-        # a row narrows only where y > (_GAUSSIAN_MAP^2 - 1)(pi k_b t)^2, so
-        # a pass with no such row, warm or at y = 0, pays one comparison
+        # a pair narrows only where y > (_GAUSSIAN_MAP^2 - 1)(pi k_b t)^2, so
+        # a pass with no such pair, warm or at y = 0, pays one comparison
         # (count_nonzero: the cheapest test of a small boolean array)
         near = ys > (_GAUSSIAN_MAP**2 - 1.0) * poles2
         if np.count_nonzero(near):
@@ -396,28 +419,53 @@ def _ungated_pass(ts, ys, params: ModelParams, kinds, certified: bool = True, ro
             width2 = _GAUSSIAN_MAP**2 * (kt * e_min + poles2)
             near &= e_min < _UNDERFLOW * kt
             np.minimum(reach2, width2, out=reach2, where=near)
-    per = max(1, _BLOCK_ROWS // len(kinds) if kinds else ts.size)
-    blocks = []
-    for lo in range(0, ts.size, per):
-        block = slice(lo, lo + per)
-        t, beta, y = ts[block], betas[block], ys[block]
+    base = np.pi * params.k_b * params.t_c
 
-        def integrand(xi, t=t, beta=beta, y=y):
+    def window(pairs, scale, edge):
+        """The integrals of the pairs at pairs, on one rung and edge, shape (rows, pairs)."""
+        t, beta, y = ts[pairs], betas[pairs], ys[pairs]
+
+        def integrand(xi):
             stack = _kernel_rows(xi, beta, y, kinds).reshape(-1, xi.size)
             if rows is None:
                 return stack
             return np.vstack((stack, rows(xi, y[:, None], params.k_b * t[:, None])))
 
-        reach = math.sqrt(reach2[block].min())
-        if rows is not None and y.max() > 0.0:
-            reach = min(reach, math.sqrt(params.xi_min**2 + y[y > 0.0].min()))
-        edge = _edge(params, t.max())
         if certified:
-            integrals = integrate(integrand, params.xi_min, edge, scale=reach)[0]
+            integrals = integrate(integrand, params.xi_min, edge, scale=scale)[0]
         else:
-            integrals = _first_round(integrand, params.xi_min, edge, scale=reach)
-        blocks.append(integrals.reshape(-1, t.size))
-    integrals = np.hstack(blocks) if blocks else np.empty((len(kinds), 0))
+            integrals = _first_round(integrand, params.xi_min, edge, scale=scale)
+        return integrals.reshape(-1, t.size)
+
+    if ts.size == 1:
+        y, reach = float(ys[0]), math.sqrt(float(reach2[0]))
+        if rows is not None and y > 0.0:
+            reach = min(reach, math.sqrt(params.xi_min**2 + y))
+        integrals = window(slice(None), _rung(reach, base), _edge(params, float(ts[0])))
+        return _partials(ts, ys, params, kinds, integrals), integrals
+    per_pair = len(kinds)
+    if rows is not None and ts.size:
+        # the caller's rows per pair, from one pair at one node
+        per_pair += len(rows(np.array([params.xi_min]), ys[:1, None], params.k_b * ts[:1, None]))
+    integrals = np.empty((per_pair, ts.size))
+    reach = np.sqrt(reach2)
+    if rows is not None:
+        np.minimum(reach, np.sqrt(params.xi_min**2 + ys), out=reach, where=ys > 0.0)
+    # _rung at every pair
+    scales = np.ldexp(base, np.frexp(reach / base)[1] - 1)
+    scales = np.where(scales > reach, scales / 2.0, scales)
+    # _edge at every pair
+    edges = np.minimum(params.hbar_omega_d, _EDGE * params.k_b * np.maximum(params.t_c, ts))
+    # stable, so each rung's pairs keep their order
+    order = np.lexsort((edges, scales))
+    starts = np.flatnonzero((np.diff(scales[order]) != 0.0) | (np.diff(edges[order]) != 0.0)) + 1
+    for group in np.split(order, starts) if ts.size else ():
+        scale, edge = float(scales[group[0]]), float(edges[group[0]])
+        panels = _start_panels(params.xi_min, edge, scale)[0].size
+        per = max(_BLOCK_ROWS // per_pair, _BLOCK_NODES // (per_pair * _NODES.size * panels))
+        for lo in range(0, group.size, per):
+            pairs = group[lo:lo + per]
+            integrals[:, pairs] = window(pairs, scale, edge)
     return _partials(ts, ys, params, kinds, integrals), integrals
 
 

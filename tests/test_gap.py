@@ -457,9 +457,10 @@ def test_newton_work_is_pinned(default_params, quadrature_rounds, monkeypatch):
     # residual far below Newton's stop level, so
     # it skips the evaluation that would only repeat what the certified pass
     # at the roots checks, and its seed lies on the weak-coupling curve; on
-    # the Ginzburg-Landau interpolation alone it takes 3 and 24 first rounds
+    # the Ginzburg-Landau interpolation alone it took 3 and 24 first rounds
     # here, seeded at f(0) 4 and 33, and stopping on the residual alone 5
-    # and 39.  The thermo point's window rows ride in its gap's certified
+    # and 39, when the Newton steps ran in blocks of 24 pairs; the curve
+    # now takes 9.  The thermo point's window rows ride in its gap's certified
     # pass, so it takes 4 rounds, 2 of them certified (that pass and the
     # band), where the interpolation took 5, and a second window pass and
     # f(0) seeds 8
@@ -625,7 +626,7 @@ def test_redo_steps_on_its_own_certified_pass(default_params, integrate_calls, m
     # first rounds 1e-9 off stop Newton short of the certified root; a
     # rejected row steps from the certified pass's own value and d_y, and
     # the batch's pass is taken once more: 2 certified calls for a lone
-    # solve, and twice the 26 blocks of a 201-node curve, with no certified
+    # solve, and twice the 15 calls of a 201-node curve, with no certified
     # Newton pass between them
     p = default_params
     t = 0.5 * p.t_c
@@ -637,7 +638,7 @@ def test_redo_steps_on_its_own_certified_pass(default_params, integrate_calls, m
     assert len(integrate_calls) == 2
     integrate_calls.clear()
     curve = sample_gap_curve(p, 201).points
-    assert len(integrate_calls) == 52
+    assert len(integrate_calls) == 30
     for got, ref in zip([point, *curve], plain):
         assert abs(got.f - ref.f) <= 1e-12 * p.delta**2
 
@@ -682,9 +683,20 @@ def test_curve_is_one_solved_point_batch(default_params, monkeypatch):
     assert sizes == [201]
 
 
+@pytest.mark.parametrize("u0n0, eps", [(0.3, 0.0), (0.003, 0.0), (0.1, 0.0), (0.3, 1e-3)])
+def test_curve_nodes_are_their_lone_solves(u0n0, eps):
+    # each pair of a window pass is mapped on its own rung and the Newton
+    # seed sums each row on its own, so wherever no certified call refines,
+    # every node of a curve is its lone solve to the bit: f, f', f'' and
+    # the residual
+    p = build_params(u0n0=u0n0, eps=eps)
+    for point in sample_gap_curve(p, 201).points:
+        assert point == solve_gap_at(point.t, p), point.t
+
+
 def test_curve_memory_stays_flat(default_params):
-    # the window pass works in blocks of rows, so the 199 interior nodes
-    # never share one stacked integrand
+    # the window pass stacks a capped number of rows per call, so the 199
+    # interior nodes never share one stacked integrand
     tracemalloc.start()
     try:
         sample_gap_curve(default_params, 201)

@@ -180,8 +180,9 @@ def test_kernels_keep_the_callers_shape(func):
 
 @pytest.mark.parametrize("batch", ["partials grid", "order 2"])
 def test_window_pass_blocks_depend_on_their_own_pairs_alone(default_params, batch):
-    # a block's map, edge and sums come from its rows alone, so a pass is the
-    # concatenation of passes over its blocks' pairs, to the bit
+    # a pair's map, edge and sums come from that pair alone, so a pass is
+    # the concatenation of passes over consecutive slices of its pairs, to
+    # the bit
     core = default_params.core
     if batch == "partials grid":
         n = verify._PARTIALS_GRID
@@ -480,6 +481,43 @@ def test_first_round_is_the_certified_value_wherever_one_round_is_accepted(cell,
         certified = kernels._ungated_pass(ts, ys, core, kinds)[1]
     assume(len(rounds) == 1)
     assert kernels._ungated_pass(ts, ys, core, kinds, certified=False)[1].tobytes() == certified.tobytes()
+
+
+_INVARIANCE_CELLS = [(0.3, 0.0), (0.003, 0.0), (0.3, 1e-3)]
+
+
+@functools.cache
+def _box_batch(u0n0, eps):
+    """(t, y) pairs over the closed box: t from _COLDEST to t_c, y from 0 to y_max, (t_c, 0) among them."""
+    core = _round_core(u0n0, eps)
+    pairs = [(t, r * core.y_max) for t in (kernels._COLDEST, 0.02, 0.1, 0.3, 0.6, 0.9, 0.999, 1.0)
+             for r in (0.25, 0.5, 1.0)]
+    pairs += [(t, 0.0) for t in (0.3, 0.6, 1.0)]
+    return np.array(pairs).T
+
+
+@given(
+    cell=st.sampled_from(_INVARIANCE_CELLS),
+    order=st.integers(0, 2),
+    certified=st.booleans(),
+    data=st.data(),
+)
+def test_a_pair_integrates_alike_in_any_batch(cell, order, certified, data):
+    # each pair is mapped on its own rung and shares a call only with pairs
+    # on that rung, so wherever no call refines, any subset of a batch in
+    # any order gives every pair its lone pass's integrals and fields, to
+    # the bit, certified or on the first round alone
+    core = _round_core(*cell)
+    ts, ys = _box_batch(*cell)
+    picks = data.draw(st.lists(st.integers(0, ts.size - 1), min_size=1, max_size=ts.size, unique=True))
+    kinds = kernels._ORDER_KERNELS[order]
+    batch, integrals = kernels._ungated_pass(ts[picks], ys[picks], core, kinds, certified)
+    for j, i in enumerate(picks):
+        lone, lone_integrals = kernels._ungated_pass(ts[i:i + 1], ys[i:i + 1], core, kinds, certified)
+        assert integrals[:, j].tobytes() == lone_integrals[:, 0].tobytes(), (ts[i], ys[i])
+        for field in ("value", "d_t", "d_y", "d_tt", "d_ty", "d_yy"):
+            if getattr(lone, field) is not None:
+                assert getattr(batch, field)[j:j + 1].tobytes() == getattr(lone, field).tobytes(), field
 
 
 @pytest.mark.parametrize("where", ["t_c", "y=0", "y_max", "t_c,y=0", "t_c,y_max"])

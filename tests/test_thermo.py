@@ -606,6 +606,18 @@ def test_long_unordered_batch_matches_one_temperature_points(default_params):
     _assert_batch_matches_points([r * p.t_c for r in ratios], p)
 
 
+def test_batched_points_are_their_lone_points(default_params):
+    # 40 temperatures on [0.3, 2] t_c, both branches: every window pair is
+    # mapped on its own rung and no call refines, so each batched point is
+    # its lone call to the bit; the band's one call, mapped on the batch's
+    # coldest hot temperature, stays below the fields' rounding here, which
+    # no rule guarantees
+    p = default_params
+    ts = list(np.linspace(0.3, 2.0, 40) * p.t_c)
+    for point, t in zip(thermo._points(ts, p), ts):
+        assert point == thermodynamic_potential(t, p), t
+
+
 def test_one_temperature_is_a_batch_of_one(default_params):
     p = default_params
     for ratio in (0.3, 0.9, 1.0, 1.2):

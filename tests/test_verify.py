@@ -30,13 +30,13 @@ def test_suite_certified_quadratures_are_pinned(default_params, integrate_calls,
     # rounds and their nodes pin the suite's quadrature work, so a change
     # meant to keep every bit is seen to keep the work too
     run_suite(default_params)
-    assert len(integrate_calls) == 153
-    assert (len(quadrature_rounds), sum(quadrature_rounds)) == (182, 19_980)
+    assert len(integrate_calls) == 85
+    assert (len(quadrature_rounds), sum(quadrature_rounds)) == (101, 12_165)
 
 
 @pytest.mark.parametrize("u0n0, eps", [(0.3, 0.0), (0.3, 1e-3), (0.003, 0.0)])
 def test_no_certified_curve_quadrature_refines(u0n0, eps, integrate_calls):
-    # a cold block's thermal rows, Gaussians about xi = 0 of width
+    # a cold pair's thermal rows, Gaussians about xi = 0 of width
     # sqrt(k_b t E_min), are mapped on that width, so every certified call
     # meets its target on its first round
     sample_gap_curve(build_params(u0n0=u0n0, eps=eps), 201)
@@ -51,10 +51,23 @@ def test_no_certified_suite_or_thermo_quadrature_refines(default_params, integra
 
 @pytest.mark.parametrize("u0n0, eps", [(0.3, 0.0), (0.1, 0.0), (0.3, 1e-3), (0.12, 1e-3), (3.0, 1.0)])
 def test_default_curve_ends_on_the_lone_t_c_solve(u0n0, eps):
-    # at 201 nodes t_c is alone in the curve's last block, so the suite's
-    # t_c point keeps the bits of solve_gap_at(t_c)
+    # t_c's pair is mapped on its own rung, so the suite's t_c point keeps
+    # the bits of solve_gap_at(t_c)
     p = build_params(u0n0=u0n0, eps=eps)
     assert sample_gap_curve(p, 201).points[-1] == solve_gap_at(p.t_c, p)
+
+
+@pytest.mark.parametrize("u0n0, eps", [(0.3, 0.0), (0.2, 5.0)])
+def test_jump_check_does_not_depend_on_the_grid_size(u0n0, eps):
+    # the closed-form jump takes f'(t_c) from the curve's last row, and the
+    # t_c pair is mapped on its own rung in a call that does not refine, so
+    # that row is the same at every grid size
+    p = build_params(u0n0=u0n0, eps=eps)
+    measured = set()
+    for grid_size in (51, 201, 401):
+        checks = {c.name: c for c in run_suite(p, grid_size=grid_size).checks}
+        measured.add(checks["jump_measured_vs_closed"].measured)
+    assert len(measured) == 1
 
 
 def test_check_names_sorted_and_unique(default_report):
