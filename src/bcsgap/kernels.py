@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import NonFiniteInput, OutsideDomain, ZeroGapAtZeroT
 from .model import _TINY, ModelParams
-from .quad import _NODES, _first_round, _start_panels, integrate, truncation_point
+from .quad import _NODES, _first_round, _start_table, integrate, truncation_point
 
 __all__ = [
     "ResidualPartials",
@@ -404,26 +404,21 @@ def _ungated_pass(ts, ys, params: ModelParams, kinds, certified: bool = True, ro
     row-nodes of the rung's starting panels where that is more, so a
     pair's integrals depend on that pair alone wherever its call meets its
     target on the first round; a call that refines splits the panels of
-    all its rows.  A lone pair takes its rung on floats, with no grouping.
+    all its rows.  A lone pair, the path of every scalar call, takes its
+    reach, rung and edge on Python floats by the same operations, so it
+    has the bits of its batched pair, and builds none of the per-pair
+    arrays, the frexp ladder or the grouping.  Either way a call's
+    starting nodes are quad's node table for its (xi_min, edge, rung),
+    built once while it stays cached, so rows at one rung and edge, in any
+    pass, start on one table.
     """
-    betas = 1.0 / (2.0 * params.k_b * ts)
-    poles2 = (np.pi * params.k_b * ts) ** 2
-    reach2 = ys + poles2
-    if not _THERMAL_KINDS.isdisjoint(kinds):
-        # a pair narrows only where y > (_GAUSSIAN_MAP^2 - 1)(pi k_b t)^2, so
-        # a pass with no such pair, warm or at y = 0, pays one comparison
-        # (count_nonzero: the cheapest test of a small boolean array)
-        near = ys > (_GAUSSIAN_MAP**2 - 1.0) * poles2
-        if np.count_nonzero(near):
-            kt, e_min = params.k_b * ts, np.sqrt(params.xi_min**2 + ys)
-            width2 = _GAUSSIAN_MAP**2 * (kt * e_min + poles2)
-            near &= e_min < _UNDERFLOW * kt
-            np.minimum(reach2, width2, out=reach2, where=near)
     base = np.pi * params.k_b * params.t_c
+    narrows = not _THERMAL_KINDS.isdisjoint(kinds)
 
     def window(pairs, scale, edge):
         """The integrals of the pairs at pairs, on one rung and edge, shape (rows, pairs)."""
-        t, beta, y = ts[pairs], betas[pairs], ys[pairs]
+        t, y = ts[pairs], ys[pairs]
+        beta = 1.0 / (2.0 * params.k_b * t)
 
         def integrand(xi):
             stack = _kernel_rows(xi, beta, y, kinds).reshape(-1, xi.size)
@@ -438,11 +433,33 @@ def _ungated_pass(ts, ys, params: ModelParams, kinds, certified: bool = True, ro
         return integrals.reshape(-1, t.size)
 
     if ts.size == 1:
-        y, reach = float(ys[0]), math.sqrt(float(reach2[0]))
+        # the batched rule below on floats, each operation as numpy forms it:
+        # (pi k_b t)^2 as a product, as numpy squares an array
+        t, y = float(ts[0]), float(ys[0])
+        pole = np.pi * params.k_b * t
+        poles2 = pole * pole
+        reach2 = y + poles2
+        if narrows and y > (_GAUSSIAN_MAP**2 - 1.0) * poles2:
+            kt, e_min = params.k_b * t, math.sqrt(params.xi_min**2 + y)
+            if e_min < _UNDERFLOW * kt:
+                reach2 = min(reach2, _GAUSSIAN_MAP**2 * (kt * e_min + poles2))
+        reach = math.sqrt(reach2)
         if rows is not None and y > 0.0:
             reach = min(reach, math.sqrt(params.xi_min**2 + y))
-        integrals = window(slice(None), _rung(reach, base), _edge(params, float(ts[0])))
+        integrals = window(slice(None), _rung(reach, base), _edge(params, t))
         return _partials(ts, ys, params, kinds, integrals), integrals
+    poles2 = (np.pi * params.k_b * ts) ** 2
+    reach2 = ys + poles2
+    if narrows:
+        # a pair narrows only where y > (_GAUSSIAN_MAP^2 - 1)(pi k_b t)^2, so
+        # a pass with no such pair, warm or at y = 0, pays one comparison
+        # (count_nonzero: the cheapest test of a small boolean array)
+        near = ys > (_GAUSSIAN_MAP**2 - 1.0) * poles2
+        if np.count_nonzero(near):
+            kt, e_min = params.k_b * ts, np.sqrt(params.xi_min**2 + ys)
+            width2 = _GAUSSIAN_MAP**2 * (kt * e_min + poles2)
+            near &= e_min < _UNDERFLOW * kt
+            np.minimum(reach2, width2, out=reach2, where=near)
     per_pair = len(kinds)
     if rows is not None and ts.size:
         # the caller's rows per pair, from one pair at one node
@@ -461,7 +478,7 @@ def _ungated_pass(ts, ys, params: ModelParams, kinds, certified: bool = True, ro
     starts = np.flatnonzero((np.diff(scales[order]) != 0.0) | (np.diff(edges[order]) != 0.0)) + 1
     for group in np.split(order, starts) if ts.size else ():
         scale, edge = float(scales[group[0]]), float(edges[group[0]])
-        panels = _start_panels(params.xi_min, edge, scale)[0].size
+        panels = _start_table(params.xi_min, edge, scale).half.size
         per = max(_BLOCK_ROWS // per_pair, _BLOCK_NODES // (per_pair * _NODES.size * panels))
         for lo in range(0, group.size, per):
             pairs = group[lo:lo + per]

@@ -25,6 +25,15 @@ Takahasi and Mori, Publ. RIMS 9 (1974) 721): equal starting panels in v
 are narrow where x is below s and widen geometrically above it, so that
 structure is resolved from the first round.
 
+A call's starting panels, their nodes x and, mapped, the Jacobian
+scale * cosh(v) depend on its checked (a, b, scale) alone, so they form a
+node table built once per key and kept, least recently used first out,
+among the last _TABLES; integrate and _first_round evaluate their first
+round on it, and refinement rounds form their nodes afresh.  A table's
+arrays are read-only and shared by every call with that key, so an
+integrand that writes into its x raises ValueError instead of changing
+the nodes of a later call.
+
 An integrand that decays exponentially on [a, infinity) is integrated up to
 truncation_point(a, decay_scale), beyond which its tail is negligible.
 
@@ -39,7 +48,9 @@ so a node where f is not finite makes its panel's sum not finite, and only
 then are the nodes scanned for the one NonFiniteIntegrand names.
 """
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +65,8 @@ _TINY = np.finfo(float).tiny
 _MAX_PANELS = 2 ** 15
 # Widest starting panel in the mapped variable v = asinh(x / scale).
 _MAPPED_WIDTH = 0.5
+# Starting node tables kept, least recently used first out.
+_TABLES = 32
 
 # 15-point Kronrod abscissae (positive half, descending) with the embedded
 # 7-point Gauss rule at the odd-indexed nodes.  Standard published values.
@@ -102,23 +115,32 @@ def _eval_batch(f, x):
     return y
 
 
-def _kronrod(f, lo, hi, scale):
-    """Half-widths, node values and Kronrod value of each panel.
+def _nodes(lo, hi, scale):
+    """Half-widths of the panels (lo, hi), their nodes x, and the Jacobian scale * cosh(v), None unmapped.
 
-    With scale given, the panels are in v and f is evaluated at
-    x = scale * sinh(v) times the Jacobian.  The node values have shape
-    (P, 15) for a 1-D integrand and (k, P, 15) for a stack, and the
-    Kronrod values (P,) and (k, P).  The nodes are scanned only where a
-    panel's value is not finite, and NonFiniteIntegrand names the first x
-    at which f is not.
+    With scale given, the panels are in v and the nodes are
+    x = scale * sinh(v).
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     v = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    x = v if scale is None else scale * np.sinh(v)
+    if scale is None:
+        return half, v, None
+    return half, scale * np.sinh(v), scale * np.cosh(v)
+
+
+def _kronrod(f, half, x, jac):
+    """Node values and Kronrod value of each panel, from _nodes' half-widths, nodes and Jacobian.
+
+    f is evaluated at x, times the Jacobian where there is one.  The node
+    values have shape (P, 15) for a 1-D integrand and (k, P, 15) for a
+    stack, and the Kronrod values (P,) and (k, P).  The nodes are scanned
+    only where a panel's value is not finite, and NonFiniteIntegrand names
+    the first x at which f is not.
+    """
     fx = _eval_batch(f, x)
-    y = fx if scale is None else fx * (scale * np.cosh(v))
-    y = y.reshape(y.shape[:-1] + (lo.size, _NODES.size))
+    y = fx if jac is None else fx * jac
+    y = y.reshape(y.shape[:-1] + (half.size, _NODES.size))
     # nodes at +inf and -inf in one panel sum to nan, which the scan reports
     with np.errstate(invalid="ignore"):
         k = half * (y @ _W15)
@@ -127,12 +149,12 @@ def _kronrod(f, lo, hi, scale):
         if not finite.all():
             bad = x[~finite.all(axis=0)] if fx.ndim == 2 else x[~finite]
             raise NonFiniteIntegrand(f"integrand is not finite near x = {bad[0]!r}")
-    return half, y, k
+    return y, k
 
 
-def _panels_eval(f, lo, hi, scale):
-    """_kronrod's half-widths, node values and Kronrod values, and each panel's error estimate."""
-    half, y, k = _kronrod(f, lo, hi, scale)
+def _panels_eval(f, half, x, jac):
+    """_kronrod's node values and Kronrod values, and each panel's error estimate."""
+    y, k = _kronrod(f, half, x, jac)
     g = half * (y @ _W7)
     dev = y - (k / (2.0 * half))[..., None]
     np.abs(dev, out=dev)
@@ -141,7 +163,27 @@ def _panels_eval(f, lo, hi, scale):
     positive = resasc > 0.0
     safe = np.where(positive, resasc, 1.0)
     err = np.where(positive, resasc * np.minimum(1.0, (200.0 * diff / safe) ** 1.5), diff)
-    return half, y, k, err
+    return y, k, err
+
+
+def _checked(a, b, scale):
+    """Limits and scale as floats, a zero limit as +0.0.
+
+    Raises ValueError unless a < b are finite and scale, if given, is
+    positive and finite.  A limit's sign of zero moves no value, so both
+    signs make one key of the node tables.
+    """
+    a = float(a) + 0.0
+    b = float(b) + 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration limits must be finite, got [{a}, {b}]")
+    if not a < b:
+        raise ValueError(f"integration requires a < b, got [{a}, {b}]")
+    if scale is not None:
+        scale = float(scale)
+        if not (scale > 0.0 and math.isfinite(scale)):
+            raise ValueError(f"scale must be positive and finite, got {scale}")
+    return a, b, scale
 
 
 def _start_panels(a, b, scale):
@@ -151,18 +193,9 @@ def _start_panels(a, b, scale):
     in v = asinh(x / scale); without it, or where the mapped limits round
     to one float, the one panel [a, b], and the scale returned is None.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"integration limits must be finite, got [{a}, {b}]")
-    if not a < b:
-        raise ValueError(f"integration requires a < b, got [{a}, {b}]")
-
+    a, b, scale = _checked(a, b, scale)
     n_panels = 1
     if scale is not None:
-        scale = float(scale)
-        if not (scale > 0.0 and math.isfinite(scale)):
-            raise ValueError(f"scale must be positive and finite, got {scale}")
         v_a, v_b = math.asinh(a / scale), math.asinh(b / scale)
         if v_a < v_b:
             a, b = v_a, v_b
@@ -173,6 +206,33 @@ def _start_panels(a, b, scale):
     edges = np.arange(n_panels + 1.0) * ((b - a) / n_panels) + a
     edges[-1] = b
     return edges[:-1], edges[1:], scale
+
+
+class _Table(NamedTuple):
+    """A starting node table: _start_panels' panels and scale, and _nodes' half-widths, nodes and Jacobian."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    scale: float | None
+    half: np.ndarray
+    x: np.ndarray
+    jac: np.ndarray | None
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _built_table(a, b, scale) -> _Table:
+    """The starting node table of checked limits and scale, its arrays read-only."""
+    lo, hi, scale = _start_panels(a, b, scale)
+    table = _Table(lo, hi, scale, *_nodes(lo, hi, scale))
+    for array in (table.lo, table.hi, table.half, table.x, table.jac):
+        if array is not None:
+            array.setflags(write=False)
+    return table
+
+
+def _start_table(a, b, scale) -> _Table:
+    """The starting node table of [a, b] at scale, built once per checked (a, b, scale) while it is cached."""
+    return _built_table(*_checked(a, b, scale))
 
 
 def integrate(f, a, b, scale: float | None = None):
@@ -187,10 +247,10 @@ def integrate(f, a, b, scale: float | None = None):
     the component furthest over its target, when no splittable panel is over
     budget or the panel cap is reached.
     """
-    lo, hi, scale = _start_panels(a, b, scale)
+    lo, hi, scale, half, x, jac = _start_table(a, b, scale)
     length = hi[-1] - lo[0]
     while True:
-        half, y, k, err = _panels_eval(f, lo, hi, scale)
+        y, k, err = _panels_eval(f, half, x, jac)
         # one entry per component: a 1-D integrand is a stack of one
         total = np.add.reduce(k, axis=-1).reshape(-1)
         total_err = np.add.reduce(err, axis=-1).reshape(-1)
@@ -222,6 +282,7 @@ def integrate(f, a, b, scale: float | None = None):
         order = np.argsort(lo)
         lo = lo[order]
         hi = hi[order]
+        half, x, jac = _nodes(lo, hi, scale)
 
     if k.ndim == 2:
         return total, total_err
@@ -237,8 +298,8 @@ def _first_round(f, a, b, scale: float | None = None):
     value, of shape (k,) for a (k, n) stack, and raises what integrate
     raises for bad limits, scales and integrand output.
     """
-    lo, hi, scale = _start_panels(a, b, scale)
-    return np.add.reduce(_kronrod(f, lo, hi, scale)[2], axis=-1)
+    table = _start_table(a, b, scale)
+    return np.add.reduce(_kronrod(f, table.half, table.x, table.jac)[1], axis=-1)
 
 
 def truncation_point(a, decay_scale):

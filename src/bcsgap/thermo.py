@@ -28,6 +28,7 @@ temperature once, in _gated_temperature, which also gives its core value.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -62,6 +63,8 @@ _JUMP_KS = (3, 4, 5, 6)
 _BATCH = 64
 # Hottest temperature, in units of t_c, that thermo evaluates: the parts divide by its cube.
 _HOTTEST = sys.float_info.max ** (1.0 / 3.0)
+# The band rows of a temperature whose band cannot reach the window's target.
+_NO_BAND = (0.0, 0.0, 0.0)
 # Columns of a thermo table, each with the ThermoPoint field it holds.
 _THERMO_COLUMNS = {"T": "t", **{field: field for field in ("omega", "omega_t", "omega_tt", "entropy", "c_v", "branch")}}
 
@@ -205,29 +208,38 @@ def _reaching_band(ts: list, fs: list, params: ModelParams) -> list:
     """_band at core temperatures ts and squared gaps fs, with zero rows where the band cannot reach the window's target.
 
     One _band call, of the temperatures whose band can reach the target of
-    the window's integrals beside it, possibly none.
+    the window's integrals beside it (_band_limit), and none where no
+    temperature can.
     """
-    L, mu = params.hbar_omega_d, params.mu
-    # The bound.  E_min = sqrt(xi_min^2 + f) is the window's lowest
-    # quasiparticle energy, and w(x) the band's density of states at x, its
-    # two pieces summed, over the window's: (_dos(x) + _dos(-x)) / 2 at
-    # n0 = 1, formed below in floats, as numpy would cost a lone point more
-    # than the rest of the rule.  A band row at x >= L is at most the same
-    # row at E_min times e^{-(x - E_min) / t}, a power of x / E_min and
-    # w(x); the window's row, positive and entering each field with the
-    # band's sign, keeps its value at E_min over a width of order t.  So the
-    # band is at most e^{-(L - E_min) / t} w(L) times the window's, up to
-    # factors that grow slowly in (x - E_min) / t, and, as past the kernels'
-    # _EDGE, below the quadrature target wherever (L - E_min) / t >=
-    # _EDGE + ln w(L).  w(L) grows like sqrt(L / mu) for mu < L, so a tiny
-    # mu keeps its band.
-    limit = _EDGE + math.log((math.sqrt(1.0 + L / mu) + math.sqrt(max(1.0 - L / mu, 0.0))) / 2.0)
+    L = params.hbar_omega_d
+    limit = _band_limit(L, params.mu)
     a2 = params.xi_min**2
     reach = [i for i, (t, f) in enumerate(zip(ts, fs)) if (L - math.sqrt(a2 + f)) / t < limit]
-    band = [[0.0] * 3 for _ in ts]
-    for i, row in zip(reach, _band([ts[i] for i in reach], params)):
-        band[i] = row
+    band = [_NO_BAND] * len(ts)
+    if reach:
+        for i, row in zip(reach, _band([ts[i] for i in reach], params)):
+            band[i] = row
     return band
+
+
+@functools.lru_cache(maxsize=32)
+def _band_limit(L: float, mu: float) -> float:
+    """The bound of _reaching_band at core window edge L and chemical potential mu, once per parameter set.
+
+    E_min = sqrt(xi_min^2 + f) is the window's lowest quasiparticle energy,
+    and w(x) the band's density of states at x, its two pieces summed, over
+    the window's: (_dos(x) + _dos(-x)) / 2 at n0 = 1, formed here in
+    floats.  A band row at x >= L is at most the same row at E_min times
+    e^{-(x - E_min) / t}, a power of x / E_min and w(x); the window's row,
+    positive and entering each field with the band's sign, keeps its value
+    at E_min over a width of order t.  So the band is at most
+    e^{-(L - E_min) / t} w(L) times the window's, up to factors that grow
+    slowly in (x - E_min) / t, and, as past the kernels' _EDGE, below the
+    quadrature target wherever (L - E_min) / t >= _EDGE + ln w(L), the
+    value returned.  w(L) grows like sqrt(L / mu) for mu < L, so a tiny mu
+    keeps its band.
+    """
+    return _EDGE + math.log((math.sqrt(1.0 + L / mu) + math.sqrt(max(1.0 - L / mu, 0.0))) / 2.0)
 
 
 def _normal_window(ts: list, params: ModelParams) -> list:

@@ -26,11 +26,31 @@ def eps_params():
     return build_params(eps=0.5)
 
 
+def _clear_caches():
+    """Empty the library's caches of work done once: quad's node tables, the t_c condition's integrals and thermo's band bounds."""
+    from bcsgap import gap, quad, thermo
+
+    quad._built_table.cache_clear()
+    gap._tanh_integral.cache_clear()
+    thermo._band_limit.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """The function that empties the library's caches, called once as the test starts."""
+    _clear_caches()
+    return _clear_caches
+
+
 @pytest.fixture
 def integrate_calls(monkeypatch):
-    """A list that gains one entry per quadrature call, from whichever bcsgap module makes it: the call's rounds."""
+    """A list that gains one entry per quadrature call, from whichever bcsgap module makes it: the call's rounds.
+
+    The caches start empty, so the count does not depend on the tests run before.
+    """
     from bcsgap import gap, kernels, quad, thermo
 
+    _clear_caches()
     calls = []
     real, real_round = quad.integrate, quad._panels_eval
 
@@ -54,15 +74,18 @@ def quadrature_rounds(monkeypatch):
 
     A round is one evaluation of every panel of an integrate call, or a
     first round taken alone, uncertified, as the gap's Newton steps take it.
+    The caches start empty, so the count does not depend on the tests run
+    before.
     """
     from bcsgap import quad
 
+    _clear_caches()
     rounds = []
     real = quad._kronrod
 
-    def counting(f, lo, hi, scale):
-        rounds.append(lo.size * quad._NODES.size)
-        return real(f, lo, hi, scale)
+    def counting(f, half, x, jac):
+        rounds.append(x.size)
+        return real(f, half, x, jac)
 
     monkeypatch.setattr(quad, "_kronrod", counting)
     return rounds

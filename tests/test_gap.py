@@ -256,11 +256,13 @@ def test_curve_work_does_not_grow_with_the_window(quadrature_rounds):
     assert max(nodes[0.1], nodes[0.003]) <= 2 * nodes[0.3]
 
 
-def test_thermo_and_tc_work_does_not_grow_with_the_window(quadrature_rounds):
+def test_thermo_and_tc_work_does_not_grow_with_the_window(quadrature_rounds, cold_caches):
     # thermo's window rows and the transition-temperature condition end at
     # the kernels' thermal edge too, so once the window reaches past it a
-    # wider one adds no nodes anywhere
+    # wider one adds no nodes anywhere; each call is counted from cold
+    # caches, as a warm one makes the t_c condition's quadrature once
     def nodes(call):
+        cold_caches()
         quadrature_rounds.clear()
         call()
         return sum(quadrature_rounds)

@@ -185,7 +185,8 @@ def _straightforward_integrate(f, a, b, scale=None):
     lo, hi, scale = quad._start_panels(a, b, scale)
     length = hi[-1] - lo[0]
     while True:
-        half, y, k = quad._kronrod(f, lo, hi, scale)
+        half, x, jac = quad._nodes(lo, hi, scale)
+        y, k = quad._kronrod(f, half, x, jac)
         g = half * (y @ quad._W7)
         resabs = half * (np.abs(y) @ quad._W15)
         mean = k / (2.0 * half)
@@ -351,6 +352,48 @@ def test_start_panels_are_linspace_edges_at_many_scales():
         lo, hi, _ = quad._start_panels(a, b, scale)
         edges = np.linspace(math.asinh(a / scale), math.asinh(b / scale), lo.size + 1)
         assert (lo.tobytes(), hi.tobytes()) == (edges[:-1].tobytes(), edges[1:].tobytes()), (a, b, scale)
+
+
+@pytest.mark.parametrize(
+    "first, second, scale",
+    [
+        pytest.param((1.0, 1.0 + 2.0**-52), (1.0, 1.0 + 2.0**-52), 1e-300, id="mapped-limits-one-float"),
+        pytest.param((0.0, 3.0), (-0.0, 3.0), 10.0, id="mapped-a-signed-zero"),
+        pytest.param((-0.0, 1.0), (0.0, 1.0), None, id="unmapped-a-signed-zero"),
+        pytest.param((-1.0, 0.0), (-1.0, -0.0), 0.5, id="mapped-b-signed-zero"),
+        pytest.param((-1.0, -0.0), (-1.0, 0.0), None, id="unmapped-b-signed-zero"),
+    ],
+)
+def test_a_cached_node_table_is_the_one_start_panels_gives(first, second, scale, cold_caches):
+    # the second limits hit the table the first built, and it holds the
+    # panels and nodes that _start_panels and _nodes give them afresh, so
+    # both rules return, to the bit, the values formed on fresh nodes
+    f = _stack(np.cos, lambda x: np.exp(-x * x))
+    for a, b in (first, second):
+        table = quad._start_table(a, b, scale)
+        lo, hi, mapped = quad._start_panels(a, b, scale)
+        fresh = (lo, hi, *quad._nodes(lo, hi, mapped))
+        cached = (table.lo, table.hi, table.half, table.x, table.jac)
+        assert table.scale == mapped
+        assert [np.asarray(v).tobytes() for v in cached] == [np.asarray(v).tobytes() for v in fresh]
+        total, _ = _straightforward_integrate(f, a, b, scale)
+        assert integrate(f, a, b, scale=scale)[0].tobytes() == total.tobytes()
+        first = np.add.reduce(quad._kronrod(f, *fresh[2:])[1], axis=-1)
+        assert quad._first_round(f, a, b, scale=scale).tobytes() == first.tobytes()
+    assert quad._built_table.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("rule", [integrate, quad._first_round], ids=["integrate", "first-round"])
+@pytest.mark.parametrize("scale", [None, 0.1], ids=["unmapped", "mapped"])
+def test_an_integrand_that_writes_into_its_nodes_raises(rule, scale):
+    # the starting nodes are a shared table, read-only, so no integrand can
+    # change the nodes of a later call
+    def f(x):
+        x *= 2.0
+        return x
+
+    with pytest.raises(ValueError, match="read-only"):
+        rule(f, 0.0, 1.0, scale=scale)
 
 
 def test_tolerance_not_met_when_budget_exhausted(monkeypatch):

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bcsgap import gap
+from bcsgap import gap, quad
 from bcsgap.thermo import _points, thermo_to_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,6 +86,17 @@ def test_output_digest_prints_one_stable_sha256(tmp_path):
         assert run.returncode == 0, run.stderr
     assert re.fullmatch(r"[0-9a-f]{64}\n", runs[0].stdout)
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_warm_caches_give_the_digest_of_cold_ones(cold_caches):
+    # node tables, the t_c condition's integrals and the band bounds are
+    # built once and then reused: a second digest in one interpreter, from
+    # warm caches, has the bits of the first
+    digest = runpy.run_path(str(ROOT / "scripts" / "output_digest.py"))["digest"]
+    cold = digest()
+    hits = quad._built_table.cache_info().hits
+    assert digest() == cold
+    assert quad._built_table.cache_info().hits > hits
 
 
 def test_fit_seed_check_accepts_the_checked_in_table(tmp_path):
